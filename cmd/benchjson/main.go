@@ -8,8 +8,8 @@
 // With -check, benchjson additionally gates allocation regressions: it
 // loads a committed baseline (a benchjson JSON file) and exits non-zero
 // when a benchmark present in both runs reports more than -max-regress
-// (default 0.20 = +20%) allocs/op over its baseline. Allocations are
-// deterministic enough to gate in CI, unlike wall-clock ns/op. A
+// (default 0.20 = +20%) allocs/op or B/op over its baseline. Allocations
+// are deterministic enough to gate in CI, unlike wall-clock ns/op. A
 // baseline entry with a bytes_retained metric (live-heap growth, the
 // peak-memory guard of the streaming campaign aggregation) is gated
 // the same way, with 1 MiB of absolute slack on top of the relative
@@ -46,8 +46,8 @@ type Record struct {
 }
 
 func main() {
-	check := flag.String("check", "", "baseline benchjson JSON file to gate allocs/op regressions against")
-	maxRegress := flag.Float64("max-regress", 0.20, "maximum tolerated relative allocs/op regression vs the -check baseline")
+	check := flag.String("check", "", "baseline benchjson JSON file to gate allocs/op and B/op regressions against")
+	maxRegress := flag.Float64("max-regress", 0.20, "maximum tolerated relative allocs/op and B/op regression vs the -check baseline")
 	flag.Parse()
 
 	records, err := parse(bufio.NewScanner(os.Stdin))
@@ -69,12 +69,12 @@ func main() {
 	}
 }
 
-// gate compares allocs/op and bytes_retained of the current records
-// against the baseline file and fails on a regression beyond
+// gate compares allocs/op, B/op and bytes_retained of the current
+// records against the baseline file and fails on a regression beyond
 // maxRegress. Benchmarks missing on either side are skipped (the
 // baseline pins selected benchmarks, not the whole suite); a baseline
-// entry without allocs/op carries no allocation gate, and one without
-// a bytes_retained metric no retained-heap gate.
+// entry without allocs/op or B/op carries no gate on that figure, and
+// one without a bytes_retained metric no retained-heap gate.
 func gate(records []Record, baselinePath string, maxRegress float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -94,15 +94,24 @@ func gate(records []Record, baselinePath string, maxRegress float64) error {
 		if !ok {
 			continue
 		}
-		if b.AllocsPerOp > 0 {
-			checked++
-			limit := b.AllocsPerOp * (1 + maxRegress)
-			if r.AllocsPerOp > limit {
-				return fmt.Errorf("%s allocs/op regressed: %.0f vs baseline %.0f (limit %.0f, +%.0f%%)",
-					b.Name, r.AllocsPerOp, b.AllocsPerOp, limit, 100*(r.AllocsPerOp/b.AllocsPerOp-1))
+		for _, m := range []struct {
+			unit      string
+			base, got float64
+		}{
+			{"allocs/op", b.AllocsPerOp, r.AllocsPerOp},
+			{"B/op", b.BytesPerOp, r.BytesPerOp},
+		} {
+			if m.base <= 0 {
+				continue
 			}
-			fmt.Fprintf(os.Stderr, "benchjson: %s allocs/op %.0f within %.0f%% of baseline %.0f\n",
-				b.Name, r.AllocsPerOp, 100*maxRegress, b.AllocsPerOp)
+			checked++
+			limit := m.base * (1 + maxRegress)
+			if m.got > limit {
+				return fmt.Errorf("%s %s regressed: %.0f vs baseline %.0f (limit %.0f, +%.0f%%)",
+					b.Name, m.unit, m.got, m.base, limit, 100*(m.got/m.base-1))
+			}
+			fmt.Fprintf(os.Stderr, "benchjson: %s %s %.0f within %.0f%% of baseline %.0f\n",
+				b.Name, m.unit, m.got, 100*maxRegress, m.base)
 		}
 		if base, gated := b.Metrics["bytes_retained"]; gated {
 			checked++

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +53,30 @@ func spawnWorkers(t testing.TB, p *Pool, n int) []*os.Process {
 	return procs
 }
 
+// killAt kills one worker process mid-sweep: on the fourth progress
+// report (each range completion reports, and a job has 8 ranges per
+// worker), so the kill lands inside the sweep however fast the
+// scenarios run. The callback blocks until the pool has seen the
+// worker die, so the job cannot finish around the kill.
+type killAt struct {
+	pool    *Pool
+	proc    *os.Process
+	reports atomic.Int32
+}
+
+// progress is a PoolOptions.OnProgress callback.
+func (k *killAt) progress(int) {
+	if k.reports.Add(1) != 4 {
+		return
+	}
+	_ = k.proc.Kill()
+	for deadline := time.Now().Add(30 * time.Second); k.pool.Live() > 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (k *killAt) fired() bool { return k.reports.Load() >= 4 }
+
 // TestDistributedGolden is the tentpole acceptance test: the same
 // campaign run through a coordinator and N real local worker processes
 // produces a Summary bit-identical to the single-process run for
@@ -97,21 +121,16 @@ func TestDistributedWorkerKill(t *testing.T) {
 	spec := testSpec(t, 400)
 	want := localRun(t, spec)
 
-	p := NewPool(PoolOptions{RangesPerWorker: 8})
+	var kill killAt
+	p := NewPool(PoolOptions{RangesPerWorker: 8, OnProgress: kill.progress})
 	defer p.Close()
-	procs := spawnWorkers(t, p, 2)
-
-	var killed sync.WaitGroup
-	killed.Add(1)
-	go func() {
-		defer killed.Done()
-		time.Sleep(400 * time.Millisecond)
-		_ = procs[0].Kill()
-	}()
+	kill.pool, kill.proc = p, spawnWorkers(t, p, 2)[0]
 	rep, err := p.RunJob(context.Background(), spec)
-	killed.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !kill.fired() {
+		t.Fatal("the worker was never killed")
 	}
 	if rep.Summary != want.Summary {
 		t.Fatalf("summary differs after worker kill:\n%+v\n%+v", rep.Summary, want.Summary)
@@ -138,23 +157,21 @@ func TestDistributedSmoke10k(t *testing.T) {
 
 	run := func(name string, kill bool) {
 		t.Run(name, func(t *testing.T) {
-			p := NewPool(PoolOptions{RangesPerWorker: 8})
-			defer p.Close()
-			procs := spawnWorkers(t, p, 2)
-			var killed sync.WaitGroup
+			opts := PoolOptions{RangesPerWorker: 8}
+			var k killAt
 			if kill {
-				killed.Add(1)
-				go func() {
-					defer killed.Done()
-					time.Sleep(5 * time.Second)
-					_ = procs[0].Kill()
-				}()
+				opts.OnProgress = k.progress
 			}
+			p := NewPool(opts)
+			defer p.Close()
+			k.pool, k.proc = p, spawnWorkers(t, p, 2)[0]
 			start := time.Now()
 			rep, err := p.RunJob(context.Background(), spec)
-			killed.Wait()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if kill && !k.fired() {
+				t.Fatal("the worker was never killed")
 			}
 			got := campaign.SummaryDigest(rep.Summary)
 			t.Logf("distributed: %v, digest %s", time.Since(start), got)

@@ -82,8 +82,12 @@ type checkpointData struct {
 	outBuf  map[topology.TaskID]map[int]Batch
 	tentOut map[int]bool
 	missIn  map[int]map[topology.TaskID]bool
-	bytes   int
+	bytes   int // charged size: len(state) + tupleBytes × (counted + buffered tuples)
 }
+
+// tupleBytes is the modelled checkpoint footprint of one tuple, charged
+// alike for the tuples an operator state counts and for buffered output.
+const tupleBytes = 16
 
 // sinkKey identifies one batch of one sink task in the output-accuracy
 // accounting.
@@ -388,8 +392,9 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 		}
 		e.store[id] = ck
 	}
-	ck.state = rt.snapshotState(ck.state)
-	bytes := len(ck.state)
+	var counted int
+	ck.state, counted = rt.snapshotState(ck.state[:0])
+	bytes := len(ck.state) + counted*tupleBytes
 	for d, buf := range rt.outBuf {
 		m := ck.outBuf[d]
 		if m == nil {
@@ -400,7 +405,7 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 		}
 		for b, content := range buf {
 			m[b] = content
-			bytes += content.Count * 16 // buffered tuples are part of the checkpoint payload
+			bytes += content.Count * tupleBytes // buffered tuples are part of the checkpoint payload
 		}
 	}
 	for d, m := range ck.outBuf {

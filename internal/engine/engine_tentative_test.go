@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -253,8 +254,8 @@ func TestMultiWaveNoDoubleAmendment(t *testing.T) {
 // TestDecodeIntError: a truncated source checkpoint payload is an
 // explicit error, not a silent restart from batch 0.
 func TestDecodeIntError(t *testing.T) {
-	if v, err := decodeInt(encodeInt(42)); err != nil || v != 42 {
-		t.Fatalf("decodeInt(encodeInt(42)) = %d, %v", v, err)
+	if v, err := decodeInt(binary.LittleEndian.AppendUint64(nil, 42)); err != nil || v != 42 {
+		t.Fatalf("decodeInt(42 little-endian) = %d, %v", v, err)
 	}
 	if _, err := decodeInt([]byte{1, 2, 3}); err == nil {
 		t.Error("truncated payload decoded without error")

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -516,22 +518,43 @@ func TestWindowOpSnapshotRoundTrip(t *testing.T) {
 		op.ProcessBatch(b, 0, Batch{Count: 100 * (b + 1)}, sink)
 		op.OnBatchEnd(b, sink)
 	}
-	snap := op.Snapshot()
+	snap, counted := op.Snapshot(nil)
+	// The state is the header alone; the window's tuples are counted.
+	if want := 16 + 8*len(op.window); len(snap) != want {
+		t.Errorf("state = %d bytes, want %d", len(snap), want)
+	}
+	if want := 300 + 400 + 500; counted != want {
+		t.Errorf("counted = %d, want the window's tuple sum %d", counted, want)
+	}
 	op2 := &WindowCountOp{WindowBatches: 3, Selectivity: 0.5}
-	if err := op2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if op2.seen != op.seen {
-		t.Errorf("seen = %d, want %d", op2.seen, op.seen)
-	}
-	if len(op2.window) != len(op.window) {
-		t.Fatalf("window len = %d, want %d", len(op2.window), len(op.window))
-	}
-	for i := range op.window {
-		if op.window[i] != op2.window[i] {
-			t.Errorf("window[%d] = %d, want %d", i, op2.window[i], op.window[i])
+	restored := func(data []byte) {
+		t.Helper()
+		if err := op2.Restore(data); err != nil {
+			t.Fatal(err)
+		}
+		if op2.seen != op.seen {
+			t.Errorf("seen = %d, want %d", op2.seen, op.seen)
+		}
+		if !slices.Equal(op2.window, op.window) {
+			t.Errorf("window = %v, want %v", op2.window, op.window)
 		}
 	}
+	restored(snap)
+
+	// A pre-sized buffer is written in place, with no allocation.
+	buf := make([]byte, 0, len(snap))
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = op.Snapshot(buf[:0]) }); allocs != 0 {
+		t.Errorf("Snapshot into a pre-sized buffer: %v allocs, want 0", allocs)
+	}
+	// A dirty reused buffer (the engine recycles each task's previous
+	// checkpoint) restores identically.
+	dirty := bytes.Repeat([]byte{0xff}, 4*len(snap))
+	again, _ := op.Snapshot(dirty[:0])
+	if !bytes.Equal(again, snap) {
+		t.Errorf("snapshot into a dirty buffer = %x, want %x", again, snap)
+	}
+	restored(again)
+
 	if err := op2.Restore(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // This file provides the reusable synthetic operators and sources used
@@ -25,12 +26,11 @@ func NewCountSourceFactory(perBatch int) SourceFactory {
 
 // WindowCountOp is the synthetic operator of §VI-A: it maintains a
 // sliding window over its input (state size equal to the input volume of
-// the window interval times the per-tuple footprint) and forwards
-// selectivity * input per batch. Tuples are counted, not materialised.
+// the window interval) and forwards selectivity * input per batch.
+// Tuples are counted, not materialised.
 type WindowCountOp struct {
 	WindowBatches int
 	Selectivity   float64
-	TupleBytes    int // per-tuple state footprint (default 16)
 
 	window []int // per-batch input counts, ring of WindowBatches entries
 	seen   int   // batches processed
@@ -68,52 +68,21 @@ func (o *WindowCountOp) OnBatchEnd(batch int, emit Emitter) {
 	}
 }
 
-// Snapshot implements OperatorFunc. The snapshot's size equals the
-// window content's footprint (count * TupleBytes), modelling the
-// "state composed by the input data within the current window" of
-// §VI-A, so checkpoint save/restore costs scale with rate x window.
-func (o *WindowCountOp) Snapshot() []byte { return o.SnapshotAppend(nil) }
-
-// SnapshotAppend implements SnapshotAppender: the same payload as
-// Snapshot, written into buf's reusable capacity. The payload body
-// (the modelled window tuples) is zero-filled, so only the header is
-// actually written; its size is what the checkpoint cost model charges.
-func (o *WindowCountOp) SnapshotAppend(buf []byte) []byte {
-	tb := o.TupleBytes
-	if tb == 0 {
-		tb = 16
-	}
+// Snapshot implements OperatorFunc. The state is the window header
+// (batches seen, then one count per window slot); the tuples of the
+// window are counted, not materialised, modelling the "state composed
+// by the input data within the current window" of §VI-A, so checkpoint
+// save/restore costs scale with rate x window.
+func (o *WindowCountOp) Snapshot(buf []byte) ([]byte, int) {
+	buf = slices.Grow(buf, 16+8*len(o.window))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.seen))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(o.window)))
 	tuples := 0
 	for _, c := range o.window {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
 		tuples += c
 	}
-	head := 16 + 8*len(o.window)
-	size := head + tuples*tb
-	if cap(buf) < size {
-		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
-		// The payload body is always zero — only header bytes are ever
-		// written — and every previous writer of this buffer was an
-		// instance of the same operator (checkpoint buffers are
-		// per-task), so clearing the maximal header extent suffices:
-		// re-zeroing the whole modelled body would dominate checkpoint
-		// CPU for large windows.
-		dirty := 16 + 8*o.WindowBatches
-		if len(o.window) > o.WindowBatches {
-			dirty = 16 + 8*len(o.window)
-		}
-		if dirty > size {
-			dirty = size
-		}
-		clear(buf[:dirty])
-	}
-	binary.LittleEndian.PutUint64(buf[0:], uint64(o.seen))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(o.window)))
-	for i, c := range o.window {
-		binary.LittleEndian.PutUint64(buf[16+8*i:], uint64(c))
-	}
-	return buf
+	return buf, tuples
 }
 
 // Restore implements OperatorFunc; Restore(nil) resets to initial state.
@@ -161,7 +130,7 @@ func (o *PassthroughOp) ProcessBatch(batch, fromOp int, in Batch, emit Emitter) 
 func (o *PassthroughOp) OnBatchEnd(int, Emitter) {}
 
 // Snapshot implements OperatorFunc (stateless).
-func (o *PassthroughOp) Snapshot() []byte { return nil }
+func (o *PassthroughOp) Snapshot([]byte) ([]byte, int) { return nil, 0 }
 
 // Restore implements OperatorFunc.
 func (o *PassthroughOp) Restore([]byte) error { return nil }

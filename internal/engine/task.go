@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -811,16 +812,14 @@ func (rt *taskRuntime) resetTo(batch int) {
 	}
 }
 
-// snapshotState captures the checkpoint payload of this task, reusing
-// buf's capacity when possible.
-func (rt *taskRuntime) snapshotState(buf []byte) []byte {
+// snapshotState appends the checkpoint state of this task to buf and
+// returns it with the number of modelled tuples it counts. A source's
+// state is its next batch number.
+func (rt *taskRuntime) snapshotState(buf []byte) ([]byte, int) {
 	if rt.isSource {
-		return appendInt(buf[:0], rt.nextBatch)
+		return binary.LittleEndian.AppendUint64(buf, uint64(rt.nextBatch)), 0
 	}
-	if sa, ok := rt.udf.(SnapshotAppender); ok {
-		return sa.SnapshotAppend(buf[:0])
-	}
-	return rt.udf.Snapshot()
+	return rt.udf.Snapshot(buf)
 }
 
 func hashKey(key string) uint64 {
@@ -829,18 +828,7 @@ func hashKey(key string) uint64 {
 	return h.Sum64()
 }
 
-func encodeInt(v int) []byte { return appendInt(nil, v) }
-
-// appendInt appends the 8-byte little-endian encoding of v to b.
-func appendInt(b []byte, v int) []byte {
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(u>>(8*i)))
-	}
-	return b
-}
-
-// decodeInt decodes the 8-byte checkpoint payload of a source task. A
+// decodeInt decodes the 8-byte checkpoint state of a source task. A
 // short payload is a corrupt or truncated checkpoint: restoring it
 // silently as batch 0 would disguise data loss as a cold start, so it
 // is reported as an explicit error.
@@ -848,11 +836,7 @@ func decodeInt(b []byte) (int, error) {
 	if len(b) < 8 {
 		return 0, fmt.Errorf("engine: source checkpoint payload truncated: %d bytes, want 8", len(b))
 	}
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return int(u), nil
+	return int(binary.LittleEndian.Uint64(b)), nil
 }
 
 func maxTime(a, b sim.Time) sim.Time {

@@ -64,23 +64,18 @@ type OperatorFunc interface {
 	// OnBatchEnd runs after all input streams of the batch were
 	// processed; windowed operators typically emit here.
 	OnBatchEnd(batch int, emit Emitter)
-	// Snapshot serialises the operator state for checkpointing.
-	Snapshot() []byte
-	// Restore loads a snapshot produced by Snapshot.
+	// Snapshot appends the operator state to buf and returns the extended
+	// slice: state holds exactly the bytes Restore needs. counted is the
+	// number of unmaterialised tuples the state models (e.g. the window
+	// content of a counting operator); the checkpoint cost model charges
+	// them at 16 bytes each on top of len(state), like buffered output.
+	// The engine passes each task's previous checkpoint buffer with len
+	// 0, so its capacity is reused and its stale content must be
+	// overwritten, never read. Stateless operators return nil, 0.
+	Snapshot(buf []byte) (state []byte, counted int)
+	// Restore loads a state produced by Snapshot; Restore(nil) resets the
+	// operator to its initial state.
 	Restore(data []byte) error
-}
-
-// SnapshotAppender is an optional OperatorFunc extension: operators
-// implementing it serialise their checkpoint into a caller-provided
-// buffer (reusing its capacity) instead of allocating a fresh one per
-// Snapshot. The engine recycles each task's previous checkpoint buffer
-// through this path, which removes the dominant byte churn of periodic
-// checkpointing for large windowed states.
-type SnapshotAppender interface {
-	// SnapshotAppend appends the snapshot to buf (typically passed with
-	// len 0 and reusable capacity) and returns the resulting slice. The
-	// content must equal Snapshot().
-	SnapshotAppend(buf []byte) []byte
 }
 
 // OperatorFactory builds the OperatorFunc instance for one task of an

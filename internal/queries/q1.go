@@ -137,8 +137,8 @@ func (o *countMergeOp) OnBatchEnd(batch int, emit engine.Emitter) {
 	o.acc = nil
 }
 
-func (o *countMergeOp) Snapshot() []byte       { return nil }
-func (o *countMergeOp) Restore(d []byte) error { o.acc = nil; return nil }
+func (o *countMergeOp) Snapshot([]byte) ([]byte, int) { return nil, 0 }
+func (o *countMergeOp) Restore(d []byte) error        { o.acc = nil; return nil }
 
 // topKOp maintains a sliding window of per-key counts (a FIFO ring of
 // per-batch maps) and emits the current top-k every batch.
@@ -211,10 +211,10 @@ type topKState struct {
 	Totals map[string]int
 }
 
-func (o *topKOp) Snapshot() []byte {
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(topKState{Ring: o.ring, Totals: o.totals})
-	return buf.Bytes()
+func (o *topKOp) Snapshot(buf []byte) ([]byte, int) {
+	w := bytes.NewBuffer(buf)
+	_ = gob.NewEncoder(w).Encode(topKState{Ring: o.ring, Totals: o.totals})
+	return w.Bytes(), 0
 }
 
 func (o *topKOp) Restore(data []byte) error {

@@ -178,8 +178,8 @@ func (o *speedAggOp) OnBatchEnd(batch int, emit engine.Emitter) {
 	o.cur = nil
 }
 
-func (o *speedAggOp) Snapshot() []byte     { return nil }
-func (o *speedAggOp) Restore([]byte) error { o.cur = nil; return nil }
+func (o *speedAggOp) Snapshot([]byte) ([]byte, int) { return nil, 0 }
+func (o *speedAggOp) Restore([]byte) error          { o.cur = nil; return nil }
 
 // dedupOp (O2) combines the user-reported incident events into distinct
 // incident events.
@@ -210,8 +210,8 @@ func (o *dedupOp) OnBatchEnd(batch int, emit engine.Emitter) {
 	o.cur = nil
 }
 
-func (o *dedupOp) Snapshot() []byte     { return nil }
-func (o *dedupOp) Restore([]byte) error { o.cur = nil; return nil }
+func (o *dedupOp) Snapshot([]byte) ([]byte, int) { return nil, 0 }
+func (o *dedupOp) Restore([]byte) error          { o.cur = nil; return nil }
 
 // joinState is the serialisable state of joinOp.
 type joinState struct {
@@ -276,10 +276,10 @@ func (o *joinOp) OnBatchEnd(batch int, emit engine.Emitter) {
 	o.speeds = nil
 }
 
-func (o *joinOp) Snapshot() []byte {
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(joinState{Incidents: o.incidents, Emitted: o.emitted})
-	return buf.Bytes()
+func (o *joinOp) Snapshot(buf []byte) ([]byte, int) {
+	w := bytes.NewBuffer(buf)
+	_ = gob.NewEncoder(w).Encode(joinState{Incidents: o.incidents, Emitted: o.emitted})
+	return w.Bytes(), 0
 }
 
 func (o *joinOp) Restore(data []byte) error {
@@ -305,7 +305,7 @@ func (collectOp) ProcessBatch(batch, fromOp int, in engine.Batch, emit engine.Em
 	}
 }
 func (collectOp) OnBatchEnd(int, engine.Emitter) {}
-func (collectOp) Snapshot() []byte               { return nil }
+func (collectOp) Snapshot([]byte) ([]byte, int)  { return nil, 0 }
 func (collectOp) Restore([]byte) error           { return nil }
 
 // AllKeys extracts the distinct tuple keys seen at the sink — Q2's

@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -270,29 +272,41 @@ func TestTopKSnapshotRoundTrip(t *testing.T) {
 			{Key: workload.ObjectName(b), Value: b + 1}}}, c)
 		op.OnBatchEnd(b, c)
 	}
-	snap := op.Snapshot()
-	op2 := &topKOp{k: 3, window: 5}
-	if err := op2.Restore(snap); err != nil {
-		t.Fatal(err)
+	// Restore once from a fresh buffer and once from a snapshot written
+	// into a dirty reused buffer, as the engine's recycled checkpoint is.
+	snap, counted := op.Snapshot(nil)
+	if counted != 0 {
+		t.Errorf("counted = %d, want 0 (materialised state)", counted)
 	}
-	c1, c2 := &capture{}, &capture{}
+	again, _ := op.Snapshot(dirtyBuf(4 * len(snap)))
+	var restored []*topKOp
+	for _, data := range [][]byte{snap, again} {
+		op2 := &topKOp{k: 3, window: 5}
+		if err := op2.Restore(data); err != nil {
+			t.Fatal(err)
+		}
+		restored = append(restored, op2)
+	}
+	c1 := &capture{}
 	op.ProcessBatch(4, 0, engine.Batch{}, c1)
 	op.OnBatchEnd(4, c1)
-	op2.ProcessBatch(4, 0, engine.Batch{}, c2)
-	op2.OnBatchEnd(4, c2)
-	k1, k2 := c1.keys(), c2.keys()
-	if len(k1) != len(k2) {
-		t.Fatalf("restored op emits %d keys, original %d", len(k2), len(k1))
-	}
-	for i := range k1 {
-		if k1[i] != k2[i] {
-			t.Errorf("emission %d differs: %q vs %q", i, k1[i], k2[i])
+	k1 := c1.keys()
+	for _, op2 := range restored {
+		c2 := &capture{}
+		op2.ProcessBatch(4, 0, engine.Batch{}, c2)
+		op2.OnBatchEnd(4, c2)
+		if k2 := c2.keys(); !slices.Equal(k1, k2) {
+			t.Errorf("restored op emits %q, original %q", k2, k1)
 		}
 	}
-	if err := op2.Restore(nil); err != nil {
+	if err := restored[0].Restore(nil); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// dirtyBuf returns an empty slice whose n bytes of capacity hold stale
+// non-zero content, like a recycled checkpoint buffer.
+func dirtyBuf(n int) []byte { return bytes.Repeat([]byte{0xff}, n)[:0] }
 
 func TestJoinOpSnapshotRoundTrip(t *testing.T) {
 	op := &joinOp{window: 5, threshold: 30}
@@ -300,24 +314,29 @@ func TestJoinOpSnapshotRoundTrip(t *testing.T) {
 	op.ProcessBatch(0, 0, engine.Batch{Count: 1, Tuples: []engine.Tuple{
 		{Key: "seg-1", Value: "inc-1"}}}, c)
 	op.OnBatchEnd(0, c)
-	snap := op.Snapshot()
-	op2 := &joinOp{window: 5, threshold: 30}
-	if err := op2.Restore(snap); err != nil {
-		t.Fatal(err)
+	snap, counted := op.Snapshot(nil)
+	if counted != 0 {
+		t.Errorf("counted = %d, want 0 (materialised state)", counted)
 	}
-	// Now a slow speed arrives: both must emit the jam.
-	c1, c2 := &capture{}, &capture{}
-	op.ProcessBatch(1, 0, engine.Batch{Count: 1, Tuples: []engine.Tuple{
-		{Key: "seg-1", Value: speedObs{Speed: 5}}}}, c1)
-	op.OnBatchEnd(1, c1)
-	op2.ProcessBatch(1, 0, engine.Batch{Count: 1, Tuples: []engine.Tuple{
-		{Key: "seg-1", Value: speedObs{Speed: 5}}}}, c2)
-	op2.OnBatchEnd(1, c2)
-	if len(c1.tuples) != 1 || len(c2.tuples) != 1 {
-		t.Fatalf("jam emissions: original %d, restored %d, want 1 and 1", len(c1.tuples), len(c2.tuples))
+	again, _ := op.Snapshot(dirtyBuf(4 * len(snap)))
+	// Now a slow speed arrives: the original and both restored operators
+	// (from a fresh and from a dirty reused buffer) must emit the jam.
+	slow := engine.Batch{Count: 1, Tuples: []engine.Tuple{{Key: "seg-1", Value: speedObs{Speed: 5}}}}
+	ops := []*joinOp{op}
+	for _, data := range [][]byte{snap, again} {
+		op2 := &joinOp{window: 5, threshold: 30}
+		if err := op2.Restore(data); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op2)
 	}
-	if c1.tuples[0].Key != "inc-1" || c2.tuples[0].Key != "inc-1" {
-		t.Error("wrong jam id emitted")
+	for i, o := range ops {
+		c := &capture{}
+		o.ProcessBatch(1, 0, slow, c)
+		o.OnBatchEnd(1, c)
+		if len(c.tuples) != 1 || c.tuples[0].Key != "inc-1" {
+			t.Errorf("op %d emitted %v, want one jam inc-1", i, c.tuples)
+		}
 	}
 }
 
