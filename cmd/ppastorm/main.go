@@ -496,12 +496,11 @@ func main() {
 	// only — pairing needs the per-scenario stream.
 	pairs := newPairedSet(*crn && pool == nil)
 	// The failure-free baseline depends only on (topology, planner,
-	// horizon) — not on placement or burst model — so one cached
-	// baseline simulation serves every cell of a (topo, planner) sweep.
-	// Distributed sweeps cache the coordinator-resolved sink volume the
-	// same way and ship it with every later cell's spec.
-	baselines := campaign.NewBaselineCache()
-	distBaselines := map[string]int{}
+	// horizon) — not on placement or burst model — so the first cell of
+	// a (topo, planner) sweep resolves it and every later cell reuses
+	// its volume, locally through Config.Baseline and distributed by
+	// shipping it with the cell's spec.
+	baselines := map[string]int{}
 	for _, topoName := range splitList(*topos) {
 		topo, err := campaign.PresetTopology(topoName, *topoSeed)
 		if err != nil {
@@ -565,13 +564,12 @@ func main() {
 						wire.Horizon = sim.Time(*horizon)
 						wire.Workers = *workers
 						wire.Shards = *shards
-						wire.Baseline = distBaselines[baseKey]
+						wire.Baseline = baselines[baseKey]
 						wire.StopTol = *ciTol
 						rep, err = pool.RunJob(context.Background(), wire)
 						if err != nil {
 							fatal(err)
 						}
-						distBaselines[baseKey] = rep.BaselineSinkTuples
 					} else {
 						scs, err := campaign.Generate(sample, gen)
 						if err != nil {
@@ -585,14 +583,13 @@ func main() {
 								cellTopo+"/"+cellPlanner+"/"+cellPlacement+"/"+cellModel, len(scs))
 						}
 						cfg := campaign.Config{
-							Setup:       env.SetupFor(placement),
-							Scenarios:   scs,
-							Horizon:     sim.Time(*horizon),
-							Workers:     *workers,
-							Shards:      *shards,
-							Baselines:   baselines,
-							BaselineKey: baseKey,
-							StopTol:     *ciTol,
+							Setup:     env.SetupFor(placement),
+							Scenarios: scs,
+							Horizon:   sim.Time(*horizon),
+							Workers:   *workers,
+							Shards:    *shards,
+							Baseline:  baselines[baseKey],
+							StopTol:   *ciTol,
 						}
 						pairObs := pairs.observer(cellTopo, cellPlanner, cellPlacement, cellModel, len(scs))
 						if sink != nil || meter != nil || pairObs != nil {
@@ -636,6 +633,7 @@ func main() {
 							}
 						}
 					}
+					baselines[baseKey] = rep.BaselineSinkTuples
 					rows = append(rows, row{
 						Topology:         topoName,
 						Planner:          name,

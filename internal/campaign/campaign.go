@@ -6,18 +6,17 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
 // Config describes one campaign: N scenarios run as independent engine
-// simulations against instances of the same environment. By default the
-// runner keeps one engine per worker and engine.Reset()s it between
-// scenarios instead of rebuilding the environment per simulation;
-// Reset is bit-identical to a fresh Setup, so results do not depend on
-// which path (or worker) ran a scenario.
+// simulations against instances of the same environment. The runner
+// keeps one engine per worker and engine.Reset()s it between scenarios
+// instead of rebuilding the environment per simulation; Reset is
+// bit-identical to a fresh Setup, so results do not depend on which
+// worker (or which engine) ran a scenario.
 type Config struct {
 	// Setup returns a fresh engine setup for one simulation. It must be
 	// safe for concurrent calls and must rebuild anything a run mutates
@@ -67,70 +66,22 @@ type Config struct {
 	// Baseline is the failure-free sink-tuple volume the loss metric is
 	// measured against; 0 runs one baseline simulation. The baseline
 	// depends only on Setup and Horizon, so sweeps sharing both (e.g.
-	// the same planner over several burst models) can reuse the
-	// BaselineSinkTuples of an earlier Report — or, more conveniently,
-	// share a BaselineCache.
+	// the same planner over several burst models or placements) pass
+	// the BaselineSinkTuples of their first Report to the later cells
+	// instead of re-running it.
 	Baseline int
-	// Baselines, when set together with BaselineKey, memoizes the
-	// failure-free baseline volume per (BaselineKey, Horizon) across
-	// campaigns: sweep cells sharing a Setup and horizon run the
-	// baseline simulation once instead of once per cell. Ignored when
-	// Baseline is non-zero.
-	Baselines *BaselineCache
-	// BaselineKey identifies the Setup in the BaselineCache. Callers
-	// must choose keys so that equal keys imply baseline-equivalent
-	// Setups (same topology, workload and engine config; placement and
-	// failure model do not affect the failure-free baseline).
-	BaselineKey string
-	// DisableReuse forces a fresh Setup + engine.New per scenario
-	// instead of resetting per-worker engines — the fallback for
-	// environments whose factories are not safely reusable (e.g.
-	// closures over shared mutable state). The determinism test pins
-	// that both paths produce bit-identical reports.
-	DisableReuse bool
 	// StopTol > 0 enables CI-driven early stopping: the campaign halts
 	// once the 95% confidence half-width of its p95 output-loss
 	// estimate falls to StopTol or below. The rule is checked only at
 	// shard-block boundaries over the merged prefix of completed
 	// shards (see StopMonitor), so the decision is deterministic and a
 	// distributed run stops at exactly the same scenario as a
-	// single-process one. A stopped Report sets Stopped and its
-	// Summary covers the executed prefix only. Scenario-level
+	// single-process one. A stopped Report sets Stopped; its Summary
+	// and Results, like the OnResult calls, cover that prefix only
+	// (scenarios already started past it are discarded). Scenario-level
 	// execution (RunRangeContext) ignores the field — a worker sees
 	// only its own range; stop decisions belong to whoever merges.
 	StopTol float64
-}
-
-// BaselineCache memoizes failure-free baseline sink volumes per
-// (key, horizon) across campaigns. Safe for concurrent use.
-type BaselineCache struct {
-	mu sync.Mutex
-	m  map[baselineKey]int
-}
-
-type baselineKey struct {
-	key     string
-	horizon sim.Time
-}
-
-// NewBaselineCache returns an empty cache.
-func NewBaselineCache() *BaselineCache {
-	return &BaselineCache{m: make(map[baselineKey]int)}
-}
-
-// Get returns the cached baseline for (key, horizon), if any.
-func (c *BaselineCache) Get(key string, horizon sim.Time) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[baselineKey{key, horizon}]
-	return v, ok
-}
-
-// Put stores the baseline for (key, horizon).
-func (c *BaselineCache) Put(key string, horizon sim.Time, v int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[baselineKey{key, horizon}] = v
 }
 
 // ScenarioResult is the outcome of one simulated scenario.
@@ -277,8 +228,6 @@ func (cfg Config) Validate() error {
 		return &ConfigError{"Horizon", fmt.Sprintf("negative horizon %v", cfg.Horizon)}
 	case cfg.Baseline < 0:
 		return &ConfigError{"Baseline", fmt.Sprintf("negative baseline volume %d", cfg.Baseline)}
-	case cfg.BaselineKey != "" && cfg.Baselines == nil:
-		return &ConfigError{"BaselineKey", "set without a Baselines cache"}
 	case cfg.StopTol < 0:
 		return &ConfigError{"StopTol", fmt.Sprintf("negative stop tolerance %v", cfg.StopTol)}
 	}
@@ -300,53 +249,39 @@ func (cfg Config) resolved() Config {
 	return cfg
 }
 
-// newEnginePool builds the per-campaign engine free list: one engine
-// per worker, reset between scenarios. A buffered channel serves as
-// the free list — a worker takes any idle engine (Reset makes them
-// interchangeable) and falls back to a fresh Setup when none is idle
-// yet. Nil when reuse is disabled. cfg must be resolved.
-func newEnginePool(cfg Config) chan *engine.Engine {
-	if cfg.DisableReuse {
-		return nil
+// prepare is the set-up step every execution path shares: it validates
+// cfg, fills in its defaults, builds the engine free list and resolves
+// the baseline volume — the explicit Config.Baseline, or one baseline
+// simulation whose engine seeds the free list. The free list is a
+// buffered channel with room for one engine per worker: a worker takes
+// any idle engine (Reset makes them interchangeable) and builds a
+// fresh one when none is idle yet.
+func prepare(cfg Config) (Config, chan *engine.Engine, int, error) {
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, 0, err
 	}
-	return make(chan *engine.Engine, cfg.Workers)
-}
-
-// resolveBaseline returns the failure-free sink volume the loss metric
-// is measured against: the explicit Config.Baseline, a BaselineCache
-// hit, or one baseline simulation (whose engine seeds the pool). cfg
-// must be resolved.
-func resolveBaseline(cfg Config, pool chan *engine.Engine) (int, error) {
+	cfg = cfg.resolved()
+	pool := make(chan *engine.Engine, cfg.Workers)
 	if cfg.Baseline > 0 {
-		return cfg.Baseline, nil
-	}
-	if cfg.Baselines != nil && cfg.BaselineKey != "" {
-		if v, ok := cfg.Baselines.Get(cfg.BaselineKey, cfg.Horizon); ok {
-			return v, nil
-		}
+		return cfg, pool, cfg.Baseline, nil
 	}
 	baseline, err := runOne(cfg.Setup, pool, nil, cfg.Horizon, false)
 	if err != nil {
-		return 0, fmt.Errorf("campaign: baseline run: %w", err)
+		return cfg, nil, 0, fmt.Errorf("campaign: baseline run: %w", err)
 	}
 	baseline.release()
-	base := baseline.res.SinkTuples
-	if cfg.Baselines != nil && cfg.BaselineKey != "" {
-		cfg.Baselines.Put(cfg.BaselineKey, cfg.Horizon, base)
-	}
-	return base, nil
+	return cfg, pool, baseline.res.SinkTuples, nil
 }
 
-// BaselineVolume computes (or fetches from the cache) the campaign's
-// failure-free baseline sink volume without running any scenarios. The
-// coordinator of a distributed campaign calls it once and ships the
-// volume to every worker, so all ranges measure loss against the same
-// baseline the single-process run would use.
+// BaselineVolume returns the campaign's failure-free baseline sink
+// volume without running any scenarios: Config.Baseline when set,
+// otherwise the volume of one baseline simulation. The coordinator of
+// a distributed campaign calls it once and ships the volume to every
+// worker, so all ranges measure loss against the same baseline the
+// single-process run would use.
 func BaselineVolume(cfg Config) (int, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	return resolveBaseline(cfg.resolved(), nil)
+	_, _, base, err := prepare(cfg)
+	return base, err
 }
 
 // Run executes the campaign: one failure-free baseline simulation, then
@@ -366,108 +301,57 @@ func Run(cfg Config) (*Report, error) {
 // the context's error is returned — unless a scenario failed before
 // the cancellation, in which case that error wins. The coordinator's
 // per-worker cancel, a caller's timeout, and fail-fast abort all share
-// this one mechanism.
+// this one mechanism. With Config.StopTol set, the reducer observes
+// each shard block as it closes it and stops the pool once the stop
+// rule fires; the report then covers the shard prefix up to that
+// block, and whatever started, failed or was cancelled past it is
+// discarded.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.resolved()
-	pool := newEnginePool(cfg)
-	base, err := resolveBaseline(cfg, pool)
+	cfg, pool, base, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.StopTol > 0 {
-		return runStopping(ctx, cfg, pool, base)
-	}
-	aggs, results, err := runShards(ctx, cfg, Range{0, len(cfg.Scenarios)}, pool, base)
+	mon := NewStopMonitor(cfg)
+	aggs, results, err := runShards(ctx, cfg, Range{0, len(cfg.Scenarios)}, pool, base, mon)
 	if err != nil {
 		return nil, err
+	}
+	if mon.Fired() {
+		aggs = aggs[:mon.StopShard()+1]
+		if cfg.KeepResults {
+			results = results[:mon.PrefixScenarios()]
+		}
 	}
 	agg := aggs[0]
-	for s := 1; s < len(aggs); s++ {
-		agg.merge(aggs[s])
+	for _, b := range aggs[1:] {
+		agg.merge(b)
 	}
 	return &Report{
 		Results:            results,
 		Summary:            agg.summary(),
 		BaselineSinkTuples: base,
+		Stopped:            mon.Fired(),
 	}, nil
 }
 
-// runStopping is RunContext's early-stopping path: the shard blocks
-// run one at a time (the worker pool still parallelises within each
-// block), and after every block the serialised shard state feeds the
-// StopMonitor — the exact bytes a distributed coordinator would
-// observe, so both fire at the same checkpoint. On fire the remaining
-// blocks are never started and the summary merges the executed prefix
-// only. cfg must be resolved and carry StopTol > 0.
-func runStopping(ctx context.Context, cfg Config, pool chan *engine.Engine, base int) (*Report, error) {
-	n := len(cfg.Scenarios)
-	block := blockSize(n, cfg.Shards)
-	mon := NewStopMonitor(cfg)
-	var (
-		merged  *aggregator
-		results []ScenarioResult
-		stopped bool
-	)
-	for lo := 0; lo < n && !stopped; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		aggs, res, err := runShards(ctx, cfg, Range{lo, hi}, pool, base)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.KeepResults {
-			results = append(results, res...)
-		}
-		st, err := aggs[0].state(lo / block)
-		if err != nil {
-			return nil, err
-		}
-		if err := mon.Observe(st); err != nil {
-			return nil, err
-		}
-		if merged == nil {
-			merged = aggs[0]
-		} else {
-			merged.merge(aggs[0])
-		}
-		stopped = mon.Fired()
-	}
-	return &Report{
-		Results:            results,
-		Summary:            merged.summary(),
-		BaselineSinkTuples: base,
-		Stopped:            stopped,
-	}, nil
-}
-
-// runOne executes one simulation with the given failure waves, taking a
-// reusable engine from the pool (resetting it) when one is idle and
-// returning it afterwards; with a nil pool every run builds a fresh
-// environment. With keep false the correction delays land in a pooled
-// buffer (released by entry.release once the reducer streamed them
-// into the time-to-correction sketch) instead of a fresh allocation
-// per scenario.
+// runOne executes one simulation with the given failure waves, taking
+// an idle engine from the free list (resetting it) or building a fresh
+// one when none is idle, and returning it to the list afterwards. With
+// keep false the correction delays land in a pooled buffer (released
+// by entry.release once the reducer streamed them into the
+// time-to-correction sketch) instead of a fresh allocation per
+// scenario.
 func runOne(setup func() (engine.Setup, error), pool chan *engine.Engine, waves []Wave, horizon sim.Time, keep bool) (entry, error) {
 	var e *engine.Engine
-	if pool != nil {
-		select {
-		case e = <-pool:
-			e.Reset()
-		default:
-		}
-	}
-	if e == nil {
+	select {
+	case e = <-pool:
+		e.Reset()
+	default:
 		s, err := setup()
 		if err != nil {
 			return entry{}, err
 		}
-		e, err = engine.New(s)
-		if err != nil {
+		if e, err = engine.New(s); err != nil {
 			return entry{}, err
 		}
 	}
@@ -476,11 +360,9 @@ func runOne(setup func() (engine.Setup, error), pool chan *engine.Engine, waves 
 	}
 	e.Run(horizon)
 	defer func() {
-		if pool != nil {
-			select {
-			case pool <- e:
-			default:
-			}
+		select {
+		case pool <- e:
+		default:
 		}
 	}()
 	out := entry{res: ScenarioResult{Recovered: true, SinkTuples: e.SinkTupleCount()}}

@@ -292,7 +292,6 @@ func TestRunValidation(t *testing.T) {
 		{"empty scenario list", Config{Setup: env.Setup}, "Scenarios"},
 		{"negative horizon", Config{Setup: env.Setup, Scenarios: scs, Horizon: -1}, "Horizon"},
 		{"negative baseline", Config{Setup: env.Setup, Scenarios: scs, Baseline: -5}, "Baseline"},
-		{"baseline key without cache", Config{Setup: env.Setup, Scenarios: scs, BaselineKey: "k"}, "BaselineKey"},
 	}
 	for _, c := range cases {
 		_, err := Run(c.cfg)

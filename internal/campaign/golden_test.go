@@ -45,8 +45,8 @@ const goldenWant = "037ed8e09f269984edd39fbe4213b524b9747a358f3b54ae99dfd464c8f7
 
 // goldenSummaryWant pins the sketch-path summary for the golden
 // campaign at 4 reduction shards: the sharded sketch reduction must
-// stay bit-identical across worker counts and engine reuse modes, and
-// across refactors of the sketch itself. (Recomputed when shard
+// stay bit-identical across worker counts, and across refactors of the
+// sketch itself. (Recomputed when shard
 // ownership moved from i mod Shards to contiguous blocks — the mapping
 // that makes distributed ranges merge bit-identically; the
 // per-scenario goldenWant was unaffected.)
@@ -54,32 +54,28 @@ const goldenSummaryWant = "ae131174de61b8ac4d6b547a4eabbf6bb0e39480867db3e1948bd
 
 // TestGoldenReportHash pins campaign determinism end to end: the
 // per-scenario results must be bit-identical to the pre-refactor
-// engine's, and the sketch-path summary bit-identical across every
-// combination of worker count (sequential vs full pool) and engine
-// reuse (per-worker Reset vs fresh Setup per scenario), for a fixed
-// shard count.
+// engine's — which built a fresh environment per scenario, so the
+// per-worker engine Reset is checked against fresh setups too — and
+// the sketch-path summary bit-identical sequentially and on the full
+// pool, for a fixed shard count.
 func TestGoldenReportHash(t *testing.T) {
 	env, scs := goldenCampaign(t)
 	cases := []struct {
-		name         string
-		workers      int
-		disableReuse bool
+		name    string
+		workers int
 	}{
-		{"workers=1/reset", 1, false},
-		{"workers=1/fresh-setup", 1, true},
-		{"workers=max/reset", 0, false},
-		{"workers=max/fresh-setup", 0, true},
+		{"workers=1/reset", 1},
+		{"workers=max/reset", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rep, err := Run(Config{
-				Setup:        env.Setup,
-				Scenarios:    scs,
-				Horizon:      90,
-				Workers:      c.workers,
-				Shards:       4,
-				KeepResults:  true,
-				DisableReuse: c.disableReuse,
+				Setup:       env.Setup,
+				Scenarios:   scs,
+				Horizon:     90,
+				Workers:     c.workers,
+				Shards:      4,
+				KeepResults: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -91,55 +87,5 @@ func TestGoldenReportHash(t *testing.T) {
 				t.Fatalf("summary hash = %s, want %s", got, goldenSummaryWant)
 			}
 		})
-	}
-}
-
-// TestBaselineCache verifies baseline memoization: two campaigns
-// sharing a key and horizon run the baseline once, keys and horizons
-// are distinguished, and the cached report equals the uncached one.
-func TestBaselineCache(t *testing.T) {
-	env, scs := goldenCampaign(t)
-	cache := NewBaselineCache()
-	cfg := Config{
-		Setup:       env.Setup,
-		Scenarios:   scs[:3],
-		Horizon:     90,
-		Workers:     1,
-		Baselines:   cache,
-		BaselineKey: "golden",
-	}
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, ok := cache.Get("golden", 90)
-	if !ok || cached != first.BaselineSinkTuples {
-		t.Fatalf("cache holds (%d, %v), want %d", cached, ok, first.BaselineSinkTuples)
-	}
-	if _, ok := cache.Get("golden", 120); ok {
-		t.Fatal("cache hit for a different horizon")
-	}
-	if _, ok := cache.Get("other", 90); ok {
-		t.Fatal("cache hit for a different key")
-	}
-	// Poison the cache entry: a second run must trust the cache (no
-	// baseline re-run) and measure loss against the poisoned volume.
-	cache.Put("golden", 90, first.BaselineSinkTuples*2)
-	second, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.BaselineSinkTuples != first.BaselineSinkTuples*2 {
-		t.Fatalf("second run baseline = %d, want cached %d",
-			second.BaselineSinkTuples, first.BaselineSinkTuples*2)
-	}
-	// An explicit Baseline takes precedence over the cache.
-	cfg.Baseline = first.BaselineSinkTuples
-	third, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.BaselineSinkTuples != first.BaselineSinkTuples {
-		t.Fatalf("explicit baseline ignored: %d", third.BaselineSinkTuples)
 	}
 }

@@ -100,7 +100,16 @@ func Partition(cfg Config, parts int) ([]Range, error) {
 // aggregators in shard order (and the retained per-scenario results
 // when KeepResults is set — indexed relative to r.Lo). cfg must be
 // resolved and the baseline already known.
-func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engine, base int) ([]*aggregator, []ScenarioResult, error) {
+//
+// A non-nil mon (RunContext over the whole campaign only) observes
+// each shard block as the reducer closes it — the serialised state a
+// distributed coordinator would observe, so both fire at the same
+// block. Once the rule fires (or Observe fails) the reducer cancels
+// the pool, so no further scenario starts, and ends the stream, so
+// none is consumed: the results then cover exactly the blocks up to
+// mon.StopShard(), and an error or cancellation past them does not
+// fail the run.
+func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engine, base int, mon *StopMonitor) ([]*aggregator, []ScenarioResult, error) {
 	n := len(cfg.Scenarios)
 	block := blockSize(n, cfg.Shards)
 	if err := r.validate(n, block); err != nil {
@@ -120,8 +129,13 @@ func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engin
 	if window < 16 {
 		window = 16
 	}
-	st := newStreamer(window, func(j int, e *entry) {
-		aggs[(r.Lo+j)/block-first].add(&e.res)
+	poolCtx, cancelPool := context.WithCancel(ctx)
+	defer cancelPool()
+	var stopErr error
+	st := newStreamer(window, func(j int, e *entry) bool {
+		i := r.Lo + j
+		a := aggs[i/block-first]
+		a.add(&e.res)
 		if cfg.OnResult != nil {
 			cfg.OnResult(e.res)
 		}
@@ -130,10 +144,23 @@ func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engin
 		} else {
 			e.release()
 		}
+		if mon == nil || ((i+1)%block != 0 && i+1 != n) {
+			return true
+		}
+		state, err := a.state(i / block)
+		if err == nil {
+			err = mon.Observe(state)
+		}
+		if err == nil && !mon.Fired() {
+			return true
+		}
+		stopErr = err
+		cancelPool()
+		return false
 	})
 	stop := watchCancel(ctx, st)
 	defer stop()
-	err := par.EachErrCtx(ctx, r.Len(), cfg.Workers, func(j int) error {
+	err := par.EachErrCtx(poolCtx, r.Len(), cfg.Workers, func(j int) error {
 		sc := cfg.Scenarios[r.Lo+j]
 		e, err := runOne(cfg.Setup, pool, sc.Waves, cfg.Horizon, cfg.KeepResults)
 		if err != nil {
@@ -147,7 +174,12 @@ func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engin
 		st.deliver(j, e)
 		return nil
 	})
-	if err != nil {
+	switch {
+	case mon.Fired():
+		// Every scenario of the prefix was consumed before the rule fired.
+	case stopErr != nil:
+		return nil, nil, stopErr
+	case err != nil:
 		return nil, nil, err
 	}
 	return aggs, results, nil
@@ -201,41 +233,27 @@ type ShardState struct {
 	SumW2X2  float64 `json:"sum_w2x2,omitempty"`
 }
 
+// sketchBytes returns the sketch-encoding fields of st, indexed by
+// metric.
+func (st *ShardState) sketchBytes() [numMetrics]*[]byte {
+	return [numMetrics]*[]byte{&st.Latency, &st.Loss, &st.FailedTasks, &st.Tentative, &st.Corrected, &st.T2C}
+}
+
 // state serialises the aggregator as the state of the given shard.
 func (a *aggregator) state(shard int) (ShardState, error) {
 	st := ShardState{Shard: shard, Scenarios: a.scenarios, Unrecovered: a.unrecovered}
-	type enc interface{ MarshalBinary() ([]byte, error) }
-	var metrics []struct {
-		dst *[]byte
-		s   enc
-	}
 	if a.weighted {
 		st.Weighted = true
 		st.SumW, st.SumW2 = a.sumW, a.sumW2
 		st.SumWX, st.SumWX2 = a.sumWX, a.sumWX2
 		st.SumW2X, st.SumW2X2 = a.sumW2X, a.sumW2X2
-		metrics = []struct {
-			dst *[]byte
-			s   enc
-		}{
-			{&st.Latency, a.wlat}, {&st.Loss, a.wloss}, {&st.FailedTasks, a.wblast},
-			{&st.Tentative, a.wtent}, {&st.Corrected, a.wcorr}, {&st.T2C, a.wt2c},
-		}
-	} else {
-		metrics = []struct {
-			dst *[]byte
-			s   enc
-		}{
-			{&st.Latency, a.lat}, {&st.Loss, a.loss}, {&st.FailedTasks, a.blast},
-			{&st.Tentative, a.tent}, {&st.Corrected, a.corr}, {&st.T2C, a.t2c},
-		}
 	}
-	for _, m := range metrics {
-		b, err := m.s.MarshalBinary()
+	for m, dst := range st.sketchBytes() {
+		b, err := a.sketchOf(m).MarshalBinary()
 		if err != nil {
 			return ShardState{}, fmt.Errorf("campaign: encoding shard %d state: %w", shard, err)
 		}
-		*m.dst = b
+		*dst = b
 	}
 	return st, nil
 }
@@ -244,33 +262,13 @@ func (a *aggregator) state(shard int) (ShardState, error) {
 func decodeState(st ShardState) (*aggregator, error) {
 	a := newAggregator(st.Weighted)
 	a.scenarios, a.unrecovered = st.Scenarios, st.Unrecovered
-	type dec interface{ UnmarshalBinary([]byte) error }
-	var metrics []struct {
-		src []byte
-		s   dec
-	}
 	if st.Weighted {
 		a.sumW, a.sumW2 = st.SumW, st.SumW2
 		a.sumWX, a.sumWX2 = st.SumWX, st.SumWX2
 		a.sumW2X, a.sumW2X2 = st.SumW2X, st.SumW2X2
-		metrics = []struct {
-			src []byte
-			s   dec
-		}{
-			{st.Latency, a.wlat}, {st.Loss, a.wloss}, {st.FailedTasks, a.wblast},
-			{st.Tentative, a.wtent}, {st.Corrected, a.wcorr}, {st.T2C, a.wt2c},
-		}
-	} else {
-		metrics = []struct {
-			src []byte
-			s   dec
-		}{
-			{st.Latency, a.lat}, {st.Loss, a.loss}, {st.FailedTasks, a.blast},
-			{st.Tentative, a.tent}, {st.Corrected, a.corr}, {st.T2C, a.t2c},
-		}
 	}
-	for _, m := range metrics {
-		if err := m.s.UnmarshalBinary(m.src); err != nil {
+	for m, src := range st.sketchBytes() {
+		if err := a.sketchOf(m).UnmarshalBinary(*src); err != nil {
 			return nil, fmt.Errorf("campaign: decoding shard %d state: %w", st.Shard, err)
 		}
 	}
@@ -301,13 +299,11 @@ func RunRangeContext(ctx context.Context, cfg Config, r Range) ([]ShardState, er
 	if cfg.KeepResults {
 		return nil, &ConfigError{"KeepResults", "per-scenario retention is not available on the range path (use OnResult)"}
 	}
-	cfg = cfg.resolved()
-	pool := newEnginePool(cfg)
-	base, err := resolveBaseline(cfg, pool)
+	cfg, pool, base, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	aggs, _, err := runShards(ctx, cfg, r, pool, base)
+	aggs, _, err := runShards(ctx, cfg, r, pool, base, nil)
 	if err != nil {
 		return nil, err
 	}

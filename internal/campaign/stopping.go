@@ -13,13 +13,14 @@ import (
 // replay-independent: it is evaluated only at shard-block boundaries
 // (the campaign's fixed scenario-count checkpoints), over the merged
 // reduction state of the completed shard prefix 0..j, and fires at the
-// smallest such j. Single-process runs evaluate the blocks in order;
-// the distributed coordinator feeds the monitor shard states as its
-// contiguous completed-range frontier advances — both walk the same
-// prefix sequence over the same serialised states, so they stop at the
-// same scenario and produce bit-identical summaries. Workers never
-// evaluate the rule (a range sees only its own slice of the prefix);
-// stop decisions are owned by whoever merges.
+// smallest such j. The single-process reducer observes each block as
+// it closes it, in order; the distributed coordinator feeds the monitor
+// shard states as its contiguous completed-range frontier advances —
+// both walk the same prefix sequence over the same serialised states,
+// so they stop at the same scenario and produce bit-identical
+// summaries. Workers never evaluate the rule (a range sees only its
+// own slice of the prefix); stop decisions are owned by whoever
+// merges.
 
 // stopZ is the two-sided 95% normal quantile of the stop rule's
 // interval; the confidence level is fixed so the rule stays part of
@@ -85,9 +86,9 @@ func NewStopMonitor(cfg Config) *StopMonitor {
 		lastHW:    math.Inf(1),
 	}
 	if m.weighted {
-		m.wloss = sketch.NewSeededWeighted(SketchK, 2)
+		m.wloss = sketch.NewSeededWeighted(SketchK, metricLoss+1)
 	} else {
-		m.loss = sketch.NewSeeded(SketchK, 2)
+		m.loss = sketch.NewSeeded(SketchK, metricLoss+1)
 	}
 	return m
 }

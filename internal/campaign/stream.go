@@ -48,6 +48,8 @@ func (e *entry) release() {
 // an index far ahead of the reduction frontier blocks until the
 // frontier catches up, so buffered results — the only per-scenario
 // state the campaign retains — stay O(workers), not O(scenarios).
+// consume returns false to end the stream: the results it has not
+// consumed yet are dropped, as on abort.
 //
 // Deadlock-freedom: the worker pool claims indices in ascending order,
 // so the scenario at the frontier (next) is always already claimed by
@@ -61,10 +63,10 @@ type streamer struct {
 	window  int
 	pending map[int]entry
 	aborted bool
-	consume func(i int, e *entry)
+	consume func(i int, e *entry) bool
 }
 
-func newStreamer(window int, consume func(int, *entry)) *streamer {
+func newStreamer(window int, consume func(int, *entry) bool) *streamer {
 	st := &streamer{
 		window:  window,
 		pending: make(map[int]entry),
@@ -92,16 +94,18 @@ func (st *streamer) deliver(i int, e entry) {
 		st.pending[i] = e
 		return
 	}
-	st.consume(i, &e)
-	st.next++
 	for {
+		if !st.consume(st.next, &e) {
+			st.abortLocked()
+			return
+		}
+		st.next++
 		ne, ok := st.pending[st.next]
 		if !ok {
 			break
 		}
 		delete(st.pending, st.next)
-		st.consume(st.next, &ne)
-		st.next++
+		e = ne
 	}
 	st.cond.Broadcast()
 }
@@ -112,6 +116,10 @@ func (st *streamer) deliver(i int, e entry) {
 func (st *streamer) abort() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.abortLocked()
+}
+
+func (st *streamer) abortLocked() {
 	st.aborted = true
 	for i, e := range st.pending {
 		e.release()
@@ -120,34 +128,34 @@ func (st *streamer) abort() {
 	st.cond.Broadcast()
 }
 
+// The summary metrics, indexed in ShardState (and Summary) field order.
+// Metric m's sketch is seeded m+1 in every shard.
+const (
+	metricLatency = iota
+	metricLoss
+	metricFailedTasks
+	metricTentative
+	metricCorrected
+	metricT2C
+	numMetrics
+)
+
 // aggregator folds scenario results of one reduction shard into
 // mergeable summary sketches — constant memory per shard, independent
 // of the scenario count. An unweighted campaign (every scenario weight
-// exactly 1, the historical default) uses the exact-count Sketch path
-// bit-identically to before; an importance-sampled campaign (any
-// scenario carrying a non-unit likelihood ratio) switches every metric
-// to the weighted summaries and additionally folds the exact moment
-// counters behind the effective-sample-size estimate.
+// exactly 1, the historical default) fills the exact-count Sketches;
+// an importance-sampled campaign (any scenario carrying a non-unit
+// likelihood ratio) fills the Weighted summaries instead and
+// additionally folds the exact moment counters behind the
+// effective-sample-size estimate.
 type aggregator struct {
 	scenarios   int
 	unrecovered int
 	weighted    bool
 
-	// Unweighted metric sketches (weighted == false).
-	lat   *sketch.Sketch
-	loss  *sketch.Sketch
-	blast *sketch.Sketch
-	tent  *sketch.Sketch
-	corr  *sketch.Sketch
-	t2c   *sketch.Sketch
-
-	// Weighted metric summaries (weighted == true).
-	wlat   *sketch.Weighted
-	wloss  *sketch.Weighted
-	wblast *sketch.Weighted
-	wtent  *sketch.Weighted
-	wcorr  *sketch.Weighted
-	wt2c   *sketch.Weighted
+	// One sketch per metric: s when unweighted, w when weighted.
+	s [numMetrics]*sketch.Sketch
+	w [numMetrics]*sketch.Weighted
 
 	// Exact moment counters over (weight, OutputLoss), maintained on
 	// the weighted path only and folded in shard order like everything
@@ -157,27 +165,38 @@ type aggregator struct {
 	sumW, sumW2, sumWX, sumWX2, sumW2X, sumW2X2 float64
 }
 
+// metricSketch is what both sketch kinds share: the summary readers
+// and the binary codec.
+type metricSketch interface {
+	Count() uint64
+	Mean() float64
+	Quantile(q float64) float64
+	Max() float64
+	MarshalBinary() ([]byte, error)
+	UnmarshalBinary([]byte) error
+}
+
 // newAggregator builds one shard accumulator. Every shard seeds each
 // metric's sketch identically, so shard sketches merge into the same
 // deterministic state regardless of which shard the merge starts from.
 func newAggregator(weighted bool) *aggregator {
 	a := &aggregator{weighted: weighted}
-	if weighted {
-		a.wlat = sketch.NewSeededWeighted(SketchK, 1)
-		a.wloss = sketch.NewSeededWeighted(SketchK, 2)
-		a.wblast = sketch.NewSeededWeighted(SketchK, 3)
-		a.wtent = sketch.NewSeededWeighted(SketchK, 4)
-		a.wcorr = sketch.NewSeededWeighted(SketchK, 5)
-		a.wt2c = sketch.NewSeededWeighted(SketchK, 6)
-		return a
+	for m := range a.s {
+		if weighted {
+			a.w[m] = sketch.NewSeededWeighted(SketchK, uint64(m+1))
+		} else {
+			a.s[m] = sketch.NewSeeded(SketchK, uint64(m+1))
+		}
 	}
-	a.lat = sketch.NewSeeded(SketchK, 1)
-	a.loss = sketch.NewSeeded(SketchK, 2)
-	a.blast = sketch.NewSeeded(SketchK, 3)
-	a.tent = sketch.NewSeeded(SketchK, 4)
-	a.corr = sketch.NewSeeded(SketchK, 5)
-	a.t2c = sketch.NewSeeded(SketchK, 6)
 	return a
+}
+
+// sketchOf returns the sketch of metric m.
+func (a *aggregator) sketchOf(m int) metricSketch {
+	if a.weighted {
+		return a.w[m]
+	}
+	return a.s[m]
 }
 
 // scenariosWeighted reports whether any scenario carries a non-unit
@@ -196,61 +215,48 @@ func scenariosWeighted(scs []Scenario) bool {
 // add folds one scenario result (same metric semantics as the old
 // exact summarise: latency only over recovered scenarios that lost
 // tasks, corrected fraction only over scenarios with tentative
-// output, delays pooled across scenarios).
+// output, delays pooled across scenarios). On the weighted path every
+// sample carries the scenario's likelihood ratio (zero, from
+// hand-built scenarios, counts as 1).
 func (a *aggregator) add(r *ScenarioResult) {
 	a.scenarios++
-	if a.weighted {
-		a.addWeighted(r)
-		return
-	}
-	a.loss.Add(r.OutputLoss)
-	a.blast.Add(float64(r.FailedTasks))
-	a.tent.Add(r.TentativeFrac)
-	if r.TentativeFrac > 0 {
-		a.corr.Add(r.CorrectedFrac)
-	}
-	for _, d := range r.CorrectionDelays {
-		a.t2c.Add(d)
-	}
-	if !r.Recovered {
-		a.unrecovered++
-		return
-	}
-	if r.FailedTasks > 0 {
-		a.lat.Add(float64(r.WorstLatency))
-	}
-}
-
-// addWeighted is add for importance-sampled campaigns: every metric
-// sample carries the scenario's likelihood ratio (zero, from hand-built
-// scenarios, counts as 1).
-func (a *aggregator) addWeighted(r *ScenarioResult) {
 	w := r.Scenario.Weight
 	if w == 0 {
 		w = 1
 	}
-	x := r.OutputLoss
-	a.sumW += w
-	a.sumW2 += w * w
-	a.sumWX += w * x
-	a.sumWX2 += w * x * x
-	a.sumW2X += w * w * x
-	a.sumW2X2 += w * w * x * x
-	a.wloss.Add(x, w)
-	a.wblast.Add(float64(r.FailedTasks), w)
-	a.wtent.Add(r.TentativeFrac, w)
+	if a.weighted {
+		x := r.OutputLoss
+		a.sumW += w
+		a.sumW2 += w * w
+		a.sumWX += w * x
+		a.sumWX2 += w * x * x
+		a.sumW2X += w * w * x
+		a.sumW2X2 += w * w * x * x
+	}
+	a.put(metricLoss, r.OutputLoss, w)
+	a.put(metricFailedTasks, float64(r.FailedTasks), w)
+	a.put(metricTentative, r.TentativeFrac, w)
 	if r.TentativeFrac > 0 {
-		a.wcorr.Add(r.CorrectedFrac, w)
+		a.put(metricCorrected, r.CorrectedFrac, w)
 	}
 	for _, d := range r.CorrectionDelays {
-		a.wt2c.Add(d, w)
+		a.put(metricT2C, d, w)
 	}
 	if !r.Recovered {
 		a.unrecovered++
 		return
 	}
 	if r.FailedTasks > 0 {
-		a.wlat.Add(float64(r.WorstLatency), w)
+		a.put(metricLatency, float64(r.WorstLatency), w)
+	}
+}
+
+// put adds one sample of metric m; the weight is ignored unweighted.
+func (a *aggregator) put(m int, x, w float64) {
+	if a.weighted {
+		a.w[m].Add(x, w)
+	} else {
+		a.s[m].Add(x)
 	}
 }
 
@@ -258,27 +264,19 @@ func (a *aggregator) addWeighted(r *ScenarioResult) {
 func (a *aggregator) merge(b *aggregator) {
 	a.scenarios += b.scenarios
 	a.unrecovered += b.unrecovered
-	if a.weighted {
-		a.sumW += b.sumW
-		a.sumW2 += b.sumW2
-		a.sumWX += b.sumWX
-		a.sumWX2 += b.sumWX2
-		a.sumW2X += b.sumW2X
-		a.sumW2X2 += b.sumW2X2
-		a.wlat.Merge(b.wlat)
-		a.wloss.Merge(b.wloss)
-		a.wblast.Merge(b.wblast)
-		a.wtent.Merge(b.wtent)
-		a.wcorr.Merge(b.wcorr)
-		a.wt2c.Merge(b.wt2c)
-		return
+	a.sumW += b.sumW
+	a.sumW2 += b.sumW2
+	a.sumWX += b.sumWX
+	a.sumWX2 += b.sumWX2
+	a.sumW2X += b.sumW2X
+	a.sumW2X2 += b.sumW2X2
+	for m := range a.s {
+		if a.weighted {
+			a.w[m].Merge(b.w[m])
+		} else {
+			a.s[m].Merge(b.s[m])
+		}
 	}
-	a.lat.Merge(b.lat)
-	a.loss.Merge(b.loss)
-	a.blast.Merge(b.blast)
-	a.tent.Merge(b.tent)
-	a.corr.Merge(b.corr)
-	a.t2c.Merge(b.t2c)
 }
 
 // ess returns the campaign's effective sample size. For an unweighted
@@ -308,56 +306,21 @@ func (a *aggregator) ess() float64 {
 	return varA * a.sumW / varB
 }
 
+// summary renders the aggregator. Mean and Max of every distribution
+// are exact; quantiles carry the sketch's rank-error bound and, on the
+// weighted path, are taken against the reweighted (nominal)
+// distribution.
 func (a *aggregator) summary() Summary {
 	s := Summary{
 		Scenarios:   a.scenarios,
 		Unrecovered: a.unrecovered,
 		ESS:         a.ess(),
 	}
-	if a.weighted {
-		s.Latency = wdistOf(a.wlat)
-		s.Loss = wdistOf(a.wloss)
-		s.FailedTasks = wdistOf(a.wblast)
-		s.TentativeFrac = wdistOf(a.wtent)
-		s.CorrectedFrac = wdistOf(a.wcorr)
-		s.TimeToCorrection = wdistOf(a.wt2c)
-		return s
+	dists := [numMetrics]*Dist{&s.Latency, &s.Loss, &s.FailedTasks, &s.TentativeFrac, &s.CorrectedFrac, &s.TimeToCorrection}
+	for m, d := range dists {
+		if k := a.sketchOf(m); k.Count() > 0 {
+			*d = Dist{Mean: k.Mean(), P50: k.Quantile(0.50), P95: k.Quantile(0.95), P99: k.Quantile(0.99), Max: k.Max()}
+		}
 	}
-	s.Latency = distOf(a.lat)
-	s.Loss = distOf(a.loss)
-	s.FailedTasks = distOf(a.blast)
-	s.TentativeFrac = distOf(a.tent)
-	s.CorrectedFrac = distOf(a.corr)
-	s.TimeToCorrection = distOf(a.t2c)
 	return s
-}
-
-// distOf renders one metric sketch as the summary distribution. Mean
-// and Max are exact; quantiles carry the sketch's rank-error bound.
-func distOf(s *sketch.Sketch) Dist {
-	if s.Count() == 0 {
-		return Dist{}
-	}
-	return Dist{
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.50),
-		P95:  s.Quantile(0.95),
-		P99:  s.Quantile(0.99),
-		Max:  s.Max(),
-	}
-}
-
-// wdistOf is distOf for the weighted summaries: means and quantiles
-// are taken against the reweighted (nominal) distribution.
-func wdistOf(s *sketch.Weighted) Dist {
-	if s.Count() == 0 {
-		return Dist{}
-	}
-	return Dist{
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.50),
-		P95:  s.Quantile(0.95),
-		P99:  s.Quantile(0.99),
-		Max:  s.Max(),
-	}
 }

@@ -122,7 +122,10 @@ func reduceSynthetic(t *testing.T, results []ScenarioResult, workers, shards int
 		aggs[s] = newAggregator(false)
 	}
 	block := blockSize(len(results), shards)
-	st := newStreamer(64, func(i int, e *entry) { aggs[i/block].add(&e.res) })
+	st := newStreamer(64, func(i int, e *entry) bool {
+		aggs[i/block].add(&e.res)
+		return true
+	})
 	par.Each(len(results), workers, func(i int) {
 		st.deliver(i, entry{res: results[i]})
 	})
@@ -230,7 +233,12 @@ func TestCampaignStreamsInOrder(t *testing.T) {
 
 // TestCampaignFailFast: a persistently failing Setup aborts the
 // campaign promptly — the runner must not drain thousands of remaining
-// scenarios before reporting the error.
+// scenarios before reporting the error. The first engines build, so
+// without the pool's stop flag the workers holding them would run the
+// whole campaign. Scenario starts are counted through the source
+// factories, which engine.New and Reset both call once per source
+// task; recovering a source task calls them too, so the count bounds
+// the starts from above.
 func TestCampaignFailFast(t *testing.T) {
 	env := testEnv(t, "")
 	c, err := env.Cluster()
@@ -241,24 +249,52 @@ func TestCampaignFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var factoryCalls atomic.Int64
+	counted := func() (engine.Setup, error) {
+		s, err := env.Setup()
+		if err != nil {
+			return s, err
+		}
+		sources := make(map[int]engine.SourceFactory, len(s.Sources))
+		for op, f := range s.Sources {
+			sources[op] = func(task int) engine.SourceFunc {
+				factoryCalls.Add(1)
+				return f(task)
+			}
+		}
+		s.Sources = sources
+		return s, nil
+	}
+	// Calibrate: the source-factory calls of one scenario start.
+	s, err := counted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.New(s); err != nil {
+		t.Fatal(err)
+	}
+	perStart := factoryCalls.Swap(0)
+	if perStart == 0 {
+		t.Fatal("environment has no source tasks to count starts by")
+	}
+
 	var calls atomic.Int64
 	setup := func() (engine.Setup, error) {
 		if n := calls.Add(1); n > 3 {
 			return engine.Setup{}, fmt.Errorf("injected setup failure %d", n)
 		}
-		return env.Setup()
+		return counted()
 	}
 	_, err = Run(Config{
-		Setup:        setup,
-		Scenarios:    scenarios,
-		Horizon:      40,
-		Workers:      8,
-		DisableReuse: true, // every scenario calls Setup
+		Setup:     setup,
+		Scenarios: scenarios,
+		Horizon:   40,
+		Workers:   8,
 	})
 	if err == nil {
 		t.Fatal("failing campaign returned no error")
 	}
-	if got := calls.Load(); got > 200 {
-		t.Fatalf("campaign attempted %d setups of 5000 after a persistent failure", got)
+	if starts := factoryCalls.Load() / perStart; starts > 200 {
+		t.Fatalf("campaign started up to %d of 5000 scenarios after a persistent setup failure", starts)
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -179,8 +180,12 @@ func TestReweightedMeanMatchesMonteCarlo10k(t *testing.T) {
 }
 
 // TestWeightedCampaignDeterministicAcrossWorkers pins the acceptance
-// bit: with CRN, tilting and early stopping all enabled, the summary
-// digest is identical across worker counts and engine-reuse modes.
+// bit: with CRN, tilting and early stopping all enabled, the stopped
+// report is identical across worker counts. The reducer stops the
+// stream at the stop block while scenarios past it may still be in
+// flight, so the test also pins per-result delivery: Results and the
+// OnResult calls both cover exactly the stopped prefix 0..P-1, in
+// order.
 func TestWeightedCampaignDeterministicAcrossWorkers(t *testing.T) {
 	topo, err := PresetTopology(TopoSmall, 11)
 	if err != nil {
@@ -198,37 +203,46 @@ func TestWeightedCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var digest string
-	var stopped bool
-	for _, cse := range []struct {
-		workers      int
-		disableReuse bool
-	}{{1, false}, {0, false}, {0, true}} {
+	var summary, report string
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 3} {
+		var seen []int
 		rep, err := Run(Config{
-			Setup:        env.Setup,
-			Scenarios:    scs,
-			Horizon:      60,
-			Workers:      cse.workers,
-			Shards:       8,
-			StopTol:      10, // fires at the first eligible checkpoint
-			DisableReuse: cse.disableReuse,
+			Setup:       env.Setup,
+			Scenarios:   scs,
+			Horizon:     60,
+			Workers:     workers,
+			Shards:      8,
+			StopTol:     10, // fires at the first eligible checkpoint
+			KeepResults: true,
+			OnResult:    func(r ScenarioResult) { seen = append(seen, r.Scenario.Index) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if digest == "" {
-			digest, stopped = SummaryDigest(rep.Summary), rep.Stopped
-			if !rep.Stopped {
-				t.Fatal("stop rule did not fire; the test tolerance should guarantee it")
+		if !rep.Stopped {
+			t.Fatalf("workers=%d: stop rule did not fire; the test tolerance should guarantee it", workers)
+		}
+		p := rep.Summary.Scenarios
+		if p >= len(scs) {
+			t.Fatalf("workers=%d: stopped run covers %d of %d scenarios", workers, p, len(scs))
+		}
+		if len(rep.Results) != p || len(seen) != p {
+			t.Fatalf("workers=%d: %d results and %d OnResult calls, want the %d-scenario prefix", workers, len(rep.Results), len(seen), p)
+		}
+		for i := 0; i < p; i++ {
+			if rep.Results[i].Scenario.Index != i || seen[i] != i {
+				t.Fatalf("workers=%d: position %d holds result %d and OnResult call %d", workers, i, rep.Results[i].Scenario.Index, seen[i])
 			}
-			if rep.Summary.Scenarios >= len(scs) {
-				t.Fatalf("stopped run covers %d of %d scenarios", rep.Summary.Scenarios, len(scs))
-			}
+		}
+		if summary == "" {
+			summary, report = SummaryDigest(rep.Summary), ReportDigest(rep)
 			continue
 		}
-		if got := SummaryDigest(rep.Summary); got != digest || rep.Stopped != stopped {
-			t.Fatalf("workers=%d reuse=%v: summary digest %s (stopped=%v), want %s (stopped=%v)",
-				cse.workers, !cse.disableReuse, got, rep.Stopped, digest, stopped)
+		if got := SummaryDigest(rep.Summary); got != summary {
+			t.Fatalf("workers=%d: summary digest %s, want %s", workers, got, summary)
+		}
+		if got := ReportDigest(rep); got != report {
+			t.Fatalf("workers=%d: report digest %s, want %s", workers, got, report)
 		}
 	}
 }

@@ -65,10 +65,6 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 	if err != nil {
 		return Result{}, err
 	}
-	// The failure-free baseline depends only on (planner, horizon), not
-	// on placement or burst model: one cached baseline simulation per
-	// planner serves the whole sweep.
-	baselines := campaign.NewBaselineCache()
 	// With CRN, the first cell of the sweep becomes the head-to-head
 	// base: its per-scenario losses and latencies are retained (O(n) per
 	// model — a reporting cost, not a campaign cost) and every other
@@ -90,6 +86,10 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 		if err != nil {
 			return Result{}, err
 		}
+		// The baseline depends only on (planner, horizon), not on
+		// placement or burst model: the planner's first cell runs the
+		// baseline simulation and every later cell reuses its volume.
+		baseline := 0
 		sample, err := env.Cluster()
 		if err != nil {
 			return Result{}, err
@@ -117,12 +117,11 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 					return Result{}, err
 				}
 				cfg := campaign.Config{
-					Setup:       env.SetupFor(placement),
-					Scenarios:   scenarios,
-					Horizon:     150,
-					Baselines:   baselines,
-					BaselineKey: planner,
-					StopTol:     opts.StopTol,
+					Setup:     env.SetupFor(placement),
+					Scenarios: scenarios,
+					Horizon:   150,
+					Baseline:  baseline,
+					StopTol:   opts.StopTol,
 				}
 				var pairLoss, pairLat *campaign.Paired
 				if opts.CRN {
@@ -157,6 +156,7 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 				if err != nil {
 					return Result{}, fmt.Errorf("experiments: %s/%s campaign: %w", cell, model, err)
 				}
+				baseline = rep.BaselineSinkTuples
 				lat.Points = append(lat.Points, Point{X: model.String(), Y: rep.Summary.Latency.P95})
 				loss.Points = append(loss.Points, Point{X: model.String(), Y: rep.Summary.Loss.Mean})
 				tent.Points = append(tent.Points, Point{X: model.String(), Y: rep.Summary.TentativeFrac.Mean})
