@@ -13,10 +13,14 @@ import (
 
 // Config describes one campaign: N scenarios run as independent engine
 // simulations against instances of the same environment. The runner
-// keeps one engine per worker and engine.Reset()s it between scenarios
-// instead of rebuilding the environment per simulation; Reset is
-// bit-identical to a fresh Setup, so results do not depend on which
-// worker (or which engine) ran a scenario.
+// keeps one engine per worker: it runs each new engine through the
+// failure-free prefix every scenario shares — up to just before the
+// earliest wave the call runs — marks it there (engine.Mark), and
+// engine.Reset()s it back onto that image between scenarios instead of
+// rebuilding the environment and re-simulating the prefix. A reset
+// engine runs bit-identically to a fresh Setup run from time zero, so
+// results do not depend on which worker (or which engine) ran a
+// scenario.
 type Config struct {
 	// Setup returns a fresh engine setup for one simulation. It must be
 	// safe for concurrent calls and must rebuild anything a run mutates
@@ -24,7 +28,8 @@ type Config struct {
 	// the node IDs and failure-domain layout must be identical across
 	// calls so that scenario node sets stay meaningful. The source and
 	// operator factories must return equivalent fresh instances on
-	// every call — engine reuse resets engines through those factories.
+	// every call, and operator Restore must reproduce a Snapshot —
+	// engine reuse resets engines onto their image through both.
 	Setup func() (engine.Setup, error)
 	// Scenarios to execute, typically from Generate.
 	Scenarios []Scenario
@@ -250,27 +255,90 @@ func (cfg Config) resolved() Config {
 }
 
 // prepare is the set-up step every execution path shares: it validates
-// cfg, fills in its defaults, builds the engine free list and resolves
-// the baseline volume — the explicit Config.Baseline, or one baseline
-// simulation whose engine seeds the free list. The free list is a
-// buffered channel with room for one engine per worker: a worker takes
-// any idle engine (Reset makes them interchangeable) and builds a
-// fresh one when none is idle yet.
-func prepare(cfg Config) (Config, chan *engine.Engine, int, error) {
+// cfg and the range r of scenarios the call runs, fills in cfg's
+// defaults, builds the engine pool marked just before r's earliest wave
+// and resolves the baseline volume — the explicit Config.Baseline, or
+// one baseline simulation whose engine seeds the pool.
+func prepare(cfg Config, r Range) (Config, *enginePool, int, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, 0, err
 	}
 	cfg = cfg.resolved()
-	pool := make(chan *engine.Engine, cfg.Workers)
+	n := len(cfg.Scenarios)
+	if err := r.validate(n, blockSize(n, cfg.Shards)); err != nil {
+		return cfg, nil, 0, err
+	}
+	pool := &enginePool{
+		setup: cfg.Setup,
+		free:  make(chan *engine.Engine, cfg.Workers),
+		mark:  markTime(cfg.Scenarios[r.Lo:r.Hi], cfg.Horizon),
+	}
 	if cfg.Baseline > 0 {
 		return cfg, pool, cfg.Baseline, nil
 	}
-	baseline, err := runOne(cfg.Setup, pool, nil, cfg.Horizon, false)
+	baseline, err := runOne(pool, nil, cfg.Horizon, false)
 	if err != nil {
 		return cfg, nil, 0, fmt.Errorf("campaign: baseline run: %w", err)
 	}
 	baseline.release()
 	return cfg, pool, baseline.res.SinkTuples, nil
+}
+
+// markTime returns the instant the engines of a call are marked at: the
+// largest time before the earliest wave of the scenarios, or before the
+// horizon when no wave comes sooner. Nothing scheduled at the wave's
+// own instant has fired by then, so the waves a scenario schedules
+// after Reset still fire first among the events of that instant, as
+// they do in a run from time zero.
+func markTime(scs []Scenario, horizon sim.Time) sim.Time {
+	t := horizon
+	for i := range scs {
+		for _, w := range scs[i].Waves {
+			t = min(t, w.At)
+		}
+	}
+	return sim.Time(math.Nextafter(float64(t), math.Inf(-1)))
+}
+
+// enginePool is the engine free list of one Run or RunRange call: a
+// buffered channel with room for one engine per worker. A worker takes
+// any idle engine and resets it onto its image — every engine of the
+// call is marked at the same instant, so they are interchangeable — or
+// builds a fresh one when none is idle yet, running it through the
+// failure-free prefix to the mark.
+type enginePool struct {
+	setup func() (engine.Setup, error)
+	free  chan *engine.Engine
+	mark  sim.Time
+}
+
+func (p *enginePool) get() (*engine.Engine, error) {
+	select {
+	case e := <-p.free:
+		e.Reset()
+		return e, nil
+	default:
+	}
+	s, err := p.setup()
+	if err != nil {
+		return nil, err
+	}
+	e, err := engine.New(s)
+	if err != nil {
+		return nil, err
+	}
+	e.Run(p.mark)
+	if err := e.Mark(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+func (p *enginePool) put(e *engine.Engine) {
+	select {
+	case p.free <- e:
+	default:
+	}
 }
 
 // BaselineVolume returns the campaign's failure-free baseline sink
@@ -280,7 +348,7 @@ func prepare(cfg Config) (Config, chan *engine.Engine, int, error) {
 // worker, so all ranges measure loss against the same baseline the
 // single-process run would use.
 func BaselineVolume(cfg Config) (int, error) {
-	_, _, base, err := prepare(cfg)
+	_, _, base, err := prepare(cfg, Range{0, len(cfg.Scenarios)})
 	return base, err
 }
 
@@ -307,7 +375,7 @@ func Run(cfg Config) (*Report, error) {
 // block, and whatever started, failed or was cancelled past it is
 // discarded.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, pool, base, err := prepare(cfg)
+	cfg, pool, base, err := prepare(cfg, Range{0, len(cfg.Scenarios)})
 	if err != nil {
 		return nil, err
 	}
@@ -334,37 +402,23 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	}, nil
 }
 
-// runOne executes one simulation with the given failure waves, taking
-// an idle engine from the free list (resetting it) or building a fresh
-// one when none is idle, and returning it to the list afterwards. With
-// keep false the correction delays land in a pooled buffer (released
-// by entry.release once the reducer streamed them into the
+// runOne executes one simulation with the given failure waves on an
+// engine from the pool — reset onto the pool's image, or built and run
+// to it — and returns the engine to the pool afterwards. With keep
+// false the correction delays land in a pooled buffer (released by
+// entry.release once the reducer streamed them into the
 // time-to-correction sketch) instead of a fresh allocation per
 // scenario.
-func runOne(setup func() (engine.Setup, error), pool chan *engine.Engine, waves []Wave, horizon sim.Time, keep bool) (entry, error) {
-	var e *engine.Engine
-	select {
-	case e = <-pool:
-		e.Reset()
-	default:
-		s, err := setup()
-		if err != nil {
-			return entry{}, err
-		}
-		if e, err = engine.New(s); err != nil {
-			return entry{}, err
-		}
+func runOne(pool *enginePool, waves []Wave, horizon sim.Time, keep bool) (entry, error) {
+	e, err := pool.get()
+	if err != nil {
+		return entry{}, err
 	}
 	for _, w := range waves {
 		e.ScheduleNodeFailures(w.Nodes, w.At)
 	}
 	e.Run(horizon)
-	defer func() {
-		select {
-		case pool <- e:
-		default:
-		}
-	}()
+	defer pool.put(e)
 	out := entry{res: ScenarioResult{Recovered: true, SinkTuples: e.SinkTupleCount()}}
 	res := &out.res
 	acc := e.AccuracyStats()

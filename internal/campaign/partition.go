@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/engine"
 	"repro/internal/par"
 )
 
@@ -98,8 +97,8 @@ func Partition(cfg Config, parts int) ([]Range, error) {
 // worker pool, streaming results in scenario-index order into the
 // aggregators of the shard blocks the range owns. It returns those
 // aggregators in shard order (and the retained per-scenario results
-// when KeepResults is set — indexed relative to r.Lo). cfg must be
-// resolved and the baseline already known.
+// when KeepResults is set — indexed relative to r.Lo). cfg and r must
+// come through prepare, which also built the pool and resolved base.
 //
 // A non-nil mon (RunContext over the whole campaign only) observes
 // each shard block as the reducer closes it — the serialised state a
@@ -109,12 +108,9 @@ func Partition(cfg Config, parts int) ([]Range, error) {
 // none is consumed: the results then cover exactly the blocks up to
 // mon.StopShard(), and an error or cancellation past them does not
 // fail the run.
-func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engine, base int, mon *StopMonitor) ([]*aggregator, []ScenarioResult, error) {
+func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base int, mon *StopMonitor) ([]*aggregator, []ScenarioResult, error) {
 	n := len(cfg.Scenarios)
 	block := blockSize(n, cfg.Shards)
-	if err := r.validate(n, block); err != nil {
-		return nil, nil, err
-	}
 	first := r.Lo / block
 	weighted := scenariosWeighted(cfg.Scenarios)
 	aggs := make([]*aggregator, (r.Hi-1)/block-first+1)
@@ -162,7 +158,7 @@ func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engin
 	defer stop()
 	err := par.EachErrCtx(poolCtx, r.Len(), cfg.Workers, func(j int) error {
 		sc := cfg.Scenarios[r.Lo+j]
-		e, err := runOne(cfg.Setup, pool, sc.Waves, cfg.Horizon, cfg.KeepResults)
+		e, err := runOne(pool, sc.Waves, cfg.Horizon, cfg.KeepResults)
 		if err != nil {
 			st.abort()
 			return fmt.Errorf("campaign: scenario %d (%s): %w", sc.Index, sc.Label, err)
@@ -299,7 +295,7 @@ func RunRangeContext(ctx context.Context, cfg Config, r Range) ([]ShardState, er
 	if cfg.KeepResults {
 		return nil, &ConfigError{"KeepResults", "per-scenario retention is not available on the range path (use OnResult)"}
 	}
-	cfg, pool, base, err := prepare(cfg)
+	cfg, pool, base, err := prepare(cfg, r)
 	if err != nil {
 		return nil, err
 	}

@@ -52,13 +52,24 @@ type Engine struct {
 
 	sinks      []SinkRecord
 	sinkTuples int // total tuples (materialised + counted) seen at sinks
-	// sinkIdx/sinkAcct are the per-(sink task, batch) accounting arena:
-	// the map holds indexes into the slice so batch accounting never
-	// heap-allocates per record.
-	sinkIdx      map[sinkKey]int32
-	sinkAcct     []sinkBatchAcct
+	// sinkAcct is the per-(sink task, batch) output accounting: one
+	// slice per task, indexed by batch and grown on demand (nil for
+	// tasks that never recorded a sink batch), so recording a batch
+	// indexes directly and AccuracyStats walks (task, batch) order
+	// without sorting.
+	sinkAcct     [][]sinkBatchAcct
 	currentBatch int // last batch emitted by the source ticker
-	horizon      sim.Time
+
+	// img is the state the last Mark recorded (time zero, recorded by
+	// New, until Mark is called); Reset restores it, staging the events
+	// in evs. armed is the clock counter once New armed the tickers:
+	// events scheduled after a Reset are numbered from there, as in a
+	// run from time zero. failing is set once a failure is scheduled,
+	// which bars Mark until the next Reset.
+	img     image
+	evs     []sim.Event
+	armed   uint64
+	failing bool
 
 	// Hot-path object pools, all single-threaded like the simulation:
 	// staged-input tuple backings, batch-completion events, delivery
@@ -89,18 +100,12 @@ type checkpointData struct {
 // alike for the tuples an operator state counts and for buffered output.
 const tupleBytes = 16
 
-// sinkKey identifies one batch of one sink task in the output-accuracy
-// accounting.
-type sinkKey struct {
-	task  topology.TaskID
-	batch int
-}
-
 // sinkBatchAcct is the per-(sink task, batch) output accounting: it
 // deduplicates replayed re-emissions (a restored sink reprocesses
 // batches it already recorded) and tracks the tentative/corrected
 // lifecycle of the batch.
 type sinkBatchAcct struct {
+	recorded     bool // the sink recorded the batch; false for a gap
 	count        int  // tuples currently accounted for the batch
 	firstCount   int  // tuples recorded when the batch was first seen
 	tentative    bool // still tentative (no firm reprocessing yet)
@@ -126,7 +131,6 @@ func New(s Setup) (*Engine, error) {
 		sources:   s.Sources,
 		operators: s.Operators,
 		store:     make(map[topology.TaskID]*checkpointData),
-		sinkIdx:   make(map[sinkKey]int32),
 	}
 	if e.clus == nil {
 		e.clus = cluster.New(1, 1)
@@ -155,6 +159,7 @@ func New(s Setup) (*Engine, error) {
 		}
 		copy(e.strategy, s.Strategies)
 	}
+	e.sinkAcct = make([][]sinkBatchAcct, n)
 	e.tasks = make([]*taskRuntime, n)
 	e.replicas = make([]*taskRuntime, n)
 	e.prim = make([]*taskRuntime, n)
@@ -179,6 +184,8 @@ func New(s Setup) (*Engine, error) {
 	}
 	e.master = newMaster(e)
 	e.armTickers()
+	e.mark()
+	e.armed = e.img.seq
 	return e, nil
 }
 
@@ -191,41 +198,6 @@ func (e *Engine) armTickers() {
 		e.scheduleCheckpoints()
 	}
 	e.scheduleReplicaTrims()
-}
-
-// Reset returns the engine to its failure-free initial state at virtual
-// time zero, reusing the routing, buffers and pools built by New: the
-// clock is cleared, every task gets a pristine incarnation with fresh
-// operator/source instances from the factories, checkpoints and sink
-// accounting are dropped, and the cluster's failure flags are cleared
-// (placement is kept). A reset engine runs bit-identically to a freshly
-// constructed one for the same Setup, so Monte-Carlo campaigns reuse
-// one engine per worker instead of rebuilding the environment per
-// scenario. Reset assumes the Setup's factories return equivalent fresh
-// instances on every call — the same property a fresh Setup per
-// scenario relies on.
-func (e *Engine) Reset() {
-	e.clock.Reset()
-	e.clus.Reset()
-	for id := range e.tasks {
-		e.prim[id].resetVolatile(false)
-		e.tasks[id] = e.prim[id]
-		if rep := e.repl[id]; rep != nil {
-			rep.resetVolatile(true)
-			e.replicas[id] = rep
-		} else {
-			e.replicas[id] = nil
-		}
-	}
-	e.master.reset()
-	clear(e.store)
-	e.sinks = e.sinks[:0]
-	e.sinkTuples = 0
-	clear(e.sinkIdx)
-	e.sinkAcct = e.sinkAcct[:0]
-	e.currentBatch = 0
-	e.horizon = 0
-	e.armTickers()
 }
 
 // Clock exposes the virtual clock (to schedule custom events in tests
@@ -278,16 +250,19 @@ func (de *deliveryEvent) Run() {
 // deliver schedules the delivery of a batch fragment from one task to
 // another after the network delay, on a pooled event.
 func (e *Engine) deliver(from, to topology.TaskID, batch int, content Batch, d delivery) {
-	var de *deliveryEvent
-	if n := len(e.delivFree); n > 0 {
-		de = e.delivFree[n-1]
-		e.delivFree[n-1] = nil
-		e.delivFree = e.delivFree[:n-1]
-	} else {
-		de = &deliveryEvent{}
-	}
+	de := e.getDeliveryEvent()
 	de.e, de.from, de.to, de.batch, de.content, de.d = e, from, to, batch, content, d
 	e.clock.AfterRun(e.cfg.NetDelay, de)
+}
+
+func (e *Engine) getDeliveryEvent() *deliveryEvent {
+	if n := len(e.delivFree); n > 0 {
+		de := e.delivFree[n-1]
+		e.delivFree[n-1] = nil
+		e.delivFree = e.delivFree[:n-1]
+		return de
+	}
+	return &deliveryEvent{}
 }
 
 func (e *Engine) getProcEvent() *procEvent {
@@ -309,9 +284,6 @@ func (e *Engine) putProcEvent(pe *procEvent) {
 // batches, heartbeats, checkpoints and replica trims. Run may be called
 // repeatedly with increasing times.
 func (e *Engine) Run(until sim.Time) {
-	if until > e.horizon {
-		e.horizon = until
-	}
 	e.clock.RunUntil(until)
 }
 
@@ -385,11 +357,7 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	}
 	ck := e.store[id]
 	if ck == nil {
-		ck = &checkpointData{
-			outBuf:  make(map[topology.TaskID]map[int]Batch, len(rt.outBuf)),
-			tentOut: make(map[int]bool),
-			missIn:  make(map[int]map[topology.TaskID]bool),
-		}
+		ck = newCheckpointData()
 		e.store[id] = ck
 	}
 	var counted int
@@ -462,16 +430,19 @@ func (te *trimEvent) Run() {
 }
 
 func (e *Engine) scheduleTrim(up, down topology.TaskID, ck int) {
-	var te *trimEvent
-	if n := len(e.trimFree); n > 0 {
-		te = e.trimFree[n-1]
-		e.trimFree[n-1] = nil
-		e.trimFree = e.trimFree[:n-1]
-	} else {
-		te = &trimEvent{}
-	}
+	te := e.getTrimEvent()
 	te.e, te.up, te.down, te.ck = e, up, down, ck
 	e.clock.AfterRun(e.cfg.NetDelay, te)
+}
+
+func (e *Engine) getTrimEvent() *trimEvent {
+	if n := len(e.trimFree); n > 0 {
+		te := e.trimFree[n-1]
+		e.trimFree[n-1] = nil
+		e.trimFree = e.trimFree[:n-1]
+		return te
+	}
+	return &trimEvent{}
 }
 
 // scheduleReplicaTrims arms the periodic primary->replica progress acks.
@@ -512,6 +483,7 @@ func (e *Engine) ScheduleNodeFailure(node cluster.NodeID, at sim.Time) {
 // primary and its replica forces the fallback to checkpoint recovery.
 func (e *Engine) ScheduleNodeFailures(nodes []cluster.NodeID, at sim.Time) {
 	set := append([]cluster.NodeID(nil), nodes...)
+	e.failing = true
 	e.clock.At(at, func() { e.injectNodeFailures(set) })
 }
 
@@ -519,6 +491,7 @@ func (e *Engine) ScheduleNodeFailures(nodes []cluster.NodeID, at sim.Time) {
 // domain (rack, zone, ...) at the given virtual time: every node of the
 // domain subtree goes down at once.
 func (e *Engine) ScheduleDomainFailure(dom cluster.DomainID, at sim.Time) {
+	e.failing = true
 	e.clock.At(at, func() { e.injectNodeFailures(e.clus.DomainNodes(dom)) })
 }
 
@@ -568,6 +541,7 @@ func (e *Engine) failReplicasOnFailedNodes() {
 // ScheduleCorrelatedFailure fails every processing node at the given
 // time — the paper's correlated-failure injection.
 func (e *Engine) ScheduleCorrelatedFailure(at sim.Time) {
+	e.failing = true
 	e.clock.At(at, func() {
 		ids := e.clus.FailAllProcessing()
 		e.failTasks(ids)
@@ -579,6 +553,7 @@ func (e *Engine) ScheduleCorrelatedFailure(at sim.Time) {
 func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
 	sorted := append([]topology.TaskID(nil), ids...)
 	sortIDs(sorted)
+	e.failing = true
 	e.clock.At(at, func() { e.failTasks(sorted) })
 }
 
@@ -601,26 +576,29 @@ func (e *Engine) failTasks(ids []topology.TaskID) {
 // sink performs implicitly.
 func (e *Engine) recordSinkBatch(task topology.TaskID, batch int, tuples []Tuple, extra int, tentative bool) {
 	total := len(tuples) + extra
-	key := sinkKey{task: task, batch: batch}
 	now := e.clock.Now()
-	idx, ok := e.sinkIdx[key]
-	if !ok {
-		e.sinkIdx[key] = int32(len(e.sinkAcct))
-		e.sinkAcct = append(e.sinkAcct, sinkBatchAcct{
+	acct := e.sinkAcct[task]
+	for len(acct) <= batch {
+		acct = append(acct, sinkBatchAcct{})
+	}
+	e.sinkAcct[task] = acct
+	a := &acct[batch]
+	if !a.recorded {
+		*a = sinkBatchAcct{
+			recorded:     true,
 			count:        total,
 			firstCount:   total,
 			tentative:    tentative,
 			wasTentative: tentative,
 			firstAt:      now,
 			correctedAt:  -1,
-		})
+		}
 		e.sinkTuples += total
 		for _, t := range tuples {
 			e.sinks = append(e.sinks, SinkRecord{Task: task, Batch: batch, Tuple: t, Tentative: tentative, At: now})
 		}
 		return
 	}
-	a := &e.sinkAcct[idx]
 	if a.tentative && !tentative {
 		e.sinkTuples += total - a.count
 		a.count = total
@@ -637,14 +615,11 @@ func (e *Engine) recordSinkBatch(task topology.TaskID, batch int, tuples []Tuple
 // batch gains (or refreshes) its corrected-at timestamp. Amendments for
 // batches never recorded tentative are replay duplicates and ignored.
 func (e *Engine) recordSinkAmendment(task topology.TaskID, batch int, tuples []Tuple, extra int) {
-	idx, ok := e.sinkIdx[sinkKey{task: task, batch: batch}]
-	if !ok {
+	acct := e.sinkAcct[task]
+	if batch >= len(acct) || !acct[batch].wasTentative {
 		return
 	}
-	a := &e.sinkAcct[idx]
-	if !a.wasTentative {
-		return
-	}
+	a := &acct[batch]
 	total := len(tuples) + extra
 	now := e.clock.Now()
 	a.count += total
@@ -709,32 +684,26 @@ func (s AccuracyStats) CorrectedFraction() float64 {
 }
 
 // AccuracyStats aggregates the per-(task, batch) sink accounting in
-// deterministic (task, batch) order.
+// (task, batch) order.
 func (e *Engine) AccuracyStats() AccuracyStats {
-	keys := make([]sinkKey, 0, len(e.sinkIdx))
-	for k := range e.sinkIdx {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].task != keys[j].task {
-			return keys[i].task < keys[j].task
-		}
-		return keys[i].batch < keys[j].batch
-	})
 	var s AccuracyStats
-	for _, k := range keys {
-		a := &e.sinkAcct[e.sinkIdx[k]]
-		if !a.wasTentative {
-			s.FirmBatches++
-			s.FirmTuples += a.firstCount
-			continue
-		}
-		s.TentativeBatches++
-		s.TentativeTuples += a.firstCount
-		s.AmendedTuples += a.count - a.firstCount
-		if a.correctedAt >= 0 {
-			s.CorrectedBatches++
-			s.CorrectionDelays = append(s.CorrectionDelays, a.correctedAt-a.firstAt)
+	for _, acct := range e.sinkAcct {
+		for i := range acct {
+			a := &acct[i]
+			switch {
+			case !a.recorded:
+			case !a.wasTentative:
+				s.FirmBatches++
+				s.FirmTuples += a.firstCount
+			default:
+				s.TentativeBatches++
+				s.TentativeTuples += a.firstCount
+				s.AmendedTuples += a.count - a.firstCount
+				if a.correctedAt >= 0 {
+					s.CorrectedBatches++
+					s.CorrectionDelays = append(s.CorrectionDelays, a.correctedAt-a.firstAt)
+				}
+			}
 		}
 	}
 	return s

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -33,26 +34,15 @@ func fingerprint(e *Engine) resetFingerprint {
 	return fp
 }
 
-func eqFingerprint(a, b resetFingerprint) bool {
-	if a.sinkTuples != b.sinkTuples || a.records != b.records || a.recovered != b.recovered {
-		return false
-	}
-	if a.acc.FirmTuples != b.acc.FirmTuples || a.acc.TentativeTuples != b.acc.TentativeTuples ||
-		a.acc.CorrectedBatches != b.acc.CorrectedBatches || a.acc.AmendedTuples != b.acc.AmendedTuples {
-		return false
-	}
-	for i := range a.progress {
-		if a.progress[i] != b.progress[i] {
-			return false
-		}
-	}
-	return true
-}
+func eqFingerprint(a, b resetFingerprint) bool { return reflect.DeepEqual(a, b) }
 
 // TestEngineResetBitIdentical runs a failure scenario, resets the
 // engine, and checks both a failure-free rerun and a repeat of the same
 // scenario reproduce exactly what fresh engines produce: Reset leaks no
-// state from the previous run in either direction.
+// state from the previous run in either direction. An engine marked
+// mid-run resets onto its image and reproduces fresh from-zero runs of
+// several failure scenarios, correction delays included, and Mark
+// refuses once a failure is scheduled.
 func TestEngineResetBitIdentical(t *testing.T) {
 	setup := func() Setup {
 		topo := chainTopo(1000)
@@ -106,21 +96,71 @@ func TestEngineResetBitIdentical(t *testing.T) {
 		t.Errorf("reset-after-failure run diverged: %+v vs fresh %+v", got, cleanFP)
 	}
 
-	// Reset and repeat the same scenario: same outcome as the first run.
+	// Reset and repeat the same scenario: same outcome as the first run,
+	// correction delays included.
 	fresh1.Reset()
 	scenario(fresh1)
 	if got := fingerprint(fresh1); !eqFingerprint(got, failFP) {
 		t.Errorf("reset scenario rerun diverged: %+v vs fresh %+v", got, failFP)
 	}
+	if len(failFP.acc.CorrectionDelays) == 0 {
+		t.Error("scenario corrected nothing; test misconfigured")
+	}
 
-	// A reset engine must also repeat corrections/accuracy bit-for-bit.
-	if d1, d2 := fingerprint(fresh1).acc.CorrectionDelays, failFP.acc.CorrectionDelays; len(d1) == len(d2) {
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Errorf("correction delay %d diverged: %v vs %v", i, d1[i], d2[i])
-			}
+	// Scenarios for the marked engine, all failing after its mark at 20,
+	// the first right after Mark and the others after a Reset: a
+	// source's node at 21, when batch tick 20 fires too (the wave must
+	// fire first, as on a fresh engine, or the source emits batch 20);
+	// two nodes; and two waves out of time order, the earlier one tied
+	// with a batch tick likewise.
+	scenarios := []func(e *Engine){
+		func(e *Engine) {
+			e.ScheduleNodeFailures([]cluster.NodeID{1}, 21)
+			e.Run(90)
+		},
+		scenario,
+		func(e *Engine) {
+			e.ScheduleNodeFailures([]cluster.NodeID{3}, 30)
+			e.ScheduleNodeFailures([]cluster.NodeID{0}, 25)
+			e.Run(90)
+		},
+	}
+	marked, err := New(setup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked.Run(20)
+	if err := marked.Mark(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range scenarios {
+		fresh, err := New(setup())
+		if err != nil {
+			t.Fatal(err)
 		}
-	} else {
-		t.Errorf("correction delays diverged: %v vs %v", d1, d2)
+		sc(fresh)
+		want := fingerprint(fresh)
+		if i > 0 {
+			marked.Reset()
+		}
+		sc(marked)
+		if got := fingerprint(marked); !eqFingerprint(got, want) {
+			t.Errorf("marked scenario %d diverged: %+v vs fresh %+v", i, got, want)
+		}
+		if err := marked.Mark(); err == nil {
+			t.Errorf("Mark after scenario %d's failures: no error", i)
+		}
+	}
+	marked.Reset()
+	marked.Run(90)
+	if got := fingerprint(marked); !eqFingerprint(got, cleanFP) {
+		t.Errorf("marked failure-free run diverged: %+v vs fresh %+v", got, cleanFP)
+	}
+
+	// A failure scheduled but not yet fired bars Mark just the same.
+	marked.Reset()
+	marked.ScheduleNodeFailures([]cluster.NodeID{1}, 40)
+	if err := marked.Mark(); err == nil {
+		t.Error("Mark after ScheduleNodeFailures: no error")
 	}
 }

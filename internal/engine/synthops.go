@@ -98,11 +98,12 @@ func (o *WindowCountOp) Restore(data []byte) error {
 	}
 	o.seen = int(binary.LittleEndian.Uint64(data[0:]))
 	n := int(binary.LittleEndian.Uint64(data[8:]))
-	if len(data) < 16+8*n {
+	if n < 0 || n > (len(data)-16)/8 {
 		return fmt.Errorf("engine: window snapshot truncated")
 	}
-	for i := 0; i < n; i++ {
-		o.window = append(o.window, int(binary.LittleEndian.Uint64(data[16+8*i:])))
+	o.window = make([]int, n)
+	for i := range o.window {
+		o.window[i] = int(binary.LittleEndian.Uint64(data[16+8*i:]))
 	}
 	return nil
 }

@@ -189,44 +189,16 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	} else {
 		rt.tupleProgress = make([]int64, len(rt.upstreams))
 	}
-	rt.resetVolatile(isReplica)
+	rt.processedBatch = -1
+	rt.ackBatch = -1
+	rt.instantiate()
 	return rt
 }
 
-// resetVolatile (re)initialises the run-mutable state of the runtime:
-// fresh operator/source instances from the factories, empty buffers and
-// progress counters. newTaskRuntime calls it on construction and
-// Engine.Reset reuses it to return a runtime to its pristine state
-// without rebuilding the immutable routing.
-func (rt *taskRuntime) resetVolatile(isReplica bool) {
+// instantiate gives the runtime a fresh operator or source instance
+// from its factory.
+func (rt *taskRuntime) instantiate() {
 	e := rt.eng
-	rt.isReplica = isReplica
-	rt.failed = false
-	rt.recovering = false
-	rt.promoted = false
-	rt.epoch++
-	rt.procScheduled = false
-	rt.busyUntil = 0
-	rt.nextBatch = 0
-	rt.processedBatch = -1
-	rt.ackBatch = -1
-	rt.procCPU = 0
-	rt.ckptCPU = 0
-	rt.sinkOut = rt.sinkOut[:0]
-	rt.sinkCount = 0
-	rt.win.resetTo(0, &e.tuples)
-	clear(rt.missIn)
-	clear(rt.tentOut)
-	for _, buf := range rt.outBuf {
-		clear(buf)
-	}
-	clear(rt.ckptBound)
-	for i := range rt.tupleProgress {
-		rt.tupleProgress[i] = 0
-	}
-	for i := range rt.emitBuf {
-		rt.emitBuf[i] = Batch{}
-	}
 	if rt.isSource {
 		rt.src = e.sources[rt.opIdx](rt.taskIndex)
 	} else {

@@ -1,5 +1,7 @@
 package engine
 
+import "slices"
+
 // This file provides the dense per-batch input state of a task: a
 // windowed ring of batch records indexed by batch number, with the
 // per-upstream punctuation/taint/miss flags held in bitsets over the
@@ -180,6 +182,36 @@ func (w *batchWindow) release(b int, pool *tuplePool) {
 	if b == w.base {
 		w.base = b + 1
 	}
+}
+
+// load copies a recorded record (see batchRec.clone) into the window,
+// priming its staged tuple backings from the pool.
+func (w *batchWindow) load(src *batchRec, pool *tuplePool) {
+	r := w.rec(src.batch)
+	for i, s := range src.staged {
+		r.staged[i].Count = s.Count
+		if len(s.Tuples) > 0 {
+			r.staged[i].Tuples = append(pool.get(), s.Tuples...)
+		}
+	}
+	copy(r.punct, src.punct)
+	copy(r.taint, src.taint)
+	copy(r.miss, src.miss)
+	r.punctCount = src.punctCount
+}
+
+// clone returns a deep copy of the record: the staged tuples are copied
+// out of their pooled backings, which are recycled when the batch closes.
+func (r *batchRec) clone() batchRec {
+	c := *r
+	c.staged = make([]Batch, len(r.staged))
+	for i, s := range r.staged {
+		c.staged[i] = Batch{Count: s.Count, Tuples: slices.Clone(s.Tuples)}
+	}
+	c.punct = slices.Clone(r.punct)
+	c.taint = slices.Clone(r.taint)
+	c.miss = slices.Clone(r.miss)
+	return c
 }
 
 // resetTo drops every record and rebases the window at batch.

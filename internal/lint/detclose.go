@@ -28,6 +28,7 @@ const defaultRoots = "internal/campaign.Run," +
 	"internal/campaign.(*Paired).Summary," +
 	"internal/engine.(*Engine).Run," +
 	"internal/engine.(*Engine).Reset," +
+	"internal/engine.(*Engine).Mark," +
 	"internal/sketch.(*Sketch).Add," +
 	"internal/sketch.(*Sketch).Merge," +
 	"internal/sketch.(*Sketch).MarshalBinary," +

@@ -87,6 +87,23 @@ type Clock struct {
 	seq  uint64
 	free []*event
 	slab []event // bump-allocation tail of the current slab chunk
+
+	// deferred holds the recorded events a Restore queues only at the
+	// next step, numbered past the events scheduled in between; base is
+	// the counter they are shifted from and last the recorded counter.
+	// restored is set until that step.
+	deferred   []Event
+	base, last uint64
+	restored   bool
+}
+
+// Event is a value copy of one pending event, as AppendPending reports
+// it and Restore queues it again. Exactly one of Fn and Run is set.
+type Event struct {
+	At  Time
+	Seq uint64
+	Fn  func()
+	Run Runner
 }
 
 // slabChunk is the number of events allocated per slab growth. Chunks
@@ -132,28 +149,33 @@ func (c *Clock) AfterRun(d Time, r Runner) Timer {
 	return c.AtRun(c.now+d, r)
 }
 
-// schedule takes an event from the free list (or slab) and pushes it
-// onto the heap at time t with the next sequence number.
+// schedule pushes a new event onto the heap at time t with the next
+// sequence number.
 func (c *Clock) schedule(t Time) *event {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, c.now))
 	}
-	var e *event
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
-		if len(c.slab) == 0 {
-			c.slab = make([]event, slabChunk)
-		}
-		e = &c.slab[0]
-		c.slab = c.slab[1:]
-	}
 	c.seq++
+	e := c.alloc()
 	e.at = t
 	e.seq = c.seq
 	c.push(e)
+	return e
+}
+
+// alloc takes an event from the free list, or from the slab.
+func (c *Clock) alloc() *event {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return e
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]event, slabChunk)
+	}
+	e := &c.slab[0]
+	c.slab = c.slab[1:]
 	return e
 }
 
@@ -169,12 +191,15 @@ func (c *Clock) recycle(e *event) {
 
 // Pending returns the number of events still queued. Cancelled events
 // are removed from the queue eagerly and never counted.
-func (c *Clock) Pending() int { return len(c.heap) }
+func (c *Clock) Pending() int { return len(c.heap) + len(c.deferred) }
 
 // Step fires the next event, advancing the clock, and reports whether
 // an event was fired. The event's callback reference is cleared before
 // the callback runs, so a fired event retains nothing.
 func (c *Clock) Step() bool {
+	if c.restored {
+		c.flush()
+	}
 	if len(c.heap) == 0 {
 		return false
 	}
@@ -206,6 +231,9 @@ func (c *Clock) Run(maxEvents int) {
 // RunUntil fires events with timestamps <= deadline, then sets the clock
 // to the deadline.
 func (c *Clock) RunUntil(deadline Time) {
+	if c.restored {
+		c.flush()
+	}
 	for len(c.heap) > 0 && c.heap[0].at <= deadline {
 		c.Step()
 	}
@@ -214,17 +242,75 @@ func (c *Clock) RunUntil(deadline Time) {
 	}
 }
 
-// Reset returns the clock to time zero with no pending events. Queued
-// events are cancelled and recycled (their callbacks dropped), and the
-// sequence counter restarts, so a reset clock schedules and fires
-// bit-identically to a freshly constructed one.
-func (c *Clock) Reset() {
+// AppendPending appends a value copy of every pending event to dst, in
+// no particular order, and returns the extended slice together with the
+// sequence counter (the number the latest scheduled event got). Restore
+// takes both back.
+func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
+	if c.restored {
+		c.flush()
+	}
+	for _, e := range c.heap {
+		dst = append(dst, Event{At: e.at, Seq: e.seq, Fn: e.fn, Run: e.run})
+	}
+	return dst, c.seq
+}
+
+// Restore sets the clock to time now with exactly the pending events
+// evs, recorded by AppendPending from a clock whose counter stood at
+// seq; whatever was queued before is cancelled. base splits the
+// recorded events. Those numbered at most base are queued at once with
+// their recorded numbers, and the counter restarts at base, so the
+// events the caller schedules next are numbered as if scheduled when
+// the counter stood at base. The rest are queued at the next Step,
+// RunUntil or AppendPending, numbered past the caller's events in their
+// recorded order, and the counter resumes past them. The restored clock therefore
+// fires exactly like a run from time zero that scheduled the caller's
+// events right after its base-th event, same-instant ties included.
+// With base equal to seq it is a plain restore; Restore(0, 0, 0, nil)
+// makes the clock indistinguishable from a new one.
+func (c *Clock) Restore(now Time, seq, base uint64, evs []Event) {
 	for _, e := range c.heap {
 		c.recycle(e)
 	}
 	c.heap = c.heap[:0]
-	c.now = 0
-	c.seq = 0
+	clear(c.deferred)
+	c.deferred = c.deferred[:0]
+	c.now = now
+	c.seq = base
+	c.base, c.last = base, seq
+	for _, ev := range evs {
+		if ev.At < now {
+			panic(fmt.Sprintf("sim: restoring event at %v before now %v", ev.At, now))
+		}
+		if ev.Seq <= base {
+			c.queue(ev)
+		} else {
+			c.deferred = append(c.deferred, ev)
+		}
+	}
+	c.restored = seq > base
+}
+
+// flush queues the events Restore deferred, shifted past the events
+// scheduled since, and moves the counter past them.
+func (c *Clock) flush() {
+	shift := c.seq - c.base
+	for _, ev := range c.deferred {
+		ev.Seq += shift
+		c.queue(ev)
+	}
+	clear(c.deferred)
+	c.deferred = c.deferred[:0]
+	c.seq = c.last + shift
+	c.restored = false
+}
+
+// queue pushes a recorded event with its own time and number.
+func (c *Clock) queue(ev Event) {
+	e := c.alloc()
+	e.at, e.seq, e.fn, e.run = ev.At, ev.Seq, ev.Fn, ev.Run
+	c.push(e)
 }
 
 // --- intrusive binary heap over (at, seq) ---

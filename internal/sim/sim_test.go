@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -281,8 +282,9 @@ func TestAtRun(t *testing.T) {
 	}
 }
 
-// TestClockReset verifies Reset drops pending events, rewinds time and
-// seq, and that a reset clock schedules bit-identically to a fresh one.
+// TestClockReset verifies that restoring an empty image at time zero
+// drops pending events, rewinds time and seq, and that the reset clock
+// schedules bit-identically to a fresh one.
 func TestClockReset(t *testing.T) {
 	run := func(c *Clock) []Time {
 		var hits []Time
@@ -294,10 +296,10 @@ func TestClockReset(t *testing.T) {
 	}
 	c := NewClock()
 	first := run(c)
-	c.At(20, func() { t.Error("leftover event fired after Reset") })
-	c.Reset()
+	c.At(20, func() { t.Error("leftover event fired after the reset") })
+	c.Restore(0, 0, 0, nil)
 	if c.Now() != 0 || c.Pending() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d", c.Now(), c.Pending())
+		t.Fatalf("after the reset: now=%v pending=%d", c.Now(), c.Pending())
 	}
 	second := run(c)
 	if len(first) != len(second) {
@@ -306,6 +308,38 @@ func TestClockReset(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("reset run diverged at %d: %v vs %v", i, first, second)
+		}
+	}
+}
+
+// TestClockRestore records a clock mid-run and restores it: recorded
+// events numbered at most base keep their place ahead of the events
+// scheduled after Restore, the later ones fire after them at the same
+// instant, and events scheduled once running come last — the order a
+// run from time zero gives when the caller's events are scheduled
+// right after the base-th event.
+func TestClockRestore(t *testing.T) {
+	var got []string
+	hit := func(s string) func() { return func() { got = append(got, s) } }
+	c := NewClock()
+	c.At(5, hit("armed"))
+	c.At(1, func() { c.At(5, hit("prefix")) })
+	c.RunUntil(2)
+	evs, seq := c.AppendPending(nil)
+	if len(evs) != 2 || c.Pending() != 2 {
+		t.Fatalf("recorded %d events, %d pending", len(evs), c.Pending())
+	}
+	for round := 0; round < 2; round++ {
+		got = nil
+		c.Restore(2, seq, 2, evs)
+		c.At(5, hit("wave"))
+		c.At(3, func() { c.At(5, hit("late")) })
+		if c.Now() != 2 || c.Pending() != 4 {
+			t.Fatalf("round %d: now=%v pending=%d", round, c.Now(), c.Pending())
+		}
+		c.RunUntil(10)
+		if want := []string{"armed", "wave", "prefix", "late"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: fired %v, want %v", round, got, want)
 		}
 	}
 }
