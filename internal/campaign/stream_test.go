@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -238,7 +239,15 @@ func TestCampaignStreamsInOrder(t *testing.T) {
 // whole campaign. Scenario starts are counted through the source
 // factories, which engine.New and Reset both call once per source
 // task; recovering a source task calls them too, so the count bounds
-// the starts from above.
+// the starts from above. The failing setup only runs once a worker
+// finds no idle engine, which takes longer the faster the engines run
+// their scenarios, so only the starts after it are bounded, by the
+// work already in flight: until the failed scenario aborts the
+// reorder window (4 × Workers results), later scenarios keep
+// completing, and each worker may start one more scenario on either
+// side of the pool's stop flag. The bound leaves another 2 × Workers
+// for the source recoveries the count includes. Without the stop flag
+// the workers holding engines start all the remaining scenarios.
 func TestCampaignFailFast(t *testing.T) {
 	env := testEnv(t, "")
 	c, err := env.Cluster()
@@ -278,9 +287,13 @@ func TestCampaignFailFast(t *testing.T) {
 		t.Fatal("environment has no source tasks to count starts by")
 	}
 
+	const workers = 8
 	var calls atomic.Int64
+	var failedAt sync.Once
+	var callsAtFailure int64
 	setup := func() (engine.Setup, error) {
 		if n := calls.Add(1); n > 3 {
+			failedAt.Do(func() { callsAtFailure = factoryCalls.Load() })
 			return engine.Setup{}, fmt.Errorf("injected setup failure %d", n)
 		}
 		return counted()
@@ -289,12 +302,12 @@ func TestCampaignFailFast(t *testing.T) {
 		Setup:     setup,
 		Scenarios: scenarios,
 		Horizon:   40,
-		Workers:   8,
+		Workers:   workers,
 	})
 	if err == nil {
 		t.Fatal("failing campaign returned no error")
 	}
-	if starts := factoryCalls.Load() / perStart; starts > 200 {
-		t.Fatalf("campaign started up to %d of 5000 scenarios after a persistent setup failure", starts)
+	if after := (factoryCalls.Load() - callsAtFailure) / perStart; after > 8*workers {
+		t.Fatalf("campaign started up to %d more of 5000 scenarios after a persistent setup failure, want at most %d", after, 8*workers)
 	}
 }

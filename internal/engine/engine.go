@@ -48,7 +48,7 @@ type Engine struct {
 	repl []*taskRuntime
 
 	master *master
-	store  map[topology.TaskID]*checkpointData
+	store  []*checkpointData // latest checkpoint by task ID; nil before the first
 
 	sinks      []SinkRecord
 	sinkTuples int // total tuples (materialised + counted) seen at sinks
@@ -85,12 +85,13 @@ type Engine struct {
 // output buffer (§II-B), the tentative marks of the buffered batches
 // and the record of still-owed (fabricated) inputs, so a restored task
 // keeps accepting the late corrections of batches it closed tentative
-// before the snapshot. The object (and its maps and state buffer) is
-// recycled in place when the task's next checkpoint replaces it.
+// before the snapshot. The object (and its queues, maps and state
+// buffer) is recycled in place when the task's next checkpoint replaces
+// it.
 type checkpointData struct {
 	batch   int
 	state   []byte
-	outBuf  map[topology.TaskID]map[int]Batch
+	outBuf  []replayQueue // by recipient slot, as taskRuntime.outBuf
 	tentOut map[int]bool
 	missIn  map[int]map[topology.TaskID]bool
 	bytes   int // charged size: len(state) + tupleBytes × (counted + buffered tuples)
@@ -130,7 +131,6 @@ func New(s Setup) (*Engine, error) {
 		clock:     sim.NewClock(),
 		sources:   s.Sources,
 		operators: s.Operators,
-		store:     make(map[topology.TaskID]*checkpointData),
 	}
 	if e.clus == nil {
 		e.clus = cluster.New(1, 1)
@@ -159,6 +159,7 @@ func New(s Setup) (*Engine, error) {
 		}
 		copy(e.strategy, s.Strategies)
 	}
+	e.store = make([]*checkpointData, n)
 	e.sinkAcct = make([][]sinkBatchAcct, n)
 	e.tasks = make([]*taskRuntime, n)
 	e.replicas = make([]*taskRuntime, n)
@@ -209,17 +210,6 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Topology returns the executed topology.
 func (e *Engine) Topology() *topology.Topology { return e.topo }
-
-// PPAPlanTasks returns the tasks protected by active replication.
-func (e *Engine) PPAPlanTasks() []topology.TaskID {
-	var out []topology.TaskID
-	for id, st := range e.strategy {
-		if st == StrategyActive {
-			out = append(out, topology.TaskID(id))
-		}
-	}
-	return out
-}
 
 // deliveryEvent is the pooled delivery of one batch fragment (and
 // punctuation) between tasks. Delivery events are never cancelled, so
@@ -348,8 +338,8 @@ func (e *Engine) scheduleCheckpoint(id topology.TaskID, at sim.Time) {
 // takeCheckpoint snapshots one task's state and output buffer, charges
 // the save cost, stores the checkpoint on the standby store and asks the
 // upstream tasks to trim their output buffers (§II-B, §V-B). The task's
-// previous checkpointData (maps and state buffer) is recycled in place:
-// once replaced it can never be restored again.
+// previous checkpointData (queues, maps and state buffer) is recycled in
+// place: once replaced it can never be restored again.
 func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	rt := e.tasks[id]
 	if rt == nil || rt.failed {
@@ -363,23 +353,9 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	var counted int
 	ck.state, counted = rt.snapshotState(ck.state[:0])
 	bytes := len(ck.state) + counted*tupleBytes
-	for d, buf := range rt.outBuf {
-		m := ck.outBuf[d]
-		if m == nil {
-			m = make(map[int]Batch, len(buf))
-			ck.outBuf[d] = m
-		} else {
-			clear(m)
-		}
-		for b, content := range buf {
-			m[b] = content
-			bytes += content.Count * tupleBytes // buffered tuples are part of the checkpoint payload
-		}
-	}
-	for d, m := range ck.outBuf {
-		if _, live := rt.outBuf[d]; !live {
-			clear(m)
-		}
+	ck.outBuf = copyQueues(ck.outBuf, rt.outBuf)
+	for s := range rt.outBuf {
+		bytes += rt.outBuf[s].count() * tupleBytes // buffered tuples are part of the checkpoint payload
 	}
 	clear(ck.tentOut)
 	for b, t := range rt.tentOut {

@@ -130,7 +130,7 @@ func TestCheckpointTrimsUpstreamBuffers(t *testing.T) {
 		if rt == nil {
 			t.Fatal("missing runtime")
 		}
-		buf := rt.outBuf[4]
+		buf := bufferedBatches(rt, 4)
 		if len(buf) == 0 {
 			t.Fatal("no buffered output at all")
 		}
@@ -151,7 +151,7 @@ func TestNoCheckpointNoTrim(t *testing.T) {
 	if rep == nil {
 		t.Fatal("missing replica")
 	}
-	for b := range rep.outBuf[4] {
+	for b := range bufferedBatches(rep, 4) {
 		if b <= rep.ackBatch-1 {
 			t.Errorf("batch %d buffered on replica despite ack %d (no checkpointing)", b, rep.ackBatch)
 		}

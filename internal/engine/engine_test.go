@@ -459,8 +459,8 @@ func TestReplicaMirrorsPrimary(t *testing.T) {
 		if rep.processedBatch < prim.processedBatch-2 {
 			t.Errorf("replica of %d lags: %d vs %d", id, rep.processedBatch, prim.processedBatch)
 		}
-		for d, buf := range prim.outBuf {
-			rbuf := rep.outBuf[d]
+		for _, d := range prim.downs {
+			buf, rbuf := bufferedBatches(prim, d.id), bufferedBatches(rep, d.id)
 			for batch, content := range buf {
 				if batch > rep.processedBatch {
 					continue

@@ -31,7 +31,7 @@ type image struct {
 	events []sim.Event // pooled runners point at private copies
 	prim   []taskImage // by task ID
 	repl   []taskImage // by task ID; zero where the task has no replica
-	store  map[topology.TaskID]*checkpointData
+	store  []*checkpointData
 
 	sinks        []SinkRecord
 	sinkTuples   int
@@ -58,8 +58,8 @@ type taskImage struct {
 	state          []byte // operator Snapshot; nil for a source
 	winBase        int
 	recs           []batchRec
-	outBuf         map[topology.TaskID]map[int]Batch
-	ckptBound      map[topology.TaskID]int
+	outBuf         []replayQueue
+	ckptBound      []int
 	tupleProgress  []int64
 }
 
@@ -97,7 +97,7 @@ func (e *Engine) mark() []sim.Event {
 		now:          e.clock.Now(),
 		prim:         make([]taskImage, len(e.prim)),
 		repl:         make([]taskImage, len(e.repl)),
-		store:        make(map[topology.TaskID]*checkpointData, len(e.store)),
+		store:        make([]*checkpointData, len(e.store)),
 		sinks:        slices.Clone(e.sinks),
 		sinkTuples:   e.sinkTuples,
 		sinkAcct:     make([][]sinkBatchAcct, len(e.sinkAcct)),
@@ -126,9 +126,10 @@ func (e *Engine) mark() []sim.Event {
 		img.sinkAcct[id] = slices.Clone(e.sinkAcct[id])
 	}
 	for id, ck := range e.store {
-		c := newCheckpointData()
-		c.copyFrom(ck)
-		img.store[id] = c
+		if ck != nil {
+			img.store[id] = newCheckpointData()
+			img.store[id].copyFrom(ck)
+		}
 	}
 	e.img = img
 	return live
@@ -180,18 +181,15 @@ func (e *Engine) Reset() {
 		e.sinkAcct[id] = append(e.sinkAcct[id][:0], img.sinkAcct[id]...)
 	}
 	e.master.reset()
-	for id := range e.store {
-		if img.store[id] == nil {
-			delete(e.store, id)
-		}
-	}
 	for id, src := range img.store {
-		ck := e.store[id]
-		if ck == nil {
-			ck = newCheckpointData()
-			e.store[id] = ck
+		if src == nil {
+			e.store[id] = nil
+			continue
 		}
-		ck.copyFrom(src)
+		if e.store[id] == nil {
+			e.store[id] = newCheckpointData()
+		}
+		e.store[id].copyFrom(src)
 	}
 	e.sinks = append(e.sinks[:0], img.sinks...)
 	e.sinkTuples = img.sinkTuples
@@ -212,8 +210,8 @@ func (rt *taskRuntime) mark() taskImage {
 		procCPU:        rt.procCPU,
 		ckptCPU:        rt.ckptCPU,
 		winBase:        rt.win.base,
-		outBuf:         make(map[topology.TaskID]map[int]Batch, len(rt.outBuf)),
-		ckptBound:      maps.Clone(rt.ckptBound),
+		outBuf:         copyQueues(nil, rt.outBuf),
+		ckptBound:      slices.Clone(rt.ckptBound),
 		tupleProgress:  slices.Clone(rt.tupleProgress),
 	}
 	if !rt.isSource {
@@ -223,9 +221,6 @@ func (rt *taskRuntime) mark() taskImage {
 		if r := &rt.win.recs[i]; r.batch >= 0 {
 			im.recs = append(im.recs, r.clone())
 		}
-	}
-	for d, buf := range rt.outBuf {
-		im.outBuf[d] = maps.Clone(buf)
 	}
 	return im
 }
@@ -249,19 +244,8 @@ func (rt *taskRuntime) restore(im *taskImage) {
 	clear(rt.emitBuf)
 	clear(rt.missIn)
 	clear(rt.tentOut)
-	for _, buf := range rt.outBuf {
-		clear(buf)
-	}
-	for d, buf := range im.outBuf {
-		m := rt.outBuf[d]
-		if m == nil {
-			m = make(map[int]Batch, len(buf))
-			rt.outBuf[d] = m
-		}
-		maps.Copy(m, buf)
-	}
-	clear(rt.ckptBound)
-	maps.Copy(rt.ckptBound, im.ckptBound)
+	rt.outBuf = copyQueues(rt.outBuf, im.outBuf)
+	copy(rt.ckptBound, im.ckptBound)
 	copy(rt.tupleProgress, im.tupleProgress)
 	rt.win.resetTo(im.winBase, &e.tuples)
 	for i := range im.recs {
@@ -277,28 +261,17 @@ func (rt *taskRuntime) restore(im *taskImage) {
 
 func newCheckpointData() *checkpointData {
 	return &checkpointData{
-		outBuf:  make(map[topology.TaskID]map[int]Batch),
 		tentOut: make(map[int]bool),
 		missIn:  make(map[int]map[topology.TaskID]bool),
 	}
 }
 
 // copyFrom overwrites the checkpoint with a copy of src, recycling its
-// maps and state buffer in place like takeCheckpoint does.
+// queues, maps and state buffer in place like takeCheckpoint does.
 func (ck *checkpointData) copyFrom(src *checkpointData) {
 	ck.batch, ck.bytes = src.batch, src.bytes
 	ck.state = append(ck.state[:0], src.state...)
-	for _, m := range ck.outBuf {
-		clear(m)
-	}
-	for d, buf := range src.outBuf {
-		m := ck.outBuf[d]
-		if m == nil {
-			m = make(map[int]Batch, len(buf))
-			ck.outBuf[d] = m
-		}
-		maps.Copy(m, buf)
-	}
+	ck.outBuf = copyQueues(ck.outBuf, src.outBuf)
 	clear(ck.tentOut)
 	maps.Copy(ck.tentOut, src.tentOut)
 	clear(ck.missIn)

@@ -137,9 +137,8 @@ func (m *master) recoverActive(id topology.TaskID, f *failure) {
 			// Regeneration costs no virtual time: the promoted source is
 			// caught up immediately.
 			from := 0
-			for i, d := range rep.downstreamIDs() {
-				b, ok := rep.ckptBound[d]
-				if !ok {
+			for i, b := range rep.ckptBound {
+				if b == noCheckpoint {
 					from = 0
 					break
 				}
@@ -216,13 +215,7 @@ func (m *master) installCheckpoint(id topology.TaskID, ck *checkpointData) {
 			rt.nextBatch = ck.batch + 1
 		}
 		rt.rebase(rt.nextBatch)
-		for d, buf := range ck.outBuf {
-			mm := make(map[int]Batch, len(buf))
-			for b, content := range buf {
-				mm[b] = content
-			}
-			rt.outBuf[d] = mm
-		}
+		rt.outBuf = copyQueues(rt.outBuf, ck.outBuf)
 		for b, t := range ck.tentOut {
 			rt.tentOut[b] = t
 		}

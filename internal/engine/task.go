@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -15,10 +17,17 @@ type route struct {
 	downOp     int
 	recipients []topology.TaskID
 	// recIdx maps each recipient to its compact index in the task's
-	// flattened recipient list (emitBuf slot).
+	// flattened recipient list: its slot in emitBuf, outBuf and
+	// ckptBound.
 	recIdx    []int32
 	weights   []float64
 	weightSum float64
+}
+
+// recipient is one downstream task and its slot.
+type recipient struct {
+	id   topology.TaskID
+	slot int32
 }
 
 // delivery carries the control flags of one batch message between tasks.
@@ -63,13 +72,16 @@ type taskRuntime struct {
 	promoted bool
 	epoch    int
 
+	// upstreams is sorted by task ID; an upstream's position in it is
+	// its compact index into upOps, the window's per-batch state and
+	// tupleProgress (see upIdx). upOps holds the upstream operator per
+	// compact index.
 	upstreams []topology.TaskID
-	// upIdx maps an upstream task to its compact index into upOps, the
-	// window's per-batch state and tupleProgress; upOps holds the
-	// upstream operator per compact index.
-	upIdx  map[topology.TaskID]int32
-	upOps  []int
-	routes []route
+	upOps     []int
+	routes    []route
+	// downs lists every recipient with its slot, sorted by task ID: the
+	// replay order of resendSince and the lookup of slotOf.
+	downs []recipient
 
 	// win holds the per-open-batch input state (staged input and
 	// punctuation/taint/miss flags per upstream) as a dense ring of
@@ -94,13 +106,13 @@ type taskRuntime struct {
 	busyUntil      sim.Time
 	procScheduled  bool
 
-	// outBuf buffers emitted batches per downstream task for replay
+	// outBuf buffers emitted batches per recipient slot for replay
 	// (§II-B); trimmed when the downstream checkpoints.
-	outBuf map[topology.TaskID]map[int]Batch
-	// ckptBound tracks, per downstream task, the last batch covered by
-	// a downstream checkpoint: buffered output up to it can never be
-	// requested for replay again.
-	ckptBound map[topology.TaskID]int
+	outBuf []replayQueue
+	// ckptBound tracks, per recipient slot, the last batch covered by a
+	// downstream checkpoint (noCheckpoint before the first): buffered
+	// output up to it can never be requested for replay again.
+	ckptBound []int
 	// ackBatch is, on a replica, the primary's output progress at the
 	// last periodic ack (§V-B): the take-over resend covers only later
 	// batches.
@@ -132,25 +144,20 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 		taskIndex: task.Index,
 		isSource:  t.IsSource(task.Op),
 		isReplica: isReplica,
-		upIdx:     make(map[topology.TaskID]int32),
 		missIn:    make(map[int]map[topology.TaskID]bool),
 		tentOut:   make(map[int]bool),
-		outBuf:    make(map[topology.TaskID]map[int]Batch),
-		ckptBound: make(map[topology.TaskID]int),
 	}
 	for _, in := range t.InputsOf(id) {
 		for _, sub := range in.Subs {
 			rt.upstreams = append(rt.upstreams, sub.From)
 		}
 	}
-	sort.Slice(rt.upstreams, func(i, j int) bool { return rt.upstreams[i] < rt.upstreams[j] })
+	slices.Sort(rt.upstreams)
 	rt.upOps = make([]int, len(rt.upstreams))
-	for i, u := range rt.upstreams {
-		rt.upIdx[u] = int32(i)
-	}
 	for _, in := range t.InputsOf(id) {
 		for _, sub := range in.Subs {
-			rt.upOps[rt.upIdx[sub.From]] = in.FromOp
+			ui, _ := rt.upIdx(sub.From)
+			rt.upOps[ui] = in.FromOp
 		}
 	}
 	rt.win.init(len(rt.upstreams))
@@ -172,17 +179,23 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 		r.weightSum += w
 	}
 	sort.Ints(ops)
-	nrec := 0
 	for _, op := range ops {
 		r := byOp[op]
 		r.recIdx = make([]int32, len(r.recipients))
-		for j := range r.recipients {
-			r.recIdx[j] = int32(nrec)
-			nrec++
+		for j, rec := range r.recipients {
+			r.recIdx[j] = int32(len(rt.downs))
+			rt.downs = append(rt.downs, recipient{id: rec, slot: r.recIdx[j]})
 		}
 		rt.routes = append(rt.routes, *r)
 	}
+	slices.SortFunc(rt.downs, func(a, b recipient) int { return cmp.Compare(a.id, b.id) })
+	nrec := len(rt.downs)
 	rt.emitBuf = make([]Batch, nrec)
+	rt.outBuf = make([]replayQueue, nrec)
+	rt.ckptBound = make([]int, nrec)
+	for i := range rt.ckptBound {
+		rt.ckptBound[i] = noCheckpoint
+	}
 
 	if rt.isSource {
 		rt.tupleProgress = make([]int64, 1)
@@ -206,6 +219,23 @@ func (rt *taskRuntime) instantiate() {
 	}
 }
 
+// upIdx returns the compact index of an upstream task, and false when
+// the task is no upstream of this one.
+func (rt *taskRuntime) upIdx(from topology.TaskID) (int32, bool) {
+	i, ok := slices.BinarySearch(rt.upstreams, from)
+	return int32(i), ok
+}
+
+// slotOf returns the slot of a recipient, and false when the task is no
+// recipient of this one.
+func (rt *taskRuntime) slotOf(down topology.TaskID) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(rt.downs, down, func(r recipient, id topology.TaskID) int { return cmp.Compare(r.id, id) })
+	if !ok {
+		return 0, false
+	}
+	return rt.downs[i].slot, true
+}
+
 // rebase points a runtime (with no open-batch records) at a new next
 // batch, keeping the window base in sync.
 func (rt *taskRuntime) rebase(next int) {
@@ -222,12 +252,12 @@ func (rt *taskRuntime) receive(from topology.TaskID, batch int, content Batch, d
 	if rt.failed || rt.isSource {
 		return
 	}
-	ui, known := rt.upIdx[from]
+	ui, known := rt.upIdx(from)
 	if !known {
 		return
 	}
 	if batch < rt.nextBatch {
-		rt.receiveLate(from, batch, content, d)
+		rt.receiveLate(ui, batch, content, d)
 		return
 	}
 	if d.amend {
@@ -256,7 +286,7 @@ func (rt *taskRuntime) receive(from topology.TaskID, batch int, content Batch, d
 			r = rt.win.rec(batch)
 		}
 		rt.stageInput(r, ui, content)
-		rt.settleOwed(batch, from)
+		rt.settleOwed(batch, ui)
 	}
 	if d.punct {
 		if r == nil {
@@ -290,42 +320,40 @@ func (rt *taskRuntime) receive(from topology.TaskID, batch int, content Batch, d
 // data of batches that were closed on fabricated punctuations. Both are
 // reprocessed as amendments, which is how a correction propagates hop
 // by hop until it reaches the sinks.
-func (rt *taskRuntime) receiveLate(from topology.TaskID, batch int, content Batch, d delivery) {
-	if !rt.tentOut[batch] {
+func (rt *taskRuntime) receiveLate(ui int32, batch int, content Batch, d delivery) {
+	if len(rt.tentOut) == 0 || !rt.tentOut[batch] {
 		return // the batch closed firm here: replayed duplicates are dropped
 	}
 	if d.amend {
-		rt.reprocessAmendment(from, batch, content)
+		rt.reprocessAmendment(ui, batch, content)
 		return
 	}
 	if !d.punct || d.tent {
 		return // a still-tentative replay cannot correct anything
 	}
-	if miss := rt.missIn[batch]; miss[from] {
-		rt.settleOwed(batch, from)
-		rt.reprocessAmendment(from, batch, content)
+	if miss := rt.missIn[batch]; miss[rt.upstreams[ui]] {
+		rt.settleOwed(batch, ui)
+		rt.reprocessAmendment(ui, batch, content)
 	}
 }
 
-// settleOwed clears the owed-input record of (batch, from) on the live
-// incarnation AND in the stored checkpoint: once the late data has been
-// absorbed or amended, a restore from a pre-correction snapshot must
-// not repeat the amendment (the upstream resends the same batch on
-// every recovery, and a duplicate amendment would overcount at sinks).
-func (rt *taskRuntime) settleOwed(batch int, from topology.TaskID) {
+// settleOwed clears the owed-input record of (batch, upstream ui) on
+// the live incarnation AND in the stored checkpoint: once the late data
+// has been absorbed or amended, a restore from a pre-correction
+// snapshot must not repeat the amendment (the upstream resends the same
+// batch on every recovery, and a duplicate amendment would overcount at
+// sinks). It runs on every data delivery, so the maps are only looked
+// into when they hold a record at all.
+func (rt *taskRuntime) settleOwed(batch int, ui int32) {
 	if r := rt.win.peek(batch); r != nil {
-		if ui, ok := rt.upIdx[from]; ok {
-			r.miss.clear(int(ui))
-		}
+		r.miss.clear(int(ui))
 	}
-	clearIn(rt.missIn, batch, from)
-	if ck := rt.eng.store[rt.id]; ck != nil {
-		if owed := ck.missIn[batch]; owed != nil {
-			delete(owed, from)
-			if len(owed) == 0 {
-				delete(ck.missIn, batch)
-			}
-		}
+	from := rt.upstreams[ui]
+	if len(rt.missIn) > 0 {
+		clearIn(rt.missIn, batch, from)
+	}
+	if ck := rt.eng.store[rt.id]; ck != nil && len(ck.missIn) > 0 {
+		clearIn(ck.missIn, batch, from)
 	}
 }
 
@@ -364,7 +392,7 @@ func (rt *taskRuntime) hasPunct(batch int, from topology.TaskID) bool {
 	if r == nil {
 		return false
 	}
-	ui, ok := rt.upIdx[from]
+	ui, ok := rt.upIdx(from)
 	return ok && r.punct.test(int(ui))
 }
 
@@ -528,15 +556,10 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 	for i := range rt.routes {
 		r := &rt.routes[i]
 		for j, rec := range r.recipients {
-			slot := &rt.emitBuf[r.recIdx[j]]
-			content := *slot
-			*slot = Batch{}
-			buf := rt.outBuf[rec]
-			if buf == nil {
-				buf = make(map[int]Batch)
-				rt.outBuf[rec] = buf
-			}
-			buf[batch] = content
+			s := r.recIdx[j]
+			content := rt.emitBuf[s]
+			rt.emitBuf[s] = Batch{}
+			rt.outBuf[s].put(batch, content)
 			if !rt.isReplica {
 				rt.eng.deliver(rt.id, rec, batch, content, delivery{punct: true, tent: tentative})
 			}
@@ -552,13 +575,13 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 // gap the fabricated input left; for non-linear operators it is the
 // standard delta-correction approximation. Reprocessing is charged at
 // the normal processing rate.
-func (rt *taskRuntime) reprocessAmendment(from topology.TaskID, batch int, delta Batch) {
+func (rt *taskRuntime) reprocessAmendment(ui int32, batch int, delta Batch) {
 	cost := rt.eng.cfg.PerBatchOverhead + sim.Time(float64(delta.Count)/rt.eng.cfg.ProcRate)
 	now := rt.eng.clock.Now()
 	start := maxTime(rt.busyUntil, now)
 	rt.busyUntil = start + cost
 	epoch := rt.epoch
-	fromOp := rt.upOps[rt.upIdx[from]]
+	fromOp := rt.upOps[ui]
 	rt.eng.clock.At(start+cost, func() {
 		if rt.failed || rt.epoch != epoch {
 			return
@@ -631,22 +654,28 @@ func (rt *taskRuntime) catchUpSource(target int) {
 
 // resendAll redelivers every buffered output batch to the downstream
 // tasks (buffer replay after a restore; duplicates are dropped by the
-// receivers). The cost is charged at ResendRate.
-func (rt *taskRuntime) resendAll() {
+// receivers).
+func (rt *taskRuntime) resendAll() { rt.resendSince(-1) }
+
+// resendSince redelivers buffered output batches strictly after the
+// given batch to the downstream tasks, in ascending downstream task and
+// batch order — resendAll, and the take-over resend of an activated
+// replica. The cost is charged at ResendRate.
+func (rt *taskRuntime) resendSince(since int) {
 	if rt.failed {
 		return
 	}
 	total := 0
-	for _, rec := range rt.downstreamIDs() {
-		buf := rt.outBuf[rec]
-		batches := make([]int, 0, len(buf))
-		for b := range buf {
-			batches = append(batches, b)
-		}
-		sort.Ints(batches)
-		for _, b := range batches {
-			rt.eng.deliver(rt.id, rec, b, buf[b], delivery{punct: true, tent: rt.tentOut[b]})
-			total += buf[b].Count
+	for _, d := range rt.downs {
+		q := &rt.outBuf[d.slot]
+		for i := max(since+1-q.first, 0); i < len(q.items); i++ {
+			content := q.items[i]
+			if content.Count < 0 {
+				continue // a gap
+			}
+			b := q.first + i
+			rt.eng.deliver(rt.id, d.id, b, content, delivery{punct: true, tent: rt.tentOut[b]})
+			total += content.Count
 		}
 	}
 	if total > 0 {
@@ -654,40 +683,24 @@ func (rt *taskRuntime) resendAll() {
 	}
 }
 
-func (rt *taskRuntime) downstreamIDs() []topology.TaskID {
-	var out []topology.TaskID
-	for i := range rt.routes {
-		out = append(out, rt.routes[i].recipients...)
-	}
-	sortIDs(out)
-	return out
-}
-
 // trimFor drops buffered output for one downstream task up to and
 // including the given batch (invoked when the downstream checkpoints,
 // §II-B) and records the checkpoint bound.
 func (rt *taskRuntime) trimFor(down topology.TaskID, upTo int) {
-	if cur, ok := rt.ckptBound[down]; !ok || upTo > cur {
-		rt.ckptBound[down] = upTo
+	s, ok := rt.slotOf(down)
+	if !ok {
+		return
 	}
-	buf := rt.outBuf[down]
-	for b := range buf {
-		if b <= upTo {
-			delete(buf, b)
-		}
-	}
+	rt.ckptBound[s] = max(rt.ckptBound[s], upTo)
+	rt.outBuf[s].trim(upTo)
 }
 
 // trimAll drops all buffered output up to and including the given batch
 // unconditionally. Only safe when downstream replay can never reach back
 // that far (pure-active deployments without checkpoints).
 func (rt *taskRuntime) trimAll(upTo int) {
-	for _, buf := range rt.outBuf {
-		for b := range buf {
-			if b <= upTo {
-				delete(buf, b)
-			}
-		}
+	for s := range rt.outBuf {
+		rt.outBuf[s].trim(upTo)
 	}
 }
 
@@ -703,58 +716,11 @@ func (rt *taskRuntime) ackAndTrim(ack int, checkpointing bool) {
 		rt.trimAll(ack)
 		return
 	}
-	for d, buf := range rt.outBuf {
-		bound, ok := rt.ckptBound[d]
-		if !ok {
-			continue
-		}
-		if ack < bound {
-			bound = ack
-		}
-		for b := range buf {
-			if b <= bound {
-				delete(buf, b)
-			}
+	for s, bound := range rt.ckptBound {
+		if bound != noCheckpoint {
+			rt.outBuf[s].trim(min(ack, bound))
 		}
 	}
-}
-
-// resendSince redelivers buffered output batches strictly after the
-// given batch to the downstream tasks — the take-over resend of an
-// activated replica. The cost is charged at ResendRate.
-func (rt *taskRuntime) resendSince(since int) {
-	if rt.failed {
-		return
-	}
-	total := 0
-	for _, rec := range rt.downstreamIDs() {
-		buf := rt.outBuf[rec]
-		batches := make([]int, 0, len(buf))
-		for b := range buf {
-			if b > since {
-				batches = append(batches, b)
-			}
-		}
-		sort.Ints(batches)
-		for _, b := range batches {
-			rt.eng.deliver(rt.id, rec, b, buf[b], delivery{punct: true, tent: rt.tentOut[b]})
-			total += buf[b].Count
-		}
-	}
-	if total > 0 {
-		rt.busyUntil = maxTime(rt.busyUntil, rt.eng.clock.Now()) + sim.Time(float64(total)/rt.eng.cfg.ResendRate)
-	}
-}
-
-// bufferedCount returns the number of buffered output tuples.
-func (rt *taskRuntime) bufferedCount() int {
-	total := 0
-	for _, buf := range rt.outBuf {
-		for _, b := range buf {
-			total += b.Count
-		}
-	}
-	return total
 }
 
 // resetTo rewinds a live task to re-process from the given batch with
