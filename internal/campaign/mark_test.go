@@ -59,8 +59,10 @@ func referenceReport(t *testing.T, cfg Config) *Report {
 // range path, whose ranges mark at their own earliest waves. The cases
 // are waves tied with a batch tick (every wave at 31, when batch 30 is
 // emitted: the waves must still fire first), an empty prefix (every
-// wave at 0), and hand-built scenarios without waves or with waves out
-// of time order.
+// wave at 0), and hand-built scenarios without waves, with waves out
+// of time order, or with waves at 30.05 s, tied with the source
+// deliveries of batch 29 on the clock's hop lane (the earliest wave,
+// so the image is marked with those deliveries pending).
 func TestMarkedCampaignMatchesFromZero(t *testing.T) {
 	env, _ := goldenCampaign(t)
 	sample, err := env.Cluster()
@@ -89,7 +91,15 @@ func TestMarkedCampaignMatchesFromZero(t *testing.T) {
 	}
 	proc := sample.ProcessingNodes()
 	node := func(i int) []cluster.NodeID { return []cluster.NodeID{proc[i%len(proc)].ID} }
+	// The batch tick at 30 s emits batch 29; its source deliveries
+	// arrive one NetDelay (the default 50 ms) later, on the clock's hop
+	// lane, so a wave at that instant ties with lane events. Computed
+	// the way the engine computes it.
+	tick, netDelay := sim.Time(30), sim.Time(0.05)
+	laneTie := tick + netDelay
 	mixed := append(gen(WholeDomain, 3, 40)[:2],
+		Scenario{Label: "lane-tie", Waves: []Wave{{At: laneTie, Nodes: node(0)}}},
+		Scenario{Label: "lane-tie", Waves: []Wave{{At: laneTie, Nodes: append(node(3), node(5)...)}}},
 		Scenario{Label: "no-waves"},
 		Scenario{Label: "unordered", Waves: []Wave{{At: 52, Nodes: node(1)}, {At: 33.25, Nodes: node(4)}}},
 		Scenario{Label: "no-waves"},

@@ -72,8 +72,6 @@ type Config struct {
 	// sliding window; source-replay recovery replays the unfinished
 	// windows, i.e. this many batches back (default 30).
 	WindowBatches int
-	// MaxEvents guards against runaway simulations (default 20M).
-	MaxEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -121,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowBatches == 0 {
 		c.WindowBatches = 30
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 20_000_000
 	}
 	return c
 }

@@ -49,6 +49,10 @@ type Engine struct {
 
 	master *master
 	store  []*checkpointData // latest checkpoint by task ID; nil before the first
+	// senderIdx[from][slot] is task from's compact upstream index at its
+	// recipient in that slot. Every incarnation of either task has the
+	// same upstreams and slots, so New computes it once per edge.
+	senderIdx [][]int32
 
 	sinks      []SinkRecord
 	sinkTuples int // total tuples (materialised + counted) seen at sinks
@@ -124,11 +128,16 @@ func New(s Setup) (*Engine, error) {
 		return nil, fmt.Errorf("engine: no topology")
 	}
 	cfg := s.Config.withDefaults()
+	// The Config reaches workers as JSON, so it is outside input; a
+	// negative delay would run the clock backwards.
+	if !(cfg.NetDelay >= 0) {
+		return nil, fmt.Errorf("engine: negative NetDelay %v", cfg.NetDelay)
+	}
 	e := &Engine{
 		topo:      s.Topology,
 		clus:      s.Cluster,
 		cfg:       cfg,
-		clock:     sim.NewClock(),
+		clock:     sim.NewClock(cfg.NetDelay),
 		sources:   s.Sources,
 		operators: s.Operators,
 	}
@@ -183,6 +192,14 @@ func New(s Setup) (*Engine, error) {
 			return nil, err
 		}
 	}
+	e.senderIdx = make([][]int32, n)
+	for id, rt := range e.prim {
+		idx := make([]int32, len(rt.downs))
+		for _, d := range rt.downs {
+			idx[d.slot], _ = e.prim[d.id].upIdx(topology.TaskID(id))
+		}
+		e.senderIdx[id] = idx
+	}
 	e.master = newMaster(e)
 	e.armTickers()
 	e.mark()
@@ -201,10 +218,6 @@ func (e *Engine) armTickers() {
 	e.scheduleReplicaTrims()
 }
 
-// Clock exposes the virtual clock (to schedule custom events in tests
-// and experiments).
-func (e *Engine) Clock() *sim.Clock { return e.clock }
-
 // Config returns the effective configuration (defaults applied).
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -212,37 +225,40 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Topology() *topology.Topology { return e.topo }
 
 // deliveryEvent is the pooled delivery of one batch fragment (and
-// punctuation) between tasks. Delivery events are never cancelled, so
+// punctuation) between tasks, to the recipient to, where the sender has
+// the compact upstream index ui. Events are never cancelled, so
 // recycling on fire is safe.
 type deliveryEvent struct {
-	e        *Engine
-	from, to topology.TaskID
-	batch    int
-	content  Batch
-	d        delivery
+	e       *Engine
+	to      topology.TaskID
+	ui      int32
+	batch   int
+	content Batch
+	d       delivery
 }
 
 // Run implements sim.Runner: the delivery fires after the network
 // delay; the current primary incarnation and the replica of the
 // destination both receive it.
 func (de *deliveryEvent) Run() {
-	e, from, to, batch, content, d := de.e, de.from, de.to, de.batch, de.content, de.d
+	e, to, ui, batch, content, d := de.e, de.to, de.ui, de.batch, de.content, de.d
 	de.content = Batch{} // drop the tuple reference while pooled
 	e.delivFree = append(e.delivFree, de)
 	if rt := e.tasks[to]; rt != nil {
-		rt.receive(from, batch, content, d)
+		rt.receive(ui, batch, content, d)
 	}
 	if rep := e.replicas[to]; rep != nil {
-		rep.receive(from, batch, content, d)
+		rep.receive(ui, batch, content, d)
 	}
 }
 
 // deliver schedules the delivery of a batch fragment from one task to
-// another after the network delay, on a pooled event.
-func (e *Engine) deliver(from, to topology.TaskID, batch int, content Batch, d delivery) {
+// the recipient in its slot after the network delay, on a pooled event
+// in the clock's hop lane.
+func (e *Engine) deliver(from topology.TaskID, to recipient, batch int, content Batch, d delivery) {
 	de := e.getDeliveryEvent()
-	de.e, de.from, de.to, de.batch, de.content, de.d = e, from, to, batch, content, d
-	e.clock.AfterRun(e.cfg.NetDelay, de)
+	de.e, de.to, de.ui, de.batch, de.content, de.d = e, to.id, e.senderIdx[from][to.slot], batch, content, d
+	e.clock.Hop(de)
 }
 
 func (e *Engine) getDeliveryEvent() *deliveryEvent {
@@ -408,7 +424,7 @@ func (te *trimEvent) Run() {
 func (e *Engine) scheduleTrim(up, down topology.TaskID, ck int) {
 	te := e.getTrimEvent()
 	te.e, te.up, te.down, te.ck = e, up, down, ck
-	e.clock.AfterRun(e.cfg.NetDelay, te)
+	e.clock.Hop(te)
 }
 
 func (e *Engine) getTrimEvent() *trimEvent {

@@ -3,7 +3,9 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -508,6 +510,36 @@ func TestSetupValidation(t *testing.T) {
 	}
 	if _, err := New(Setup{}); err == nil {
 		t.Error("nil topology accepted")
+	}
+}
+
+// TestNegativeNetDelayRejected: the Config is outside input (it reaches
+// workers as JSON), and a negative delay would schedule deliveries
+// before now, so New refuses it with an error instead of panicking
+// at the first delivery.
+func TestNegativeNetDelayRejected(t *testing.T) {
+	topo := chainTopo(100)
+	setup := Setup{
+		Topology: topo,
+		Sources:  map[int]SourceFactory{0: NewCountSourceFactory(10)},
+		Operators: map[int]OperatorFactory{
+			1: NewPassthroughFactory(), 2: NewPassthroughFactory(),
+		},
+	}
+	for _, d := range []sim.Time{-0.05, sim.Time(math.Inf(-1)), sim.Time(math.NaN())} {
+		setup.Config = Config{NetDelay: d}
+		if _, err := New(setup); err == nil || !strings.Contains(err.Error(), "NetDelay") {
+			t.Errorf("NetDelay %v: err = %v, want a NetDelay error", d, err)
+		}
+	}
+	setup.Config = Config{NetDelay: 0.01}
+	e, err := New(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(5)
+	if e.SinkTupleCount() == 0 {
+		t.Fatal("a positive NetDelay delivered nothing")
 	}
 }
 

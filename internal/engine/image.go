@@ -77,10 +77,6 @@ type taskImage struct {
 // numbers the events scheduled next as if they were scheduled right
 // after New, ahead of every event the prefix scheduled (see
 // sim.Clock.Restore).
-//
-// Events scheduled through Clock() are kept by reference, like the
-// engine's own ticker closures, so they must not be recycled by their
-// owner.
 func (e *Engine) Mark() error {
 	if e.failing {
 		return errors.New("engine: Mark after a failure was scheduled; an image holds failure-free state only")

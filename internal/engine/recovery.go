@@ -368,11 +368,15 @@ func (m *master) fabricate() {
 				if drt == nil || drt.failed {
 					continue
 				}
+				ui, ok := drt.upIdx(id)
+				if !ok {
+					continue
+				}
 				for b := drt.nextBatch; b <= e.currentBatch; b++ {
-					if drt.hasPunct(b, id) {
+					if drt.hasPunct(b, ui) {
 						continue
 					}
-					drt.receive(id, b, Batch{}, fab)
+					drt.receive(ui, b, Batch{}, fab)
 				}
 			}
 		}

@@ -244,16 +244,13 @@ func (rt *taskRuntime) rebase(next int) {
 	rt.win.base = next
 }
 
-// receive stages an incoming batch fragment; duplicates of already
-// processed batches are dropped (the dedup that skips replayed and
-// replica-duplicated output, §V-B) unless they correct a batch that was
-// closed on fabricated input, in which case they trigger an amendment.
-func (rt *taskRuntime) receive(from topology.TaskID, batch int, content Batch, d delivery) {
+// receive stages an incoming batch fragment from the upstream with
+// compact index ui; duplicates of already processed batches are dropped
+// (the dedup that skips replayed and replica-duplicated output, §V-B)
+// unless they correct a batch that was closed on fabricated input, in
+// which case they trigger an amendment.
+func (rt *taskRuntime) receive(ui int32, batch int, content Batch, d delivery) {
 	if rt.failed || rt.isSource {
-		return
-	}
-	ui, known := rt.upIdx(from)
-	if !known {
 		return
 	}
 	if batch < rt.nextBatch {
@@ -385,15 +382,12 @@ func clearIn(m map[int]map[topology.TaskID]bool, batch int, from topology.TaskID
 	}
 }
 
-// hasPunct reports whether the batch-over punctuation of (batch, from)
-// has been recorded (used by the master's fabrication loop).
-func (rt *taskRuntime) hasPunct(batch int, from topology.TaskID) bool {
+// hasPunct reports whether the batch-over punctuation of (batch,
+// upstream ui) has been recorded (used by the master's fabrication
+// loop).
+func (rt *taskRuntime) hasPunct(batch int, ui int32) bool {
 	r := rt.win.peek(batch)
-	if r == nil {
-		return false
-	}
-	ui, ok := rt.upIdx(from)
-	return ok && r.punct.test(int(ui))
+	return r != nil && r.punct.test(int(ui))
 }
 
 // ready reports whether every upstream punctuation for the batch is in.
@@ -561,7 +555,7 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 			rt.emitBuf[s] = Batch{}
 			rt.outBuf[s].put(batch, content)
 			if !rt.isReplica {
-				rt.eng.deliver(rt.id, rec, batch, content, delivery{punct: true, tent: tentative})
+				rt.eng.deliver(rt.id, recipient{id: rec, slot: s}, batch, content, delivery{punct: true, tent: tentative})
 			}
 		}
 	}
@@ -608,11 +602,11 @@ func (rt *taskRuntime) finishAmend(batch int) {
 	for i := range rt.routes {
 		r := &rt.routes[i]
 		for j, rec := range r.recipients {
-			slot := &rt.emitBuf[r.recIdx[j]]
-			content := *slot
-			*slot = Batch{}
+			s := r.recIdx[j]
+			content := rt.emitBuf[s]
+			rt.emitBuf[s] = Batch{}
 			if !rt.isReplica {
-				rt.eng.deliver(rt.id, rec, batch, content, delivery{amend: true})
+				rt.eng.deliver(rt.id, recipient{id: rec, slot: s}, batch, content, delivery{amend: true})
 			}
 		}
 	}
@@ -674,7 +668,7 @@ func (rt *taskRuntime) resendSince(since int) {
 				continue // a gap
 			}
 			b := q.first + i
-			rt.eng.deliver(rt.id, d.id, b, content, delivery{punct: true, tent: rt.tentOut[b]})
+			rt.eng.deliver(rt.id, d, b, content, delivery{punct: true, tent: rt.tentOut[b]})
 			total += content.Count
 		}
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // PooledEscape reports uses of a pooled value after its release in
-// the same function. The sim event free-list, the engine's tuple and
+// the same function. The engine's pooled events, its tuple and
 // record pools, and the campaign's sync.Pool delay buffers all
 // recycle objects in place: a reference that survives the Put/release
 // call aliases memory the next Get may already be rewriting —

@@ -1,18 +1,30 @@
 // Package sim provides a minimal deterministic discrete-event simulation
-// kernel: a virtual clock with an event heap. All recovery-latency
+// kernel: a virtual clock with two event queues. All recovery-latency
 // experiments of the reproduction run on virtual time so that results
 // are reproducible bit-for-bit and independent of host speed, replacing
 // the paper's wall-clock EC2 measurements (see DESIGN.md §4).
 //
-// The kernel is allocation-free on the steady-state hot path: events are
-// slab-allocated and recycled through a free list, so scheduling and
-// cancelling reuse event objects instead of heap-allocating, and a
-// fired or cancelled event drops its callback reference immediately —
-// the heap retains nothing between events.
+// Events fire in (time, seq) order, seq being the scheduling order, so
+// events at the same instant fire FIFO. The clock keeps them in two
+// lanes. Events scheduled a constant hop after now (the engine's
+// network deliveries and checkpoint trims) go to the hop lane, a FIFO
+// ring; every other event goes to a binary heap of values. The ring
+// needs no ordering work: now never decreases between restores,
+// rounding makes float addition monotone, so now+hop never decreases
+// either, and seq strictly increases, so the ring is always sorted by
+// (time, seq). Firing takes the smaller of the ring head and the heap
+// top, which yields exactly the order one heap over all events gives.
+//
+// Nothing is ever cancelled: a scheduled event fires, or is dropped by
+// Restore. Stale engine events (of a failed task incarnation) fence
+// themselves when they fire. So events are plain values without handles,
+// the queues keep no index into themselves, and a fired event's slot is
+// cleared, retaining nothing.
 package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is virtual time in seconds.
@@ -26,56 +38,30 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 
 // Runner is an event callback carried as an interface instead of a
 // closure. Schedulers with a hot path (the engine's per-batch delivery
-// events) implement Run on a pooled struct and pass it to AtRun /
-// AfterRun, avoiding the per-event closure allocation of At / After.
+// events) implement Run on a pooled struct and pass it to AtRun or Hop,
+// avoiding the per-event closure allocation of At and After.
 type Runner interface {
 	Run()
 }
 
-// Timer is a handle to a scheduled event, usable to cancel it. The zero
-// Timer is valid and cancels nothing. Timers are values: they stay safe
-// after their event fired and its slot was recycled for a later event —
-// the generation check turns a stale Cancel into a no-op.
-type Timer struct {
-	clock *Clock
-	ev    *event
-	gen   uint32
-}
+// runFunc carries a closure as a Runner. A func value is one pointer,
+// so the conversion does not allocate.
+type runFunc func()
 
-// Cancel prevents the event from firing and removes it from the event
-// heap immediately, so cancelled events neither linger in the queue nor
-// retain their callbacks; the event object returns to the clock's free
-// list. Cancelling a zero, already-fired or already-cancelled timer is
-// a no-op.
-func (t Timer) Cancel() {
-	e := t.ev
-	if e == nil || t.clock == nil || e.gen != t.gen || e.index < 0 {
-		return
-	}
-	t.clock.remove(e.index)
-	t.clock.recycle(e)
-}
+func (f runFunc) Run() { f() }
 
-// event is one scheduled callback. Events live in clock-owned slabs and
-// cycle through the free list; gen distinguishes incarnations of the
-// same slot so stale Timer handles cannot cancel a recycled event.
+// event is one scheduled callback, stored by value in either lane.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	run   Runner
-	index int32 // position in the heap; -1 when popped or free
-	gen   uint32
+	at  Time
+	seq uint64
+	run Runner
 }
 
-// less orders events by time, then by scheduling order, so events at
-// the same instant fire FIFO. (at, seq) pairs are unique, making the
-// firing order independent of heap-internal tie-breaking.
+// less orders events by time, then by scheduling order. (at, seq) pairs
+// are unique, so the firing order does not depend on which lane holds
+// an event or on heap-internal tie-breaking.
 func (e *event) less(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Clock is a deterministic discrete-event scheduler. Events scheduled
@@ -83,10 +69,13 @@ func (e *event) less(o *event) bool {
 // use: the whole simulation is single-threaded by design.
 type Clock struct {
 	now  Time
-	heap []*event
 	seq  uint64
-	free []*event
-	slab []event // bump-allocation tail of the current slab chunk
+	hop  Time
+	heap []event
+	// lane is the hop lane: a ring of n events from head, in firing
+	// order. Its length is zero or a power of two.
+	lane    []event
+	head, n int
 
 	// deferred holds the recorded events a Restore queues only at the
 	// next step, numbered past the events scheduled in between; base is
@@ -98,122 +87,78 @@ type Clock struct {
 }
 
 // Event is a value copy of one pending event, as AppendPending reports
-// it and Restore queues it again. Exactly one of Fn and Run is set.
+// it and Restore queues it again.
 type Event struct {
 	At  Time
 	Seq uint64
-	Fn  func()
 	Run Runner
 }
 
-// slabChunk is the number of events allocated per slab growth. Chunks
-// amortise allocation during warm-up; after the first GC-free steady
-// state is reached the free list recycles events indefinitely.
-const slabChunk = 128
-
-// NewClock returns a clock at time zero with no pending events.
-func NewClock() *Clock { return &Clock{} }
+// NewClock returns a clock at time zero with no pending events, whose
+// Hop schedules events hop seconds after now. A negative hop panics: it
+// would run the clock backwards.
+func NewClock(hop Time) *Clock {
+	if !(hop >= 0) {
+		panic(fmt.Sprintf("sim: negative hop %v", hop))
+	}
+	return &Clock{hop: hop}
+}
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // panics: it would make the simulation non-causal.
-func (c *Clock) At(t Time, fn func()) Timer {
-	e := c.schedule(t)
-	e.fn = fn
-	return Timer{clock: c, ev: e, gen: e.gen}
-}
+func (c *Clock) At(t Time, fn func()) { c.AtRun(t, runFunc(fn)) }
 
 // AtRun schedules r.Run at absolute virtual time t. Semantics match At;
 // passing a pooled Runner avoids the closure allocation.
-func (c *Clock) AtRun(t Time, r Runner) Timer {
-	e := c.schedule(t)
-	e.run = r
-	return Timer{clock: c, ev: e, gen: e.gen}
-}
-
-// After schedules fn d seconds from now.
-func (c *Clock) After(d Time, fn func()) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return c.At(c.now+d, fn)
-}
-
-// AfterRun schedules r.Run d seconds from now.
-func (c *Clock) AfterRun(d Time, r Runner) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return c.AtRun(c.now+d, r)
-}
-
-// schedule pushes a new event onto the heap at time t with the next
-// sequence number.
-func (c *Clock) schedule(t Time) *event {
+func (c *Clock) AtRun(t Time, r Runner) {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, c.now))
 	}
 	c.seq++
-	e := c.alloc()
-	e.at = t
-	e.seq = c.seq
-	c.push(e)
-	return e
+	c.push(event{at: t, seq: c.seq, run: r})
 }
 
-// alloc takes an event from the free list, or from the slab.
-func (c *Clock) alloc() *event {
-	if n := len(c.free); n > 0 {
-		e := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		return e
+// After schedules fn d seconds from now.
+func (c *Clock) After(d Time, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	if len(c.slab) == 0 {
-		c.slab = make([]event, slabChunk)
+	c.At(c.now+d, fn)
+}
+
+// Hop schedules r.Run one hop (the NewClock argument) from now, on the
+// hop lane: the same firing order as AtRun(Now()+hop, r), without the
+// heap.
+func (c *Clock) Hop(r Runner) {
+	if c.n == len(c.lane) {
+		c.growLane()
 	}
-	e := &c.slab[0]
-	c.slab = c.slab[1:]
-	return e
+	c.seq++
+	*c.laneAt(c.n) = event{at: c.now + c.hop, seq: c.seq, run: r}
+	c.n++
 }
 
-// recycle clears an event's callback references and returns it to the
-// free list. The generation bump invalidates outstanding Timer handles.
-func (c *Clock) recycle(e *event) {
-	e.fn = nil
-	e.run = nil
-	e.index = -1
-	e.gen++
-	c.free = append(c.free, e)
+// laneAt returns the i-th slot of the hop lane from its head.
+func (c *Clock) laneAt(i int) *event { return &c.lane[(c.head+i)&(len(c.lane)-1)] }
+
+// growLane doubles the full ring, unwrapping it to start at index zero.
+func (c *Clock) growLane() {
+	lane := make([]event, max(2*len(c.lane), 64))
+	k := copy(lane, c.lane[c.head:])
+	copy(lane[k:], c.lane[:c.head])
+	c.lane, c.head = lane, 0
 }
 
-// Pending returns the number of events still queued. Cancelled events
-// are removed from the queue eagerly and never counted.
-func (c *Clock) Pending() int { return len(c.heap) + len(c.deferred) }
+// Pending returns the number of events still queued.
+func (c *Clock) Pending() int { return len(c.heap) + c.n + len(c.deferred) }
 
 // Step fires the next event, advancing the clock, and reports whether
-// an event was fired. The event's callback reference is cleared before
-// the callback runs, so a fired event retains nothing.
-func (c *Clock) Step() bool {
-	if c.restored {
-		c.flush()
-	}
-	if len(c.heap) == 0 {
-		return false
-	}
-	e := c.pop()
-	fn, run := e.fn, e.run
-	c.recycle(e)
-	c.now = e.at
-	if run != nil {
-		run.Run()
-	} else {
-		fn()
-	}
-	return true
-}
+// an event was fired. The event's slot is cleared before the callback
+// runs, so a fired event retains nothing.
+func (c *Clock) Step() bool { return c.fire(Time(math.Inf(1))) }
 
 // Run fires events until none remain. maxEvents guards against runaway
 // simulations; Run panics when it is exceeded.
@@ -231,49 +176,84 @@ func (c *Clock) Run(maxEvents int) {
 // RunUntil fires events with timestamps <= deadline, then sets the clock
 // to the deadline.
 func (c *Clock) RunUntil(deadline Time) {
-	if c.restored {
-		c.flush()
-	}
-	for len(c.heap) > 0 && c.heap[0].at <= deadline {
-		c.Step()
+	for c.fire(deadline) {
 	}
 	if c.now < deadline {
 		c.now = deadline
 	}
 }
 
-// AppendPending appends a value copy of every pending event to dst, in
-// no particular order, and returns the extended slice together with the
-// sequence counter (the number the latest scheduled event got). Restore
-// takes both back.
+// fire fires the next event, the smaller of the lane head and the heap
+// top, if it is due by deadline, and reports whether it did.
+func (c *Clock) fire(deadline Time) bool {
+	if c.restored {
+		c.flush()
+	}
+	var e event
+	switch {
+	case c.n > 0 && (len(c.heap) == 0 || c.lane[c.head].less(&c.heap[0])):
+		h := &c.lane[c.head]
+		if h.at > deadline {
+			return false
+		}
+		e, *h = *h, event{}
+		c.head = (c.head + 1) & (len(c.lane) - 1)
+		c.n--
+	case len(c.heap) > 0:
+		if c.heap[0].at > deadline {
+			return false
+		}
+		e = c.pop()
+	default:
+		return false
+	}
+	c.now = e.at
+	e.run.Run()
+	return true
+}
+
+// AppendPending appends a value copy of every pending event, of both
+// lanes, to dst, in no particular order, and returns the extended slice
+// together with the sequence counter (the number the latest scheduled
+// event got). Restore takes both back.
 func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
 	if c.restored {
 		c.flush()
 	}
-	for _, e := range c.heap {
-		dst = append(dst, Event{At: e.at, Seq: e.seq, Fn: e.fn, Run: e.run})
+	for i := range c.heap {
+		e := &c.heap[i]
+		dst = append(dst, Event{At: e.at, Seq: e.seq, Run: e.run})
+	}
+	for i := 0; i < c.n; i++ {
+		e := c.laneAt(i)
+		dst = append(dst, Event{At: e.at, Seq: e.seq, Run: e.run})
 	}
 	return dst, c.seq
 }
 
 // Restore sets the clock to time now with exactly the pending events
 // evs, recorded by AppendPending from a clock whose counter stood at
-// seq; whatever was queued before is cancelled. base splits the
-// recorded events. Those numbered at most base are queued at once with
-// their recorded numbers, and the counter restarts at base, so the
-// events the caller schedules next are numbered as if scheduled when
-// the counter stood at base. The rest are queued at the next Step,
-// RunUntil or AppendPending, numbered past the caller's events in their
-// recorded order, and the counter resumes past them. The restored clock therefore
-// fires exactly like a run from time zero that scheduled the caller's
-// events right after its base-th event, same-instant ties included.
-// With base equal to seq it is a plain restore; Restore(0, 0, 0, nil)
-// makes the clock indistinguishable from a new one.
+// seq; whatever was queued before, in either lane, is dropped. The
+// recorded events all go to the heap, so the lane only ever holds
+// events Hop scheduled since, in order. base splits them: those
+// numbered at most base are queued at once with their recorded
+// numbers, and the counter restarts at base, so the events the caller
+// schedules next are numbered as if scheduled when the counter stood
+// at base. The rest are queued at the next Step, RunUntil or
+// AppendPending, numbered past the caller's events in their recorded
+// order, and the counter resumes past them. The restored clock
+// therefore fires exactly like a run from time zero that scheduled the
+// caller's events right after its base-th event, same-instant ties
+// included. With base equal to seq it is a plain restore;
+// Restore(0, 0, 0, nil) makes the clock indistinguishable from a new
+// one.
 func (c *Clock) Restore(now Time, seq, base uint64, evs []Event) {
-	for _, e := range c.heap {
-		c.recycle(e)
-	}
+	clear(c.heap)
 	c.heap = c.heap[:0]
+	for i := 0; i < c.n; i++ {
+		*c.laneAt(i) = event{}
+	}
+	c.head, c.n = 0, 0
 	clear(c.deferred)
 	c.deferred = c.deferred[:0]
 	c.now = now
@@ -307,89 +287,51 @@ func (c *Clock) flush() {
 }
 
 // queue pushes a recorded event with its own time and number.
-func (c *Clock) queue(ev Event) {
-	e := c.alloc()
-	e.at, e.seq, e.fn, e.run = ev.At, ev.Seq, ev.Fn, ev.Run
-	c.push(e)
-}
+func (c *Clock) queue(ev Event) { c.push(event{at: ev.At, seq: ev.Seq, run: ev.Run}) }
 
-// --- intrusive binary heap over (at, seq) ---
+// --- binary heap of values over (at, seq) ---
 
-func (c *Clock) push(e *event) {
-	e.index = int32(len(c.heap))
+func (c *Clock) push(e event) {
 	c.heap = append(c.heap, e)
-	c.up(len(c.heap) - 1)
-}
-
-func (c *Clock) pop() *event {
 	h := c.heap
-	e := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[0].index = 0
-	h[n] = nil
-	c.heap = h[:n]
-	if n > 0 {
-		c.down(0)
-	}
-	e.index = -1
-	return e
-}
-
-// remove deletes the event at heap position i.
-func (c *Clock) remove(i int32) {
-	h := c.heap
-	n := len(h) - 1
-	e := h[i]
-	if int(i) != n {
-		h[i] = h[n]
-		h[i].index = i
-	}
-	h[n] = nil
-	c.heap = h[:n]
-	if int(i) < n {
-		c.down(int(i))
-		c.up(int(i))
-	}
-	e.index = -1
-}
-
-func (c *Clock) up(i int) {
-	h := c.heap
-	e := h[i]
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(h[parent]) {
+		p := (i - 1) / 2
+		if !e.less(&h[p]) {
 			break
 		}
-		h[i] = h[parent]
-		h[i].index = int32(i)
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
 	h[i] = e
-	e.index = int32(i)
 }
 
-func (c *Clock) down(i int) {
+func (c *Clock) pop() event {
 	h := c.heap
-	n := len(h)
-	e := h[i]
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	c.heap = h
+	if n == 0 {
+		return top
+	}
+	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := l
-		if r := l + 1; r < n && h[r].less(h[l]) {
+		if r := child + 1; r < n && h[r].less(&h[child]) {
 			child = r
 		}
-		if !h[child].less(e) {
+		if !h[child].less(&last) {
 			break
 		}
 		h[i] = h[child]
-		h[i].index = int32(i)
 		i = child
 	}
-	h[i] = e
-	e.index = int32(i)
+	h[i] = last
+	return top
 }

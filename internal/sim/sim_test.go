@@ -6,7 +6,7 @@ import (
 )
 
 func TestEventOrdering(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	var order []int
 	c.At(2, func() { order = append(order, 2) })
 	c.At(1, func() { order = append(order, 1) })
@@ -21,7 +21,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestSameInstantFIFO(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -36,7 +36,7 @@ func TestSameInstantFIFO(t *testing.T) {
 }
 
 func TestAfterAndNesting(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	var hits []Time
 	c.After(1, func() {
 		hits = append(hits, c.Now())
@@ -48,21 +48,8 @@ func TestAfterAndNesting(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	c := NewClock()
-	fired := false
-	timer := c.At(1, func() { fired = true })
-	timer.Cancel()
-	c.Run(100)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	var zero Timer
-	zero.Cancel() // must not panic
-}
-
 func TestRunUntil(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	var fired []Time
 	for _, at := range []Time{1, 2, 3, 4} {
 		at := at
@@ -82,7 +69,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestPastSchedulingPanics(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	c.At(5, func() {})
 	c.Run(10)
 	defer func() {
@@ -94,17 +81,24 @@ func TestPastSchedulingPanics(t *testing.T) {
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	c := NewClock()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delay")
-		}
-	}()
-	c.After(-1, func() {})
+	c := NewClock(1)
+	for name, f := range map[string]func(){
+		"After":    func() { c.After(-1, func() {}) },
+		"NewClock": func() { NewClock(-0.05) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic for negative delay", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestRunawayGuard(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	var loop func()
 	loop = func() { c.After(1, loop) }
 	c.After(1, loop)
@@ -117,7 +111,7 @@ func TestRunawayGuard(t *testing.T) {
 }
 
 func TestPendingAndStep(t *testing.T) {
-	c := NewClock()
+	c := NewClock(1)
 	c.At(1, func() {})
 	c.At(2, func() {})
 	if c.Pending() != 2 {
@@ -143,113 +137,37 @@ func TestTimeFormatting(t *testing.T) {
 	}
 }
 
-// TestCancelRemovesFromHeap pins the eager-removal behaviour: a
-// cancelled timer leaves the event heap immediately instead of
-// lingering until popped, so Pending reflects live events only and a
-// cancelled timer can never fire.
-func TestCancelRemovesFromHeap(t *testing.T) {
-	c := NewClock()
-	var fired []int
-	t1 := c.At(1, func() { fired = append(fired, 1) })
-	c.At(2, func() { fired = append(fired, 2) })
-	t3 := c.At(3, func() { fired = append(fired, 3) })
-	if c.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", c.Pending())
-	}
-	// Cancel the head and a middle element: both leave the heap now.
-	t1.Cancel()
-	t3.Cancel()
-	if c.Pending() != 1 {
-		t.Fatalf("Pending after cancels = %d, want 1", c.Pending())
-	}
-	// Double-cancel is a no-op.
-	t3.Cancel()
-	c.Run(100)
-	if len(fired) != 1 || fired[0] != 2 {
-		t.Fatalf("fired = %v, want only event 2", fired)
-	}
-	if c.Now() != 2 {
-		t.Fatalf("Now = %v; cancelled events must not advance the clock", c.Now())
-	}
-}
+// countRunner is a pooled Runner that only counts its firings.
+type countRunner struct{ n int }
 
-// TestCancelDuringDrain cancels a pending timer from inside an earlier
-// event and checks RunUntil never fires it.
-func TestCancelDuringDrain(t *testing.T) {
-	c := NewClock()
-	fired := false
-	victim := c.At(2, func() { fired = true })
-	c.At(1, func() { victim.Cancel() })
-	c.RunUntil(10)
-	if fired {
-		t.Fatal("timer cancelled mid-drain still fired")
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", c.Pending())
-	}
-	// Cancelling after the drain (timer long gone) stays a no-op.
-	victim.Cancel()
-}
+func (r *countRunner) Run() { r.n++ }
 
-// TestCancelAfterFire verifies cancelling an already-fired timer does
-// not disturb the remaining schedule.
-func TestCancelAfterFire(t *testing.T) {
-	c := NewClock()
-	var fired []int
-	t1 := c.At(1, func() { fired = append(fired, 1) })
-	c.At(2, func() { fired = append(fired, 2) })
-	if !c.Step() {
-		t.Fatal("no first event")
-	}
-	t1.Cancel() // already fired: no-op
-	c.Run(10)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want both events", fired)
-	}
-}
+func noop() {}
 
-// TestStaleTimerHandle pins the generation fencing of recycled events:
-// a Timer held across its event's firing must not cancel the unrelated
-// event that later reuses the same slot.
-func TestStaleTimerHandle(t *testing.T) {
-	c := NewClock()
-	var fired []int
-	stale := c.At(1, func() { fired = append(fired, 1) })
-	if !c.Step() {
-		t.Fatal("no event")
-	}
-	// The slot of the fired event is recycled for the next schedule.
-	c.At(2, func() { fired = append(fired, 2) })
-	stale.Cancel() // stale handle: must be a no-op
-	c.Run(10)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want both events (stale Cancel hit the recycled slot)", fired)
-	}
-}
-
-// TestEventRecycling verifies the free list makes steady-state
-// scheduling allocation-free: after warm-up, schedule+fire cycles do
-// not allocate.
+// TestEventRecycling verifies that steady-state scheduling does not
+// allocate: once the heap and the hop lane have grown, scheduling and
+// firing an event allocates nothing on either lane, for a pooled
+// Runner and for a closure that captures nothing.
 func TestEventRecycling(t *testing.T) {
-	c := NewClock()
-	tick := 0
-	var loop func()
-	loop = func() {
-		tick++
-		if tick < 2048 {
-			c.After(1, loop)
+	c := NewClock(1)
+	r := &countRunner{}
+	for i := 0; i < 256; i++ {
+		c.AtRun(Time(i), r)
+		c.Hop(r)
+	}
+	c.Run(1000) // warm up both lanes
+	for name, cycle := range map[string]func(){
+		"AtRun": func() { c.AtRun(c.Now(), r); c.Step() },
+		"Hop":   func() { c.Hop(r); c.Step() },
+		"At":    func() { c.At(c.Now(), noop); c.Step() },
+	} {
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("%s: schedule+fire allocates %v objects/op, want 0", name, allocs)
 		}
 	}
-	c.After(1, loop) // warm up the slab
-	c.Run(5000)
-	allocs := testing.AllocsPerRun(100, func() {
-		c.At(c.Now(), func() {})
-		c.Step()
-	})
-	// The closure itself may allocate; the kernel must not add event or
-	// timer allocations on top.
-	if allocs > 1 {
-		t.Fatalf("schedule+fire allocates %v objects/op, want <= 1 (closure only)", allocs)
+	// AllocsPerRun runs each cycle once more to warm up.
+	if want := 2*256 + 2*101; r.n != want {
+		t.Fatalf("runner fired %d times, want %d", r.n, want)
 	}
 }
 
@@ -261,24 +179,18 @@ type pooledRunner struct {
 
 func (r *pooledRunner) Run() { *r.hits = append(*r.hits, r.c.Now()) }
 
-// TestAtRun checks the closure-free Runner path fires like At and
-// interleaves with closure events in (time, seq) order.
+// TestAtRun checks the closure-free Runner paths, AtRun and Hop, fire
+// like At and interleave with closure events in (time, seq) order.
 func TestAtRun(t *testing.T) {
-	c := NewClock()
+	c := NewClock(3)
 	var hits []Time
 	r := &pooledRunner{hits: &hits, c: c}
 	c.AtRun(2, r)
 	c.At(1, func() { hits = append(hits, c.Now()) })
-	c.AfterRun(3, r)
+	c.Hop(r)
 	c.Run(10)
 	if len(hits) != 3 || hits[0] != 1 || hits[1] != 2 || hits[2] != 3 {
 		t.Fatalf("hits = %v", hits)
-	}
-	tm := c.AtRun(5, r)
-	tm.Cancel()
-	c.Run(10)
-	if len(hits) != 3 {
-		t.Fatalf("cancelled Runner event fired: %v", hits)
 	}
 }
 
@@ -294,7 +206,7 @@ func TestClockReset(t *testing.T) {
 		c.RunUntil(10)
 		return hits
 	}
-	c := NewClock()
+	c := NewClock(1)
 	first := run(c)
 	c.At(20, func() { t.Error("leftover event fired after the reset") })
 	c.Restore(0, 0, 0, nil)
@@ -317,28 +229,51 @@ func TestClockReset(t *testing.T) {
 // scheduled after Restore, the later ones fire after them at the same
 // instant, and events scheduled once running come last — the order a
 // run from time zero gives when the caller's events are scheduled
-// right after the base-th event.
+// right after the base-th event. Hop events of both lanes tie with heap
+// events at 5, before the record and after each restore; Restore moves
+// the recorded lane event to the heap, where it keeps its place.
 func TestClockRestore(t *testing.T) {
 	var got []string
 	hit := func(s string) func() { return func() { got = append(got, s) } }
-	c := NewClock()
-	c.At(5, hit("armed"))
-	c.At(1, func() { c.At(5, hit("prefix")) })
+	// The first three events are armed (base 3); at 1 and 2 they
+	// schedule a heap and a lane event for 5, tied with the armed one.
+	prefix := func(c *Clock) {
+		c.At(5, hit("armed"))
+		c.At(1, func() { c.At(5, hit("prefix")) })
+		c.At(2, func() { c.Hop(runFunc(hit("prefix-hop"))) })
+	}
+	c := NewClock(3)
+	prefix(c)
+	c.RunUntil(10)
+	if want := []string{"armed", "prefix", "prefix-hop"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unrestored run fired %v, want %v", got, want)
+	}
+
+	c = NewClock(3)
+	prefix(c)
 	c.RunUntil(2)
 	evs, seq := c.AppendPending(nil)
-	if len(evs) != 2 || c.Pending() != 2 {
-		t.Fatalf("recorded %d events, %d pending", len(evs), c.Pending())
+	if len(evs) != 3 || c.Pending() != 3 || c.n != 1 {
+		t.Fatalf("recorded %d events, %d pending, %d on the lane", len(evs), c.Pending(), c.n)
 	}
 	for round := 0; round < 2; round++ {
 		got = nil
-		c.Restore(2, seq, 2, evs)
+		c.Restore(2, seq, 3, evs)
+		if c.n != 0 {
+			t.Fatalf("round %d: %d events left on the lane", round, c.n)
+		}
 		c.At(5, hit("wave"))
-		c.At(3, func() { c.At(5, hit("late")) })
-		if c.Now() != 2 || c.Pending() != 4 {
+		c.Hop(runFunc(hit("wave-hop")))
+		c.At(2, func() {
+			c.At(5, hit("late"))
+			c.Hop(runFunc(hit("late-hop")))
+		})
+		if c.Now() != 2 || c.Pending() != 6 {
 			t.Fatalf("round %d: now=%v pending=%d", round, c.Now(), c.Pending())
 		}
 		c.RunUntil(10)
-		if want := []string{"armed", "wave", "prefix", "late"}; !reflect.DeepEqual(got, want) {
+		want := []string{"armed", "wave", "wave-hop", "prefix", "prefix-hop", "late", "late-hop"}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: fired %v, want %v", round, got, want)
 		}
 	}
