@@ -14,8 +14,11 @@
 //	ppalint -json ./...        # diagnostics as JSON (go vet -json passthrough)
 //	ppalint -github ./...      # findings as GitHub Actions annotations
 //	ppalint -list              # list the analyzers and what they enforce
-//	ppalint -roots=...         # override the detclose determinism roots
-//	ppalint -roots-file=path   # read roots from a file, one per line
+//
+// go vet forwards the analyzers' own flags to the tool, so the detclose
+// determinism roots are overridden through it:
+//
+//	go vet -vettool=$(which ppalint) -detclose.roots=internal/campaign.Run ./...
 //
 // Findings are suppressed in place with //ppalint:allow <analyzer>
 // <reason>; see the internal/lint package documentation.
@@ -48,22 +51,18 @@ func main() {
 	}
 
 	var (
-		list      = flag.Bool("list", false, "list the registered analyzers and exit")
-		jsonOut   = flag.Bool("json", false, "emit diagnostics as JSON (go vet -json passthrough)")
-		github    = flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations and exit 1 if any")
-		roots     = flag.String("roots", "", "override the detclose determinism roots (comma-separated specs)")
-		rootsFile = flag.String("roots-file", "", "read detclose roots from a file: one spec per line, # comments")
+		list    = flag.Bool("list", false, "list the registered analyzers and exit")
+		jsonOut = flag.Bool("json", false, "emit diagnostics as JSON (go vet -json passthrough)")
+		github  = flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations and exit 1 if any")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ppalint [-list] [-json] [-github] [-roots=specs] [-roots-file=path] [packages]\n\n"+
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ppalint [-list] [-json] [-github] [packages]\n\n"+
 			"Runs the ppalint determinism & safety analyzers over the given\n"+
 			"package patterns (default ./...) by driving go vet -vettool with\n"+
 			"itself as the tool. Equivalent to:\n\n"+
 			"\tgo vet -vettool=$(which ppalint) [packages]\n\n"+
-			"A root spec is pkg/path.Func or pkg/path.(*Type).Method; the detclose\n"+
-			"analyzer verifies the transitive call closure of every root reaches no\n"+
-			"function tainted by wall-clock reads, global randomness, map-order\n"+
-			"folds or unordered float accumulation.\n\n")
+			"Analyzer flags such as -detclose.roots=pkg/path.Func,... go through\n"+
+			"that go vet form.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -79,23 +78,12 @@ func main() {
 		return
 	}
 
-	rootSpecs, err := gatherRoots(*roots, *rootsFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppalint: %v\n", err)
-		os.Exit(2)
-	}
-
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppalint: locating own binary: %v\n", err)
 		os.Exit(2)
 	}
 	args := []string{"vet", "-vettool=" + self}
-	if rootSpecs != "" {
-		// go vet accepts the tool's analyzer flags (it learns them from
-		// the -flags probe) and forwards them to every invocation.
-		args = append(args, "-detclose.roots="+rootSpecs)
-	}
 	if *jsonOut || *github {
 		args = append(args, "-json")
 	}
@@ -134,35 +122,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppalint: running go vet: %v\n", err)
 		os.Exit(2)
 	}
-}
-
-// gatherRoots merges the -roots flag with the -roots-file contents
-// (one spec per line, blank lines and # comments skipped) into one
-// comma-separated value for detclose.
-func gatherRoots(flagVal, file string) (string, error) {
-	var specs []string
-	for _, s := range strings.Split(flagVal, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			specs = append(specs, s)
-		}
-	}
-	if file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return "", fmt.Errorf("reading roots file: %v", err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			specs = append(specs, line)
-		}
-		if len(specs) == 0 {
-			return "", fmt.Errorf("roots file %s declares no roots", file)
-		}
-	}
-	return strings.Join(specs, ","), nil
 }
 
 // vetDiag is one diagnostic in go vet -json output, which has the

@@ -18,7 +18,7 @@ import (
 var CtxSpawn = &analysis.Analyzer{
 	Name: ctxSpawnName,
 	Doc: "require coordination-layer goroutines to receive a context\n\n" +
-		"A go statement in the scoped packages must pass a context.Context to the\n" +
+		"A go statement in " + defaultCoordPackages + " must pass a context.Context to the\n" +
 		"spawned function or close over one, so the goroutine has a cancellation\n" +
 		"path. Goroutines whose lifetime is bounded by other means (connection\n" +
 		"close unblocking a read, process exit) are annotated with\n" +
@@ -26,13 +26,8 @@ var CtxSpawn = &analysis.Analyzer{
 	Run: runCtxSpawn,
 }
 
-func init() {
-	CtxSpawn.Flags.String("packages", defaultCoordPackages,
-		"comma-separated package path suffixes whose goroutines must receive a context")
-}
-
 func runCtxSpawn(pass *analysis.Pass) (interface{}, error) {
-	if !pkgInPatterns(pass.Pkg.Path(), pass.Analyzer.Flags.Lookup("packages").Value.String()) {
+	if !pathMatches(pass.Pkg.Path(), defaultCoordPackages) {
 		return nil, nil
 	}
 	dirs := scanDirectives(pass, ctxSpawnName)
@@ -45,7 +40,7 @@ func runCtxSpawn(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			if goReferencesContext(pass, g) || dirs.allowed(g.Pos()) {
+			if goReferencesContext(pass, g) || dirs.allowed(ctxSpawnName, g.Pos()) {
 				return true
 			}
 			pass.Reportf(g.Pos(),
@@ -53,6 +48,7 @@ func runCtxSpawn(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
+	dirs.reportUnused(pass)
 	return nil, nil
 }
 

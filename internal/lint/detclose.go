@@ -14,9 +14,11 @@ import (
 // whose transitive call closure must reach no tainted function. They
 // are the functions the after-the-fact tests pin — the campaign
 // runner and its range/merge API, the engine step path, the sketch
-// fold/merge/marshal path, and the coordinator's merge/partition
-// half. Package parts are path suffixes (pathMatches), so the list
-// works under any module path prefix.
+// fold/merge/marshal path, the coordinator's merge/partition half —
+// plus the planners and the figure drivers. Each concrete Plan method
+// is a root of its own because calls through the Planner interface
+// are not resolved. Package parts are path suffixes (pathMatches), so
+// the list works under any module path prefix.
 const defaultRoots = "internal/campaign.Run," +
 	"internal/campaign.RunContext," +
 	"internal/campaign.RunRange," +
@@ -36,14 +38,43 @@ const defaultRoots = "internal/campaign.Run," +
 	"internal/sketch.(*Weighted).Merge," +
 	"internal/sketch.(*Weighted).MarshalBinary," +
 	"internal/coord.partitionJob," +
-	"internal/coord.mergeJob"
+	"internal/coord.mergeJob," +
+	"internal/plan.(Brute).Plan," +
+	"internal/plan.(Corr).Plan," +
+	"internal/plan.(DP).Plan," +
+	"internal/plan.(Full).Plan," +
+	"internal/plan.(Greedy).Plan," +
+	"internal/plan.(Portfolio).Plan," +
+	"internal/plan.(SA).Plan," +
+	"internal/plan.(Structured).Plan," +
+	"internal/experiments.Fig7," +
+	"internal/experiments.Fig8," +
+	"internal/experiments.Fig9," +
+	"internal/experiments.Fig10," +
+	"internal/experiments.Fig12Q1," +
+	"internal/experiments.Fig12Q2," +
+	"internal/experiments.Fig13Q1," +
+	"internal/experiments.Fig13Q2," +
+	"internal/experiments.Fig14a," +
+	"internal/experiments.Fig14b," +
+	"internal/experiments.Fig14c," +
+	"internal/experiments.Fig14d," +
+	"internal/experiments.DomainSweep"
 
-// defaultFirstParty is the import-path prefix of code analysed for
-// taint. Standard-library and vendored third-party packages are
-// assumed deterministic unless referenced directly through one of the
-// taint-source predicates (time.Now, rand.Intn, ...), which fire at
-// the calling line in first-party code.
-const defaultFirstParty = "repro"
+// defaultDeterministicPackages are the package-path suffixes whose
+// results must be a pure function of their inputs: everything the
+// golden-hash and distributed-golden tests pin. Wall-clock reads are
+// reported directly only here; internal/coord is absent deliberately,
+// since its heartbeat machinery is wall-clock by design and its
+// deterministic half is covered by the partitionJob/mergeJob roots.
+const defaultDeterministicPackages = "internal/sim,internal/engine,internal/campaign,internal/sketch,internal/plan,internal/cluster"
+
+// firstParty is the module path of the code detclose analyses.
+// Standard-library and vendored third-party packages are assumed
+// deterministic unless referenced directly through one of the source
+// detectors (time.Now, rand.Intn, ...), which fire at the calling line
+// in first-party code.
+const firstParty = "repro"
 
 // taintFact marks a function whose result can depend on something
 // other than its explicit inputs: the wall clock, the process-global
@@ -65,32 +96,38 @@ func (f *taintFact) String() string {
 	return "tainted: " + f.Chain[len(f.Chain)-1]
 }
 
-// DetClose computes the interprocedural determinism closure. For
-// every function it derives a Deterministic/Tainted verdict: a
-// function is tainted if its body trips one of the taint-source
-// detectors (the walltime, globalrand, maporder and floatfold
-// analyzers re-used as sources) or if it calls a tainted function —
-// in this package or, through exported facts and the vet driver's
-// dependency-order loading, in any package below it. The declared
-// roots (-roots) must be untainted: a tainted root is reported with
-// the full call chain down to the source, so one time.Now() three
-// helpers deep below campaign.Run names every hop. File-level
-// //ppalint:deterministic markers that the closure already covers are
-// reported as redundant, as are //ppalint:allow directives that no
-// longer suppress anything.
+// DetClose is the one determinism analyzer. In every first-party
+// non-test function and package-level initializer it reports each
+// direct source at its line: wall-clock reads (walltime; in the
+// deterministic packages only), process-global or wall-clock-seeded
+// randomness (globalrand), order-sensitive work inside map iteration
+// (maporder) and order-dependent floating-point accumulation
+// (floatfold). Every source, reported or not, taints its function, and
+// so does a call to a tainted function — in this package or, through
+// exported facts and the vet driver's dependency-order loading, in
+// any package below it. The declared roots (-roots) must be
+// untainted: a tainted root is reported with the full call chain down
+// to the source, so one time.Now() three helpers deep below
+// campaign.Run names every hop. //ppalint:allow directives that no
+// longer suppress anything are reported too.
 var DetClose = &analysis.Analyzer{
 	Name: detCloseName,
-	Doc: "verify the interprocedural determinism closure of the declared roots\n\n" +
-		"Exports a per-function Deterministic/Tainted fact (tainted by wall-clock\n" +
-		"reads, process-global randomness, order-sensitive map iteration and\n" +
-		"unordered float accumulation — the walltime/globalrand/maporder/floatfold\n" +
-		"detectors as taint sources), propagates it bottom-up across packages, and\n" +
-		"requires that the transitive call closure of the declared determinism\n" +
-		"roots reaches no tainted function. A tainted root is reported with the\n" +
-		"full taint trace. Suppress a source with //ppalint:allow <source> <reason>\n" +
-		"on the offending line; that also stops the taint from propagating.\n" +
-		"Dynamic calls (interface methods, stored func values) are not resolved:\n" +
-		"the closure covers static calls and function references.",
+	Doc: "report determinism hazards (walltime, globalrand, maporder, floatfold) and verify the call closure of the declared roots\n\n" +
+		"Reports each direct source at its line in every first-party function and\n" +
+		"package-level initializer: wall-clock reads (walltime, only in the deterministic\n" +
+		"packages " + defaultDeterministicPackages + "),\n" +
+		"top-level math/rand draws and wall-clock-seeded sources (globalrand),\n" +
+		"order-sensitive work inside map iteration — appends not sorted after the loop,\n" +
+		"sends, output, string concatenation, Add/Merge/... folds (maporder) — and float\n" +
+		"+= / *= into a shared variable from map iteration, a goroutine or an\n" +
+		"internal/par worker callback (floatfold). Every source taints its function; the\n" +
+		"per-function Deterministic/Tainted fact propagates bottom-up across packages,\n" +
+		"and the transitive call closure of the declared determinism roots must reach\n" +
+		"no tainted function. A tainted root is reported with the full taint trace.\n" +
+		"Suppress a source with //ppalint:allow <source> <reason> on the offending line;\n" +
+		"that also stops the taint from propagating. Dynamic calls (interface methods,\n" +
+		"stored func values) are not resolved: the closure covers static calls and\n" +
+		"function references.",
 	Run:       runDetClose,
 	FactTypes: []analysis.Fact{(*taintFact)(nil)},
 }
@@ -98,8 +135,6 @@ var DetClose = &analysis.Analyzer{
 func init() {
 	DetClose.Flags.String("roots", defaultRoots,
 		"comma-separated determinism roots: pkgsuffix.Func or pkgsuffix.(*Type).Method")
-	DetClose.Flags.String("firstparty", defaultFirstParty,
-		"comma-separated import-path prefixes analysed for taint sources")
 }
 
 // rootSpec is one parsed root declaration.
@@ -170,20 +205,29 @@ type callEdge struct {
 // fnNode is one function declaration under analysis.
 type fnNode struct {
 	obj   *types.Func
-	decl  *ast.FuncDecl
 	edges []callEdge
 	fact  *taintFact
 }
 
-// detSourceAnalyzers are the analyzers whose findings seed the taint
-// propagation; their allow directives suppress the matching source.
-var detSourceAnalyzers = []string{wallTimeName, globalRandName, mapOrderName, floatFoldName, detCloseName}
-
 func runDetClose(pass *analysis.Pass) (interface{}, error) {
-	if !firstParty(pass) {
+	if path := pass.Pkg.Path(); path != firstParty && !strings.HasPrefix(path, firstParty+"/") {
 		return nil, nil
 	}
-	dirs := scanDirectivesFor(pass, detSourceAnalyzers, []string{detCloseName})
+	dirs := scanDirectives(pass, detCloseName, wallTimeName, globalRandName, mapOrderName, floatFoldName)
+	detPkg := pkgInPatterns(pass.Pkg.Path(), defaultDeterministicPackages)
+
+	// sources returns root's unsuppressed direct sources, reporting each
+	// at its line; outside the deterministic packages a wall-clock read
+	// only taints.
+	sources := func(root ast.Node) []taintSource {
+		srcs := scanTaintSources(pass, root, dirs)
+		for _, s := range srcs {
+			if s.kind != wallTimeName || detPkg {
+				pass.Reportf(s.pos, "%s (or //ppalint:allow %s <reason>)", s.msg, s.kind)
+			}
+		}
+		return srcs
+	}
 
 	// Collect the package's function declarations with their direct
 	// taint sources and outgoing call edges. Test files are skipped:
@@ -202,23 +246,20 @@ func runDetClose(pass *analysis.Pass) (interface{}, error) {
 				if obj == nil || d.Body == nil {
 					continue
 				}
-				n := &fnNode{obj: obj, decl: d}
-				if srcs := scanTaintSources(pass, d.Body, dirs); len(srcs) > 0 {
-					s := srcs[0]
-					n.fact = &taintFact{Chain: []string{sprintf("%s (%s) %s",
-						funcDisplay(obj), posString(pass, s.pos), s.desc)}}
+				n := &fnNode{obj: obj, edges: collectEdges(pass, d.Body, obj)}
+				if srcs := sources(d.Body); len(srcs) > 0 {
+					n.fact = &taintFact{Chain: []string{sprintf("%s (%s): %s",
+						funcDisplay(obj), posString(pass, srcs[0].pos), srcs[0].msg)}}
 				}
-				n.edges = collectEdges(pass, d.Body, obj)
 				nodes = append(nodes, n)
 				byObj[obj] = n
 			case *ast.GenDecl:
-				// Package-level initializers are scanned only so allow
-				// directives inside them register as used; their taint,
-				// if any, has no per-function home.
+				// Package-level initializers: their sources are reported,
+				// but their taint has no per-function home.
 				for _, spec := range d.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
 						for _, v := range vs.Values {
-							scanTaintSources(pass, v, dirs)
+							sources(v)
 						}
 					}
 				}
@@ -271,7 +312,6 @@ func runDetClose(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	// Verify the declared roots.
-	var rootObjs []*types.Func
 	for _, raw := range strings.Split(pass.Analyzer.Flags.Lookup("roots").Value.String(), ",") {
 		raw = strings.TrimSpace(raw)
 		if raw == "" {
@@ -290,31 +330,17 @@ func runDetClose(pass *analysis.Pass) (interface{}, error) {
 			pass.Reportf(pass.Files[0].Name.Pos(), "detclose: root %q not found in package %s (typo in the roots declaration?)", spec.raw, pass.Pkg.Path())
 			continue
 		}
-		rootObjs = append(rootObjs, obj)
 		n := byObj[obj]
 		if n == nil || n.fact == nil {
 			continue
 		}
 		pass.Reportf(obj.Pos(),
-			"%s is a declared determinism root but its call closure is tainted:\n\t%s\nbreak the chain, or //ppalint:allow <source-analyzer> <reason> at the source line",
+			"%s is a declared determinism root but its call closure is tainted:\n\t%s\nbreak the chain, or //ppalint:allow <source> <reason> at the source line",
 			funcDisplay(obj), strings.Join(n.fact.Chain, "\n\t"))
 	}
 
-	reportRedundantMarkers(pass, dirs, byObj, rootObjs)
-	reportUnusedAllows(pass, dirs)
+	dirs.reportUnused(pass)
 	return nil, nil
-}
-
-// firstParty reports whether the package is in the analysed scope.
-func firstParty(pass *analysis.Pass) bool {
-	flags := pass.Analyzer.Flags.Lookup("firstparty").Value.String()
-	path := pass.Pkg.Path()
-	for _, p := range strings.Split(flags, ",") {
-		if p = strings.TrimSpace(p); p != "" && (path == p || strings.HasPrefix(path, p+"/")) {
-			return true
-		}
-	}
-	return false
 }
 
 // collectEdges gathers every static call or reference to a function
@@ -369,74 +395,4 @@ func funcDisplay(fn *types.Func) string {
 func posString(pass *analysis.Pass, pos token.Pos) string {
 	p := pass.Fset.Position(pos)
 	return sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
-// reportRedundantMarkers flags //ppalint:deterministic file markers
-// the closure machinery has made unnecessary: markers in packages
-// already covered by walltime's deterministic package set, and
-// markers on files whose every function sits inside the local closure
-// of the declared roots — there the root-anchored interprocedural
-// check supersedes the file-level comment.
-func reportRedundantMarkers(pass *analysis.Pass, dirs *directives, byObj map[*types.Func]*fnNode, roots []*types.Func) {
-	inDetSet := pkgInPatterns(pass.Pkg.Path(), defaultDeterministicPackages)
-
-	// Local closure: the roots declared in this package plus every
-	// same-package function reachable from them through static edges.
-	closure := make(map[*types.Func]bool)
-	queue := append([]*types.Func(nil), roots...)
-	for len(queue) > 0 {
-		obj := queue[0]
-		queue = queue[1:]
-		if closure[obj] {
-			continue
-		}
-		closure[obj] = true
-		if n := byObj[obj]; n != nil {
-			for _, e := range n.edges {
-				if _, local := byObj[e.callee]; local && !closure[e.callee] {
-					queue = append(queue, e.callee)
-				}
-			}
-		}
-	}
-
-	for f, mpos := range dirs.deterministic {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
-		if inDetSet {
-			pass.Reportf(mpos, "//ppalint:deterministic is redundant: package %s is already in the deterministic package set", pass.Pkg.Path())
-			continue
-		}
-		covered, funcs := true, 0
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			funcs++
-			obj, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
-			if obj == nil || !closure[obj] {
-				covered = false
-				break
-			}
-		}
-		if funcs > 0 && covered {
-			pass.Reportf(mpos, "//ppalint:deterministic is redundant: every function in this file is in the call closure of the declared detclose roots, which is checked interprocedurally")
-		}
-	}
-}
-
-// reportUnusedAllows flags allow directives of the taint-source
-// analyzers (and detclose) that suppressed nothing: the construct
-// they excused is gone, so the directive is stale and should be
-// deleted before it silently excuses a future regression.
-func reportUnusedAllows(pass *analysis.Pass, dirs *directives) {
-	for _, dir := range dirs.unused() {
-		f := enclosingFile(pass, dir.pos)
-		if f == nil || isTestFile(pass.Fset, f) {
-			continue
-		}
-		pass.Reportf(dir.pos, "//ppalint:allow %s suppresses nothing on this line; delete the stale directive", dir.analyzer)
-	}
 }

@@ -26,17 +26,12 @@ const defaultCoordPackages = "internal/coord"
 var FrameCase = &analysis.Analyzer{
 	Name: frameCaseName,
 	Doc: "require exhaustive switches over protocol frame kinds\n\n" +
-		"A switch whose cases reference members of a package-level string-constant\n" +
-		"group (the frame/message kinds) must either cover every member or carry a\n" +
-		"non-empty default that handles the unknown kind explicitly. An empty\n" +
-		"default silently drops frames and is reported. Suppress an intentional\n" +
-		"partial dispatch with //ppalint:allow framecase <reason>.",
+		"In " + defaultCoordPackages + ", a switch whose cases reference members of a\n" +
+		"package-level string-constant group (the frame/message kinds) must either\n" +
+		"cover every member or carry a non-empty default that handles the unknown\n" +
+		"kind explicitly. An empty default silently drops frames and is reported.\n" +
+		"Suppress an intentional partial dispatch with //ppalint:allow framecase <reason>.",
 	Run: runFrameCase,
-}
-
-func init() {
-	FrameCase.Flags.String("packages", defaultCoordPackages,
-		"comma-separated package path suffixes checked for frame-kind exhaustiveness")
 }
 
 // constGroup is one package-level parenthesized const block of ≥2
@@ -47,7 +42,7 @@ type constGroup struct {
 }
 
 func runFrameCase(pass *analysis.Pass) (interface{}, error) {
-	if !pkgInPatterns(pass.Pkg.Path(), pass.Analyzer.Flags.Lookup("packages").Value.String()) {
+	if !pathMatches(pass.Pkg.Path(), defaultCoordPackages) {
 		return nil, nil
 	}
 	dirs := scanDirectives(pass, frameCaseName)
@@ -87,10 +82,6 @@ func runFrameCase(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	if len(byConst) == 0 {
-		return nil, nil
-	}
-
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f) {
 			continue
@@ -103,6 +94,7 @@ func runFrameCase(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
+	dirs.reportUnused(pass)
 	return nil, nil
 }
 
@@ -135,11 +127,8 @@ func checkFrameSwitch(pass *analysis.Pass, dirs *directives, byConst map[types.O
 	if group == nil {
 		return // not a switch over a frame-kind group
 	}
-	if dirs.allowed(sw.Pos()) {
-		return
-	}
 	if defaultClause != nil {
-		if len(defaultClause.Body) == 0 {
+		if len(defaultClause.Body) == 0 && !dirs.allowed(frameCaseName, sw.Pos()) {
 			pass.Reportf(defaultClause.Pos(),
 				"empty default in a switch over %s* kinds silently drops unhandled frames; reject the unknown kind explicitly (or //ppalint:allow framecase <reason>)",
 				group.label)
@@ -152,7 +141,7 @@ func checkFrameSwitch(pass *analysis.Pass, dirs *directives, byConst map[types.O
 			missing = append(missing, m.Name())
 		}
 	}
-	if len(missing) > 0 {
+	if len(missing) > 0 && !dirs.allowed(frameCaseName, sw.Pos()) {
 		pass.Reportf(sw.Pos(),
 			"switch over %s* kinds is not exhaustive: missing %s; add the cases or a default that rejects the unknown kind (or //ppalint:allow framecase <reason>)",
 			group.label, strings.Join(missing, ", "))

@@ -7,43 +7,41 @@
 //
 // Analyzers (see Analyzers):
 //
-//	walltime     wall-clock time in deterministic packages
-//	globalrand   process-global or wall-clock-seeded randomness
-//	maporder     order-sensitive work inside map iteration
-//	floatfold    order-dependent floating-point accumulation
 //	pooledescape use of pooled values after their release
-//	detclose     interprocedural determinism closure over declared roots
+//	detclose     determinism hazards and the closure of declared roots
 //	framecase    exhaustive switches over protocol frame kinds
 //	ctxspawn     goroutines must receive a context
 //	lockheld     no blocking channel op or I/O while holding a mutex
 //
-// The first four analyzers double as taint *sources* for detclose,
-// which propagates a per-function Deterministic/Tainted fact bottom-up
-// across packages through the vet driver's dependency-order loading
-// and verifies that the transitive call closure of the declared
-// determinism roots (campaign.Run/RunRange, the engine step path, the
-// sketch fold/merge/marshal path, the coordinator's merge/partition
-// half) reaches no tainted function. See detclose.go.
+// detclose is the one determinism analyzer. In every first-party
+// non-test function and package-level initializer it reports four
+// kinds of direct source at their line: wall-clock reads (walltime,
+// reported in the deterministic packages only), process-global or
+// wall-clock-seeded randomness (globalrand), order-sensitive work
+// inside map iteration (maporder) and floating-point accumulation in
+// nondeterministic order (floatfold). It also propagates a
+// per-function Deterministic/Tainted fact bottom-up across packages
+// through the vet driver's dependency-order loading, and verifies
+// that the transitive call closure of the declared determinism roots
+// (campaign.Run/RunRange, the engine step path, the sketch
+// fold/merge/marshal path, the planners, the figure drivers, the
+// coordinator's merge/partition half) reaches no tainted function.
+// See detclose.go.
 //
 // A finding that is intentional is suppressed in place with a
 // directive comment, on the offending line or the line above:
 //
-//	//ppalint:allow <analyzer> <reason>
+//	//ppalint:allow <analyzer-or-source> <reason>
 //
 // The reason is mandatory: a directive without one does not suppress
-// anything and is itself reported. Files outside the deterministic
-// package set opt into the walltime analyzer with a file-level
-//
-//	//ppalint:deterministic
-//
-// comment (conventionally next to the package clause); detclose
-// reports such markers as redundant once the file is covered by the
-// root closure, which checks the same property interprocedurally.
+// anything and is itself reported, as is a directive that suppresses
+// nothing.
 package lint
 
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -52,10 +50,6 @@ import (
 // Analyzers returns the full ppalint suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		WallTime,
-		GlobalRand,
-		MapOrder,
-		FloatFold,
 		PooledEscape,
 		DetClose,
 		FrameCase,
@@ -64,128 +58,87 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-const (
-	allowPrefix         = "//ppalint:allow"
-	deterministicMarker = "//ppalint:deterministic"
-)
+const allowPrefix = "//ppalint:allow"
 
 // Analyzer names, shared between the Analyzer literals and their run
 // functions (the run functions cannot reference the analyzer vars —
-// that would be an initialization cycle).
+// that would be an initialization cycle). The four source kinds are
+// detclose's allow names besides its own.
 const (
-	wallTimeName     = "walltime"
-	globalRandName   = "globalrand"
-	mapOrderName     = "maporder"
-	floatFoldName    = "floatfold"
 	pooledEscapeName = "pooledescape"
 	detCloseName     = "detclose"
 	frameCaseName    = "framecase"
 	ctxSpawnName     = "ctxspawn"
 	lockHeldName     = "lockheld"
+
+	wallTimeName   = "walltime"
+	globalRandName = "globalrand"
+	mapOrderName   = "maporder"
+	floatFoldName  = "floatfold"
 )
 
 // allowDirective is one parsed //ppalint:allow comment with a reason.
 type allowDirective struct {
-	pos      token.Pos
-	file     string
-	line     int
-	analyzer string
-	used     bool
-}
-
-// marker is one file-level //ppalint:deterministic comment.
-type marker struct {
-	file *ast.File
 	pos  token.Pos
+	name string
+	used bool
 }
 
-// directives indexes one pass's ppalint comments for a set of
-// analyzers: suppressions by (analyzer, file, line) and the file-level
-// deterministic markers. Reasonless directives naming an analyzer in
-// reportFor are reported during the scan — they suppress nothing.
+// allowKey locates a directive: the name it allows and its line.
+type allowKey struct {
+	name string
+	file string
+	line int
+}
+
+// directives indexes one pass's //ppalint:allow comments for a set of
+// names. Test files are skipped: no analyzer checks them, so a
+// directive there has nothing to suppress.
 type directives struct {
-	fset          *token.FileSet
-	allow         map[string]map[string]map[int]*allowDirective // analyzer -> filename -> line
-	deterministic map[*ast.File]token.Pos
+	fset  *token.FileSet
+	byKey map[allowKey]*allowDirective
+	list  []*allowDirective // in scan order: file, then position
 }
 
-// scanDirectives parses every comment of the pass once for the named
-// analyzer, reporting reasonless directives that name it.
-func scanDirectives(pass *analysis.Pass, analyzer string) *directives {
-	return scanDirectivesFor(pass, []string{analyzer}, []string{analyzer})
-}
-
-// scanDirectivesFor parses every comment of the pass for the named
-// analyzers. Reasonless directives are reported only for the names in
-// reportReasonless, so that an analyzer consuming another analyzer's
-// directives (detclose consumes the taint-source analyzers') does not
-// duplicate that analyzer's own report.
-func scanDirectivesFor(pass *analysis.Pass, analyzers, reportReasonless []string) *directives {
-	names := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		names[a] = true
-	}
-	reasonless := make(map[string]bool, len(reportReasonless))
-	for _, a := range reportReasonless {
-		reasonless[a] = true
-	}
-	d := &directives{
-		fset:          pass.Fset,
-		allow:         make(map[string]map[string]map[int]*allowDirective),
-		deterministic: make(map[*ast.File]token.Pos),
-	}
+// scanDirectives parses every comment of the pass's non-test files
+// once for the named analyzers, reporting reasonless directives that
+// name one of them: they suppress nothing.
+func scanDirectives(pass *analysis.Pass, names ...string) *directives {
+	d := &directives{fset: pass.Fset, byKey: make(map[allowKey]*allowDirective)}
 	for _, f := range pass.Files {
+		if isTestFile(pass.Fset, f) {
+			continue
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if text == deterministicMarker || strings.HasPrefix(text, deterministicMarker+" ") {
-					d.deterministic[f] = c.Pos()
+				if !strings.HasPrefix(c.Text, allowPrefix) {
 					continue
 				}
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, allowPrefix))
-				if len(fields) == 0 || !names[fields[0]] {
-					continue // another analyzer's directive (or empty: ignored by all)
+				fields := strings.Fields(strings.TrimPrefix(c.Text, allowPrefix))
+				if len(fields) == 0 || !slices.Contains(names, fields[0]) {
+					continue // another analyzer's directive
 				}
 				if len(fields) < 2 {
-					if reasonless[fields[0]] {
-						pass.Reportf(c.Pos(), "ppalint:allow %s needs a reason (\"//ppalint:allow %s <why this is safe>\")", fields[0], fields[0])
-					}
+					pass.Reportf(c.Pos(), "ppalint:allow %s needs a reason (\"//ppalint:allow %s <why this is safe>\")", fields[0], fields[0])
 					continue
 				}
-				pos := d.fset.Position(c.Pos())
-				files := d.allow[fields[0]]
-				if files == nil {
-					files = make(map[string]map[int]*allowDirective)
-					d.allow[fields[0]] = files
-				}
-				lines := files[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]*allowDirective)
-					files[pos.Filename] = lines
-				}
-				lines[pos.Line] = &allowDirective{
-					pos: c.Pos(), file: pos.Filename, line: pos.Line, analyzer: fields[0],
-				}
+				p := d.fset.Position(c.Pos())
+				dir := &allowDirective{pos: c.Pos(), name: fields[0]}
+				d.byKey[allowKey{dir.name, p.Filename, p.Line}] = dir
+				d.list = append(d.list, dir)
 			}
 		}
 	}
 	return d
 }
 
-// allowedFor reports whether a finding of the named analyzer at pos is
-// suppressed by a directive on the same line or the line immediately
-// above, marking the directive used.
-func (d *directives) allowedFor(analyzer string, pos token.Pos) bool {
+// allowed reports whether a finding of the named analyzer (or source)
+// at pos is suppressed by a directive on the same line or the line
+// immediately above, marking the directive used.
+func (d *directives) allowed(name string, pos token.Pos) bool {
 	p := d.fset.Position(pos)
-	lines := d.allow[analyzer][p.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, l := range []int{p.Line, p.Line - 1} {
-		if dir := lines[l]; dir != nil {
+	for _, line := range []int{p.Line, p.Line - 1} {
+		if dir := d.byKey[allowKey{name, p.Filename, line}]; dir != nil {
 			dir.used = true
 			return true
 		}
@@ -193,49 +146,16 @@ func (d *directives) allowedFor(analyzer string, pos token.Pos) bool {
 	return false
 }
 
-// allowed is allowedFor over the single analyzer the directives were
-// scanned for — the common single-analyzer case.
-func (d *directives) allowed(pos token.Pos) bool {
-	for analyzer := range d.allow {
-		if d.allowedFor(analyzer, pos) {
-			return true
+// reportUnused flags the scanned directives that suppressed nothing:
+// the construct they excused is gone, so the directive is stale and
+// should be deleted before it silently excuses a future regression.
+// Each analyzer calls it at the end of its run.
+func (d *directives) reportUnused(pass *analysis.Pass) {
+	for _, dir := range d.list {
+		if !dir.used {
+			pass.Reportf(dir.pos, "//ppalint:allow %s suppresses nothing on this line; delete the stale directive", dir.name)
 		}
 	}
-	// No directive of any scanned analyzer covers pos.
-	return false
-}
-
-// unused returns the scanned directives never marked used, in file
-// then line order.
-func (d *directives) unused() []*allowDirective {
-	var out []*allowDirective
-	for _, files := range d.allow {
-		for _, lines := range files {
-			for _, dir := range lines {
-				if !dir.used {
-					//ppalint:allow maporder collection order is erased by sortDirectives below
-					out = append(out, dir)
-				}
-			}
-		}
-	}
-	sortDirectives(out)
-	return out
-}
-
-func sortDirectives(ds []*allowDirective) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && (ds[j].file < ds[j-1].file || (ds[j].file == ds[j-1].file && ds[j].line < ds[j-1].line)); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-// isDeterministicFile reports whether f carries the file-level
-// //ppalint:deterministic marker.
-func (d *directives) isDeterministicFile(f *ast.File) bool {
-	_, ok := d.deterministic[f]
-	return ok
 }
 
 // isTestFile reports whether the file's name ends in _test.go.
@@ -246,31 +166,19 @@ func isTestFile(fset *token.FileSet, f *ast.File) bool {
 }
 
 // pathMatches reports whether pkgpath equals pattern or ends in
-// "/"+pattern — suffix matching on whole path elements, so the
-// deterministic package list works for any module path prefix.
+// "/"+pattern — suffix matching on whole path elements, so package
+// lists and root specs work for any module path prefix.
 func pathMatches(pkgpath, pattern string) bool {
 	return pkgpath == pattern || strings.HasSuffix(pkgpath, "/"+pattern)
 }
 
 // pkgInPatterns reports whether pkgpath matches any pattern in the
-// comma-separated list — the shared scope gate of the path-scoped
-// analyzers (walltime's deterministic set, the coord-focused
-// framecase/ctxspawn/lockheld).
+// comma-separated list, such as the deterministic package set.
 func pkgInPatterns(pkgpath, patterns string) bool {
 	for _, p := range strings.Split(patterns, ",") {
-		if p = strings.TrimSpace(p); p != "" && pathMatches(pkgpath, p) {
+		if pathMatches(pkgpath, p) {
 			return true
 		}
 	}
 	return false
-}
-
-// enclosingFile returns the *ast.File of pos.
-func enclosingFile(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -12,32 +12,39 @@ func fixture(parts ...string) string {
 	return filepath.Join(append([]string{"testdata", "src"}, parts...)...)
 }
 
+// runSources runs detclose's direct source reports over one fixture
+// package, with no roots declared.
+func runSources(t *testing.T, dir, importPath string) {
+	t.Helper()
+	linttest.SetFlag(t, lint.DetClose, "roots", "")
+	linttest.Run(t, dir, importPath, lint.DetClose)
+}
+
 // TestWallTime: wall-clock reads are reported in deterministic
-// packages (by import-path suffix), ignored elsewhere, and re-enabled
-// per file by the //ppalint:deterministic marker.
+// packages (by import-path suffix) and only taint elsewhere.
 func TestWallTime(t *testing.T) {
-	linttest.Run(t, fixture("walltime", "inscope"), "repro/internal/engine", lint.WallTime)
-	linttest.Run(t, fixture("walltime", "outofscope"), "example.com/other", lint.WallTime)
+	runSources(t, fixture("walltime", "inscope"), "repro/internal/engine")
+	runSources(t, fixture("walltime", "outofscope"), "repro/other")
 }
 
 // TestGlobalRand: top-level math/rand draws and wall-clock-seeded
 // sources are reported everywhere outside _test.go files.
 func TestGlobalRand(t *testing.T) {
-	linttest.Run(t, fixture("globalrand", "a"), "example.com/a", lint.GlobalRand)
+	runSources(t, fixture("globalrand", "a"), "repro/a")
 }
 
 // TestMapOrder: order-sensitive bodies of range-over-map loops are
 // reported; collect-then-sort, map-to-map and commutative counters
 // are not.
 func TestMapOrder(t *testing.T) {
-	linttest.Run(t, fixture("maporder", "a"), "example.com/m", lint.MapOrder)
+	runSources(t, fixture("maporder", "a"), "repro/m")
 }
 
 // TestFloatFold: non-associative FP accumulation inside map iteration
 // and goroutines is reported; integer sums and loop-local
 // accumulators are not.
 func TestFloatFold(t *testing.T) {
-	linttest.Run(t, fixture("floatfold", "a"), "example.com/f", lint.FloatFold)
+	runSources(t, fixture("floatfold", "a"), "repro/f")
 }
 
 // TestPooledEscape: uses of pooled values after sync.Pool Put or
@@ -50,26 +57,16 @@ func TestPooledEscape(t *testing.T) {
 // TestDetCloseCrossPackage: a wall-clock read two calls below a
 // declared root in a *different* package is reported at the root with
 // the full taint chain, proving the fact propagation across package
-// boundaries. Suppressed sources (dep.Seeded) do not propagate, and
-// stale suppressions are reported.
+// boundaries. Outside the deterministic packages that read is not
+// reported at its own line, while a map-order fold is. Suppressed
+// sources (dep.Seeded) do not propagate, and stale suppressions are
+// reported.
 func TestDetCloseCrossPackage(t *testing.T) {
 	linttest.SetFlag(t, lint.DetClose, "roots",
 		"fixture/rootpkg.Run,fixture/rootpkg.Run2,fixture/rootpkg.(*Agg).Merge,fixture/rootpkg.Sum")
 	linttest.RunPackages(t, lint.DetClose,
 		linttest.Pkg{Dir: fixture("detclose", "dep"), ImportPath: "repro/fixture/dep"},
 		linttest.Pkg{Dir: fixture("detclose", "rootpkg"), ImportPath: "repro/fixture/rootpkg"},
-	)
-}
-
-// TestDetCloseMarkers: //ppalint:deterministic file markers are
-// reported as redundant when the package is already in the
-// deterministic set or when the root closure covers every function in
-// the file.
-func TestDetCloseMarkers(t *testing.T) {
-	linttest.SetFlag(t, lint.DetClose, "roots", "fixture/marked.Root")
-	linttest.RunPackages(t, lint.DetClose,
-		linttest.Pkg{Dir: fixture("detclose", "marked"), ImportPath: "repro/fixture/marked"},
-		linttest.Pkg{Dir: fixture("detclose", "detset"), ImportPath: "repro/internal/plan"},
 	)
 }
 

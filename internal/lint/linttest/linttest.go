@@ -43,8 +43,6 @@ import (
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // Pkg is one fixture package for RunPackages: a directory loaded
@@ -83,9 +81,8 @@ func SetFlag(t *testing.T, a *analysis.Analyzer, name, value string) {
 	t.Cleanup(func() { _ = a.Flags.Set(name, prev) })
 }
 
-// Run loads dir as one package under importPath, runs a (with the
-// inspect dependency satisfied), and checks diagnostics against the
-// fixtures' want comments.
+// Run loads dir as one package under importPath, runs a, and checks
+// diagnostics against the fixtures' want comments.
 func Run(t *testing.T, dir, importPath string, a *analysis.Analyzer) {
 	t.Helper()
 	RunPackages(t, a, Pkg{Dir: dir, ImportPath: importPath})
@@ -97,6 +94,9 @@ func Run(t *testing.T, dir, importPath string, a *analysis.Analyzer) {
 // comments.
 func RunPackages(t *testing.T, a *analysis.Analyzer, pkgs ...Pkg) {
 	t.Helper()
+	if len(a.Requires) > 0 {
+		t.Fatalf("linttest: analyzer %s requires other analyzers; the harness runs standalone analyzers only", a.Name)
+	}
 	fset := token.NewFileSet()
 	store := newFactStore()
 	byPath := make(map[string]*types.Package)
@@ -146,14 +146,6 @@ func RunPackages(t *testing.T, a *analysis.Analyzer, pkgs ...Pkg) {
 			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
 			AllPackageFacts:   func() []analysis.PackageFact { return nil },
 			ReadFile:          os.ReadFile,
-		}
-		for _, dep := range a.Requires {
-			switch dep {
-			case inspect.Analyzer:
-				pass.ResultOf[inspect.Analyzer] = inspector.New(files)
-			default:
-				t.Fatalf("linttest: analyzer %s requires unsupported dependency %s", a.Name, dep.Name)
-			}
 		}
 		if _, err := a.Run(pass); err != nil {
 			t.Fatalf("linttest: analyzer %s on %s: %v", a.Name, p.ImportPath, err)

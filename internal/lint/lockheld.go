@@ -24,18 +24,13 @@ var LockHeld = &analysis.Analyzer{
 	Name: lockHeldName,
 	Doc: "forbid blocking operations while holding a mutex\n\n" +
 		"Between mu.Lock() and mu.Unlock() (including the span of a deferred\n" +
-		"unlock) the scoped packages must not send or receive on channels, select\n" +
+		"unlock) " + defaultCoordPackages + " must not send or receive on channels, select\n" +
 		"without a default, or perform blocking I/O (io/net/bufio/os reads and\n" +
 		"writes, net dials and accepts). A blocked lock holder stalls every\n" +
 		"contender. Intentional short critical-section I/O is annotated with\n" +
 		"//ppalint:allow lockheld <reason>. sync.Cond.Wait is exempt: it releases\n" +
 		"the lock while blocking.",
 	Run: runLockHeld,
-}
-
-func init() {
-	LockHeld.Flags.String("packages", defaultCoordPackages,
-		"comma-separated package path suffixes checked for blocking ops under locks")
 }
 
 // blockingIOMethods are method names that block on I/O when the
@@ -53,7 +48,7 @@ var blockingNetFuncs = map[string]bool{
 }
 
 func runLockHeld(pass *analysis.Pass) (interface{}, error) {
-	if !pkgInPatterns(pass.Pkg.Path(), pass.Analyzer.Flags.Lookup("packages").Value.String()) {
+	if !pathMatches(pass.Pkg.Path(), defaultCoordPackages) {
 		return nil, nil
 	}
 	dirs := scanDirectives(pass, lockHeldName)
@@ -78,6 +73,7 @@ func runLockHeld(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
+	dirs.reportUnused(pass)
 	return nil, nil
 }
 
@@ -271,7 +267,7 @@ func (lh *lockHeldScan) blockingCall(call *ast.CallExpr, held map[string]token.P
 
 // report emits one finding if any mutex is held at pos.
 func (lh *lockHeldScan) report(pos token.Pos, what string, held map[string]token.Pos) {
-	if len(held) == 0 || lh.dirs.allowed(pos) {
+	if len(held) == 0 || lh.dirs.allowed(lockHeldName, pos) {
 		return
 	}
 	// Deterministic order for multi-lock spans: sort the keys, then

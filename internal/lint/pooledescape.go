@@ -8,8 +8,6 @@ import (
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // PooledEscape reports uses of a pooled value after its release in
@@ -38,8 +36,7 @@ var PooledEscape = &analysis.Analyzer{
 		"same function aliases memory a later Get may rewrite concurrently. Move\n" +
 		"the release after the last use, or annotate a provably safe case with\n" +
 		"//ppalint:allow pooledescape <reason>.",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runPooledEscape,
+	Run: runPooledEscape,
 }
 
 // releaseMethods are method names that return their receiver to a
@@ -50,18 +47,17 @@ var releaseMethods = map[string]bool{
 
 func runPooledEscape(pass *analysis.Pass) (interface{}, error) {
 	dirs := scanDirectives(pass, pooledEscapeName)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		if isTestFile(pass.Fset, f) {
+			continue
 		}
-		f := enclosingFile(pass, fd.Pos())
-		if f == nil || isTestFile(pass.Fset, f) {
-			return
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkPooledFunc(pass, dirs, fd.Body)
+			}
 		}
-		checkPooledFunc(pass, dirs, fd.Body)
-	})
+	}
+	dirs.reportUnused(pass)
 	return nil, nil
 }
 
@@ -213,7 +209,7 @@ func checkPooledFunc(pass *analysis.Pass, dirs *directives, body *ast.BlockStmt)
 				return true // refreshed between release and this use
 			}
 		}
-		if dirs.allowed(id.Pos()) {
+		if dirs.allowed(pooledEscapeName, id.Pos()) {
 			return true
 		}
 		pass.Reportf(id.Pos(),

@@ -1,5 +1,5 @@
 // Fixture type-checked under example.com/internal/coord, matching the
-// ctxspawn analyzer's default scope.
+// ctxspawn analyzer's scope.
 package coord
 
 import "context"
@@ -40,4 +40,10 @@ func spawnAllowed(done chan struct{}) {
 	go func() {
 		<-done
 	}()
+}
+
+// A goroutine that now receives its context needs no suppression.
+func spawnStaleAllow(ctx context.Context, work func(context.Context)) {
+	//ppalint:allow ctxspawn the goroutine used to run without ctx // want "ppalint:allow ctxspawn suppresses nothing on this line"
+	go work(ctx)
 }

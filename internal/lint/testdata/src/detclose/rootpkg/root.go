@@ -5,7 +5,7 @@ package rootpkg
 
 import "repro/fixture/dep"
 
-func Run(n int) int { // want "(?s)rootpkg.Run is a declared determinism root.*rootpkg.Run .root.go:[0-9]+. calls dep.Step.*dep.Step .dep.go:[0-9]+. calls dep.stamp.*dep.stamp .dep.go:[0-9]+. reads the wall clock via time.Now"
+func Run(n int) int { // want "(?s)rootpkg.Run is a declared determinism root.*rootpkg.Run .root.go:[0-9]+. calls dep.Step.*dep.Step .dep.go:[0-9]+. calls dep.stamp.*dep.stamp .dep.go:[0-9]+.: time.Now reads the wall clock"
 	return dep.Step(n)
 }
 
@@ -30,12 +30,12 @@ type Sketch struct{ n float64 }
 func (s *Sketch) Add(v float64) { s.n += v }
 
 // Agg folds map values in iteration order: a direct taint source on a
-// root method.
+// root method, reported at its line and at the root.
 type Agg struct{ sk Sketch }
 
 func (a *Agg) Merge(m map[string]float64) { // want "(?s)Agg..Merge is a declared determinism root.*folds values in map-iteration order"
 	for _, v := range m {
-		a.sk.Add(v)
+		a.sk.Add(v) // want "a.Add folds values in map-iteration order"
 	}
 }
 

@@ -1,5 +1,5 @@
 // Fixture type-checked under example.com/internal/coord, matching the
-// framecase analyzer's default scope.
+// framecase analyzer's scope.
 package coord
 
 import "errors"
@@ -77,6 +77,16 @@ func dispatchInt(n int) int {
 func dispatchLiteral(s string) int {
 	switch s {
 	case "other":
+		return 1
+	}
+	return 0
+}
+
+// An exhaustive switch needs no suppression: the directive is stale.
+func dispatchStaleAllow(k string) int {
+	//ppalint:allow framecase the switch used to miss kindBye // want "ppalint:allow framecase suppresses nothing on this line"
+	switch k {
+	case kindHello, kindData, kindBye:
 		return 1
 	}
 	return 0

@@ -1,5 +1,5 @@
 // Fixture type-checked under example.com/internal/coord, matching the
-// lockheld analyzer's default scope.
+// lockheld analyzer's scope.
 package coord
 
 import (
@@ -106,4 +106,12 @@ func rlockHeld(r *rwstate) {
 	r.mu.RLock()
 	r.ch <- 1 // want "channel send while holding r.mu"
 	r.mu.RUnlock()
+}
+
+// A send moved after the unlock needs no suppression.
+func staleAllow(s *state) {
+	s.mu.Lock()
+	s.mu.Unlock()
+	//ppalint:allow lockheld the send used to sit under the lock // want "ppalint:allow lockheld suppresses nothing on this line"
+	s.ch <- 1
 }

@@ -77,3 +77,12 @@ func suppressed() int {
 	pool.Put(it)
 	return it.n //ppalint:allow pooledescape fixture exercising suppression
 }
+
+// A directive left behind after the release moved below the last use
+// suppresses nothing and is reported.
+func staleAllow() int {
+	it := pool.Get().(*item)
+	n := it.n //ppalint:allow pooledescape the release used to sit above // want "ppalint:allow pooledescape suppresses nothing on this line"
+	pool.Put(it)
+	return n
+}

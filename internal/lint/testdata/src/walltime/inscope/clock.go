@@ -1,5 +1,6 @@
 // Fixture type-checked under the import path repro/internal/engine,
-// which matches the walltime analyzer's default deterministic set.
+// which matches detclose's deterministic package set, where wall-clock
+// reads are reported at their line.
 package engine
 
 import "time"

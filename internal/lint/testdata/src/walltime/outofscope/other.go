@@ -1,5 +1,5 @@
-// Fixture type-checked under example.com/other: not a deterministic
-// package, so wall-clock use is unconstrained here.
+// Fixture type-checked under repro/other: not a deterministic package,
+// so wall-clock use only taints its function and is not reported here.
 package other
 
 import "time"
