@@ -25,8 +25,8 @@
 // one.
 //
 // Aggregation streams: scenario results fold into mergeable quantile
-// sketches in scenario order (sharded by scenario index mod -shards),
-// so memory stays flat however many scenarios run — million-scenario
+// sketches in scenario order (-shards shards, each owning a contiguous
+// block of scenario indices), so memory stays flat however many scenarios run — million-scenario
 // sweeps are a matter of wall clock, not RAM. For a fixed seed and
 // shard count the summary is bit-identical at any -workers. -results
 // streams one row per scenario (CSV, or JSON lines when the path ends

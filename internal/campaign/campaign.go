@@ -231,6 +231,8 @@ func (cfg Config) Validate() error {
 		return &ConfigError{"Scenarios", "no scenarios"}
 	case cfg.Horizon < 0:
 		return &ConfigError{"Horizon", fmt.Sprintf("negative horizon %v", cfg.Horizon)}
+	case math.IsNaN(float64(cfg.Horizon)) || math.IsInf(float64(cfg.Horizon), 1):
+		return &ConfigError{"Horizon", fmt.Sprintf("non-finite horizon %v", float64(cfg.Horizon))}
 	case cfg.Baseline < 0:
 		return &ConfigError{"Baseline", fmt.Sprintf("negative baseline volume %d", cfg.Baseline)}
 	case cfg.StopTol < 0:

@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -107,6 +110,47 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(bare, GenSpec{Scenarios: 3, Model: SingleNode}); err != nil {
 		t.Errorf("single-node on bare cluster: %v", err)
+	}
+}
+
+// TestGenerateRejectsBadSpecFields: GenSpec reaches workers as JSON
+// and ppastorm fills it from flags, so Generate rejects a negative or
+// non-finite time and a NaN probability, naming the field. Accepted,
+// a negative FailAt schedules the failure before the clock's start
+// and a NaN time or probability compares false against every bound.
+func TestGenerateRejectsBadSpecFields(t *testing.T) {
+	env := testEnv(t, "")
+	c, err := env.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		spec  GenSpec
+	}{
+		{"FailAt", GenSpec{FailAt: Ptr(sim.Time(-1))}},
+		{"FailAt", GenSpec{FailAt: Ptr(sim.Time(nan))}},
+		{"FailAt", GenSpec{FailAt: Ptr(sim.Time(inf))}},
+		{"JitterS", GenSpec{JitterS: Ptr(-0.5)}},
+		{"JitterS", GenSpec{JitterS: Ptr(nan)}},
+		{"JitterS", GenSpec{JitterS: Ptr(inf)}},
+		{"CascadeLag", GenSpec{CascadeLag: Ptr(sim.Time(-2))}},
+		{"CascadeLag", GenSpec{CascadeLag: Ptr(sim.Time(nan))}},
+		{"CascadeLag", GenSpec{CascadeLag: Ptr(sim.Time(inf))}},
+		{"Correlation", GenSpec{Correlation: nan}},
+		{"Tilt", GenSpec{Tilt: nan}},
+	}
+	for _, tc := range cases {
+		spec := tc.spec
+		spec.Scenarios, spec.Model = 4, Cascade
+		if _, err := Generate(c, spec); err == nil || !strings.Contains(err.Error(), "GenSpec."+tc.field+" ") {
+			t.Errorf("%s %+v: err = %v, want an error naming GenSpec.%s", tc.field, tc.spec, err, tc.field)
+		}
+	}
+	zero := GenSpec{Scenarios: 4, Model: Cascade, FailAt: Ptr(sim.Time(0)), JitterS: Ptr(0.0), CascadeLag: Ptr(sim.Time(0))}
+	if _, err := Generate(c, zero); err != nil {
+		t.Errorf("zero times rejected: %v", err)
 	}
 }
 
@@ -291,6 +335,8 @@ func TestRunValidation(t *testing.T) {
 		{"missing Setup", Config{Scenarios: scs}, "Setup"},
 		{"empty scenario list", Config{Setup: env.Setup}, "Scenarios"},
 		{"negative horizon", Config{Setup: env.Setup, Scenarios: scs, Horizon: -1}, "Horizon"},
+		{"NaN horizon", Config{Setup: env.Setup, Scenarios: scs, Horizon: sim.Time(math.NaN())}, "Horizon"},
+		{"infinite horizon", Config{Setup: env.Setup, Scenarios: scs, Horizon: sim.Time(math.Inf(1))}, "Horizon"},
 		{"negative baseline", Config{Setup: env.Setup, Scenarios: scs, Baseline: -5}, "Baseline"},
 	}
 	for _, c := range cases {

@@ -241,11 +241,26 @@ func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 	if spec.Scenarios <= 0 {
 		return nil, fmt.Errorf("campaign: need a positive scenario count, got %d", spec.Scenarios)
 	}
-	if spec.Correlation < 0 || spec.Correlation > 1 {
-		return nil, fmt.Errorf("campaign: correlation %v out of [0,1]", spec.Correlation)
+	// The spec reaches workers as JSON, so it is outside input. The
+	// comparisons are written so that NaN fails them: a NaN time would
+	// never be reached and a NaN probability never drawn.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FailAt", float64(params.failAt)},
+		{"JitterS", params.jitterS},
+		{"CascadeLag", float64(params.lag)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return nil, fmt.Errorf("campaign: GenSpec.%s %v must be finite and non-negative", f.name, f.v)
+		}
 	}
-	if spec.Tilt < 0 || (spec.Tilt > 0 && spec.Tilt < 1) {
-		return nil, fmt.Errorf("campaign: tilt %v invalid (want 0 to disable, or >= 1)", spec.Tilt)
+	if !(spec.Correlation >= 0 && spec.Correlation <= 1) {
+		return nil, fmt.Errorf("campaign: GenSpec.Correlation %v out of [0,1]", spec.Correlation)
+	}
+	if !(spec.Tilt == 0 || spec.Tilt >= 1) {
+		return nil, fmt.Errorf("campaign: GenSpec.Tilt %v invalid (want 0 to disable, or >= 1)", spec.Tilt)
 	}
 	proc := c.ProcessingNodes()
 	if len(proc) == 0 {

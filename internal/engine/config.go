@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -72,6 +74,42 @@ type Config struct {
 	// sliding window; source-replay recovery replays the unfinished
 	// windows, i.e. this many batches back (default 30).
 	WindowBatches int
+}
+
+// validate rejects a negative or NaN duration or rate and a negative
+// WindowBatches, naming the field. The Config reaches workers as JSON,
+// so it is outside input: a negative delay would run the clock
+// backwards, and a NaN one compares false against every deadline.
+// Zero is valid everywhere — it selects the default.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"BatchInterval", float64(c.BatchInterval)},
+		{"NetDelay", float64(c.NetDelay)},
+		{"ProcRate", c.ProcRate},
+		{"PerBatchOverhead", float64(c.PerBatchOverhead)},
+		{"HeartbeatInterval", float64(c.HeartbeatInterval)},
+		{"CheckpointInterval", float64(c.CheckpointInterval)},
+		{"CheckpointFixed", float64(c.CheckpointFixed)},
+		{"CheckpointByteRate", c.CheckpointByteRate},
+		{"RestoreFixed", float64(c.RestoreFixed)},
+		{"RestoreByteRate", c.RestoreByteRate},
+		{"RestartCost", float64(c.RestartCost)},
+		{"ReplicaTrimInterval", float64(c.ReplicaTrimInterval)},
+		{"ReplicaActivateCost", float64(c.ReplicaActivateCost)},
+		{"ResendRate", c.ResendRate},
+		{"RecoveryPollInterval", float64(c.RecoveryPollInterval)},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("engine: invalid Config.%s %v: want a non-negative number (0 selects the default)", f.name, f.v)
+		}
+	}
+	if c.WindowBatches < 0 {
+		return fmt.Errorf("engine: invalid Config.WindowBatches %d: want a non-negative count (0 selects the default)", c.WindowBatches)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

@@ -127,12 +127,10 @@ func New(s Setup) (*Engine, error) {
 	if s.Topology == nil {
 		return nil, fmt.Errorf("engine: no topology")
 	}
-	cfg := s.Config.withDefaults()
-	// The Config reaches workers as JSON, so it is outside input; a
-	// negative delay would run the clock backwards.
-	if !(cfg.NetDelay >= 0) {
-		return nil, fmt.Errorf("engine: negative NetDelay %v", cfg.NetDelay)
+	if err := s.Config.validate(); err != nil {
+		return nil, err
 	}
+	cfg := s.Config.withDefaults()
 	e := &Engine{
 		topo:      s.Topology,
 		clus:      s.Cluster,

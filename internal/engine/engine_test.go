@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -540,6 +541,48 @@ func TestNegativeNetDelayRejected(t *testing.T) {
 	e.Run(5)
 	if e.SinkTupleCount() == 0 {
 		t.Fatal("a positive NetDelay delivered nothing")
+	}
+}
+
+// TestConfigFieldsValidated: every numeric Config field rejects a
+// negative value, and every duration and rate rejects NaN, with an
+// error naming the field; zero still selects the default. The cases are
+// generated from the struct, so a field added later is covered too.
+// Without the check these values panic at the first tick, batch or
+// restore, or (a NaN CheckpointInterval) silently disable checkpoints.
+func TestConfigFieldsValidated(t *testing.T) {
+	setup := Setup{
+		Topology: chainTopo(100),
+		Sources:  map[int]SourceFactory{0: NewCountSourceFactory(10)},
+		Operators: map[int]OperatorFactory{
+			1: NewPassthroughFactory(), 2: NewPassthroughFactory(),
+		},
+	}
+	if _, err := New(setup); err != nil {
+		t.Fatalf("zero Config rejected: %v", err)
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var bad []reflect.Value
+		switch f.Type.Kind() {
+		case reflect.Float64:
+			bad = []reflect.Value{reflect.ValueOf(-1.0), reflect.ValueOf(math.NaN()), reflect.ValueOf(math.Inf(-1))}
+		case reflect.Int:
+			bad = []reflect.Value{reflect.ValueOf(-1)}
+		case reflect.Bool:
+			continue
+		default:
+			t.Fatalf("Config.%s has unhandled kind %v", f.Name, f.Type.Kind())
+		}
+		for _, v := range bad {
+			var cfg Config
+			reflect.ValueOf(&cfg).Elem().Field(i).Set(v.Convert(f.Type))
+			setup.Config = cfg
+			if _, err := New(setup); err == nil || !strings.Contains(err.Error(), "Config."+f.Name+" ") {
+				t.Errorf("Config.%s = %v: err = %v, want an error naming the field", f.Name, v, err)
+			}
+		}
 	}
 }
 

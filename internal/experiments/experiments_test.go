@@ -21,6 +21,34 @@ func point(t *testing.T, r Result, series, x string) float64 {
 	return v
 }
 
+// assertPinned checks every point of a figure against pinned values,
+// exactly: the series in order, each with its points' y values in x
+// order. The pins are the values the planners and the §III evaluator
+// produce today; a change to either that moves any figure point fails
+// here.
+func assertPinned(t *testing.T, r Result, want []pinnedSeries) {
+	t.Helper()
+	if len(r.Series) != len(want) {
+		t.Fatalf("%s: %d series, want %d (%v)", r.Figure, len(r.Series), len(want), names(r))
+	}
+	for i, w := range want {
+		s := r.Series[i]
+		if s.Name != w.name || len(s.Points) != len(w.ys) {
+			t.Fatalf("%s: series %d is %q with %d points, want %q with %d", r.Figure, i, s.Name, len(s.Points), w.name, len(w.ys))
+		}
+		for j, p := range s.Points {
+			if p.Y != w.ys[j] {
+				t.Errorf("%s: %s at %s = %v, pinned %v", r.Figure, s.Name, p.X, p.Y, w.ys[j])
+			}
+		}
+	}
+}
+
+type pinnedSeries struct {
+	name string
+	ys   []float64
+}
+
 func names(r Result) []string {
 	var out []string
 	for _, s := range r.Series {
@@ -135,11 +163,34 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestFig12Q1Pinned pins Fig. 12 for the top-k query Q1, which has no
+// join: OF and IC pick the same plans and track the same accuracy.
+func TestFig12Q1Pinned(t *testing.T) {
+	t.Parallel()
+	r, err := Fig12Q1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r, []pinnedSeries{
+		{"OF", []float64{0.125, 0.25, 0.5, 0.75}},
+		{"OF-SA-Accuracy", []float64{0.13, 0.26, 0.51, 0.75}},
+		{"IC", []float64{0.125, 0.25, 0.5, 0.75}},
+		{"IC-SA-Accuracy", []float64{0.13, 0.26, 0.51, 0.75}},
+	})
+}
+
 func TestFig12Q2Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig12Q2()
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, r, []pinnedSeries{
+		{"OF", []float64{0.02083333333333326, 0.16666666666666652, 0.4166666666666665, 0.6666666666666665}},
+		{"OF-SA-Accuracy", []float64{0, 0.15789473684210525, 0.47368421052631576, 0.5263157894736842}},
+		{"IC", []float64{0.09230018914074649, 0.3330832912470417, 0.6498903280750228, 0.8891137617222702}},
+		{"IC-SA-Accuracy", []float64{0, 0.05263157894736842, 0.05263157894736842, 0.15789473684210525}},
+	})
 	// The defining result: for the join query the IC metric overestimates
 	// quality — IC value far above the actual accuracy of the IC plan —
 	// while OF tracks its plan's accuracy.
@@ -154,10 +205,19 @@ func TestFig12Q2Shape(t *testing.T) {
 }
 
 func TestFig13Q1Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig13Q1()
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, r, []pinnedSeries{
+		{"DP-OF", []float64{0.125, 0.25, 0.5, 0.75}},
+		{"SA-OF", []float64{0.125, 0.25, 0.5, 0.75}},
+		{"Greedy-OF", []float64{0, 0, 0, 0.5}},
+		{"DP-Accuracy", []float64{0.14, 0.26, 0.51, 0.76}},
+		{"SA-Accuracy", []float64{0.14, 0.26, 0.51, 0.76}},
+		{"Greedy-Accuracy", []float64{0, 0, 0, 0.51}},
+	})
 	// DP is optimal; SA close; Greedy worst at low fractions.
 	for _, x := range []string{"0.2", "0.4"} {
 		dp := point(t, r, "DP-OF", x)
@@ -175,11 +235,36 @@ func TestFig13Q1Shape(t *testing.T) {
 	}
 }
 
+// TestFig13Q2Pinned pins Fig. 13 for the join query Q2: DP and SA
+// agree, greedy's tree-blind plans trail at every budget.
+func TestFig13Q2Pinned(t *testing.T) {
+	t.Parallel()
+	r, err := Fig13Q2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r, []pinnedSeries{
+		{"DP-OF", []float64{0, 0.0625, 0.25, 0.5}},
+		{"SA-OF", []float64{0, 0.0625, 0.25, 0.5}},
+		{"Greedy-OF", []float64{0, 0, 0, 0.25}},
+		{"DP-Accuracy", []float64{0, 0.05, 0.35, 0.7}},
+		{"SA-Accuracy", []float64{0, 0.05, 0.35, 0.7}},
+		{"Greedy-Accuracy", []float64{0, 0, 0, 0.35}},
+	})
+}
+
 func TestFig14aShape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig14a(6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, r, []pinnedSeries{
+		{"SA-zipf", []float64{0.014612360214588041, 0.08526443636268133, 0.3134492638464157, 0.5281711688445189, 0.7475747597056758}},
+		{"SA-uniform", []float64{0.012747954446138984, 0.07975750286873164, 0.3073266835298339, 0.5050136166277414, 0.7061615327751681}},
+		{"Greedy-zipf", []float64{0.006988214509879613, 0.08090785990574591, 0.38717272504362477, 0.5977903195315845, 0.8131298356662345}},
+		{"Greedy-uniform", []float64{0.006075868903260173, 0.02993302082521006, 0.3824075876359085, 0.5593987537854441, 0.818420644236891}},
+	})
 	// SA must dominate greedy, most visibly at small ratios.
 	saZ := point(t, r, "SA-zipf", "0.2")
 	gZ := point(t, r, "Greedy-zipf", "0.2")
@@ -193,10 +278,17 @@ func TestFig14aShape(t *testing.T) {
 }
 
 func TestFig14dShape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig14d(6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, r, []pinnedSeries{
+		{"SA-NoJoin", []float64{0.04454308797323706, 0.14284983613323596, 0.4656112001781132, 0.6800441160144607, 0.853080791700577}},
+		{"SA-Join-50%", []float64{0, 0.08890850290713607, 0.3659296398304453, 0.6278978154067296, 0.8106924154163407}},
+		{"Greedy-NoJoin", []float64{0.012532247216905748, 0.1255740230937389, 0.36093674763183453, 0.5930097081334698, 0.7892232337880594}},
+		{"Greedy-Join-50%", []float64{0, 0.07095146092236547, 0.26357278270588197, 0.5235970491390114, 0.781072513796286}},
+	})
 	// Joins reduce achievable OF at the same budget (§VI-C).
 	noJoin := point(t, r, "SA-NoJoin", "0.4")
 	join := point(t, r, "SA-Join-50%", "0.4")

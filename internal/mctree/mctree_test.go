@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fidelity"
 	"repro/internal/topology"
 )
 
@@ -140,41 +139,6 @@ func TestTreeHelpers(t *testing.T) {
 	rep[3] = true
 	if got := tr.NonReplicated(rep); got != 2 {
 		t.Errorf("NonReplicated = %d, want 2", got)
-	}
-}
-
-// TestTreeAliveImpliesOutput: replicating exactly the tasks of one
-// MC-tree yields positive worst-case OF (the tree is complete), and
-// dropping any single task of the tree yields zero OF (the tree is
-// minimal). This is Definition 1 as an executable property.
-func TestTreeAliveImpliesOutput(t *testing.T) {
-	topos := []*topology.Topology{
-		fullChain(2, 3, 2),
-		diamondTopo(topology.Correlated, 2, 2, 2, 1),
-		diamondTopo(topology.Independent, 2, 2, 2, 1),
-	}
-	for ti, topo := range topos {
-		trees, err := Enumerate(topo, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := fidelity.NewModel(topo).NewEvaluator()
-		for _, tr := range trees {
-			plan := make([]bool, topo.NumTasks())
-			for _, id := range tr.Tasks {
-				plan[id] = true
-			}
-			if of := ev.OFPlan(plan); of <= 0 {
-				t.Errorf("topo %d: complete tree %v has OF %v, want > 0", ti, tr.Tasks, of)
-			}
-			for _, id := range tr.Tasks {
-				plan[id] = false
-				if of := ev.OFPlan(plan); of != 0 {
-					t.Errorf("topo %d: tree %v without task %d has OF %v, want 0", ti, tr.Tasks, id, of)
-				}
-				plan[id] = true
-			}
-		}
 	}
 }
 

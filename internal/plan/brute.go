@@ -34,7 +34,7 @@ func (Brute) Plan(c *Context, budget int) (Plan, error) {
 	best := New(n)
 	// Evaluate directly: the 2^N distinct plans of the exhaustive sweep
 	// are each seen once, so memoizing them would only burn memory.
-	bestOF := c.evalGlobal(MetricOF, best)
+	bestOF := c.whole.eval(MetricOF, best.replicated)
 	for mask := uint32(0); mask < 1<<n; mask++ {
 		if bits.OnesCount32(mask) > budget {
 			continue
@@ -45,7 +45,7 @@ func (Brute) Plan(c *Context, budget int) (Plan, error) {
 				p.Add(topology.TaskID(i))
 			}
 		}
-		of := c.evalGlobal(MetricOF, p)
+		of := c.whole.eval(MetricOF, p.replicated)
 		if of > bestOF || (of == bestOF && p.Size() < best.Size()) {
 			best = p
 			bestOF = of

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 
-	"repro/internal/fidelity"
 	"repro/internal/par"
 	"repro/internal/topology"
 )
@@ -146,20 +145,12 @@ func (c *Context) CorrObjective(p Plan) float64 {
 	return v
 }
 
-// CorrExpectedLoss is 1 - CorrObjective: the expected relative output
-// loss of the plan under the distribution.
-func (c *Context) CorrExpectedLoss(p Plan) float64 { return 1 - c.CorrObjective(p) }
-
+// evalCorr folds the distribution's scenarios in scenario order. Each
+// scenario is the whole-topology OF of its alive set: a task is alive
+// unless the scenario fails it and the plan does not replicate it.
 func (c *Context) evalCorr(s *ScenarioSet, p Plan) float64 {
-	rep := p.Vector()
 	ofs := par.Map(s.Len(), 0, func(i int) float64 {
-		e := c.evals.Get().(*fidelity.Evaluator)
-		defer c.evals.Put(e)
-		failed := make([]bool, len(rep))
-		for t, f := range s.failed[i] {
-			failed[t] = f && !rep[t]
-		}
-		return e.OF(failed)
+		return c.whole.evalFailed(s.failed[i], p.replicated)
 	})
 	var v float64
 	for i, of := range ofs {

@@ -100,9 +100,6 @@ func TestCorrObjectiveMemoParity(t *testing.T) {
 		if a != b || a != c {
 			t.Fatalf("plan %v: memoized %v / hit %v / unmemoized %v differ", tasks, a, b, c)
 		}
-		if loss := memo.CorrExpectedLoss(p); math.Abs(loss-(1-a)) > 1e-15 {
-			t.Fatalf("plan %v: expected loss %v, want %v", tasks, loss, 1-a)
-		}
 	}
 	// A new distribution must not serve stale values.
 	full := New(n)

@@ -9,8 +9,8 @@ import (
 // Greedy implements Algorithm 2: rank every task by the Output Fidelity
 // of the topology when only that task fails (ascending — a task whose
 // individual failure hurts the most ranks first) and replicate the
-// top-budget tasks. The algorithm is fast (O(N·M) fidelity evaluations,
-// computed once per model and memoized) but agnostic to MC-tree
+// top-budget tasks. The algorithm is fast (N fidelity evaluations,
+// computed once per context and shared) but agnostic to MC-tree
 // completeness, which the paper shows ruins its plans at small
 // replication ratios (§VI-B, §VI-C).
 type Greedy struct{}
@@ -29,8 +29,8 @@ func (Greedy) Plan(c *Context, budget int) (Plan, error) {
 		of float64
 	}
 	rs := make([]ranked, 0, n)
-	for id := 0; id < n; id++ {
-		rs = append(rs, ranked{id: topology.TaskID(id), of: c.OFSingleFailure(topology.TaskID(id))})
+	for id, of := range c.singleFailureOFs() {
+		rs = append(rs, ranked{id: topology.TaskID(id), of: of})
 	}
 	sort.SliceStable(rs, func(i, j int) bool {
 		if rs[i].of != rs[j].of {

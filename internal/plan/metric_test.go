@@ -46,26 +46,53 @@ func TestICPrefersVolumeOverCompleteness(t *testing.T) {
 	}
 }
 
-// TestScopedICMatchesGlobal: with the scope covering the whole topology
-// the scoped IC equals the global IC.
+// TestScopedICMatchesGlobal: a scope covering the whole topology, with
+// its operators listed in any order, is the context's global scope, and
+// its incremental IC (Extend on top of a base plan) equals the global IC
+// of the reference propagation.
 func TestScopedICMatchesGlobal(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		topo := randomSmallTopo(rng)
-		c := NewContext(topo)
-		p := New(topo.NumTasks())
-		for i := 0; i < topo.NumTasks(); i++ {
-			if rng.Intn(2) == 0 {
-				p.Add(topology.TaskID(i))
-			}
-		}
-		a := c.IC(p)
-		b := c.ScopedIC(allOps(topo), p)
-		return a-b < 1e-9 && b-a < 1e-9
+		return scopedMatchesGlobal(rng, topo, MetricIC, refIC)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scopedMatchesGlobal reports whether the whole-topology scope, looked
+// up with shuffled operators, evaluates a random base plan (EvalBase)
+// and its random extension (Extend) to the reference's values.
+func scopedMatchesGlobal(rng *rand.Rand, topo *topology.Topology, m Metric, ref func(*topology.Topology, []bool) float64) bool {
+	c := NewContext(topo)
+	ops := allOps(topo)
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	s := c.ScopeOf(ops)
+	if s != c.whole {
+		return false
+	}
+	base := New(topo.NumTasks())
+	var ext []topology.TaskID
+	for i := 0; i < topo.NumTasks(); i++ {
+		switch rng.Intn(3) {
+		case 0:
+			base.Add(topology.TaskID(i))
+		case 1:
+			ext = append(ext, topology.TaskID(i))
+		}
+	}
+	full := base.Clone()
+	full.AddAll(ext)
+	for _, pair := range [][2]float64{
+		{s.EvalBase(m, base), ref(topo, failedOf(base))},
+		{s.Extend(m, base, ext), ref(topo, failedOf(full))},
+	} {
+		if a, b := pair[0], pair[1]; a-b > 1e-9 || b-a > 1e-9 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestStructureAwareICMetric: the SA planner with the IC objective
@@ -97,22 +124,25 @@ func TestStructureAwareICMetric(t *testing.T) {
 	}
 }
 
-// TestObjectiveDispatch: Objective/ScopedObjective follow the context
-// metric.
+// TestObjectiveDispatch: Objective follows the context metric, the
+// worst-case objectives are the whole-topology scope's Eval, and
+// CorrObjective without a distribution is the worst-case OF.
 func TestObjectiveDispatch(t *testing.T) {
 	topo := joinTopo(t)
 	c := NewContext(topo)
+	whole := c.ScopeOf(allOps(topo))
 	p := New(topo.NumTasks())
 	p.AddAll(topo.TasksOf(0))
-	if c.Objective(p) != c.OF(p) {
+	p.AddAll(topo.TasksOf(1)[:1])
+	if c.Objective(p) != c.OF(p) || whole.Eval(MetricOF, p) != c.OF(p) {
 		t.Error("MetricOF objective != OF")
 	}
-	c.Metric = MetricIC
-	if c.Objective(p) != c.IC(p) {
-		t.Error("MetricIC objective != IC")
+	if c.CorrObjective(p) != c.OF(p) {
+		t.Error("CorrObjective without a distribution != OF")
 	}
-	if c.ScopedObjective(allOps(topo), p) != c.ScopedIC(allOps(topo), p) {
-		t.Error("MetricIC scoped objective != ScopedIC")
+	c.Metric = MetricIC
+	if c.Objective(p) != c.IC(p) || whole.Eval(c.Metric, p) != c.IC(p) {
+		t.Error("MetricIC objective != IC")
 	}
 }
 

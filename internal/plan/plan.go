@@ -13,6 +13,21 @@
 // failed). They are exposed uniformly through the Planner interface and
 // the package registry (Register/Lookup/Names), and share one Context —
 // a concurrency-safe, memoizing objective evaluator.
+//
+// The package also owns the output-quality models of §III that the
+// planners optimise. Output Fidelity (OF) estimates the quality of the
+// tentative outputs a topology produces while some of its tasks are
+// failed: information loss (IL) is propagated from the failed tasks
+// through the topology DAG down to the sink operators (Eqs. 1–3),
+// distinguishing correlated-input (join) operators from
+// independent-input operators, and OF is the rate-weighted complement
+// of the sinks' losses (Eq. 4). Internal Completeness (IC), the metric
+// of Bellavista et al. (EDBT'14) that the paper's evaluation uses as a
+// baseline, propagates plain rates instead and ignores input-stream
+// correlation, which is why it mispredicts the quality of queries with
+// joins (§VI-B). Both are evaluated by a Scope: the whole-topology
+// scope of a Context is the §III model, and sub-topology scopes serve
+// the structure-aware planners (§IV-C3).
 package plan
 
 import (

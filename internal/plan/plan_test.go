@@ -322,20 +322,13 @@ func TestSAMonotoneInBudget(t *testing.T) {
 	}
 }
 
+// TestScopedOFWholeTopologyMatchesOF: the whole-topology scope's OF,
+// evaluated in full and incrementally, equals the reference OF.
 func TestScopedOFWholeTopologyMatchesOF(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		topo := randomSmallTopo(rng)
-		c := NewContext(topo)
-		p := New(topo.NumTasks())
-		for i := 0; i < topo.NumTasks(); i++ {
-			if rng.Intn(2) == 0 {
-				p.Add(topology.TaskID(i))
-			}
-		}
-		a := c.OF(p)
-		b := c.ScopedOF(allOps(topo), p)
-		return a-b < 1e-9 && b-a < 1e-9
+		return scopedMatchesGlobal(rng, topo, MetricOF, refOF)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mctree"
 	"repro/internal/topology"
 )
 
@@ -209,7 +210,8 @@ func TestParallelSearchBitIdentical(t *testing.T) {
 }
 
 // TestMemoizationTransparent: objective values must be identical with
-// and without memoization, for global and scoped evaluation.
+// and without memoization, on the whole-topology scope and on every
+// sub-topology scope the planners evaluate.
 func TestMemoizationTransparent(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -223,18 +225,22 @@ func TestMemoizationTransparent(t *testing.T) {
 				p.Add(topology.TaskID(i))
 			}
 		}
-		ops := allOps(topo)
+		scopes := [][]int{allOps(topo)}
+		for _, sub := range mctree.Decompose(topo) {
+			scopes = append(scopes, sub.Ops)
+		}
 		// Evaluate twice on the memoized context: the second read comes
 		// from the cache and must be bit-identical.
 		for run := 0; run < 2; run++ {
 			if memo.OF(p) != raw.OF(p) || memo.IC(p) != raw.IC(p) {
 				return false
 			}
-			if memo.ScopedOF(ops, p) != raw.ScopedOF(ops, p) {
-				return false
-			}
-			if memo.ScopedIC(ops, p) != raw.ScopedIC(ops, p) {
-				return false
+			for _, ops := range scopes {
+				for _, m := range []Metric{MetricOF, MetricIC} {
+					if memo.ScopeOf(ops).Eval(m, p) != raw.ScopeOf(ops).Eval(m, p) {
+						return false
+					}
+				}
 			}
 		}
 		return true

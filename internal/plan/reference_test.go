@@ -1,0 +1,80 @@
+package plan
+
+import "repro/internal/topology"
+
+// refOF is a reference of Output Fidelity written straight from §III:
+// it propagates ILout (Eqs. 1–3) under the failure set and folds the
+// sink losses into OF (Eq. 4).
+func refOF(t *topology.Topology, failed []bool) float64 {
+	il := make([]float64, t.NumTasks())
+	inputLoss := func(in topology.InputStream) float64 { // Eq. 1
+		var num, den float64
+		for _, sub := range in.Subs {
+			num, den = num+sub.Rate*il[sub.From], den+sub.Rate
+		}
+		if den == 0 {
+			return 1
+		}
+		return num / den
+	}
+	for _, op := range t.OpOrder() {
+		for _, id := range t.TasksOf(op) {
+			ins := t.InputsOf(id)
+			prod, num, den := 1.0, 0.0, 0.0
+			for _, in := range ins {
+				prod *= 1 - inputLoss(in)
+				num, den = num+in.Rate()*inputLoss(in), den+in.Rate()
+			}
+			switch {
+			case failed[id]:
+				il[id] = 1
+			case len(ins) == 0:
+				il[id] = 0
+			case t.Ops[op].Kind == topology.Correlated: // Eq. 2
+				il[id] = 1 - prod
+			case den == 0:
+				il[id] = 1
+			default: // Eq. 3
+				il[id] = num / den
+			}
+		}
+	}
+	var lost, total float64
+	for _, id := range t.SinkTasks() {
+		lost, total = lost+t.OutRate(id)*il[id], total+t.OutRate(id)
+	}
+	return clamp01(1 - lost/total)
+}
+
+// refIC is the reference of Internal Completeness: plain rates
+// propagated through the live tasks, the tuples processed relative to
+// failure-free processing.
+func refIC(t *topology.Topology, failed []bool) float64 {
+	rate := make([]float64, t.NumTasks()) // effective output rate
+	var processed, normal float64
+	for _, op := range t.OpOrder() {
+		for _, id := range t.TasksOf(op) {
+			ins := t.InputsOf(id)
+			if len(ins) == 0 { // a source processes what it emits
+				normal += t.OutRate(id)
+				if !failed[id] {
+					rate[id] = t.OutRate(id)
+					processed += rate[id]
+				}
+				continue
+			}
+			var received float64
+			for _, in := range ins {
+				normal += in.Rate()
+				for _, sub := range in.Subs {
+					received += sub.Rate * rate[sub.From] / t.OutRate(sub.From)
+				}
+			}
+			if !failed[id] {
+				processed += received
+				rate[id] = received * t.Ops[op].Selectivity
+			}
+		}
+	}
+	return clamp01(processed / normal)
+}

@@ -12,18 +12,28 @@ import (
 // Scope is a precomputed evaluation scope: a sub-topology (set of
 // operators) together with everything the scoped objective evaluation
 // needs — the in-scope task order, the scope's sink tasks and their
-// total failure-free output rate, and the in-scope downstream adjacency
-// used for incremental re-evaluation. Scopes are created by
-// Context.ScopeOf and shared; a Scope is safe for concurrent use.
+// total failure-free output rate, the failure-free input rates and the
+// in-scope downstream adjacency used for incremental re-evaluation.
+// Scopes are created by Context.ScopeOf and shared; a Scope is safe for
+// concurrent use.
 //
-// For each metric the scope caches the per-task propagation vector of
-// the most recent "base" plan evaluated through Extend, so that probing
-// base ∪ {ids} — the inner loop of every sub-topology planner —
-// recomputes only the tasks downstream of the added ones instead of
-// re-traversing the whole scope.
+// Within the scope a task is alive when the evaluated set holds it —
+// for a plan, when it is replicated — and failed otherwise; tasks
+// outside the scope are alive. Output Fidelity is measured at the
+// scope's own sink tasks (operators without a downstream operator
+// inside the scope), treating the scope as a standalone topology, so
+// segment selection in different sub-topologies stays independent
+// (§IV-C3). The whole-topology scope is the model of §III itself: its
+// OF is Eq. 4 and its IC the EDBT'14 baseline.
+//
+// Each scope memoizes its objective values per metric, keyed on
+// Plan.Key. For each metric it also caches the per-task propagation
+// vector of the most recent "base" plan evaluated through Extend, so
+// that probing base ∪ {ids} — the inner loop of every sub-topology
+// planner — recomputes only the tasks downstream of the added ones
+// instead of re-traversing the whole scope.
 type Scope struct {
 	c   *Context
-	sig string
 	ops []int
 
 	opIn   []bool            // by operator
@@ -33,11 +43,19 @@ type Scope struct {
 	// totalOut is the failure-free output rate of the scope sinks (the
 	// OF normalisation constant).
 	totalOut float64
+	// normalIn[id] is the failure-free input rate of in-scope task id
+	// (its emitted rate for a source); normal sums them (the IC
+	// normalisation constant).
+	normalIn []float64
+	normal   float64
 	// down[id] lists the in-scope tasks directly downstream of task id.
 	down [][]topology.TaskID
 
+	bufs sync.Pool // *evalBuf
+
 	mu   sync.Mutex
-	base [2]scopedBase // indexed by Metric
+	memo [2]map[string]float64 // indexed by Metric; nil while memoization is off
+	base [2]scopedBase         // indexed by Metric
 }
 
 // scopedBase is an immutable snapshot of the per-task propagation
@@ -45,6 +63,13 @@ type Scope struct {
 type scopedBase struct {
 	key string
 	vec []float64
+}
+
+// evalBuf is one recycled set of evaluation buffers, indexed by TaskID:
+// a propagation vector and an alive set.
+type evalBuf struct {
+	vec   []float64
+	alive []bool
 }
 
 // scopeSig returns the canonical identity of an operator set.
@@ -61,16 +86,18 @@ func scopeSig(ops []int) string {
 	return b.String()
 }
 
-func newScope(c *Context, sig string, ops []int) *Scope {
+func newScope(c *Context, ops []int) *Scope {
 	t := c.Topo
+	n := t.NumTasks()
 	s := &Scope{
-		c:      c,
-		sig:    sig,
-		ops:    append([]int(nil), ops...),
-		opIn:   make([]bool, t.NumOps()),
-		taskIn: make([]bool, t.NumTasks()),
-		down:   make([][]topology.TaskID, t.NumTasks()),
+		c:        c,
+		ops:      append([]int(nil), ops...),
+		opIn:     make([]bool, t.NumOps()),
+		taskIn:   make([]bool, n),
+		normalIn: make([]float64, n),
+		down:     make([][]topology.TaskID, n),
 	}
+	s.bufs.New = func() any { return &evalBuf{vec: make([]float64, n), alive: make([]bool, n)} }
 	for _, op := range s.ops {
 		s.opIn[op] = true
 	}
@@ -100,13 +127,51 @@ func newScope(c *Context, sig string, ops []int) *Scope {
 		}
 	}
 	for _, id := range s.tasks {
-		for _, d := range t.DownstreamTasks(id) {
-			if s.taskIn[d] {
-				s.down[id] = append(s.down[id], d)
+		ins := t.InputsOf(id)
+		if len(ins) == 0 {
+			s.normalIn[id] = t.OutRate(id)
+		}
+		for _, in := range ins {
+			s.normalIn[id] += in.Rate()
+		}
+		s.normal += s.normalIn[id]
+		for _, out := range t.OutputsOf(id) {
+			if s.taskIn[out.To] {
+				s.down[id] = append(s.down[id], out.To)
 			}
 		}
 	}
 	return s
+}
+
+// setMemo switches the scope's memo on (keeping what it holds) or off
+// (dropping it).
+func (s *Scope) setMemo(on bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for m := range s.memo {
+		switch {
+		case !on:
+			s.memo[m] = nil
+		case s.memo[m] == nil:
+			s.memo[m] = map[string]float64{}
+		}
+	}
+}
+
+func (s *Scope) memoGet(m Metric, key string) (float64, bool) {
+	s.mu.Lock()
+	v, ok := s.memo[m][key]
+	s.mu.Unlock()
+	return v, ok
+}
+
+func (s *Scope) memoPut(m Metric, key string, v float64) {
+	s.mu.Lock()
+	if cache := s.memo[m]; cache != nil && len(cache) < maxMemoEntries {
+		cache[key] = v
+	}
+	s.mu.Unlock()
 }
 
 // Ops returns the scope's operator set.
@@ -115,14 +180,38 @@ func (s *Scope) Ops() []int { return s.ops }
 // Eval computes the scoped objective of a plan, memoized on the plan
 // key.
 func (s *Scope) Eval(m Metric, p Plan) float64 {
-	key := scopedMemoKey{scope: s.sig, metric: m, plan: p.Key()}
-	if v, ok := s.c.scopedMemoGet(key); ok {
+	key := p.Key()
+	if v, ok := s.memoGet(m, key); ok {
 		return v
 	}
-	vec := make([]float64, s.c.Topo.NumTasks())
-	s.compute(m, p, vec, s.tasks)
-	v := s.objective(m, vec)
-	s.c.scopedMemoPut(key, v)
+	v := s.eval(m, p.replicated)
+	s.memoPut(m, key, v)
+	return v
+}
+
+// eval computes the scoped objective of an alive set in full on a
+// recycled propagation vector, bypassing the memo (used by the memo
+// miss path, by brute force, whose 2^N distinct plans would only
+// pollute it, and by the single-failure and scenario evaluations).
+func (s *Scope) eval(m Metric, alive []bool) float64 {
+	b := s.bufs.Get().(*evalBuf)
+	s.compute(m, alive, b.vec, s.tasks)
+	v := s.objective(m, b.vec)
+	s.bufs.Put(b)
+	return v
+}
+
+// evalFailed computes the scoped OF when the tasks marked in failed are
+// down unless rep replicates them — one scenario of a correlated
+// failure distribution under a plan.
+func (s *Scope) evalFailed(failed, rep []bool) float64 {
+	b := s.bufs.Get().(*evalBuf)
+	for id, f := range failed {
+		b.alive[id] = !f || rep[id]
+	}
+	s.compute(MetricOF, b.alive, b.vec, s.tasks)
+	v := s.objective(MetricOF, b.vec)
+	s.bufs.Put(b)
 	return v
 }
 
@@ -132,7 +221,7 @@ func (s *Scope) Eval(m Metric, p Plan) float64 {
 // scalar is the same one the subsequent Extend calls reuse.
 func (s *Scope) EvalBase(m Metric, p Plan) float64 {
 	v := s.objective(m, s.baseVector(m, p))
-	s.c.scopedMemoPut(scopedMemoKey{scope: s.sig, metric: m, plan: p.Key()}, v)
+	s.memoPut(m, p.Key(), v)
 	return v
 }
 
@@ -144,11 +233,13 @@ func (s *Scope) EvalBase(m Metric, p Plan) float64 {
 func (s *Scope) Extend(m Metric, base Plan, ids []topology.TaskID) float64 {
 	probe := base.Clone()
 	probe.AddAll(ids)
-	key := scopedMemoKey{scope: s.sig, metric: m, plan: probe.Key()}
-	if v, ok := s.c.scopedMemoGet(key); ok {
+	key := probe.Key()
+	if v, ok := s.memoGet(m, key); ok {
 		return v
 	}
-	vec := append([]float64(nil), s.baseVector(m, base)...)
+	b := s.bufs.Get().(*evalBuf)
+	vec := b.vec
+	copy(vec, s.baseVector(m, base))
 	// Dirty set: the added tasks and everything downstream of them
 	// within the scope, re-evaluated in scope topological order.
 	n := s.c.Topo.NumTasks()
@@ -179,9 +270,10 @@ func (s *Scope) Extend(m Metric, base Plan, ids []topology.TaskID) float64 {
 			order = append(order, id)
 		}
 	}
-	s.compute(m, probe, vec, order)
+	s.compute(m, probe.replicated, vec, order)
 	v := s.objective(m, vec)
-	s.c.scopedMemoPut(key, v)
+	s.bufs.Put(b)
+	s.memoPut(m, key, v)
 	return v
 }
 
@@ -197,7 +289,7 @@ func (s *Scope) baseVector(m Metric, base Plan) []float64 {
 	}
 	s.mu.Unlock()
 	vec := make([]float64, s.c.Topo.NumTasks())
-	s.compute(m, base, vec, s.tasks)
+	s.compute(m, base.replicated, vec, s.tasks)
 	s.mu.Lock()
 	s.base[m] = scopedBase{key: key, vec: vec}
 	s.mu.Unlock()
@@ -205,47 +297,40 @@ func (s *Scope) baseVector(m Metric, base Plan) []float64 {
 }
 
 // compute fills vec for the given in-scope tasks (which must be in
-// scope topological order) under the plan. Entries for tasks outside
-// the listed set are read as-is, so passing a dirty subset on top of a
-// base vector yields an incremental update.
-func (s *Scope) compute(m Metric, p Plan, vec []float64, order []topology.TaskID) {
+// scope topological order) under the alive set. Entries for tasks
+// outside the listed set are read as-is, so passing a dirty subset on
+// top of a base vector yields an incremental update.
+func (s *Scope) compute(m Metric, alive []bool, vec []float64, order []topology.TaskID) {
 	if m == MetricIC {
 		for _, id := range order {
-			vec[id] = s.fracIC(p, id, vec)
+			vec[id] = s.fracIC(alive, id, vec)
 		}
 		return
 	}
 	for _, id := range order {
-		vec[id] = s.lossOF(p, id, vec)
+		vec[id] = s.lossOF(alive, id, vec)
 	}
 }
 
-// objective folds a propagation vector into the scoped metric value.
+// objective folds a propagation vector into the scoped metric value:
+// Eq. 4 for OF — the failure-free-rate-weighted complement of the scope
+// sinks' output losses — and, for IC, the processed fraction of the
+// scope's failure-free input.
 func (s *Scope) objective(m Metric, vec []float64) float64 {
-	t := s.c.Topo
 	if m == MetricIC {
-		var processed, normal float64
-		for _, id := range s.tasks {
-			var full float64
-			ins := t.InputsOf(id)
-			if len(ins) == 0 {
-				full = t.OutRate(id)
-			} else {
-				for _, in := range ins {
-					full += in.Rate()
-				}
-			}
-			normal += full
-			processed += full * vec[id]
-		}
-		if normal == 0 {
+		if s.normal == 0 {
 			return 0
 		}
-		return clamp01(processed / normal)
+		var processed float64
+		for _, id := range s.tasks {
+			processed += s.normalIn[id] * vec[id]
+		}
+		return clamp01(processed / s.normal)
 	}
 	if s.totalOut == 0 {
 		return 0
 	}
+	t := s.c.Topo
 	var lost float64
 	for _, id := range s.sinks {
 		lost += t.OutRate(id) * vec[id]
@@ -253,42 +338,40 @@ func (s *Scope) objective(m Metric, vec []float64) float64 {
 	return clamp01(1 - lost/s.totalOut)
 }
 
-// lossOF computes the information loss of one in-scope task from the
-// upstream entries of vec: out-of-scope upstreams are alive (loss 0),
-// in-scope non-replicated tasks are failed under the worst case
-// (Eqs. 1–3 restricted to the scope).
-func (s *Scope) lossOF(p Plan, id topology.TaskID, vec []float64) float64 {
-	t := s.c.Topo
-	if !p.Has(id) {
+// lossOF computes the information loss ILout of one in-scope task from
+// the upstream entries of vec: a failed task loses everything, a
+// scope-local source nothing; otherwise the loss of each in-scope input
+// stream is the rate-weighted loss of its substreams (Eq. 1), and a
+// correlated-input operator (a join) loses 1 - prod_j (1 - ILin_j)
+// (Eq. 2) while an independent-input one loses the rate-weighted mean
+// of its input losses (Eq. 3).
+func (s *Scope) lossOF(alive []bool, id topology.TaskID, vec []float64) float64 {
+	if !alive[id] {
 		return 1
 	}
-	inputLoss := func(in topology.InputStream) float64 {
-		var num, den float64
-		for _, sub := range in.Subs {
-			den += sub.Rate
-			if s.taskIn[sub.From] {
-				num += sub.Rate * vec[sub.From]
-			}
-		}
-		if den == 0 {
-			return 1
-		}
-		return num / den
-	}
+	t := s.c.Topo
 	correlated := t.Ops[t.Tasks[id].Op].Kind == topology.Correlated
 	prod, num, den := 1.0, 0.0, 0.0
 	seen := false
 	for _, in := range t.InputsOf(id) {
 		if !s.opIn[in.FromOp] {
-			continue
+			continue // an out-of-scope upstream loses nothing
 		}
 		seen = true
+		var lost, rate float64
+		for _, sub := range in.Subs {
+			lost += sub.Rate * vec[sub.From]
+			rate += sub.Rate
+		}
+		loss := 1.0
+		if rate != 0 {
+			loss = lost / rate
+		}
 		if correlated {
-			prod *= 1 - inputLoss(in)
+			prod *= 1 - loss
 		} else {
-			r := in.Rate()
-			num += r * inputLoss(in)
-			den += r
+			num += rate * loss
+			den += rate
 		}
 	}
 	if !seen {
@@ -305,11 +388,13 @@ func (s *Scope) lossOF(p Plan, id topology.TaskID, vec []float64) float64 {
 
 // fracIC computes the throughput fraction of one in-scope task from the
 // upstream entries of vec. Unlike lossOF it considers all input
-// streams: out-of-scope upstreams are alive and contribute their full
-// rate (fraction 1).
-func (s *Scope) fracIC(p Plan, id topology.TaskID, vec []float64) float64 {
+// streams and ignores their correlation: out-of-scope upstreams are
+// alive and contribute their full rate (fraction 1), and a join is
+// credited for the input it still receives even when another of its
+// inputs is lost — the defect of IC that §VI-B exposes.
+func (s *Scope) fracIC(alive []bool, id topology.TaskID, vec []float64) float64 {
 	t := s.c.Topo
-	if !p.Has(id) {
+	if !alive[id] {
 		return 0
 	}
 	ins := t.InputsOf(id)

@@ -10,9 +10,10 @@
 //   - building query topologies (operators, tasks, partitionings) by
 //     hand, from a serialisable spec or with the §VI-C random
 //     generator;
-//   - the Output Fidelity metric and the MC-tree analysis;
+//   - the MC-tree analysis;
 //   - the plan manager, which computes replication plans (structure-
-//     aware, dynamic programming, greedy, portfolio, ...) and diffs
+//     aware, dynamic programming, greedy, portfolio, ...), reports
+//     their Output Fidelity and Internal Completeness, and diffs
 //     them;
 //   - the deterministic discrete-event streaming engine with
 //     checkpointing, active replication, failure injection, recovery
@@ -33,7 +34,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fidelity"
 	"repro/internal/mctree"
 	"repro/internal/plan"
 	"repro/internal/randtopo"
@@ -80,15 +80,6 @@ func FromSpec(s Spec) (*Topology, error) { return topology.FromSpec(s) }
 
 // ToSpec converts a topology back to its description.
 func ToSpec(t *Topology) Spec { return topology.ToSpec(t) }
-
-// --- Quality metrics ---
-
-// FidelityModel evaluates Output Fidelity (Eq. 1-4) and Internal
-// Completeness for one topology.
-type FidelityModel = fidelity.Model
-
-// NewFidelityModel builds a metric model for the topology.
-func NewFidelityModel(t *Topology) *FidelityModel { return fidelity.NewModel(t) }
 
 // --- MC-trees ---
 

@@ -104,10 +104,13 @@ func TestMetricsAndTrees(t *testing.T) {
 	if got := ppa.MinMCTreeSize(topo); got != 3 {
 		t.Errorf("min tree size = %d, want 3", got)
 	}
-	ev := ppa.NewFidelityModel(topo).NewEvaluator()
-	failed := make([]bool, topo.NumTasks())
-	if of := ev.OF(failed); of != 1 {
-		t.Errorf("OF = %v, want 1", of)
+	// Replicating every task survives any correlated failure.
+	res, err := ppa.NewManager(topo).Plan(ppa.DP, topo.NumTasks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OF != 1 || res.IC != 1 {
+		t.Errorf("full-budget plan OF = %v, IC = %v, want 1, 1", res.OF, res.IC)
 	}
 }
 
