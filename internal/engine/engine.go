@@ -62,7 +62,8 @@ type Engine struct {
 	// indexes directly and AccuracyStats walks (task, batch) order
 	// without sorting.
 	sinkAcct     [][]sinkBatchAcct
-	currentBatch int // last batch emitted by the source ticker
+	currentBatch int        // last batch emitted by the source ticker
+	tick         *batchTick // the source ticker, which the image keeps by value
 
 	// img is the state the last Mark recorded (time zero, recorded by
 	// New, until Mark is called); Reset restores it, staging the events
@@ -131,11 +132,14 @@ func New(s Setup) (*Engine, error) {
 		return nil, err
 	}
 	cfg := s.Config.withDefaults()
+	// The clock gets one lane per constant delay the engine re-arms
+	// with: NetDelay (deliveries and trims) first, as the busiest, then
+	// the checkpoint, replica-ack and heartbeat intervals.
 	e := &Engine{
 		topo:      s.Topology,
 		clus:      s.Cluster,
 		cfg:       cfg,
-		clock:     sim.NewClock(cfg.NetDelay),
+		clock:     sim.NewClock(cfg.NetDelay, cfg.CheckpointInterval, cfg.ReplicaTrimInterval, cfg.HeartbeatInterval),
 		sources:   s.Sources,
 		operators: s.Operators,
 	}
@@ -205,15 +209,39 @@ func New(s Setup) (*Engine, error) {
 	return e, nil
 }
 
-// armTickers arms the self-perpetuating tickers once; Run only advances
-// the clock, so ticker events beyond the horizon simply wait.
+// armTickers arms the self-perpetuating timers once: the batch tick, the
+// heartbeat, the per-task checkpoints and the per-replica acks, one
+// long-lived Runner per chain. Run only advances the clock, so timer
+// events beyond the horizon simply wait.
+//
+// Checkpoint offsets are scattered deterministically (golden-ratio
+// hashing of the task id) so that checkpoints are asynchronous and
+// uncorrelated across tasks, as in real deployments — the source of the
+// §V-B synchronisation cost when recovering correlated failures.
 func (e *Engine) armTickers() {
-	e.scheduleBatchTick(0)
-	e.scheduleHeartbeat(e.cfg.HeartbeatInterval)
+	e.tick = &batchTick{e: e}
+	e.clock.AtRun(e.tick.at(), e.tick)
+	e.clock.AfterRun(e.cfg.HeartbeatInterval, &heartbeatTimer{e: e})
+	n := e.topo.NumTasks()
 	if e.cfg.CheckpointInterval > 0 {
-		e.scheduleCheckpoints()
+		ckpts := make([]checkpointTimer, n)
+		for id := range ckpts {
+			if e.strategy[id] == StrategySourceReplay {
+				continue // Storm mode keeps no checkpoints
+			}
+			frac := float64(id+1) * 0.6180339887498949
+			frac -= float64(int(frac))
+			ckpts[id] = checkpointTimer{e: e, id: topology.TaskID(id)}
+			e.clock.AtRun(e.clock.Now()+e.cfg.CheckpointInterval*sim.Time(frac), &ckpts[id])
+		}
 	}
-	e.scheduleReplicaTrims()
+	acks := make([]replicaAck, n)
+	for id, rep := range e.replicas {
+		if rep != nil {
+			acks[id] = replicaAck{e: e, id: topology.TaskID(id)}
+			e.clock.AfterRun(e.cfg.ReplicaTrimInterval, &acks[id])
+		}
+	}
 }
 
 // Config returns the effective configuration (defaults applied).
@@ -252,11 +280,11 @@ func (de *deliveryEvent) Run() {
 
 // deliver schedules the delivery of a batch fragment from one task to
 // the recipient in its slot after the network delay, on a pooled event
-// in the clock's hop lane.
+// in the clock's lane of that delay.
 func (e *Engine) deliver(from topology.TaskID, to recipient, batch int, content Batch, d delivery) {
 	de := e.getDeliveryEvent()
 	de.e, de.to, de.ui, de.batch, de.content, de.d = e, to.id, e.senderIdx[from][to.slot], batch, content, d
-	e.clock.Hop(de)
+	e.clock.AfterRun(e.cfg.NetDelay, de)
 }
 
 func (e *Engine) getDeliveryEvent() *deliveryEvent {
@@ -291,62 +319,87 @@ func (e *Engine) Run(until sim.Time) {
 	e.clock.RunUntil(until)
 }
 
-// scheduleBatchTick arms the source batch ticker: batch b is emitted at
-// its end boundary (b+1)*BatchInterval.
-func (e *Engine) scheduleBatchTick(b int) {
-	at := sim.Time(float64(b+1)) * e.cfg.BatchInterval
-	e.clock.At(at, func() {
-		e.currentBatch = b
-		for _, op := range e.topo.SourceOps() {
-			for _, id := range e.topo.TasksOf(op) {
-				rt := e.tasks[id]
-				if rt != nil && !rt.failed && rt.isSource {
-					rt.emitSourceBatch(b)
-				}
+// batchTick is the source batch ticker: batch b is emitted at its end
+// boundary (b+1)*BatchInterval. The time is computed from b, not added
+// up interval by interval, so a non-integer interval accumulates no
+// rounding; the tick therefore re-arms on the heap, not on a lane. It
+// carries its batch number, so the image keeps it by value.
+type batchTick struct {
+	e *Engine
+	b int
+}
+
+// at is the firing time of batch b's tick.
+func (t *batchTick) at() sim.Time { return sim.Time(float64(t.b+1)) * t.e.cfg.BatchInterval }
+
+// Run implements sim.Runner: emit batch b at every live source task,
+// fabricate punctuations for the failed tasks, and arm the next tick.
+func (t *batchTick) Run() {
+	e, b := t.e, t.b
+	e.currentBatch = b
+	for _, op := range e.topo.SourceOps() {
+		for _, id := range e.topo.TasksOf(op) {
+			rt := e.tasks[id]
+			if rt != nil && !rt.failed && rt.isSource {
+				rt.emitSourceBatch(b)
 			}
 		}
-		e.master.fabricate()
-		e.scheduleBatchTick(b + 1)
-	})
-}
-
-func (e *Engine) scheduleHeartbeat(at sim.Time) {
-	e.clock.At(at, func() {
-		e.master.heartbeat()
-		e.scheduleHeartbeat(at + e.cfg.HeartbeatInterval)
-	})
-}
-
-// scheduleCheckpoints arms the per-task checkpoint timers. Offsets are
-// scattered deterministically (golden-ratio hashing of the task id) so
-// that checkpoints are asynchronous and uncorrelated across tasks, as
-// in real deployments — the source of the §V-B synchronisation cost
-// when recovering correlated failures.
-func (e *Engine) scheduleCheckpoints() {
-	n := e.topo.NumTasks()
-	for id := 0; id < n; id++ {
-		tid := topology.TaskID(id)
-		if e.strategy[id] == StrategySourceReplay {
-			continue // Storm mode keeps no checkpoints
-		}
-		frac := float64(id+1) * 0.6180339887498949
-		frac -= float64(int(frac))
-		offset := e.cfg.CheckpointInterval * sim.Time(frac)
-		at := e.clock.Now() + offset
-		e.scheduleCheckpoint(tid, at)
 	}
+	e.master.fabricate()
+	t.b++
+	e.clock.AtRun(t.at(), t)
 }
 
-func (e *Engine) scheduleCheckpoint(id topology.TaskID, at sim.Time) {
-	e.clock.At(at, func() {
-		// A failed StrategyNone task never gets a new incarnation: stop
-		// the dead timer chain instead of re-arming it forever.
-		if rt := e.tasks[id]; rt != nil && rt.failed && e.strategy[id] == StrategyNone {
-			return
-		}
-		e.takeCheckpoint(id)
-		e.scheduleCheckpoint(id, at+e.cfg.CheckpointInterval)
-	})
+// heartbeatTimer drives the master's failure detection every
+// HeartbeatInterval. The engine's timers re-arm on the clock's lane of
+// their interval; at firing time now is the firing time, so now+interval
+// is the next one exactly.
+type heartbeatTimer struct{ e *Engine }
+
+// Run implements sim.Runner.
+func (h *heartbeatTimer) Run() {
+	h.e.master.heartbeat()
+	h.e.clock.AfterRun(h.e.cfg.HeartbeatInterval, h)
+}
+
+// checkpointTimer is one task's periodic checkpoint.
+type checkpointTimer struct {
+	e  *Engine
+	id topology.TaskID
+}
+
+// Run implements sim.Runner.
+func (t *checkpointTimer) Run() {
+	e, id := t.e, t.id
+	// A failed StrategyNone task never gets a new incarnation: stop the
+	// dead timer chain instead of re-arming it forever.
+	if rt := e.tasks[id]; rt != nil && rt.failed && e.strategy[id] == StrategyNone {
+		return
+	}
+	e.takeCheckpoint(id)
+	e.clock.AfterRun(e.cfg.CheckpointInterval, t)
+}
+
+// replicaAck is the periodic primary->replica progress ack of one task.
+type replicaAck struct {
+	e  *Engine
+	id topology.TaskID
+}
+
+// Run implements sim.Runner.
+func (a *replicaAck) Run() {
+	e, id := a.e, a.id
+	rep := e.replicas[id]
+	// The replica is gone (promoted) or its standby node failed: acking a
+	// dead replica is wrong and the timer chain can never become useful
+	// again, so it stops here.
+	if rep == nil || rep.failed || !rep.isReplica {
+		return
+	}
+	if prim := e.tasks[id]; prim != nil && !prim.failed {
+		rep.ackAndTrim(prim.processedBatch, e.cfg.CheckpointInterval > 0)
+	}
+	e.clock.AfterRun(e.cfg.ReplicaTrimInterval, a)
 }
 
 // takeCheckpoint snapshots one task's state and output buffer, charges
@@ -422,7 +475,7 @@ func (te *trimEvent) Run() {
 func (e *Engine) scheduleTrim(up, down topology.TaskID, ck int) {
 	te := e.getTrimEvent()
 	te.e, te.up, te.down, te.ck = e, up, down, ck
-	e.clock.Hop(te)
+	e.clock.AfterRun(e.cfg.NetDelay, te)
 }
 
 func (e *Engine) getTrimEvent() *trimEvent {
@@ -433,33 +486,6 @@ func (e *Engine) getTrimEvent() *trimEvent {
 		return te
 	}
 	return &trimEvent{}
-}
-
-// scheduleReplicaTrims arms the periodic primary->replica progress acks.
-func (e *Engine) scheduleReplicaTrims() {
-	for id := range e.replicas {
-		if e.replicas[id] == nil {
-			continue
-		}
-		tid := topology.TaskID(id)
-		e.scheduleReplicaTrim(tid, e.clock.Now()+e.cfg.ReplicaTrimInterval)
-	}
-}
-
-func (e *Engine) scheduleReplicaTrim(id topology.TaskID, at sim.Time) {
-	e.clock.At(at, func() {
-		rep := e.replicas[id]
-		// The replica is gone (promoted) or its standby node failed:
-		// acking a dead replica is wrong and the timer chain can never
-		// become useful again, so it stops here.
-		if rep == nil || rep.failed || !rep.isReplica {
-			return
-		}
-		if prim := e.tasks[id]; prim != nil && !prim.failed {
-			rep.ackAndTrim(prim.processedBatch, e.cfg.CheckpointInterval > 0)
-		}
-		e.scheduleReplicaTrim(id, at+e.cfg.ReplicaTrimInterval)
-	})
 }
 
 // ScheduleNodeFailure injects a node failure at the given virtual time.

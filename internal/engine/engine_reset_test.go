@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -41,8 +42,9 @@ func eqFingerprint(a, b resetFingerprint) bool { return reflect.DeepEqual(a, b) 
 // scenario reproduce exactly what fresh engines produce: Reset leaks no
 // state from the previous run in either direction. An engine marked
 // mid-run resets onto its image and reproduces fresh from-zero runs of
-// several failure scenarios, correction delays included, and Mark
-// refuses once a failure is scheduled.
+// several failure scenarios, correction delays included; it is marked
+// with events pending on every lane of its clock. Mark refuses once a
+// failure is scheduled.
 func TestEngineResetBitIdentical(t *testing.T) {
 	setup := func() Setup {
 		topo := chainTopo(1000)
@@ -130,8 +132,23 @@ func TestEngineResetBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	marked.Run(20)
+	// Every lane holds events at the mark — deliveries and trims,
+	// checkpoints, and the heartbeat and replica acks, which share the
+	// 5 s lane — so the image records all of them; Mark's restore moves
+	// them to the heap, and they return to their lanes as they re-arm.
+	lanes := []sim.Time{marked.cfg.NetDelay, marked.cfg.CheckpointInterval, marked.cfg.HeartbeatInterval, marked.cfg.ReplicaTrimInterval}
+	for _, d := range lanes {
+		if n := marked.clock.LanePending(d); n <= 0 {
+			t.Fatalf("%d events pending on the %v lane at the mark, want some", n, d)
+		}
+	}
 	if err := marked.Mark(); err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range lanes {
+		if n := marked.clock.LanePending(d); n != 0 {
+			t.Fatalf("%d events pending on the %v lane after Mark, want 0", n, d)
+		}
 	}
 	for i, sc := range scenarios {
 		fresh, err := New(setup())

@@ -18,11 +18,12 @@ import (
 //
 // An image only ever holds failure-free state: every runtime is the
 // immortal primary or replica built by New, the master tracks no
-// failure, and the pending events are the ticker closures — which
-// capture only immutable values, so they are kept by reference — and
-// the pooled delivery, batch-completion and trim events, which are
-// recycled on fire and are therefore kept by value and drawn from the
-// pools again on restore.
+// failure, and the pending events are the timers — the heartbeat,
+// checkpoint and replica-ack timers are immutable, so they are kept by
+// reference, and the batch tick carries its batch number, so it is kept
+// by value — and the pooled delivery, batch-completion and trim events,
+// which are recycled on fire and are therefore kept by value and drawn
+// from the pools again on restore.
 
 // image is one recorded engine state.
 type image struct {
@@ -112,6 +113,9 @@ func (e *Engine) mark() []sim.Event {
 		case *trimEvent:
 			c := *r
 			img.events[i].Run = &c
+		case *batchTick:
+			c := *r
+			img.events[i].Run = &c
 		}
 	}
 	for id, rt := range e.prim {
@@ -162,6 +166,9 @@ func (e *Engine) Reset() {
 			te := e.getTrimEvent()
 			*te = *r
 			evs[i].Run = te
+		case *batchTick:
+			*e.tick = *r
+			evs[i].Run = e.tick
 		}
 	}
 	e.clock.Restore(img.now, img.seq, e.armed, evs)

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -85,7 +86,12 @@ func (m *master) heartbeat() {
 	}
 }
 
+// pendingIDs returns the tasks with a tracked failure, sorted; nil (and
+// no allocation) on the failure-free path every batch tick takes.
 func (m *master) pendingIDs() []topology.TaskID {
+	if len(m.pending) == 0 {
+		return nil
+	}
 	ids := make([]topology.TaskID, 0, len(m.pending))
 	for id := range m.pending {
 		ids = append(ids, id)
@@ -383,12 +389,14 @@ func (m *master) fabricate() {
 	}
 }
 
-// stats returns finished and pending recovery stats sorted by task.
+// stats returns finished and pending recovery stats sorted by task. The
+// sort is stable, so a task that failed again after recovering lists its
+// failures in order.
 func (m *master) stats() []RecoveryStat {
 	out := append([]RecoveryStat(nil), m.done...)
 	for _, f := range m.pending {
 		out = append(out, f.stat)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
+	slices.SortStableFunc(out, func(a, b RecoveryStat) int { return cmp.Compare(a.Task, b.Task) })
 	return out
 }

@@ -778,6 +778,4 @@ func maxTime(a, b sim.Time) sim.Time {
 	return b
 }
 
-func sortIDs(ids []topology.TaskID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortIDs(ids []topology.TaskID) { slices.Sort(ids) }

@@ -33,7 +33,8 @@ type Result struct {
 }
 
 // String renders the result as an aligned text table (rows = x values,
-// columns = series).
+// columns = series). A column is 16 characters wide, or its series name
+// plus 2 when that is longer, so names never run together.
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.Figure, r.Title)
@@ -54,18 +55,20 @@ func (r Result) String() string {
 			w = len(x)
 		}
 	}
+	cols := make([]int, len(r.Series))
 	fmt.Fprintf(&b, "%-*s", w+2, r.XLabel)
-	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%16s", s.Name)
+	for i, s := range r.Series {
+		cols[i] = max(16, len(s.Name)+2)
+		fmt.Fprintf(&b, "%*s", cols[i], s.Name)
 	}
 	fmt.Fprintf(&b, "    (%s)\n", r.YLabel)
 	for _, x := range xs {
 		fmt.Fprintf(&b, "%-*s", w+2, x)
-		for _, s := range r.Series {
+		for i, s := range r.Series {
 			if v, ok := lookup(s, x); ok {
-				fmt.Fprintf(&b, "%16.3f", v)
+				fmt.Fprintf(&b, "%*.3f", cols[i], v)
 			} else {
-				fmt.Fprintf(&b, "%16s", "-")
+				fmt.Fprintf(&b, "%*s", cols[i], "-")
 			}
 		}
 		b.WriteByte('\n')

@@ -311,6 +311,37 @@ func TestResultString(t *testing.T) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
 	}
+
+	// Names of 16 characters or more widen their column to the name plus
+	// 2, as Fig. 14b's and 14c's do, so neighbours stay apart and every
+	// value lines up under its name's last character.
+	long := Result{
+		Figure: "Fig. 14b", Title: "long names", XLabel: "x", YLabel: "y",
+		Series: []Series{
+			{Name: "SA-para:1~10", Points: []Point{{X: "0.1", Y: 0.25}}},
+			{Name: "Greedy-para:10~20", Points: []Point{{X: "0.1", Y: 0.5}}},
+			{Name: "SA-Full", Points: []Point{{X: "0.1", Y: 1}}},
+			{Name: "Greedy-Structure", Points: []Point{{X: "0.1", Y: 0.125}}},
+		},
+	}
+	lines := strings.Split(long.String(), "\n")
+	header := "x    " + "    SA-para:1~10" + "  Greedy-para:10~20" + "         SA-Full" + "  Greedy-Structure" + "    (y)"
+	row := "0.1  " + "           0.250" + "              0.500" + "           1.000" + "             0.125"
+	if len(lines) < 3 || lines[1] != header || lines[2] != row {
+		t.Errorf("String() with long names:\n%s\nwant header and row\n%s\n%s", long.String(), header, row)
+	}
+}
+
+// TestFig14RejectsNoTopologies checks that every Fig. 14 driver refuses
+// a run over no topologies instead of printing a table of zeros.
+func TestFig14RejectsNoTopologies(t *testing.T) {
+	for i, fig := range []func(int) (Result, error){Fig14a, Fig14b, Fig14c, Fig14d} {
+		for _, n := range []int{0, -1} {
+			if _, err := fig(n); err == nil {
+				t.Errorf("Fig14%c(%d): no error", 'a'+i, n)
+			}
+		}
+	}
 }
 
 func TestTechniqueListMatchesPaper(t *testing.T) {

@@ -52,12 +52,24 @@ func meanOF(spec randtopo.Spec, n int, planner string) ([]Point, error) {
 	return points, nil
 }
 
+// checkTopologies rejects a Fig. 14 run over no topologies, whose
+// means would all read zero.
+func checkTopologies(n int) error {
+	if n < 1 {
+		return fmt.Errorf("experiments: need a positive topology count, got %d", n)
+	}
+	return nil
+}
+
 // fig14 builds one Fig. 14 subfigure: SA and Greedy on two spec
-// variants.
+// variants over n random topologies.
 func fig14(figure, title string, variants []struct {
 	label string
 	spec  randtopo.Spec
 }, n int) (Result, error) {
+	if err := checkTopologies(n); err != nil {
+		return Result{}, err
+	}
 	res := Result{
 		Figure: figure,
 		Title:  title,
@@ -122,6 +134,9 @@ func Fig14c(n int) (Result, error) {
 // drawn once with 50% joins and then evaluated a second time with the
 // joins downgraded to independent-input operators.
 func Fig14d(n int) (Result, error) {
+	if err := checkTopologies(n); err != nil {
+		return Result{}, err
+	}
 	res := Result{
 		Figure: "Fig. 14d",
 		Title:  "SA vs Greedy: fraction of join operators",

@@ -16,7 +16,7 @@ type scheduler interface {
 	Now() Time
 	At(t Time, fn func())
 	AtRun(t Time, r Runner)
-	Hop(r Runner)
+	AfterRun(d Time, r Runner)
 	Step() bool
 	RunUntil(deadline Time)
 	Pending() int
@@ -25,10 +25,10 @@ type scheduler interface {
 }
 
 // refClock is the reference: one unsorted list of events, fired by a
-// linear scan for the smallest (at, seq). Hop is plain AtRun at
-// now+hop. Restore defers and renumbers as Clock.Restore documents.
+// linear scan for the smallest (at, seq). AfterRun is plain AtRun at
+// now+d. Restore defers and renumbers as Clock.Restore documents.
 type refClock struct {
-	now, hop   Time
+	now        Time
 	seq        uint64
 	evs        []Event
 	deferred   []Event
@@ -36,11 +36,11 @@ type refClock struct {
 	restored   bool
 }
 
-func (r *refClock) Now() Time            { return r.now }
-func (r *refClock) At(t Time, fn func()) { r.AtRun(t, runFunc(fn)) }
-func (r *refClock) Hop(x Runner)         { r.AtRun(r.now+r.hop, x) }
-func (r *refClock) Pending() int         { return len(r.evs) + len(r.deferred) }
-func (r *refClock) Step() bool           { return r.fire(Time(math.Inf(1))) }
+func (r *refClock) Now() Time                 { return r.now }
+func (r *refClock) At(t Time, fn func())      { r.AtRun(t, runFunc(fn)) }
+func (r *refClock) AfterRun(d Time, x Runner) { r.AtRun(r.now+d, x) }
+func (r *refClock) Pending() int              { return len(r.evs) + len(r.deferred) }
+func (r *refClock) Step() bool                { return r.fire(Time(math.Inf(1))) }
 
 func (r *refClock) AtRun(t Time, x Runner) {
 	r.seq++
@@ -108,11 +108,13 @@ func (r *refClock) flush() {
 
 // world is one clock under the randomized test with the log of the
 // events it fired. Events are numbered in scheduling order, so two
-// worlds that fire alike number their events alike.
+// worlds that fire alike number their events alike. delays are the
+// clock's lane delays, as passed to NewClock.
 type world struct {
-	clk  scheduler
-	log  []int
-	next int
+	clk    scheduler
+	delays []Time
+	log    []int
+	next   int
 }
 
 func (w *world) probe() *probe {
@@ -121,7 +123,8 @@ func (w *world) probe() *probe {
 }
 
 // probe is a test event: it logs its number and, depending on it,
-// schedules a follow-up on the hop lane or on the heap.
+// schedules a follow-up on a lane, at a delay that may or may not have
+// a lane, or at an absolute time on the heap.
 type probe struct {
 	w  *world
 	id int
@@ -134,9 +137,11 @@ func (p *probe) Run() {
 	w.log = append(w.log, p.id)
 	switch p.id % 5 {
 	case 0, 1:
-		w.clk.Hop(w.probe())
+		w.clk.AfterRun(w.delays[p.id%len(w.delays)], w.probe())
 	case 2:
 		w.clk.AtRun(w.clk.Now()+grid*Time(p.id%3), w.probe())
+	case 3:
+		w.clk.AfterRun(grid*Time(p.id%7), w.probe())
 	}
 }
 
@@ -155,21 +160,61 @@ func pendingKey(evs []Event) []string {
 	return out
 }
 
-// TestTwoLaneMatchesReference drives the two-lane clock and the
-// reference through random sequences of At, AtRun, Hop, Step, RunUntil
-// and record/restore cycles, and requires the same firing order, time,
-// pending count and recorded events after every operation. Times lie on
-// a coarse grid and the hop is a grid multiple, so lane and heap events
-// tie at one instant all the time; the test counts those ties.
-func TestTwoLaneMatchesReference(t *testing.T) {
-	ties, laneCap := 0, 0
-	for seed := int64(1); seed <= 40; seed++ {
-		hop := grid * Time(1+seed%3)
-		clk := NewClock(hop)
-		a := &world{clk: clk}
-		b := &world{clk: &refClock{hop: hop}}
-		worlds := []*world{a, b}
+// heads returns the time of the next event of the heap and of every
+// non-empty lane, keyed by lane index (-1 for the heap).
+func heads(c *Clock) map[int]Time {
+	out := map[int]Time{}
+	if len(c.heap) > 0 {
+		out[-1] = c.heap[0].at
+	}
+	for i := range c.lanes {
+		if l := &c.lanes[i]; l.n > 0 {
+			out[i] = l.front().at
+		}
+	}
+	return out
+}
+
+// wantCold is the cold-lane cache recomputed from scratch.
+func wantCold(c *Clock) int {
+	cold := 0
+	for i := 1; i < len(c.lanes); i++ {
+		if l := &c.lanes[i]; l.n > 0 && (cold == 0 || l.front().less(c.lanes[cold].front())) {
+			cold = i
+		}
+	}
+	return cold
+}
+
+// TestLanesMatchReference drives the laned clock and the reference
+// through random sequences of At, AtRun, AfterRun, Step, RunUntil and
+// record/restore cycles, and requires the same firing order, time,
+// pending count and recorded events after every operation, and a cold
+// lane cache equal to one recomputed from scratch. Every seed builds the
+// clock with its own set of 1 to 4 lane delays on a coarse time grid,
+// so sets repeat a delay or include a zero delay, AfterRun hits lane
+// and non-lane delays alike, and lane and heap events tie at one
+// instant all the time; the test counts those ties and the sets.
+func TestLanesMatchReference(t *testing.T) {
+	var heapLaneTies, laneLaneTies, dupSets, zeroSets, laneCap int
+	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		delays := make([]Time, 1+rng.Intn(4))
+		for i := range delays {
+			delays[i] = grid * Time(rng.Intn(5))
+		}
+		if slices.Contains(delays, 0) {
+			zeroSets++
+		}
+		distinct := slices.Clone(delays)
+		slices.Sort(distinct)
+		if len(slices.Compact(distinct)) < len(delays) {
+			dupSets++
+		}
+		clk := NewClock(delays...)
+		a := &world{clk: clk, delays: delays}
+		b := &world{clk: &refClock{}, delays: delays}
+		worlds := []*world{a, b}
 		type image struct {
 			now  Time
 			seq  uint64
@@ -187,18 +232,35 @@ func TestTwoLaneMatchesReference(t *testing.T) {
 					w.clk.At(w.clk.Now()+grid*Time(k), p.Run)
 				}
 			case 1:
+				d := grid * Time(rng.Intn(7)) // a lane delay or not
 				for _, w := range worlds {
 					w.clk.AtRun(w.clk.Now()+grid*Time(k), w.probe())
+					w.clk.AfterRun(d, w.probe())
 				}
 			case 2, 3:
+				d := delays[rng.Intn(len(delays))]
 				for _, w := range worlds {
-					for i := 0; i < 1+k*k; i++ { // bursts grow and wrap the ring
-						w.clk.Hop(w.probe())
+					for i := 0; i < 1+k*k; i++ { // bursts grow and wrap the rings
+						w.clk.AfterRun(d, w.probe())
 					}
 				}
 			case 4, 5:
-				if clk.n > 0 && len(clk.heap) > 0 && clk.lane[clk.head].at == clk.heap[0].at {
-					ties++
+				hs := heads(clk)
+				first := Time(math.Inf(1))
+				for _, at := range hs {
+					first = min(first, at)
+				}
+				lanes := 0
+				for i, at := range hs {
+					if at == first && i >= 0 {
+						lanes++
+					}
+				}
+				if at, ok := hs[-1]; ok && at == first && lanes > 0 {
+					heapLaneTies++
+				}
+				if lanes > 1 {
+					laneLaneTies++
 				}
 				if fa, fb := a.clk.Step(), b.clk.Step(); fa != fb {
 					t.Fatalf("seed %d step %d: Step fired %v, reference %v", seed, step, fa, fb)
@@ -239,53 +301,85 @@ func TestTwoLaneMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d step %d (op %d): now %v pending %d, reference now %v pending %d",
 					seed, step, op, a.clk.Now(), a.clk.Pending(), b.clk.Now(), b.clk.Pending())
 			}
+			if want := wantCold(clk); clk.cold != want {
+				t.Fatalf("seed %d step %d (op %d): cold lane %d, recomputed %d", seed, step, op, clk.cold, want)
+			}
 		}
 		for _, w := range worlds {
 			w.clk.RunUntil(w.clk.Now() + 100*grid)
 		}
-		laneCap = max(laneCap, len(clk.lane))
+		for i := range clk.lanes {
+			laneCap = max(laneCap, len(clk.lanes[i].ring))
+		}
 		if !reflect.DeepEqual(a.log, b.log) {
 			t.Fatalf("seed %d drain: fired\n%v\nreference\n%v", seed, a.log, b.log)
 		}
 	}
-	if ties < 100 || laneCap < 128 {
-		t.Fatalf("%d steps had a lane event tied with the heap top, and the lane grew to %d; want 100 and 128", ties, laneCap)
+	if heapLaneTies < 1000 || laneLaneTies < 400 || dupSets < 10 || zeroSets < 10 || laneCap < 128 {
+		t.Fatalf("%d steps had a lane head tied with the heap top and %d two lane heads tied, "+
+			"%d lane sets repeated a delay and %d had a zero delay, and a lane grew to %d; "+
+			"want 1000, 400, 10, 10 and 128", heapLaneTies, laneLaneTies, dupSets, zeroSets, laneCap)
 	}
 }
 
-// benchTicker is a self-rearming heap event of BenchmarkClockStep. Each
-// firing schedules one or two hop events, three times in seven two.
+// Delays of BenchmarkClockStep's lanes: the engine's network delay and
+// its checkpoint and heartbeat/replica-ack intervals.
+const (
+	benchHop        = Time(0.05)
+	benchCheckpoint = Time(15)
+	benchHeartbeat  = Time(5)
+)
+
+// benchTicker is a self-rearming event of BenchmarkClockStep. A batch
+// ticker re-arms on the heap and schedules one or two hop events, three
+// times in seven two, as a batch completion does its deliveries; a
+// timer re-arms on the lane of its period and schedules nothing.
 type benchTicker struct {
 	c      *Clock
 	period Time
+	timer  bool
 	k      *int
 	hop    *countRunner
 }
 
 func (bt *benchTicker) Run() {
+	if bt.timer {
+		bt.c.AfterRun(bt.period, bt)
+		return
+	}
 	*bt.k++
-	bt.c.Hop(bt.hop)
+	bt.c.AfterRun(benchHop, bt.hop)
 	if *bt.k%7 < 3 {
-		bt.c.Hop(bt.hop)
+		bt.c.AfterRun(benchHop, bt.hop)
 	}
 	bt.c.AtRun(bt.c.Now()+bt.period, bt)
 }
 
 // BenchmarkClockStep measures the kernel alone on an event mix shaped
-// like a medium-preset campaign: 100 heap events pending at all times
-// (self-rearming tickers of scattered periods, as batch completions,
-// heartbeats and checkpoints are) and 10 hop events per 7 heap events,
-// so 59% of the fired events come from the hop lane, as the engine's
-// deliveries and trims do. One op is one fired event.
+// like a medium-preset campaign: 24 batch tickers on the heap (periods
+// scattered around 0.25 s, as batch completions are), each scheduling
+// 10 hop events per 7 firings, and 76 timers on two lanes (58
+// checkpoints every 15 s and 18 heartbeat and replica-ack timers every
+// 5 s, at scattered offsets). Of the fired events 57% come from the hop
+// lane, 40% from the heap and 3% from the timer lanes, as in the
+// engine. One op is one fired event.
 func BenchmarkClockStep(b *testing.B) {
-	c := NewClock(0.05)
+	c := NewClock(benchHop, benchCheckpoint, benchHeartbeat)
 	k := 0
 	hop := &countRunner{}
 	for i := 0; i < 100; i++ {
 		frac := float64(i+1) * 0.6180339887498949
 		frac -= math.Floor(frac)
-		bt := &benchTicker{c: c, period: Time(0.5 + frac), k: &k, hop: hop}
-		c.AtRun(Time(frac), bt)
+		bt := &benchTicker{c: c, k: &k, hop: hop}
+		switch {
+		case i < 24:
+			bt.period = Time(0.125 + 0.25*frac)
+		case i < 82:
+			bt.period, bt.timer = benchCheckpoint, true
+		default:
+			bt.period, bt.timer = benchHeartbeat, true
+		}
+		c.AtRun(bt.period*Time(frac), bt)
 	}
 	for i := 0; i < 10000; i++ {
 		c.Step()

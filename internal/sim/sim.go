@@ -1,19 +1,21 @@
 // Package sim provides a minimal deterministic discrete-event simulation
-// kernel: a virtual clock with two event queues. All recovery-latency
-// experiments of the reproduction run on virtual time so that results
-// are reproducible bit-for-bit and independent of host speed, replacing
-// the paper's wall-clock EC2 measurements (see DESIGN.md §4).
+// kernel: a virtual clock with FIFO lanes beside an event heap. All
+// recovery-latency experiments of the reproduction run on virtual time so
+// that results are reproducible bit-for-bit and independent of host
+// speed, replacing the paper's wall-clock EC2 measurements (see
+// DESIGN.md §4).
 //
 // Events fire in (time, seq) order, seq being the scheduling order, so
-// events at the same instant fire FIFO. The clock keeps them in two
-// lanes. Events scheduled a constant hop after now (the engine's
-// network deliveries and checkpoint trims) go to the hop lane, a FIFO
-// ring; every other event goes to a binary heap of values. The ring
-// needs no ordering work: now never decreases between restores,
-// rounding makes float addition monotone, so now+hop never decreases
-// either, and seq strictly increases, so the ring is always sorted by
-// (time, seq). Firing takes the smaller of the ring head and the heap
-// top, which yields exactly the order one heap over all events gives.
+// events at the same instant fire FIFO. A clock is built with the
+// constant delays its user re-arms with (the engine's network delay and
+// its timer intervals) and keeps one lane per distinct delay: a FIFO ring
+// of the events scheduled that delay after now. Every other event goes to
+// a binary heap of values. A lane needs no ordering work: now never
+// decreases between restores, rounding makes float addition monotone, so
+// now+d never decreases either, and seq strictly increases, so every lane
+// is always sorted by (time, seq). Firing takes the smallest of the heap
+// top and the lane heads, which yields exactly the order one heap over
+// all events gives.
 //
 // Nothing is ever cancelled: a scheduled event fires, or is dropped by
 // Restore. Stale engine events (of a failed task incarnation) fence
@@ -37,9 +39,10 @@ func (t Time) Millis() float64 { return float64(t) * 1000 }
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 
 // Runner is an event callback carried as an interface instead of a
-// closure. Schedulers with a hot path (the engine's per-batch delivery
-// events) implement Run on a pooled struct and pass it to AtRun or Hop,
-// avoiding the per-event closure allocation of At and After.
+// closure. Schedulers with a hot path (the engine's deliveries, batch
+// completions and timers) implement Run on a pooled or long-lived struct
+// and pass it to AtRun or AfterRun, avoiding the per-event closure
+// allocation of At and After.
 type Runner interface {
 	Run()
 }
@@ -50,7 +53,8 @@ type runFunc func()
 
 func (f runFunc) Run() { f() }
 
-// event is one scheduled callback, stored by value in either lane.
+// event is one scheduled callback, stored by value in a lane or the
+// heap.
 type event struct {
 	at  Time
 	seq uint64
@@ -58,10 +62,59 @@ type event struct {
 }
 
 // less orders events by time, then by scheduling order. (at, seq) pairs
-// are unique, so the firing order does not depend on which lane holds
+// are unique, so the firing order does not depend on which queue holds
 // an event or on heap-internal tie-breaking.
 func (e *event) less(o *event) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// lane is the FIFO ring of the events scheduled one constant delay d
+// after now: n events from head, in firing order. The ring's length is
+// zero or a power of two.
+type lane struct {
+	d       Time
+	ring    []event
+	head, n int
+}
+
+// front returns the lane's first event; the lane must not be empty.
+func (l *lane) front() *event { return &l.ring[l.head] }
+
+// at returns the i-th slot from the head.
+func (l *lane) at(i int) *event { return &l.ring[(l.head+i)&(len(l.ring)-1)] }
+
+func (l *lane) push(e event) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	*l.at(l.n) = e
+	l.n++
+}
+
+// pop removes and returns the first event, clearing its slot.
+func (l *lane) pop() event {
+	h := l.front()
+	e := *h
+	*h = event{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return e
+}
+
+// grow doubles the full ring, unwrapping it to start at index zero.
+func (l *lane) grow() {
+	ring := make([]event, max(2*len(l.ring), 64))
+	k := copy(ring, l.ring[l.head:])
+	copy(ring[k:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
+// clear drops every event of the lane.
+func (l *lane) clear() {
+	for i := 0; i < l.n; i++ {
+		*l.at(i) = event{}
+	}
+	l.head, l.n = 0, 0
 }
 
 // Clock is a deterministic discrete-event scheduler. Events scheduled
@@ -70,12 +123,14 @@ func (e *event) less(o *event) bool {
 type Clock struct {
 	now  Time
 	seq  uint64
-	hop  Time
 	heap []event
-	// lane is the hop lane: a ring of n events from head, in firing
-	// order. Its length is zero or a power of two.
-	lane    []event
-	head, n int
+	// lanes holds one lane per distinct NewClock delay, in argument
+	// order. Firing compares the heap top with the head of lanes[0], the
+	// hot lane, and with the head of lanes[cold], the earliest head among
+	// the other lanes; cold is 0 when those are all empty. cold changes
+	// only when its lane pops or another lane receives its first event.
+	lanes []lane
+	cold  int
 
 	// deferred holds the recorded events a Restore queues only at the
 	// next step, numbered past the events scheduled in between; base is
@@ -94,27 +149,49 @@ type Event struct {
 	Run Runner
 }
 
-// NewClock returns a clock at time zero with no pending events, whose
-// Hop schedules events hop seconds after now. A negative hop panics: it
-// would run the clock backwards.
-func NewClock(hop Time) *Clock {
-	if !(hop >= 0) {
-		panic(fmt.Sprintf("sim: negative hop %v", hop))
+// NewClock returns a clock at time zero with no pending events and one
+// lane per distinct delay of delays: AfterRun with one of them schedules
+// on its lane instead of the heap. The first delay's lane is checked
+// first on every firing, so it should be the busiest. A negative or NaN
+// delay panics: it would run the clock backwards.
+func NewClock(delays ...Time) *Clock {
+	c := &Clock{}
+	for _, d := range delays {
+		if !(d >= 0) {
+			panic(fmt.Sprintf("sim: invalid lane delay %v", d))
+		}
+		if c.lane(d) < 0 {
+			c.lanes = append(c.lanes, lane{d: d})
+		}
 	}
-	return &Clock{hop: hop}
+	return c
+}
+
+// lane returns the index of the lane of delay d, or -1.
+func (c *Clock) lane(d Time) int {
+	for i := range c.lanes {
+		if c.lanes[i].d == d {
+			return i
+		}
+	}
+	return -1
 }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past
-// panics: it would make the simulation non-causal.
+// At schedules fn at absolute virtual time t. Scheduling in the past or
+// at a NaN time panics: it would make the simulation non-causal.
 func (c *Clock) At(t Time, fn func()) { c.AtRun(t, runFunc(fn)) }
 
-// AtRun schedules r.Run at absolute virtual time t. Semantics match At;
-// passing a pooled Runner avoids the closure allocation.
+// AtRun schedules r.Run at absolute virtual time t on the heap.
+// Semantics match At; passing a pooled Runner avoids the closure
+// allocation.
 func (c *Clock) AtRun(t Time, r Runner) {
-	if t < c.now {
+	if !(t >= c.now) {
+		if t != t {
+			panic("sim: scheduling event at NaN time")
+		}
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, c.now))
 	}
 	c.seq++
@@ -122,38 +199,56 @@ func (c *Clock) AtRun(t Time, r Runner) {
 }
 
 // After schedules fn d seconds from now.
-func (c *Clock) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	c.At(c.now+d, fn)
-}
+func (c *Clock) After(d Time, fn func()) { c.AfterRun(d, runFunc(fn)) }
 
-// Hop schedules r.Run one hop (the NewClock argument) from now, on the
-// hop lane: the same firing order as AtRun(Now()+hop, r), without the
-// heap.
-func (c *Clock) Hop(r Runner) {
-	if c.n == len(c.lane) {
-		c.growLane()
+// AfterRun schedules r.Run d seconds from now: on the lane of delay d if
+// the clock has one, else on the heap. Both fire in the order of
+// AtRun(Now()+d, r). A negative or NaN delay panics.
+func (c *Clock) AfterRun(d Time, r Runner) {
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: invalid delay %v", d))
 	}
+	i := c.lane(d)
+	if i < 0 {
+		c.AtRun(c.now+d, r)
+		return
+	}
+	l := &c.lanes[i]
 	c.seq++
-	*c.laneAt(c.n) = event{at: c.now + c.hop, seq: c.seq, run: r}
-	c.n++
+	l.push(event{at: c.now + d, seq: c.seq, run: r})
+	if i > 0 && l.n == 1 && (c.cold == 0 || l.front().less(c.lanes[c.cold].front())) {
+		c.cold = i
+	}
 }
 
-// laneAt returns the i-th slot of the hop lane from its head.
-func (c *Clock) laneAt(i int) *event { return &c.lane[(c.head+i)&(len(c.lane)-1)] }
-
-// growLane doubles the full ring, unwrapping it to start at index zero.
-func (c *Clock) growLane() {
-	lane := make([]event, max(2*len(c.lane), 64))
-	k := copy(lane, c.lane[c.head:])
-	copy(lane[k:], c.lane[:c.head])
-	c.lane, c.head = lane, 0
+// recold points cold at the lane after the first whose head fires
+// first, or 0 when they are all empty.
+func (c *Clock) recold() {
+	c.cold = 0
+	for i := 1; i < len(c.lanes); i++ {
+		if l := &c.lanes[i]; l.n > 0 && (c.cold == 0 || l.front().less(c.lanes[c.cold].front())) {
+			c.cold = i
+		}
+	}
 }
 
 // Pending returns the number of events still queued.
-func (c *Clock) Pending() int { return len(c.heap) + c.n + len(c.deferred) }
+func (c *Clock) Pending() int {
+	n := len(c.heap) + len(c.deferred)
+	for i := range c.lanes {
+		n += c.lanes[i].n
+	}
+	return n
+}
+
+// LanePending returns the number of events pending on the lane of delay
+// d, or -1 when the clock has no lane of that delay.
+func (c *Clock) LanePending(d Time) int {
+	if i := c.lane(d); i >= 0 {
+		return c.lanes[i].n
+	}
+	return -1
+}
 
 // Step fires the next event, advancing the clock, and reports whether
 // an event was fired. The event's slot is cleared before the callback
@@ -174,8 +269,12 @@ func (c *Clock) Run(maxEvents int) {
 }
 
 // RunUntil fires events with timestamps <= deadline, then sets the clock
-// to the deadline.
+// to the deadline. A NaN deadline panics: no event would ever be past
+// it, so self-rearming events would fire forever.
 func (c *Clock) RunUntil(deadline Time) {
+	if deadline != deadline {
+		panic("sim: RunUntil with a NaN deadline")
+	}
 	for c.fire(deadline) {
 	}
 	if c.now < deadline {
@@ -183,39 +282,49 @@ func (c *Clock) RunUntil(deadline Time) {
 	}
 }
 
-// fire fires the next event, the smaller of the lane head and the heap
-// top, if it is due by deadline, and reports whether it did.
+// fire fires the next event, the smallest of the heap top, the hot
+// lane's head and the cold lanes' earliest head, if it is due by
+// deadline, and reports whether it did.
 func (c *Clock) fire(deadline Time) bool {
 	if c.restored {
 		c.flush()
 	}
-	var e event
-	switch {
-	case c.n > 0 && (len(c.heap) == 0 || c.lane[c.head].less(&c.heap[0])):
-		h := &c.lane[c.head]
-		if h.at > deadline {
-			return false
+	var next *event
+	if len(c.heap) > 0 {
+		next = &c.heap[0]
+	}
+	from := -1 // the heap
+	if len(c.lanes) > 0 {
+		if l := &c.lanes[0]; l.n > 0 && (next == nil || l.front().less(next)) {
+			next, from = l.front(), 0
 		}
-		e, *h = *h, event{}
-		c.head = (c.head + 1) & (len(c.lane) - 1)
-		c.n--
-	case len(c.heap) > 0:
-		if c.heap[0].at > deadline {
-			return false
+	}
+	if c.cold > 0 {
+		if h := c.lanes[c.cold].front(); next == nil || h.less(next) {
+			next, from = h, c.cold
 		}
-		e = c.pop()
-	default:
+	}
+	if next == nil || next.at > deadline {
 		return false
+	}
+	var e event
+	if from < 0 {
+		e = c.pop()
+	} else {
+		e = c.lanes[from].pop()
+		if from > 0 {
+			c.recold()
+		}
 	}
 	c.now = e.at
 	e.run.Run()
 	return true
 }
 
-// AppendPending appends a value copy of every pending event, of both
-// lanes, to dst, in no particular order, and returns the extended slice
-// together with the sequence counter (the number the latest scheduled
-// event got). Restore takes both back.
+// AppendPending appends a value copy of every pending event, of the heap
+// and every lane, to dst, in no particular order, and returns the
+// extended slice together with the sequence counter (the number the
+// latest scheduled event got). Restore takes both back.
 func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
 	if c.restored {
 		c.flush()
@@ -224,18 +333,21 @@ func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
 		e := &c.heap[i]
 		dst = append(dst, Event{At: e.at, Seq: e.seq, Run: e.run})
 	}
-	for i := 0; i < c.n; i++ {
-		e := c.laneAt(i)
-		dst = append(dst, Event{At: e.at, Seq: e.seq, Run: e.run})
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		for j := 0; j < l.n; j++ {
+			e := l.at(j)
+			dst = append(dst, Event{At: e.at, Seq: e.seq, Run: e.run})
+		}
 	}
 	return dst, c.seq
 }
 
 // Restore sets the clock to time now with exactly the pending events
 // evs, recorded by AppendPending from a clock whose counter stood at
-// seq; whatever was queued before, in either lane, is dropped. The
-// recorded events all go to the heap, so the lane only ever holds
-// events Hop scheduled since, in order. base splits them: those
+// seq; whatever was queued before, on the heap or a lane, is dropped.
+// The recorded events all go to the heap, so each lane only ever holds
+// events AfterRun scheduled since, in order. base splits them: those
 // numbered at most base are queued at once with their recorded
 // numbers, and the counter restarts at base, so the events the caller
 // schedules next are numbered as if scheduled when the counter stood
@@ -248,21 +360,23 @@ func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
 // Restore(0, 0, 0, nil) makes the clock indistinguishable from a new
 // one.
 func (c *Clock) Restore(now Time, seq, base uint64, evs []Event) {
+	for _, ev := range evs {
+		if !(ev.At >= now) {
+			panic(fmt.Sprintf("sim: restoring event at %v before now %v", ev.At, now))
+		}
+	}
 	clear(c.heap)
 	c.heap = c.heap[:0]
-	for i := 0; i < c.n; i++ {
-		*c.laneAt(i) = event{}
+	for i := range c.lanes {
+		c.lanes[i].clear()
 	}
-	c.head, c.n = 0, 0
+	c.cold = 0
 	clear(c.deferred)
 	c.deferred = c.deferred[:0]
 	c.now = now
 	c.seq = base
 	c.base, c.last = base, seq
 	for _, ev := range evs {
-		if ev.At < now {
-			panic(fmt.Sprintf("sim: restoring event at %v before now %v", ev.At, now))
-		}
 		if ev.Seq <= base {
 			c.queue(ev)
 		} else {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -97,6 +98,39 @@ func TestNegativeDelayPanics(t *testing.T) {
 	}
 }
 
+// TestNaNTimesPanic checks that every entry point rejects a NaN time:
+// a NaN event compares false against every deadline, and RunUntil(NaN)
+// would let self-rearming events fire forever.
+func TestNaNTimesPanic(t *testing.T) {
+	nan := Time(math.NaN())
+	for _, tc := range []struct {
+		name string
+		f    func(c *Clock)
+	}{
+		{"NewClock", func(*Clock) { NewClock(1, nan) }},
+		{"At", func(c *Clock) { c.At(nan, noop) }},
+		{"AtRun", func(c *Clock) { c.AtRun(nan, &countRunner{}) }},
+		{"After", func(c *Clock) { c.After(nan, noop) }},
+		{"AfterRun", func(c *Clock) { c.AfterRun(nan, &countRunner{}) }},
+		{"RunUntil", func(c *Clock) { c.RunUntil(nan) }},
+		{"Restore", func(c *Clock) { c.Restore(0, 1, 1, []Event{{At: nan, Seq: 1, Run: &countRunner{}}}) }},
+	} {
+		c := NewClock(1)
+		c.At(1, noop)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic for a NaN time", tc.name)
+				}
+			}()
+			tc.f(c)
+		}()
+		if c.Pending() != 1 {
+			t.Errorf("%s: %d events pending after the panic, want the 1 scheduled before", tc.name, c.Pending())
+		}
+	}
+}
+
 func TestRunawayGuard(t *testing.T) {
 	c := NewClock(1)
 	var loop func()
@@ -145,28 +179,31 @@ func (r *countRunner) Run() { r.n++ }
 func noop() {}
 
 // TestEventRecycling verifies that steady-state scheduling does not
-// allocate: once the heap and the hop lane have grown, scheduling and
-// firing an event allocates nothing on either lane, for a pooled
-// Runner and for a closure that captures nothing.
+// allocate: once the heap and the lanes have grown, scheduling and
+// firing an event allocates nothing on the heap, the hot lane or a
+// cold lane, for a pooled Runner and for a closure that captures
+// nothing.
 func TestEventRecycling(t *testing.T) {
-	c := NewClock(1)
+	c := NewClock(1, 5)
 	r := &countRunner{}
 	for i := 0; i < 256; i++ {
 		c.AtRun(Time(i), r)
-		c.Hop(r)
+		c.AfterRun(1, r)
+		c.AfterRun(5, r)
 	}
-	c.Run(1000) // warm up both lanes
+	c.Run(1000) // warm up the heap and both lanes
 	for name, cycle := range map[string]func(){
-		"AtRun": func() { c.AtRun(c.Now(), r); c.Step() },
-		"Hop":   func() { c.Hop(r); c.Step() },
-		"At":    func() { c.At(c.Now(), noop); c.Step() },
+		"AtRun":    func() { c.AtRun(c.Now(), r); c.Step() },
+		"hot lane": func() { c.AfterRun(1, r); c.Step() },
+		"AfterRun": func() { c.AfterRun(5, r); c.Step() },
+		"At":       func() { c.At(c.Now(), noop); c.Step() },
 	} {
 		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 			t.Errorf("%s: schedule+fire allocates %v objects/op, want 0", name, allocs)
 		}
 	}
 	// AllocsPerRun runs each cycle once more to warm up.
-	if want := 2*256 + 2*101; r.n != want {
+	if want := 3*256 + 3*101; r.n != want {
 		t.Fatalf("runner fired %d times, want %d", r.n, want)
 	}
 }
@@ -179,15 +216,16 @@ type pooledRunner struct {
 
 func (r *pooledRunner) Run() { *r.hits = append(*r.hits, r.c.Now()) }
 
-// TestAtRun checks the closure-free Runner paths, AtRun and Hop, fire
-// like At and interleave with closure events in (time, seq) order.
+// TestAtRun checks the closure-free Runner paths, AtRun and AfterRun on
+// a lane, fire like At and interleave with closure events in (time,
+// seq) order.
 func TestAtRun(t *testing.T) {
 	c := NewClock(3)
 	var hits []Time
 	r := &pooledRunner{hits: &hits, c: c}
 	c.AtRun(2, r)
 	c.At(1, func() { hits = append(hits, c.Now()) })
-	c.Hop(r)
+	c.AfterRun(3, r)
 	c.Run(10)
 	if len(hits) != 3 || hits[0] != 1 || hits[1] != 2 || hits[2] != 3 {
 		t.Fatalf("hits = %v", hits)
@@ -229,9 +267,9 @@ func TestClockReset(t *testing.T) {
 // scheduled after Restore, the later ones fire after them at the same
 // instant, and events scheduled once running come last — the order a
 // run from time zero gives when the caller's events are scheduled
-// right after the base-th event. Hop events of both lanes tie with heap
-// events at 5, before the record and after each restore; Restore moves
-// the recorded lane event to the heap, where it keeps its place.
+// right after the base-th event. Lane events tie with heap events at 5,
+// before the record and after each restore; Restore moves the recorded
+// lane event to the heap, where it keeps its place.
 func TestClockRestore(t *testing.T) {
 	var got []string
 	hit := func(s string) func() { return func() { got = append(got, s) } }
@@ -240,7 +278,7 @@ func TestClockRestore(t *testing.T) {
 	prefix := func(c *Clock) {
 		c.At(5, hit("armed"))
 		c.At(1, func() { c.At(5, hit("prefix")) })
-		c.At(2, func() { c.Hop(runFunc(hit("prefix-hop"))) })
+		c.At(2, func() { c.After(3, hit("prefix-hop")) })
 	}
 	c := NewClock(3)
 	prefix(c)
@@ -253,20 +291,20 @@ func TestClockRestore(t *testing.T) {
 	prefix(c)
 	c.RunUntil(2)
 	evs, seq := c.AppendPending(nil)
-	if len(evs) != 3 || c.Pending() != 3 || c.n != 1 {
-		t.Fatalf("recorded %d events, %d pending, %d on the lane", len(evs), c.Pending(), c.n)
+	if len(evs) != 3 || c.Pending() != 3 || c.LanePending(3) != 1 {
+		t.Fatalf("recorded %d events, %d pending, %d on the lane", len(evs), c.Pending(), c.LanePending(3))
 	}
 	for round := 0; round < 2; round++ {
 		got = nil
 		c.Restore(2, seq, 3, evs)
-		if c.n != 0 {
-			t.Fatalf("round %d: %d events left on the lane", round, c.n)
+		if n := c.LanePending(3); n != 0 {
+			t.Fatalf("round %d: %d events left on the lane", round, n)
 		}
 		c.At(5, hit("wave"))
-		c.Hop(runFunc(hit("wave-hop")))
+		c.After(3, hit("wave-hop"))
 		c.At(2, func() {
 			c.At(5, hit("late"))
-			c.Hop(runFunc(hit("late-hop")))
+			c.After(3, hit("late-hop"))
 		})
 		if c.Now() != 2 || c.Pending() != 6 {
 			t.Fatalf("round %d: now=%v pending=%d", round, c.Now(), c.Pending())
