@@ -275,10 +275,9 @@ func BenchmarkPlanners(b *testing.B) {
 
 // BenchmarkMemoizedObjective isolates the memoization win on the
 // planner hot path: a Fig. 14-style budget sweep (both SA objectives at
-// five replication ratios, the workload of experiments and the plan
-// Manager) over one shared context, with the objective caches enabled
-// vs disabled. Candidate plans probed at one budget are cache hits at
-// the next.
+// five replication ratios, the workload of the Fig. 12 driver) over one
+// shared context, with the objective caches enabled vs disabled.
+// Candidate plans probed at one budget are cache hits at the next.
 func BenchmarkMemoizedObjective(b *testing.B) {
 	topo := benchTopology(b, 5, 10, 1, 10)
 	for _, mode := range []struct {
@@ -316,19 +315,7 @@ func BenchmarkCorrObjective(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clus, err := env.Cluster()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sets, err := campaign.SampleTaskScenarios(clus, campaign.GenSpec{
-		Seed:        1,
-		Scenarios:   32,
-		Correlation: campaign.DefaultCorrelation,
-	}, campaign.Models)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scenarios, err := plan.NewScenarioSet(topo.NumTasks(), sets)
+	scenarios, err := env.CorrelationSet(32, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,7 +349,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := plan.NewContext(topo)
-				sa := plan.SA{Opts: plan.SAOptions{Workers: mode.workers}}
+				sa := plan.SA{Workers: mode.workers}
 				if _, err := sa.Plan(ctx, budget); err != nil {
 					b.Fatal(err)
 				}

@@ -1,9 +1,9 @@
 // Command ppaplan computes a partially active replication plan for a
 // query topology given as a JSON spec (see internal/topology.Spec),
 // printing the chosen tasks and the plan's predicted Output Fidelity
-// and Internal Completeness. Any planner registered in the plan
-// registry can be selected by name, including the portfolio
-// meta-planner that races all of them.
+// and Internal Completeness. Any planner in the plan registry can be
+// selected by name, including the portfolio meta-planner that races
+// the others.
 //
 // The *-corr planners (dp-corr, structured-corr, sa-corr) optimise the
 // expected OF under a domain-correlated failure distribution instead of
@@ -23,123 +23,105 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/topology"
 )
 
 func main() {
-	var (
-		topoPath = flag.String("topology", "-", "topology spec JSON file ('-' for stdin)")
-		planner  = flag.String("planner", "sa", "planner name (see -list)")
-		algName  = flag.String("algorithm", "", "deprecated alias of -planner")
-		budget   = flag.Int("budget", -1, "replication budget in tasks (overrides -fraction)")
-		fraction = flag.Float64("fraction", 0.5, "replication budget as a fraction of the task count")
-		corrScen = flag.Int("corr-scenarios", 24, "scenarios sampled per burst model for the *-corr planners")
-		corrSeed = flag.Int64("corr-seed", 1, "seed of the correlation-distribution sampling")
-		list     = flag.Bool("list", false, "list the registered planners and exit")
-	)
-	flag.Parse()
-
-	if *list {
-		fmt.Println(strings.Join(core.Planners(), "\n"))
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "ppaplan:", err)
+		os.Exit(1)
 	}
+}
 
-	plannerSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "planner" {
-			plannerSet = true
-		}
-	})
-	name := *planner
-	if *algName != "" {
-		if plannerSet && *algName != *planner {
-			fatal(fmt.Errorf("conflicting -planner %q and -algorithm %q", *planner, *algName))
-		}
-		name = *algName
+// run parses args, plans the topology read from -topology (stdin for
+// '-') and prints the plan to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ppaplan", flag.ContinueOnError)
+	var (
+		topoPath = fs.String("topology", "-", "topology spec JSON file ('-' for stdin)")
+		planner  = fs.String("planner", "sa", "planner name (see -list)")
+		budget   = fs.Int("budget", -1, "replication budget in tasks (overrides -fraction)")
+		fraction = fs.Float64("fraction", 0.5, "replication budget as a fraction of the task count, in [0, 1]")
+		corrScen = fs.Int("corr-scenarios", 24, "scenarios sampled per burst model for the *-corr planners")
+		corrSeed = fs.Int64("corr-seed", 1, "seed of the correlation-distribution sampling")
+		list     = fs.Bool("list", false, "list the registered planners and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *list {
+		fmt.Fprintln(stdout, strings.Join(plan.Names(), "\n"))
+		return nil
+	}
+	pl, ok := plan.Lookup(*planner)
+	if !ok {
+		return fmt.Errorf("-planner: unknown planner %q (registered: %v)", *planner, plan.Names())
 	}
 
 	in := os.Stdin
 	if *topoPath != "-" {
 		f, err := os.Open(*topoPath)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("-topology: %w", err)
 		}
 		defer f.Close()
 		in = f
 	}
 	topo, err := topology.ReadSpec(in)
 	if err != nil {
-		fatal(err)
-	}
-
-	mgr := core.NewManager(topo)
-	corr := strings.HasSuffix(name, "-corr")
-	if corr {
-		if err := installCorrDistribution(mgr, topo, *corrScen, *corrSeed); err != nil {
-			fatal(err)
-		}
+		return fmt.Errorf("-topology: %w", err)
 	}
 	b := *budget
 	if b < 0 {
-		b = mgr.BudgetForFraction(*fraction)
-	}
-	res, err := mgr.PlanByName(name, b)
-	if err != nil {
-		fatal(err)
+		if b, err = plan.Budget(topo.NumTasks(), *fraction); err != nil {
+			return fmt.Errorf("-fraction: %w", err)
+		}
 	}
 
-	fmt.Printf("topology: %d operators, %d tasks\n", topo.NumOps(), topo.NumTasks())
-	fmt.Printf("planner: %s, budget: %d tasks\n", res.Planner, res.Budget)
-	fmt.Printf("plan size: %d tasks\n", res.Plan.Size())
-	fmt.Printf("predicted OF: %.4f\n", res.OF)
-	fmt.Printf("predicted IC: %.4f\n", res.IC)
+	ctx := plan.NewContext(topo)
+	corr := strings.HasSuffix(*planner, "-corr")
 	if corr {
-		fmt.Printf("expected OF under correlated bursts: %.4f\n", res.CorrOF)
+		env, err := campaign.NewEnv(campaign.EnvSpec{Topo: topo})
+		if err != nil {
+			return err
+		}
+		set, err := env.CorrelationSet(*corrScen, *corrSeed)
+		if err != nil {
+			return err
+		}
+		if err := ctx.SetScenarios(set); err != nil {
+			return err
+		}
 	}
-	fmt.Println("replicated tasks:")
-	for _, id := range res.Plan.Tasks() {
+	p, err := pl.Plan(ctx, b)
+	if err != nil {
+		return fmt.Errorf("%s planning: %w", pl.Name(), err)
+	}
+
+	fmt.Fprintf(stdout, "topology: %d operators, %d tasks\n", topo.NumOps(), topo.NumTasks())
+	fmt.Fprintf(stdout, "planner: %s, budget: %d tasks\n", pl.Name(), b)
+	fmt.Fprintf(stdout, "plan size: %d tasks\n", p.Size())
+	fmt.Fprintf(stdout, "predicted OF: %.4f\n", ctx.OF(p))
+	fmt.Fprintf(stdout, "predicted IC: %.4f\n", ctx.IC(p))
+	if corr {
+		fmt.Fprintf(stdout, "expected OF under correlated bursts: %.4f\n", ctx.CorrObjective(p))
+	}
+	fmt.Fprintln(stdout, "replicated tasks:")
+	for _, id := range p.Tasks() {
 		task := topo.Tasks[id]
-		fmt.Printf("  task %3d = %s[%d]\n", id, topo.Ops[task.Op].Name, task.Index)
+		fmt.Fprintf(stdout, "  task %3d = %s[%d]\n", id, topo.Ops[task.Op].Name, task.Index)
 	}
-}
-
-// installCorrDistribution samples a domain-correlated task-failure
-// distribution for the topology — the standard campaign cluster layout
-// with round-robin primary placement, all burst models — and installs
-// it on the manager's planning context.
-func installCorrDistribution(mgr *core.Manager, topo *topology.Topology, scenarios int, seed int64) error {
-	env, err := campaign.NewEnv(campaign.EnvSpec{Topo: topo})
-	if err != nil {
-		return err
-	}
-	c, err := env.Cluster()
-	if err != nil {
-		return err
-	}
-	sets, err := campaign.SampleTaskScenarios(c, campaign.GenSpec{
-		Seed:        seed,
-		Scenarios:   scenarios,
-		Correlation: campaign.DefaultCorrelation,
-	}, campaign.Models)
-	if err != nil {
-		return err
-	}
-	set, err := plan.NewScenarioSet(topo.NumTasks(), sets)
-	if err != nil {
-		return err
-	}
-	return mgr.SetScenarios(set)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ppaplan:", err)
-	os.Exit(1)
+	return nil
 }

@@ -77,12 +77,12 @@ func run(args []string, stdout io.Writer) error {
 	switch *technique {
 	case "checkpoint":
 		cfg.CheckpointInterval = sim.Time(*ckpt)
-		strategies = f.Strategies(engine.StrategyCheckpoint, nil)
+		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, nil)
 	case "active":
 		cfg.CheckpointInterval = sim.Time(*ckpt)
-		strategies = f.Strategies(engine.StrategyCheckpoint, f.SyntheticTasks)
+		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, f.SyntheticTasks)
 	case "storm":
-		strategies = f.Strategies(engine.StrategySourceReplay, nil)
+		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategySourceReplay, nil)
 	case "ppa":
 		cfg.CheckpointInterval = sim.Time(*ckpt)
 		want := int(*fraction*float64(len(f.SyntheticTasks)) + 0.5)
@@ -93,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		for i := 1; i < len(f.SyntheticTasks) && len(active) < want; i += 2 {
 			active = append(active, f.SyntheticTasks[i])
 		}
-		strategies = f.Strategies(engine.StrategyCheckpoint, active)
+		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, active)
 	default:
 		return fmt.Errorf("-technique: unknown technique %q", *technique)
 	}

@@ -11,8 +11,8 @@ import (
 	"log"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/queries"
 	"repro/internal/topology"
 )
@@ -69,26 +69,29 @@ func main() {
 	baseJams := queries.AllKeys(base)
 	fmt.Printf("baseline detected %d jam incidents in 60s\n", len(baseJams))
 
-	mgr := core.NewManager(q.Topo)
+	ctx := plan.NewContext(q.Topo)
 	frac := 0.4
-	budget := mgr.BudgetForFraction(frac)
+	budget, err := plan.Budget(q.Topo.NumTasks(), frac)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\nplans at %.0f%% replication resources:\n", frac*100)
-	for _, alg := range []core.Algorithm{core.AlgorithmSA, core.AlgorithmSAIC} {
-		res, err := mgr.Plan(alg, budget)
+	for _, name := range []string{"sa", "sa-ic"} {
+		p, err := plan.MustLookup(name).Plan(ctx, budget)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var failed []topology.TaskID
 		for id := 0; id < q.Topo.NumTasks(); id++ {
-			if !res.Plan.Has(topology.TaskID(id)) {
+			if !p.Has(topology.TaskID(id)) {
 				failed = append(failed, topology.TaskID(id))
 			}
 		}
 		recs := runQ2(buildQ2(), failed)
 		acc := queries.SetAccuracy(queries.AllKeys(recs), baseJams)
 		fmt.Printf("  %-9s predicted OF %.3f, predicted IC %.3f, actual accuracy %.3f\n",
-			res.Algorithm, res.OF, res.IC, acc)
+			name, ctx.OF(p), ctx.IC(p), acc)
 	}
 	fmt.Println("\nThe IC-optimised plan reports high internal completeness but loses")
 	fmt.Println("the join's incident side, so its actual accuracy collapses; OF models")

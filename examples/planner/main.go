@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/randtopo"
 )
@@ -32,38 +31,44 @@ func main() {
 		}
 		fmt.Printf("topology %d: %d operators, %d tasks\n", i+1, topo.NumOps(), topo.NumTasks())
 
-		mgr := core.NewManager(topo)
+		ctx := plan.NewContext(topo)
+		planAt := func(name string, frac float64) (plan.Plan, error) {
+			budget, err := plan.Budget(topo.NumTasks(), frac)
+			if err != nil {
+				return plan.Plan{}, err
+			}
+			return plan.MustLookup(name).Plan(ctx, budget)
+		}
 		fmt.Printf("  %-10s", "resources")
 		for _, name := range planners {
 			fmt.Printf("%14s", name+"-OF")
 		}
 		fmt.Println()
 		for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-			budget := mgr.BudgetForFraction(frac)
 			fmt.Printf("  %-10.2f", frac)
 			for _, name := range planners {
-				res, err := mgr.PlanByName(name, budget)
+				p, err := planAt(name, frac)
 				if err != nil {
 					// DP may exceed its search cap on some topologies.
 					fmt.Printf("%14s", "n/a")
 					continue
 				}
-				fmt.Printf("%14.3f", res.OF)
+				fmt.Printf("%14.3f", ctx.OF(p))
 			}
 			fmt.Println()
 		}
 
 		// Demonstrate dynamic plan adaptation (§V-C): growing the budget
 		// reuses existing replicas and only activates the delta.
-		small, err := mgr.PlanByName("sa", mgr.BudgetForFraction(0.25))
+		small, err := planAt("sa", 0.25)
 		if err != nil {
 			log.Fatal(err)
 		}
-		large, err := mgr.PlanByName("sa", mgr.BudgetForFraction(0.5))
+		large, err := planAt("sa", 0.5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		activate, deactivate := core.Diff(small.Plan, large.Plan)
+		activate, deactivate := plan.Diff(small, large)
 		fmt.Printf("  adapting 0.25 -> 0.50: start %d new replicas, stop %d\n\n",
 			len(activate), len(deactivate))
 	}

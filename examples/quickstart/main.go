@@ -28,14 +28,19 @@ func main() {
 
 	// 2. Plan active replication for half the tasks with the
 	// structure-aware algorithm; every task is also checkpointed.
-	mgr := ppa.NewManager(topo)
-	res, err := mgr.Plan(ppa.SA, mgr.BudgetForFraction(0.5))
+	ctx := ppa.NewPlanContext(topo)
+	budget, err := ppa.PlanBudget(topo.NumTasks(), 0.5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sa, _ := ppa.LookupPlanner("sa")
+	p, err := sa.Plan(ctx, budget)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("PPA plan (%s, budget %d): %d replicas, predicted OF %.3f\n",
-		res.Algorithm, res.Budget, res.Plan.Size(), res.OF)
-	fmt.Printf("actively replicated tasks: %v\n", res.Plan.Tasks())
+		sa.Name(), budget, p.Size(), ctx.OF(p))
+	fmt.Printf("actively replicated tasks: %v\n", p.Tasks())
 
 	// 3. Run the engine: 7 processing nodes, 4 standby nodes, 5s
 	// checkpoints, tentative outputs enabled.
@@ -55,7 +60,7 @@ func main() {
 			1: ppa.NewWindowCountFactory(10, 0.5),
 			2: ppa.NewWindowCountFactory(10, 0.1),
 		},
-		Strategies: mgr.Strategies(res.Plan, ppa.StrategyCheckpoint),
+		Strategies: ppa.Strategies(topo.NumTasks(), ppa.StrategyCheckpoint, p.Tasks()),
 	})
 	if err != nil {
 		log.Fatal(err)

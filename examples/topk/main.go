@@ -11,8 +11,8 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/queries"
 	"repro/internal/topology"
 )
@@ -62,39 +62,41 @@ func main() {
 	baseKeys, lastBatch := queries.LastBatchKeys(base, -1)
 	fmt.Printf("baseline: %d entries in the top-100 at batch %d\n", len(baseKeys), lastBatch)
 
-	// PPA plan with 40% of the tasks actively replicated.
-	mgr := core.NewManager(q.Topo)
-	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
-		res, err := mgr.Plan(core.AlgorithmSA, mgr.BudgetForFraction(frac))
+	// Structure-aware PPA plans at 20-80% of the tasks actively
+	// replicated.
+	ctx := plan.NewContext(q.Topo)
+	planAt := func(frac float64) plan.Plan {
+		budget, err := plan.Budget(q.Topo.NumTasks(), frac)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Worst-case correlated failure: everything outside the plan.
+		p, err := plan.MustLookup("sa").Plan(ctx, budget)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return p
+	}
+	// Worst-case correlated failure: everything outside the plan.
+	failedOutside := func(p plan.Plan) []topology.TaskID {
 		var failed []topology.TaskID
 		for id := 0; id < q.Topo.NumTasks(); id++ {
-			if !res.Plan.Has(topology.TaskID(id)) {
+			if !p.Has(topology.TaskID(id)) {
 				failed = append(failed, topology.TaskID(id))
 			}
 		}
-		recs := runQ1(build(), failed)
+		return failed
+	}
+	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
+		p := planAt(frac)
+		recs := runQ1(build(), failedOutside(p))
 		tentKeys, _ := queries.LastBatchKeys(recs, lastBatch)
 		acc := queries.SetAccuracy(tentKeys, baseKeys)
 		fmt.Printf("resources %.1f: predicted OF %.3f, tentative top-100 accuracy %.3f\n",
-			frac, res.OF, acc)
+			frac, ctx.OF(p), acc)
 	}
 
 	// Show a sample of the surviving tentative ranking at 0.4.
-	res, err := mgr.Plan(core.AlgorithmSA, mgr.BudgetForFraction(0.4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var failed []topology.TaskID
-	for id := 0; id < q.Topo.NumTasks(); id++ {
-		if !res.Plan.Has(topology.TaskID(id)) {
-			failed = append(failed, topology.TaskID(id))
-		}
-	}
-	recs := runQ1(build(), failed)
+	recs := runQ1(build(), failedOutside(planAt(0.4)))
 	tentKeys, _ := queries.LastBatchKeys(recs, lastBatch)
 	var sample []string
 	for k := range tentKeys {

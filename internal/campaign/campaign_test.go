@@ -509,3 +509,47 @@ func TestEnvWindowKnobsUnified(t *testing.T) {
 		t.Error("conflicting window knobs accepted")
 	}
 }
+
+// TestEnvRejectsBadFraction: a replication fraction outside [0, 1] is
+// an error, not a silently unreplicated (or fully replicated) plan
+// under the planner's name, whether it comes from a local spec or over
+// the wire. Zero still selects the 0.3 default.
+func TestEnvRejectsBadFraction(t *testing.T) {
+	topo, err := PresetTopology(TopoSmall, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{math.NaN(), -0.5, 1.5} {
+		if _, err := NewEnv(EnvSpec{Topo: topo, Planner: "sa", Fraction: frac}); err == nil || !strings.Contains(err.Error(), "Fraction") {
+			t.Errorf("Fraction %v: error %v, want one naming Fraction", frac, err)
+		}
+	}
+	wire, err := NewWireSpec(EnvSpec{Topo: topo, Planner: "sa", Fraction: -0.5},
+		[]GenSpec{{Seed: 1, Scenarios: 2, Model: SingleNode}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.Config(); err == nil {
+		t.Error("wire spec with Fraction -0.5 accepted")
+	}
+	// Greedy spends its whole budget: zero selects 0.3 of the tasks,
+	// and 1 replicates every task.
+	for _, tc := range []struct {
+		frac float64
+		want int
+	}{{0, int(math.Round(0.3 * float64(topo.NumTasks())))}, {1, topo.NumTasks()}} {
+		env, err := NewEnv(EnvSpec{Topo: topo, Planner: "greedy", Fraction: tc.frac})
+		if err != nil {
+			t.Fatalf("Fraction %v: %v", tc.frac, err)
+		}
+		active := 0
+		for _, st := range env.strategies {
+			if st == engine.StrategyActive {
+				active++
+			}
+		}
+		if active != tc.want {
+			t.Errorf("Fraction %v: %d active tasks, want %d", tc.frac, active, tc.want)
+		}
+	}
+}

@@ -25,8 +25,8 @@ type EnvSpec struct {
 	// distribution sampled from this environment's own cluster layout
 	// (see CorrScenarios).
 	Planner string
-	// Fraction is the actively replicated fraction of tasks for Planner
-	// (default 0.3).
+	// Fraction is the actively replicated fraction of tasks for Planner,
+	// in [0, 1] (default 0.3; zero selects the default).
 	Fraction float64
 	// Placement selects how active replicas are placed on standby
 	// nodes; the zero value is cluster.PlacementAntiAffinity (a replica
@@ -93,6 +93,12 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 	if spec.TasksPerNode <= 0 {
 		spec.TasksPerNode = 2
 	}
+	if spec.CorrScenarios <= 0 {
+		spec.CorrScenarios = 24
+	}
+	if spec.CorrSeed == 0 {
+		spec.CorrSeed = 1
+	}
 	if spec.WindowBatches == 0 {
 		spec.WindowBatches = spec.Config.WindowBatches
 	}
@@ -104,6 +110,10 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 			spec.WindowBatches, spec.Config.WindowBatches)
 	}
 	n := spec.Topo.NumTasks()
+	budget, err := plan.Budget(n, spec.Fraction)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: EnvSpec.Fraction: %w", err)
+	}
 	env := &Env{
 		spec:       spec,
 		processing: max(2, (n+spec.TasksPerNode-1)/spec.TasksPerNode),
@@ -133,7 +143,7 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 		}
 	}
 
-	env.strategies = make([]engine.Strategy, n)
+	var active []topology.TaskID
 	if spec.Planner != "" {
 		pl, ok := plan.Lookup(spec.Planner)
 		if !ok {
@@ -141,53 +151,44 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 		}
 		ctx := plan.NewContext(spec.Topo)
 		if strings.HasSuffix(spec.Planner, "-corr") {
-			if err := env.installCorrDistribution(ctx); err != nil {
+			set, err := env.CorrelationSet(spec.CorrScenarios, spec.CorrSeed)
+			if err != nil {
+				return nil, err
+			}
+			if err := ctx.SetScenarios(set); err != nil {
 				return nil, err
 			}
 		}
-		budget := int(math.Round(spec.Fraction * float64(n)))
 		p, err := pl.Plan(ctx, budget)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %s planning: %w", spec.Planner, err)
 		}
-		for _, id := range p.Tasks() {
-			env.strategies[id] = engine.StrategyActive
-		}
+		active = p.Tasks()
 	}
+	env.strategies = engine.Strategies(n, engine.StrategyCheckpoint, active)
 	return env, nil
 }
 
-// installCorrDistribution samples the environment's domain-correlated
-// failure distribution (all burst models against the environment's own
-// cluster layout and primary placement) and installs it on the planning
-// context, so *-corr planners optimise the failures this environment
-// will actually inject.
-func (env *Env) installCorrDistribution(ctx *plan.Context) error {
-	scenarios := env.spec.CorrScenarios
-	if scenarios <= 0 {
-		scenarios = 24
-	}
-	seed := env.spec.CorrSeed
-	if seed == 0 {
-		seed = 1
-	}
+// CorrelationSet samples the environment's domain-correlated failure
+// distribution: scenarios draws of every burst model, seeded by seed,
+// against the environment's own cluster layout and primary placement,
+// each mapped to the set of tasks it kills. Installed on a planning
+// context, it makes the *-corr planners optimise the failures this
+// environment will actually inject.
+func (env *Env) CorrelationSet(scenarios int, seed int64) (*plan.ScenarioSet, error) {
 	c, err := env.Cluster()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sets, err := SampleTaskScenarios(c, GenSpec{
+	sets, err := sampleTaskScenarios(c, GenSpec{
 		Seed:        seed,
 		Scenarios:   scenarios,
 		Correlation: DefaultCorrelation,
-	}, Models)
+	})
 	if err != nil {
-		return fmt.Errorf("campaign: sampling correlation distribution: %w", err)
+		return nil, fmt.Errorf("campaign: sampling correlation distribution: %w", err)
 	}
-	set, err := plan.NewScenarioSet(env.spec.Topo.NumTasks(), sets)
-	if err != nil {
-		return err
-	}
-	return ctx.SetScenarios(set)
+	return plan.NewScenarioSet(env.spec.Topo.NumTasks(), sets)
 }
 
 // Cluster builds a fresh domain-structured cluster with the environment

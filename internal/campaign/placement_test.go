@@ -94,7 +94,7 @@ func TestSampleTaskScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	const perModel = 6
-	sets, err := SampleTaskScenarios(c, GenSpec{Seed: 9, Scenarios: perModel, Correlation: DefaultCorrelation}, Models)
+	sets, err := sampleTaskScenarios(c, GenSpec{Seed: 9, Scenarios: perModel, Correlation: DefaultCorrelation})
 	if err != nil {
 		t.Fatal(err)
 	}

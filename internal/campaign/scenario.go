@@ -362,21 +362,18 @@ func genCascade(c *cluster.Cluster, racks []cluster.DomainID, zones []cluster.Do
 	return "cascade[" + strings.Join(labels, ",") + "]", waves
 }
 
-// SampleTaskScenarios draws spec.Scenarios scenarios per burst model and
-// maps each to the set of primary tasks its waves kill under the
-// cluster's current placement — the domain-correlated task-failure
-// distribution consumed by the *-corr planners (plan.NewScenarioSet).
+// sampleTaskScenarios draws spec.Scenarios scenarios of every burst
+// model and maps each to the set of primary tasks its waves kill under
+// the cluster's current placement — the domain-correlated task-failure
+// distribution consumed by the *-corr planners (Env.CorrelationSet).
 // Replica hosts are deliberately ignored: the correlation-aware
 // objective assumes a replicated task survives the burst, which the
 // anti-affinity placer makes true by keeping every replica out of its
 // primary's rack. Scenarios that hit no primaries are kept; they are
 // real probability mass at OF 1.
-func SampleTaskScenarios(c *cluster.Cluster, spec GenSpec, models []Model) ([][]topology.TaskID, error) {
-	if len(models) == 0 {
-		models = Models
-	}
+func sampleTaskScenarios(c *cluster.Cluster, spec GenSpec) ([][]topology.TaskID, error) {
 	var out [][]topology.TaskID
-	for _, m := range models {
+	for _, m := range Models {
 		s := spec
 		s.Model = m
 		scs, err := Generate(c, s)

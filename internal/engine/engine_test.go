@@ -656,3 +656,25 @@ func TestStrategyString(t *testing.T) {
 		t.Error("Strategy.String misbehaves")
 	}
 }
+
+// TestStrategies checks the plan → strategy vector mapping: the plan's
+// tasks get active replicas, every other task the passive default.
+func TestStrategies(t *testing.T) {
+	topo := chainTopo(100) // 5 tasks
+	active := []topology.TaskID{0, 2, 4}
+	for _, passive := range []Strategy{StrategyCheckpoint, StrategySourceReplay} {
+		strats := Strategies(topo.NumTasks(), passive, active)
+		if len(strats) != 5 {
+			t.Fatalf("strategies len = %d", len(strats))
+		}
+		for i, s := range strats {
+			want := passive
+			if slices.Contains(active, topology.TaskID(i)) {
+				want = StrategyActive
+			}
+			if s != want {
+				t.Errorf("passive %v: task %d strategy %v, want %v", passive, i, s, want)
+			}
+		}
+	}
+}

@@ -128,6 +128,21 @@ func (s Strategy) String() string {
 	}
 }
 
+// Strategies is the per-task strategy vector of a PPA plan over n
+// tasks: the tasks in active get StrategyActive and every other task
+// gets passive. Checkpoints are taken for every task regardless; PPA's
+// passive layer covers the whole task set.
+func Strategies(n int, passive Strategy, active []topology.TaskID) []Strategy {
+	out := make([]Strategy, n)
+	for i := range out {
+		out[i] = passive
+	}
+	for _, id := range active {
+		out[id] = StrategyActive
+	}
+	return out
+}
+
 // SinkRecord is one output tuple observed at a sink task.
 type SinkRecord struct {
 	Task  topology.TaskID

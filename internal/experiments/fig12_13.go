@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/queries"
@@ -144,33 +143,36 @@ func Fig12(qb queryBundle) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mgr := core.NewManager(qb.topo)
+	ctx := plan.NewContext(qb.topo)
 	var ofS, ofAccS, icS, icAccS Series
 	ofS.Name, ofAccS.Name, icS.Name, icAccS.Name = "OF", "OF-SA-Accuracy", "IC", "IC-SA-Accuracy"
 	for _, frac := range accuracyFractions {
 		x := fmt.Sprintf("%.1f", frac)
-		budget := mgr.BudgetForFraction(frac)
+		budget, err := plan.Budget(qb.topo.NumTasks(), frac)
+		if err != nil {
+			return Result{}, err
+		}
 
-		ofPlan, err := mgr.Plan(core.AlgorithmSA, budget)
+		ofPlan, err := plan.MustLookup("sa").Plan(ctx, budget)
 		if err != nil {
 			return Result{}, err
 		}
-		ofAcc, err := qb.planAccuracy(ofPlan.Plan, base)
+		ofAcc, err := qb.planAccuracy(ofPlan, base)
 		if err != nil {
 			return Result{}, err
 		}
-		ofS.Points = append(ofS.Points, Point{X: x, Y: ofPlan.OF})
+		ofS.Points = append(ofS.Points, Point{X: x, Y: ctx.OF(ofPlan)})
 		ofAccS.Points = append(ofAccS.Points, Point{X: x, Y: ofAcc})
 
-		icPlan, err := mgr.Plan(core.AlgorithmSAIC, budget)
+		icPlan, err := plan.MustLookup("sa-ic").Plan(ctx, budget)
 		if err != nil {
 			return Result{}, err
 		}
-		icAcc, err := qb.planAccuracy(icPlan.Plan, base)
+		icAcc, err := qb.planAccuracy(icPlan, base)
 		if err != nil {
 			return Result{}, err
 		}
-		icS.Points = append(icS.Points, Point{X: x, Y: icPlan.IC})
+		icS.Points = append(icS.Points, Point{X: x, Y: ctx.IC(icPlan)})
 		icAccS.Points = append(icAccS.Points, Point{X: x, Y: icAcc})
 	}
 	res.Series = []Series{ofS, ofAccS, icS, icAccS}
@@ -194,6 +196,12 @@ func Fig12Q2() (Result, error) {
 	return Fig12(qb)
 }
 
+// fig13Planners are the planners Fig. 13 compares, by registry name,
+// with the paper's labels that name their series.
+var fig13Planners = []struct{ label, name string }{
+	{"DP", "dp"}, {"SA", "sa"}, {"Greedy", "greedy"},
+}
+
 // Fig13 reproduces "Comparing various algorithms": OF and actual
 // accuracy of the plans generated by DP, SA and Greedy.
 func Fig13(qb queryBundle) (Result, error) {
@@ -207,27 +215,29 @@ func Fig13(qb queryBundle) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mgr := core.NewManager(qb.topo)
-	algs := []core.Algorithm{core.AlgorithmDP, core.AlgorithmSA, core.AlgorithmGreedy}
-	ofSeries := make([]Series, len(algs))
-	accSeries := make([]Series, len(algs))
-	for i, alg := range algs {
-		ofSeries[i].Name = alg.String() + "-OF"
-		accSeries[i].Name = alg.String() + "-Accuracy"
+	ctx := plan.NewContext(qb.topo)
+	ofSeries := make([]Series, len(fig13Planners))
+	accSeries := make([]Series, len(fig13Planners))
+	for i, pl := range fig13Planners {
+		ofSeries[i].Name = pl.label + "-OF"
+		accSeries[i].Name = pl.label + "-Accuracy"
 	}
 	for _, frac := range accuracyFractions {
 		x := fmt.Sprintf("%.1f", frac)
-		budget := mgr.BudgetForFraction(frac)
-		for i, alg := range algs {
-			r, err := mgr.Plan(alg, budget)
+		budget, err := plan.Budget(qb.topo.NumTasks(), frac)
+		if err != nil {
+			return Result{}, err
+		}
+		for i, pl := range fig13Planners {
+			p, err := plan.MustLookup(pl.name).Plan(ctx, budget)
 			if err != nil {
 				return Result{}, err
 			}
-			acc, err := qb.planAccuracy(r.Plan, base)
+			acc, err := qb.planAccuracy(p, base)
 			if err != nil {
 				return Result{}, err
 			}
-			ofSeries[i].Points = append(ofSeries[i].Points, Point{X: x, Y: r.OF})
+			ofSeries[i].Points = append(ofSeries[i].Points, Point{X: x, Y: ctx.OF(p)})
 			accSeries[i].Points = append(accSeries[i].Points, Point{X: x, Y: acc})
 		}
 	}

@@ -164,21 +164,21 @@ func Fig14d(n int) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		for variant, topo := range map[string]*topologyHolder{
-			"Join-50%": {joinTopo},
-			"NoJoin":   {noJoinTopo},
-		} {
-			ctx := plan.NewContext(topo.t)
+		for _, v := range []struct {
+			variant string
+			topo    *topology.Topology
+		}{{"Join-50%", joinTopo}, {"NoJoin", noJoinTopo}} {
+			ctx := plan.NewContext(v.topo)
 			for fi, frac := range fig14Fractions {
-				budget := int(frac * float64(topo.t.NumTasks()))
+				budget := int(frac * float64(v.topo.NumTasks()))
 				sa, err := plan.MustLookup("sa").Plan(ctx, budget)
 				if err == nil {
-					a := accs["SA-"+variant]
+					a := accs["SA-"+v.variant]
 					a.sums[fi] += ctx.OF(sa)
 					a.counts[fi]++
 				}
 				g, _ := plan.MustLookup("greedy").Plan(ctx, budget)
-				a := accs["Greedy-"+variant]
+				a := accs["Greedy-"+v.variant]
 				a.sums[fi] += ctx.OF(g)
 				a.counts[fi]++
 			}
@@ -198,5 +198,3 @@ func Fig14d(n int) (Result, error) {
 	}
 	return res, nil
 }
-
-type topologyHolder struct{ t *topology.Topology }

@@ -87,11 +87,11 @@ func runRecovery(tech technique, cfg recoveryConfig, mode failureMode, failNodeI
 		CheckpointInterval:  tech.ckpt,
 		ReplicaTrimInterval: tech.trim,
 	}
-	strategies := f.Strategies(tech.strategy, nil)
+	strategies := engine.Strategies(f.Topo.NumTasks(), tech.strategy, nil)
 	if tech.strategy == engine.StrategyActive {
 		// PPA: the passive layer covers every task; active replication
 		// protects the synthetic tasks under test.
-		strategies = f.Strategies(engine.StrategyCheckpoint, f.SyntheticTasks)
+		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, f.SyntheticTasks)
 		if econf.CheckpointInterval == 0 {
 			econf.CheckpointInterval = 15
 		}

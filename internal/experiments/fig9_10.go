@@ -108,7 +108,7 @@ func Fig10(rate int) (Result, error) {
 			e, err := engine.New(f.Setup(engine.Config{
 				WindowBatches:      30,
 				CheckpointInterval: interval,
-			}, f.Strategies(engine.StrategyCheckpoint, active)))
+			}, engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, active)))
 			if err != nil {
 				return Result{}, err
 			}

@@ -19,11 +19,6 @@ const maxMemoEntries = 1 << 20
 // is safe for concurrent use by multiple goroutines.
 type Context struct {
 	Topo *topology.Topology
-	// Metric selects the objective used by the metric-agnostic entry
-	// point Objective and by Portfolio when ranking the plans of its
-	// inner planners. Planners with a fixed objective (e.g. the sa-ic
-	// variant) pass their metric explicitly and never mutate this field.
-	Metric Metric
 
 	whole *Scope
 
@@ -76,10 +71,6 @@ func (c *Context) SetMemoize(on bool) {
 		s.setMemo(on)
 	}
 }
-
-// Objective evaluates the context's configured metric of a plan under
-// the worst-case correlated failure.
-func (c *Context) Objective(p Plan) float64 { return c.whole.Eval(c.Metric, p) }
 
 // ObjectiveWith evaluates the given metric of a plan under the
 // worst-case correlated failure: the whole-topology scope's memoized

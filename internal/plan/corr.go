@@ -16,7 +16,7 @@ import (
 // distribution the cluster's domain tree actually produces (cf. the
 // approximate fault-tolerance trade-off of Cheng et al.,
 // arXiv:1811.04570). A ScenarioSet carries that distribution as sampled
-// task-failure sets (typically produced by campaign.SampleTaskScenarios
+// task-failure sets (typically produced by campaign.Env.CorrelationSet
 // from the burst models); CorrObjective is the expected OF of a plan
 // under it, with replicated tasks surviving — the assumption the
 // cluster's anti-affinity replica placement makes valid, since a replica
@@ -159,22 +159,9 @@ func (c *Context) evalCorr(s *ScenarioSet, p Plan) float64 {
 	return v
 }
 
-// CorrOptions configures the correlation-aware refinement of a Corr
-// planner.
-type CorrOptions struct {
-	// Rounds caps the hill-climbing rounds (default 8). Each round
-	// applies the single best add or 1-for-1 swap move.
-	Rounds int
-	// Workers sets the move-evaluation parallelism: 0 uses GOMAXPROCS,
-	// 1 runs sequentially. Results are identical at any worker count.
-	Workers int
-}
-
-func (o *CorrOptions) defaults() {
-	if o.Rounds == 0 {
-		o.Rounds = 8
-	}
-}
+// corrRounds caps the hill-climbing rounds of a Corr planner. Each
+// round applies the single best add or 1-for-1 swap move.
+const corrRounds = 8
 
 // Corr is a correlation-aware planner variant: it seeds with the inner
 // planner's plan (chosen under the paper's worst-case single-burst
@@ -188,7 +175,9 @@ func (o *CorrOptions) defaults() {
 // unchanged (CorrObjective would equal the inner objective).
 type Corr struct {
 	Inner Planner
-	Opts  CorrOptions
+	// Workers sets the move-evaluation parallelism: 0 uses GOMAXPROCS,
+	// 1 runs sequentially. Results are identical at any worker count.
+	Workers int
 }
 
 // Name implements Planner: the inner planner's name with a "-corr"
@@ -197,8 +186,6 @@ func (p Corr) Name() string { return p.Inner.Name() + "-corr" }
 
 // Plan implements Planner.
 func (p Corr) Plan(c *Context, budget int) (Plan, error) {
-	opts := p.Opts
-	opts.defaults()
 	cur, err := p.Inner.Plan(c, budget)
 	if err != nil {
 		return Plan{}, err
@@ -216,7 +203,7 @@ func (p Corr) Plan(c *Context, budget int) (Plan, error) {
 		del topology.TaskID // noTask for a pure add
 	}
 	const noTask = topology.TaskID(-1)
-	for round := 0; round < opts.Rounds; round++ {
+	for round := 0; round < corrRounds; round++ {
 		var ins, outs []topology.TaskID
 		for id := 0; id < n; id++ {
 			if cur.Has(topology.TaskID(id)) {
@@ -239,7 +226,7 @@ func (p Corr) Plan(c *Context, budget int) (Plan, error) {
 		if len(moves) == 0 {
 			break
 		}
-		vals := par.Map(len(moves), opts.Workers, func(i int) float64 {
+		vals := par.Map(len(moves), p.Workers, func(i int) float64 {
 			probe := cur.Clone()
 			if moves[i].del != noTask {
 				probe.Remove(moves[i].del)

@@ -181,7 +181,7 @@ func TestCorrPlannerDeterministicAcrossWorkers(t *testing.T) {
 		if err := c.SetScenarios(s); err != nil {
 			t.Fatal(err)
 		}
-		p, err := Corr{Inner: Greedy{}, Opts: CorrOptions{Workers: workers}}.Plan(c, 2)
+		p, err := Corr{Inner: Greedy{}, Workers: workers}.Plan(c, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,32 +9,19 @@ import (
 )
 
 // ErrSearchSpace is returned by the dynamic programming planner when the
-// candidate-plan set exceeds its configured cap; the paper notes the
+// candidate-plan set exceeds maxStates; the paper notes the
 // algorithm's complexity is O(2^T) in the number of MC-trees and uses it
 // only on moderately sized topologies (§VI-C skips DP for the random
 // topologies for the same reason).
 var ErrSearchSpace = errors.New("plan: dynamic programming search space exceeds cap")
 
-// DPOptions configures the dynamic programming planner.
-type DPOptions struct {
-	// MaxTrees caps MC-tree enumeration (default 4096).
-	MaxTrees int
-	// MaxStates caps the candidate-plan set size (default 1 << 18).
-	MaxStates int
-	// Workers sets the candidate-expansion parallelism: 0 uses
-	// GOMAXPROCS, 1 runs sequentially. Results are bit-identical
-	// regardless of the worker count.
-	Workers int
-}
-
-func (o *DPOptions) defaults() {
-	if o.MaxTrees == 0 {
-		o.MaxTrees = 4096
-	}
-	if o.MaxStates == 0 {
-		o.MaxStates = 1 << 18
-	}
-}
+// The dynamic programming planner's caps: MC-tree enumeration stops
+// past maxTrees trees (mctree.ErrTooManyTrees), and the search past
+// maxStates distinct candidate plans (ErrSearchSpace).
+const (
+	maxTrees  = 4096
+	maxStates = 1 << 18
+)
 
 // DP implements Algorithm 1 (PLANCORRELATEDFAILURE): an optimal
 // bottom-up search over unions of MC-trees. Resource usage is increased
@@ -48,7 +35,10 @@ func (o *DPOptions) defaults() {
 // search (including dedup and tie-breaking) is bit-identical to a
 // sequential run.
 type DP struct {
-	Opts DPOptions
+	// Workers sets the candidate-expansion parallelism: 0 uses
+	// GOMAXPROCS, 1 runs sequentially. Results are bit-identical
+	// regardless of the worker count.
+	Workers int
 }
 
 // Name implements Planner.
@@ -56,13 +46,11 @@ func (DP) Name() string { return "dp" }
 
 // Plan implements Planner.
 func (d DP) Plan(c *Context, budget int) (Plan, error) {
-	opts := d.Opts
-	opts.defaults()
 	n := c.Topo.NumTasks()
 	if budget > n {
 		budget = n
 	}
-	trees, err := mctree.Enumerate(c.Topo, opts.MaxTrees)
+	trees, err := mctree.Enumerate(c.Topo, maxTrees)
 	if err != nil {
 		return Plan{}, fmt.Errorf("plan: enumerating MC-trees: %w", err)
 	}
@@ -89,7 +77,7 @@ func (d DP) Plan(c *Context, budget int) (Plan, error) {
 	}
 
 	for usage := 1; usage <= budget; usage++ {
-		exps := par.Map(len(states), opts.Workers, func(i int) expansion {
+		exps := par.Map(len(states), d.Workers, func(i int) expansion {
 			st := states[i]
 			dif := usage - st.Size()
 			if dif < 0 {
@@ -133,7 +121,7 @@ func (d DP) Plan(c *Context, budget int) (Plan, error) {
 					continue
 				}
 				seen[cd.key] = true
-				if len(seen) > opts.MaxStates {
+				if len(seen) > maxStates {
 					return Plan{}, ErrSearchSpace
 				}
 				if cd.of > bestOF || (cd.of == bestOF && cd.p.Size() < best.Size()) {

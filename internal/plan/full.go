@@ -145,18 +145,14 @@ func (f *fullState) step(c *Context, cur Plan) []topology.TaskID {
 	return []topology.TaskID{bestID}
 }
 
-// Full implements Algorithm 4 (PLANFULLTOPOLOGY): plan active
-// replication within a full (sub-)topology given an initial plan and a
-// budget of replicated tasks within the scope. If the budget cannot
-// cover one task per operator and the initial plan is empty, the empty
-// plan is returned (no complete MC-tree is affordable).
+// Full implements Algorithm 4 (PLANFULLTOPOLOGY): plan OF-optimal
+// active replication within a full (sub-)topology from the empty plan
+// under a budget of replicated tasks within the scope. If the budget
+// cannot cover one task per operator, the empty plan is returned (no
+// complete MC-tree is affordable).
 type Full struct {
 	// Ops is the operator scope; nil plans over the whole topology.
 	Ops []int
-	// Initial is the starting plan; nil starts empty.
-	Initial *Plan
-	// Metric selects the optimisation objective (default MetricOF).
-	Metric Metric
 }
 
 // Name implements Planner.
@@ -180,13 +176,8 @@ func (f Full) Plan(c *Context, budget int) (Plan, error) {
 			return Plan{}, fmt.Errorf("plan: full planner requires Full partitioning throughout the scope (edge %d->%d is %v)", e.From, e.To, e.Part)
 		}
 	}
-	var p Plan
-	if f.Initial != nil {
-		p = f.Initial.Clone()
-	} else {
-		p = New(c.Topo.NumTasks())
-	}
-	st := newFullState(c, ops, f.Metric)
+	p := New(c.Topo.NumTasks())
+	st := newFullState(c, ops, MetricOF)
 	for {
 		used := scopeUsage(c.Topo, ops, p)
 		if used >= budget {

@@ -106,12 +106,9 @@ func TestStructureAwareICMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	icPlan, err := SA{Opts: SAOptions{Metric: MetricIC}}.Plan(c, budget)
+	icPlan, err := SA{Metric: MetricIC}.Plan(c, budget)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Metric != MetricOF {
-		t.Error("context metric not restored after SA run")
 	}
 	if c.OF(icPlan) > c.OF(ofPlan)+1e-9 {
 		t.Errorf("IC-optimised plan OF %v beats OF-optimised plan OF %v", c.OF(icPlan), c.OF(ofPlan))
@@ -124,9 +121,9 @@ func TestStructureAwareICMetric(t *testing.T) {
 	}
 }
 
-// TestObjectiveDispatch: Objective follows the context metric, the
-// worst-case objectives are the whole-topology scope's Eval, and
-// CorrObjective without a distribution is the worst-case OF.
+// TestObjectiveDispatch: the worst-case objectives are the
+// whole-topology scope's Eval, and CorrObjective without a distribution
+// is the worst-case OF.
 func TestObjectiveDispatch(t *testing.T) {
 	topo := joinTopo(t)
 	c := NewContext(topo)
@@ -134,14 +131,13 @@ func TestObjectiveDispatch(t *testing.T) {
 	p := New(topo.NumTasks())
 	p.AddAll(topo.TasksOf(0))
 	p.AddAll(topo.TasksOf(1)[:1])
-	if c.Objective(p) != c.OF(p) || whole.Eval(MetricOF, p) != c.OF(p) {
+	if whole.Eval(MetricOF, p) != c.OF(p) || c.ObjectiveWith(MetricOF, p) != c.OF(p) {
 		t.Error("MetricOF objective != OF")
 	}
 	if c.CorrObjective(p) != c.OF(p) {
 		t.Error("CorrObjective without a distribution != OF")
 	}
-	c.Metric = MetricIC
-	if c.Objective(p) != c.IC(p) || whole.Eval(c.Metric, p) != c.IC(p) {
+	if whole.Eval(MetricIC, p) != c.IC(p) || c.ObjectiveWith(MetricIC, p) != c.IC(p) {
 		t.Error("MetricIC objective != IC")
 	}
 }

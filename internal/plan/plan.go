@@ -11,8 +11,10 @@
 // tasks that maximise the Output Fidelity of the partial topology that
 // survives a worst-case correlated failure (every non-replicated task
 // failed). They are exposed uniformly through the Planner interface and
-// the package registry (Register/Lookup/Names), and share one Context —
-// a concurrency-safe, memoizing objective evaluator.
+// the fixed package registry (Lookup/Names), and share one Context — a
+// concurrency-safe, memoizing objective evaluator. Budget turns a
+// replication ratio into the task budget, and Diff gives the replicas
+// to start and stop when one plan replaces another (§V-C).
 //
 // The package also owns the output-quality models of §III that the
 // planners optimise. Output Fidelity (OF) estimates the quality of the
@@ -31,6 +33,8 @@
 package plan
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/topology"
@@ -107,6 +111,33 @@ func (p Plan) Vector() []bool { return p.replicated }
 // programming algorithm and as the memoization key of the Context's
 // objective caches. ScenarioSet dedup uses the same encoding (boolKey).
 func (p Plan) Key() string { return boolKey(p.replicated) }
+
+// Budget converts a replication ratio (0.5 for PPA-0.5) into a budget
+// of actively replicated tasks out of n, rounded to the nearest task.
+// A ratio outside [0, 1], NaN included, is an error.
+func Budget(n int, frac float64) (int, error) {
+	if !(frac >= 0 && frac <= 1) {
+		return 0, fmt.Errorf("plan: replication fraction %v outside [0, 1]", frac)
+	}
+	return int(math.Round(frac * float64(n))), nil
+}
+
+// Diff computes the dynamic-plan-adaptation delta of §V-C: which tasks
+// need a new active replica and which replicas can be deactivated when
+// switching from the old plan to the new one.
+func Diff(old, new Plan) (activate, deactivate []topology.TaskID) {
+	for _, id := range new.Tasks() {
+		if !old.Has(id) {
+			activate = append(activate, id)
+		}
+	}
+	for _, id := range old.Tasks() {
+		if !new.Has(id) {
+			deactivate = append(deactivate, id)
+		}
+	}
+	return activate, deactivate
+}
 
 // Metric selects the quality model a planner optimises: the paper's
 // Output Fidelity, or the Internal Completeness baseline it compares

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Planner is the uniform interface of every replication-plan optimiser:
@@ -17,31 +16,23 @@ type Planner interface {
 	Plan(c *Context, budget int) (Plan, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Planner{}
-)
-
-// Register adds a planner to the package registry under its Name. It
-// panics on an empty or duplicate name; the default planners are
-// registered at package init.
-func Register(p Planner) {
-	name := p.Name()
-	if name == "" {
-		panic("plan: Register with empty planner name")
+// registry is the fixed planner table, keyed by Name.
+var registry = func() map[string]Planner {
+	m := map[string]Planner{}
+	for _, p := range []Planner{
+		DP{}, Greedy{}, SA{}, SA{Metric: MetricIC}, Structured{}, Full{}, Brute{}, Portfolio{},
+		// Correlation-aware variants: inner planner seeds,
+		// hill-climbing under the context's domain-correlated failure
+		// distribution refines (see corr.go).
+		Corr{Inner: DP{}}, Corr{Inner: Structured{}}, Corr{Inner: SA{}},
+	} {
+		m[p.Name()] = p
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("plan: Register called twice for planner %q", name))
-	}
-	registry[name] = p
-}
+	return m
+}()
 
 // Lookup returns the registered planner with the given name.
 func Lookup(name string) (Planner, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	p, ok := registry[name]
 	return p, ok
 }
@@ -58,29 +49,10 @@ func MustLookup(name string) Planner {
 
 // Names lists the registered planner names in sorted order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	for name := range registry {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register(DP{})
-	Register(Greedy{})
-	Register(SA{})
-	Register(SA{Opts: SAOptions{Metric: MetricIC}})
-	Register(Structured{})
-	Register(Full{})
-	Register(Brute{})
-	Register(Portfolio{})
-	// Correlation-aware variants: inner planner seeds, hill-climbing
-	// under the context's domain-correlated failure distribution
-	// refines (see corr.go).
-	Register(Corr{Inner: DP{}})
-	Register(Corr{Inner: Structured{}})
-	Register(Corr{Inner: SA{}})
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,35 @@ func TestFullPlannerRejectsNonFullScope(t *testing.T) {
 	c := NewContext(topo)
 	if _, err := (Full{}).Plan(c, 3); err == nil {
 		t.Error("full planner accepted a Merge-partitioned topology")
+	}
+}
+
+// TestDPTreeCap: past maxTrees MC-trees the dynamic programming planner
+// fails with mctree.ErrTooManyTrees, and the portfolio skips it and
+// still plans. chainTopo(6, 6, 6, 6, 6) has 6^5 = 7,776 trees.
+func TestDPTreeCap(t *testing.T) {
+	topo := chainTopo(6, 6, 6, 6, 6)
+	if _, err := (DP{}).Plan(NewContext(topo), 5); !errors.Is(err, mctree.ErrTooManyTrees) {
+		t.Fatalf("DP error = %v, want mctree.ErrTooManyTrees", err)
+	}
+	c := NewContext(topo)
+	p, err := Portfolio{}.Plan(c, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if of := c.OF(p); of <= 0 {
+		t.Errorf("portfolio OF = %v, want > 0 (one complete chain affordable)", of)
+	}
+}
+
+// TestDPSearchSpaceCap: past maxStates distinct candidate plans the
+// dynamic programming planner fails with ErrSearchSpace. chainTopo(64,
+// 64) has exactly maxTrees two-task trees; at budget 3 the search sees
+// the empty plan, the 4,096 trees and 2·64·C(64, 2) = 258,048 distinct
+// three-task unions, one more than maxStates = 2^18.
+func TestDPSearchSpaceCap(t *testing.T) {
+	if _, err := (DP{}).Plan(NewContext(chainTopo(64, 64)), 3); !errors.Is(err, ErrSearchSpace) {
+		t.Fatalf("DP error = %v, want ErrSearchSpace", err)
 	}
 }
 
@@ -179,8 +209,8 @@ func TestParallelSearchBitIdentical(t *testing.T) {
 		seqCtx := NewContext(topo)
 		parCtx := NewContext(topo)
 
-		dpSeq, err1 := DP{Opts: DPOptions{Workers: 1}}.Plan(seqCtx, budget)
-		dpPar, err2 := DP{Opts: DPOptions{Workers: 8}}.Plan(parCtx, budget)
+		dpSeq, err1 := DP{Workers: 1}.Plan(seqCtx, budget)
+		dpPar, err2 := DP{Workers: 8}.Plan(parCtx, budget)
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("seed %d: DP error mismatch: %v vs %v", seed, err1, err2)
 			return false
@@ -191,8 +221,8 @@ func TestParallelSearchBitIdentical(t *testing.T) {
 			return false
 		}
 
-		saSeq, err1 := SA{Opts: SAOptions{Workers: 1}}.Plan(seqCtx, budget)
-		saPar, err2 := SA{Opts: SAOptions{Workers: 8}}.Plan(parCtx, budget)
+		saSeq, err1 := SA{Workers: 1}.Plan(seqCtx, budget)
+		saPar, err2 := SA{Workers: 8}.Plan(parCtx, budget)
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("seed %d: SA error mismatch: %v vs %v", seed, err1, err2)
 			return false

@@ -6,11 +6,11 @@ import (
 )
 
 // Portfolio is a meta-planner: it runs a set of planners concurrently
-// on the shared context and returns the best plan by the context's
-// configured metric, ties broken by smaller plan size, then
-// lexicographically smaller task set, then planner order. Planners that
-// fail (e.g. brute force on a large topology, DP past its state cap)
-// are skipped; Portfolio errors only when every inner planner fails.
+// on the shared context and returns the best plan by worst-case OF,
+// ties broken by smaller plan size, then lexicographically smaller task
+// set, then planner order. Planners that fail (e.g. brute force on a
+// large topology, DP past its state cap) are skipped; Portfolio errors
+// only when every inner planner fails.
 //
 // Because all inner planners share the context's memoized evaluator,
 // the portfolio costs far less than the sum of its parts: candidate
@@ -21,8 +21,8 @@ type Portfolio struct {
 	// brute-force reference (whose exponential sweep would stall the
 	// portfolio on topologies approaching its 24-task limit) and the
 	// *-corr variants (which optimise the correlation-aware objective,
-	// not the metric the portfolio ranks by); race those explicitly via
-	// Planners when that is wanted.
+	// not the worst-case OF the portfolio ranks by); race those
+	// explicitly via Planners when that is wanted.
 	Planners []Planner
 }
 
@@ -64,21 +64,21 @@ func (pf Portfolio) Plan(c *Context, budget int) (Plan, error) {
 	// Selection is sequential in planner order, so the outcome does not
 	// depend on goroutine scheduling.
 	var (
-		best    Plan
-		bestObj float64
-		found   bool
-		errs    []error
+		best   Plan
+		bestOF float64
+		found  bool
+		errs   []error
 	)
 	for _, r := range results {
 		if r.err != nil {
 			errs = append(errs, r.err)
 			continue
 		}
-		obj := c.Objective(r.p)
-		if !found || obj > bestObj ||
-			(obj == bestObj && (r.p.Size() < best.Size() ||
+		of := c.OF(r.p)
+		if !found || of > bestOF ||
+			(of == bestOF && (r.p.Size() < best.Size() ||
 				(r.p.Size() == best.Size() && lessIDs(r.p.Tasks(), best.Tasks())))) {
-			best, bestObj, found = r.p, obj, true
+			best, bestOF, found = r.p, of, true
 		}
 	}
 	if !found {

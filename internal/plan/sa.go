@@ -8,26 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// SAOptions configures the structure-aware planner.
-type SAOptions struct {
-	// MaxSegments caps segment enumeration per unit (default 4096).
-	MaxSegments int
-	// Metric selects the optimisation objective (default MetricOF;
-	// MetricIC reproduces the paper's Fig. 12 IC-optimised plans and
-	// registers as the "sa-ic" planner).
-	Metric Metric
-	// Workers sets the candidate-enumeration parallelism: 0 uses
-	// GOMAXPROCS, 1 runs sequentially. Results are bit-identical
-	// regardless of the worker count.
-	Workers int
-}
-
-func (o *SAOptions) defaults() {
-	if o.MaxSegments == 0 {
-		o.MaxSegments = 4096
-	}
-}
-
 // subPlanner produces incremental expansions within one sub-topology.
 type subPlanner interface {
 	step(c *Context, cur Plan, maxCost int) []topology.TaskID
@@ -62,13 +42,20 @@ func (s *structuredSub) step(c *Context, cur Plan, maxCost int) []topology.TaskI
 // paper's Alg. 5 lines 3-4 use the operator count as this bound, which
 // is exact only when every tree spans all operators).
 type SA struct {
-	Opts SAOptions
+	// Metric selects the optimisation objective (default MetricOF;
+	// MetricIC reproduces the paper's Fig. 12 IC-optimised plans and
+	// is the registry's "sa-ic" planner).
+	Metric Metric
+	// Workers sets the candidate-enumeration parallelism: 0 uses
+	// GOMAXPROCS, 1 runs sequentially. Results are bit-identical
+	// regardless of the worker count.
+	Workers int
 }
 
 // Name implements Planner: "sa" for the OF objective, "sa-ic" for the
 // IC variant.
 func (s SA) Name() string {
-	if s.Opts.Metric == MetricIC {
+	if s.Metric == MetricIC {
 		return "sa-ic"
 	}
 	return "sa"
@@ -76,9 +63,7 @@ func (s SA) Name() string {
 
 // Plan implements Planner.
 func (s SA) Plan(c *Context, budget int) (Plan, error) {
-	opts := s.Opts
-	opts.defaults()
-	m := opts.Metric
+	m := s.Metric
 	t := c.Topo
 	p := New(t.NumTasks())
 	if budget < mctree.MinTreeSize(t) && m == MetricOF {
@@ -111,7 +96,7 @@ func (s SA) Plan(c *Context, budget int) (Plan, error) {
 			planners = append(planners, &fullSub{st: newFullState(c, sub.Ops, m)})
 			continue
 		}
-		st, err := newStructuredState(c, sub.Ops, m, opts.MaxSegments, opts.Workers)
+		st, err := newStructuredState(c, sub.Ops, m, s.Workers)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: structure-aware: %w", err)
 		}

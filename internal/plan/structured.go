@@ -9,6 +9,10 @@ import (
 	"repro/internal/topology"
 )
 
+// maxSegments caps segment enumeration per unit of a structured
+// (sub-)topology.
+const maxSegments = 4096
+
 // structuredState caches the unit decomposition of one structured
 // (sub-)topology so that repeated planning steps do not recompute it.
 type structuredState struct {
@@ -22,7 +26,7 @@ type structuredState struct {
 	adj        [][]int // unit adjacency
 }
 
-func newStructuredState(c *Context, ops []int, m Metric, maxSegments, workers int) (*structuredState, error) {
+func newStructuredState(c *Context, ops []int, m Metric, workers int) (*structuredState, error) {
 	units, err := mctree.SplitUnits(c.Topo, mctree.SubTopology{Ops: ops, Kind: mctree.StructuredSub}, maxSegments)
 	if err != nil {
 		return nil, fmt.Errorf("plan: splitting units: %w", err)
@@ -240,48 +244,23 @@ func lessIDs(a, b []topology.TaskID) bool {
 	return false
 }
 
-// Structured implements Algorithm 3: plan active replication within a
-// structured (sub-)topology under a budget of replicated tasks within
-// the scope, starting from an initial plan.
-type Structured struct {
-	// Ops is the operator scope; nil plans over the whole topology.
-	Ops []int
-	// Initial is the starting plan; nil starts empty.
-	Initial *Plan
-	// MaxSegments caps segment enumeration per unit (default 4096).
-	MaxSegments int
-	// Metric selects the optimisation objective (default MetricOF).
-	Metric Metric
-	// Workers sets the segment-enumeration parallelism: 0 uses
-	// GOMAXPROCS, 1 runs sequentially.
-	Workers int
-}
+// Structured implements Algorithm 3 over the whole topology: grow the
+// OF-optimal expansions of a structured topology from the empty plan
+// until the budget of replicated tasks is spent.
+type Structured struct{}
 
 // Name implements Planner.
 func (Structured) Name() string { return "structured" }
 
 // Plan implements Planner.
-func (s Structured) Plan(c *Context, budget int) (Plan, error) {
-	ops := s.Ops
-	if ops == nil {
-		ops = allOps(c.Topo)
-	}
-	maxSegments := s.MaxSegments
-	if maxSegments == 0 {
-		maxSegments = 4096
-	}
-	st, err := newStructuredState(c, ops, s.Metric, maxSegments, s.Workers)
+func (Structured) Plan(c *Context, budget int) (Plan, error) {
+	st, err := newStructuredState(c, allOps(c.Topo), MetricOF, 0)
 	if err != nil {
 		return Plan{}, err
 	}
-	var p Plan
-	if s.Initial != nil {
-		p = s.Initial.Clone()
-	} else {
-		p = New(c.Topo.NumTasks())
-	}
+	p := New(c.Topo.NumTasks())
 	for {
-		used := scopeUsage(c.Topo, ops, p)
+		used := p.Size()
 		if used >= budget {
 			return p, nil
 		}

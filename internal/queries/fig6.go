@@ -107,16 +107,3 @@ func (f *Fig6) Setup(cfg engine.Config, strategies []engine.Strategy) engine.Set
 		Strategies: strategies,
 	}
 }
-
-// Strategies builds a per-task strategy vector: every task gets def,
-// except the tasks in active, which get StrategyActive.
-func (f *Fig6) Strategies(def engine.Strategy, active []topology.TaskID) []engine.Strategy {
-	out := make([]engine.Strategy, f.Topo.NumTasks())
-	for i := range out {
-		out[i] = def
-	}
-	for _, id := range active {
-		out[id] = engine.StrategyActive
-	}
-	return out
-}

@@ -11,10 +11,11 @@
 //     hand, from a serialisable spec or with the §VI-C random
 //     generator;
 //   - the MC-tree analysis;
-//   - the plan manager, which computes replication plans (structure-
-//     aware, dynamic programming, greedy, portfolio, ...), reports
-//     their Output Fidelity and Internal Completeness, and diffs
-//     them;
+//   - planning: a planning context for a topology, the planners by
+//     registry name (structure-aware, dynamic programming, greedy,
+//     portfolio, ...), the fraction → budget rule, plan diffs, and the
+//     engine strategy vector of a plan; the context reports a plan's
+//     Output Fidelity and Internal Completeness;
 //   - the deterministic discrete-event streaming engine with
 //     checkpointing, active replication, failure injection, recovery
 //     and tentative outputs;
@@ -24,7 +25,7 @@
 //     distributions.
 //
 // The CLI tools under cmd/ use the internal packages directly for the
-// rest (planner registry, distributed campaigns, variance engineering).
+// rest (distributed campaigns, variance engineering).
 // See the examples/ directory for runnable end-to-end scenarios and
 // DESIGN.md for the architecture.
 package ppa
@@ -32,7 +33,6 @@ package ppa
 import (
 	"repro/internal/campaign"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mctree"
 	"repro/internal/plan"
@@ -104,25 +104,30 @@ func MinMCTreeSize(t *Topology) int { return mctree.MinTreeSize(t) }
 // for active replication).
 type Plan = plan.Plan
 
-// Manager computes PPA replication plans for one topology.
-type Manager = core.Manager
+// PlanContext is the planning context of one topology: it evaluates a
+// plan's worst-case Output Fidelity (OF) and Internal Completeness (IC)
+// and is shared by the planners, which memoize on it.
+type PlanContext = plan.Context
 
-// Planning algorithms (§IV), plus the portfolio meta-planner.
-const (
-	SA        = core.AlgorithmSA
-	DP        = core.AlgorithmDP
-	Greedy    = core.AlgorithmGreedy
-	SAIC      = core.AlgorithmSAIC
-	Portfolio = core.AlgorithmPortfolio
-)
+// NewPlanContext builds a planning context for the topology.
+func NewPlanContext(t *Topology) *PlanContext { return plan.NewContext(t) }
 
-// NewManager builds a plan manager for the topology.
-func NewManager(t *Topology) *Manager { return core.NewManager(t) }
+// Planner is a replication-plan optimiser (§IV).
+type Planner = plan.Planner
+
+// LookupPlanner returns the planner registered under name: "sa"
+// (structure-aware), "sa-ic", "dp", "greedy", "portfolio", ... (see
+// cmd/ppaplan -list).
+func LookupPlanner(name string) (Planner, bool) { return plan.Lookup(name) }
+
+// PlanBudget converts a replication ratio in [0, 1] (0.5 for PPA-0.5)
+// into a budget of actively replicated tasks out of n.
+func PlanBudget(n int, frac float64) (int, error) { return plan.Budget(n, frac) }
 
 // PlanDiff computes the dynamic-adaptation delta between two plans
 // (§V-C): replicas to create and replicas to deactivate.
 func PlanDiff(old, new Plan) (activate, deactivate []TaskID) {
-	return core.Diff(old, new)
+	return plan.Diff(old, new)
 }
 
 // --- Cluster ---
@@ -168,6 +173,13 @@ const (
 	StrategySourceReplay = engine.StrategySourceReplay
 	StrategyNone         = engine.StrategyNone
 )
+
+// Strategies is the per-task strategy vector of a plan over n tasks:
+// the active tasks (Plan.Tasks) get StrategyActive, every other task
+// passive.
+func Strategies(n int, passive engine.Strategy, active []TaskID) []engine.Strategy {
+	return engine.Strategies(n, passive, active)
+}
 
 // OperatorFactory builds per-task operator instances.
 type OperatorFactory = engine.OperatorFactory

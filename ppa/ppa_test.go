@@ -21,13 +21,10 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mgr := ppa.NewManager(topo)
-	res, err := mgr.Plan(ppa.SA, mgr.BudgetForFraction(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OF <= 0 {
-		t.Fatalf("plan OF = %v, want > 0 at 50%% resources", res.OF)
+	ctx := ppa.NewPlanContext(topo)
+	p := planBy(t, ctx, "sa", 0.5)
+	if of := ctx.OF(p); of <= 0 {
+		t.Fatalf("plan OF = %v, want > 0 at 50%% resources", of)
 	}
 
 	clus := ppa.NewCluster(7, 4)
@@ -43,7 +40,7 @@ func TestEndToEnd(t *testing.T) {
 		},
 		Sources:    map[int]ppa.SourceFactory{0: ppa.NewCountSourceFactory(1000)},
 		Operators:  map[int]ppa.OperatorFactory{1: ppa.NewWindowCountFactory(10, 0.5), 2: ppa.NewWindowCountFactory(10, 0.1)},
-		Strategies: mgr.Strategies(res.Plan, ppa.StrategyCheckpoint),
+		Strategies: ppa.Strategies(topo.NumTasks(), ppa.StrategyCheckpoint, p.Tasks()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +57,25 @@ func TestEndToEnd(t *testing.T) {
 			t.Errorf("task %d (%s) not recovered", st.Task, st.Strategy)
 		}
 	}
+}
+
+// planBy plans the context's topology with the named planner at the
+// given replication ratio.
+func planBy(t *testing.T, ctx *ppa.PlanContext, name string, frac float64) ppa.Plan {
+	t.Helper()
+	budget, err := ppa.PlanBudget(ctx.Topo.NumTasks(), frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, ok := ppa.LookupPlanner(name)
+	if !ok {
+		t.Fatalf("no planner %q", name)
+	}
+	p, err := pl.Plan(ctx, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestSpecRoundTripPublic(t *testing.T) {
@@ -105,12 +121,10 @@ func TestMetricsAndTrees(t *testing.T) {
 		t.Errorf("min tree size = %d, want 3", got)
 	}
 	// Replicating every task survives any correlated failure.
-	res, err := ppa.NewManager(topo).Plan(ppa.DP, topo.NumTasks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OF != 1 || res.IC != 1 {
-		t.Errorf("full-budget plan OF = %v, IC = %v, want 1, 1", res.OF, res.IC)
+	ctx := ppa.NewPlanContext(topo)
+	p := planBy(t, ctx, "dp", 1)
+	if of, ic := ctx.OF(p), ctx.IC(p); of != 1 || ic != 1 {
+		t.Errorf("full-budget plan OF = %v, IC = %v, want 1, 1", of, ic)
 	}
 }
 
@@ -123,17 +137,11 @@ func TestPlanDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := ppa.NewManager(topo)
-	small, err := mgr.Plan(ppa.SA, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := mgr.Plan(ppa.SA, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	act, deact := ppa.PlanDiff(small.Plan, large.Plan)
-	if len(act) != large.Plan.Size()-small.Plan.Size() || len(deact) != 0 {
+	ctx := ppa.NewPlanContext(topo)
+	small := planBy(t, ctx, "sa", 0.5) // 2 of 4 tasks
+	large := planBy(t, ctx, "sa", 1)
+	act, deact := ppa.PlanDiff(small, large)
+	if len(act) != large.Size()-small.Size() || len(deact) != 0 {
 		t.Errorf("diff = +%v -%v", act, deact)
 	}
 }
