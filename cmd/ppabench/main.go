@@ -19,8 +19,8 @@ import (
 
 func main() {
 	var (
-		figure = flag.String("figure", "all", "figure to regenerate: 7, 8, 9, 10, 12, 13, 14a, 14b, 14c, 14d, domains, all")
-		n      = flag.Int("n", 100, "random topologies per Fig. 14 variant / scenarios per domain-sweep cell")
+		figure = flag.String("figure", "all", "figure to regenerate: 7, 8, 9, 10, 12, 13, 14a, 14b, 14c, 14d, all")
+		n      = flag.Int("n", 100, "random topologies per Fig. 14 variant")
 	)
 	flag.Parse()
 
@@ -75,9 +75,6 @@ func main() {
 		{"14b", one(func() (experiments.Result, error) { return experiments.Fig14b(*n) })},
 		{"14c", one(func() (experiments.Result, error) { return experiments.Fig14c(*n) })},
 		{"14d", one(func() (experiments.Result, error) { return experiments.Fig14d(*n) })},
-		{"domains", one(func() (experiments.Result, error) {
-			return experiments.DomainSweep([]string{"sa", "sa-corr"}, nil, *n, 1)
-		})},
 	}
 
 	ran := false

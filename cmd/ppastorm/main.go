@@ -19,10 +19,19 @@
 //	ppastorm -role coordinator -listen :7077 -workers-proc 2
 //	ppastorm -role worker -connect host:7077
 //
-// Sweeping -placement and the *-corr planners prints a head-to-head
-// table: domain-blind round-robin replica placement vs rack
-// anti-affinity, and the worst-case objective vs the correlation-aware
-// one.
+// Sweeping -placement anti-affinity,round-robin prints a head-to-head
+// table: per topology × planner × model, the p95 output loss of rack
+// anti-affinity next to that of domain-blind round-robin replica
+// placement. With -crn the table format adds the CRN-paired
+// per-scenario deltas of the same pairs. The *-corr planners are swept
+// as planners of their own; no table sets them against their
+// worst-case counterparts.
+//
+// Every flag is checked before the first cell runs and before -results
+// is opened. An unknown name in any list, an empty list, an
+// out-of-range value, a -fail-at at or past -horizon, and -fraction 0
+// with a replicating planner (use -planners none for checkpoint-only
+// recovery) all fail at once, naming the flag.
 //
 // Aggregation streams: scenario results fold into mergeable quantile
 // sketches in scenario order (-shards shards, each owning a contiguous
@@ -47,7 +56,9 @@
 // merged, so the output is bit-identical to the single-process run
 // for the same -seed and -shards. Workers that die mid-sweep have
 // their ranges reassigned to survivors. -results and -progress need
-// the per-scenario stream and are single-process only.
+// the per-scenario stream and are single-process only. So is the
+// CRN-paired table: a coordinator says on stderr that it skips it, and
+// its stdout is the single-process output without that table.
 package main
 
 import (
@@ -56,14 +67,17 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -71,17 +85,454 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/coord"
+	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "ppastorm:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and either serves as a coordinator's worker or runs
+// the sweep, printing its report to stdout (or -o) and progress and
+// notes to stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	if o.role == "worker" {
+		if o.connect != "" {
+			return coord.Connect(context.Background(), o.connect, coord.WorkerOptions{})
+		}
+		return coord.ServeWorker(context.Background(), os.Stdin, stdout, coord.WorkerOptions{})
+	}
+	s := &sweep{options: o, stderr: stderr}
+	if o.role == "coordinator" {
+		if s.pool, err = startPool(o, stderr); err != nil {
+			return err
+		}
+		defer s.pool.Close()
+	}
+	// The profiles are written on every return, failures included; a
+	// profile's write error is reported unless run already failed.
+	if o.cpuprofile != "" {
+		f, perr := os.Create(o.cpuprofile)
+		if perr != nil {
+			return perr
+		}
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close()
+			return perr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if perr := f.Close(); err == nil {
+				err = perr
+			}
+		}()
+	}
+	if o.memprofile != "" {
+		defer func() {
+			f, perr := os.Create(o.memprofile)
+			if perr == nil {
+				runtime.GC()
+				perr = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+			}
+			if err == nil {
+				err = perr
+			}
+		}()
+	}
+
+	// CRN makes the anti-affinity and round-robin cells replay identical
+	// draws, so their per-scenario metrics pair by scenario index. Only
+	// the table prints the pairs, and only a single process sees the
+	// per-scenario stream they need.
+	if o.gen.CRN && o.format == "table" &&
+		slices.Contains(o.placements, cluster.PlacementAntiAffinity) &&
+		slices.Contains(o.placements, cluster.PlacementRoundRobin) {
+		if s.pool != nil {
+			fmt.Fprintln(stderr, "ppastorm: skipping the CRN-paired table: pairing needs the per-scenario stream, which stays in the worker processes")
+		} else {
+			s.pairs = &pairedSet{cells: map[pairedKey]*pairedCell{}}
+		}
+	}
+	if o.results != "" {
+		if s.sink, err = newResultSink(o.results); err != nil {
+			return err
+		}
+		defer s.sink.f.Close() // after close below, only the error path needs it
+	}
+	rows, err := s.rows()
+	if err != nil {
+		return err
+	}
+	if s.sink != nil {
+		if err := s.sink.close(); err != nil {
+			return fmt.Errorf("writing %s: %w", o.results, err)
+		}
+	}
+
+	// Render into a buffer and write the destination file only after
+	// the whole sweep succeeded, so a failing run never truncates the
+	// results of a previous one.
+	var buf bytes.Buffer
+	if err := render(&buf, o.format, rows, s.pairs); err != nil {
+		return err
+	}
+	if o.out != "" {
+		return os.WriteFile(o.out, buf.Bytes(), 0o644)
+	}
+	_, err = stdout.Write(buf.Bytes())
+	return err
+}
+
+// options are ppastorm's flags, checked, with the sweep axes resolved.
+// env, gen and cfg are the templates every cell copies: the cell loop
+// fills in the topology, planner, placement, model, scenarios and
+// baseline.
+type options struct {
+	topoSeed   int64
+	topoNames  []string
+	topos      []*topology.Topology
+	planners   []string // "none" = checkpoint only
+	placements []cluster.PlacementPolicy
+	models     []campaign.Model
+	env        campaign.EnvSpec
+	gen        campaign.GenSpec
+	cfg        campaign.Config
+
+	results, format, out   string
+	progress               bool
+	cpuprofile, memprofile string
+	role, listen, connect  string
+	workersProc            int
+}
+
+// parseFlags parses args into checked options. A worker needs none of
+// the sweep flags, so -role worker skips their checks.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("ppastorm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		o                                   options
+		topos, planners, placements, models string
+		failAt, horizon                     float64
+	)
+	fs.StringVar(&topos, "topos", "medium", "comma-separated topology presets: small, medium, large")
+	fs.Int64Var(&o.topoSeed, "topo-seed", 1, "random-topology generation seed")
+	fs.StringVar(&planners, "planners", "sa,greedy", "comma-separated plan-registry planners; \"none\" = checkpoint only")
+	fs.StringVar(&placements, "placement", "anti-affinity", "comma-separated replica placement policies: anti-affinity, round-robin")
+	fs.Float64Var(&o.env.Fraction, "fraction", 0.3, "actively replicated fraction of tasks")
+	fs.BoolVar(&o.env.Tentative, "tentative", true, "enable tentative outputs + post-recovery corrections (answer-quality metrics)")
+	fs.StringVar(&models, "models", "single,k-of-rack,domain,cascade", "comma-separated burst models")
+	fs.IntVar(&o.gen.Scenarios, "scenarios", 1000, "scenarios per sweep cell")
+	fs.Int64Var(&o.gen.Seed, "seed", 1, "campaign seed (scenario randomness)")
+	fs.Float64Var(&o.gen.Correlation, "correlation", 0.5, "correlation strength in [0,1]")
+	fs.BoolVar(&o.gen.CRN, "crn", false, "generate scenarios from common-random-number substreams: every sweep cell replays bit-identical failure draws, enabling the paired head-to-head delta table")
+	fs.Float64Var(&o.gen.Tilt, "tilt", 0, "importance-sample rare cascades at tilted join probability 1-(1-p)^tilt (0 disables, otherwise >= 1); summaries are reweighted to the nominal correlation and report effective samples")
+	fs.Float64Var(&o.cfg.StopTol, "ci-tol", 0, "stop a cell early once the 95% CI half-width of its p95 output loss is at most this (0 disables)")
+	fs.Float64Var(&failAt, "fail-at", 30.5, "base failure-injection time (virtual s)")
+	fs.Float64Var(&horizon, "horizon", 150, "simulation horizon per scenario (virtual s)")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "worker pool size; 0 = GOMAXPROCS, 1 = sequential")
+	fs.IntVar(&o.cfg.Shards, "shards", 0, "summary reduction shards; 0 = default. Fixed seed + shards => bit-identical summaries at any -workers")
+	fs.StringVar(&o.results, "results", "", "stream per-scenario rows to this file as the sweep runs (CSV, or JSON lines for .json/.jsonl)")
+	fs.BoolVar(&o.progress, "progress", false, "print a live per-cell progress line to stderr")
+	fs.StringVar(&o.format, "format", "table", "output format: table, json, csv")
+	fs.StringVar(&o.out, "o", "", "output file (default stdout)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof allocation profile of the sweep to this file")
+	fs.StringVar(&o.role, "role", "", "process role: empty = single-process sweep, coordinator = distribute cells over a worker pool, worker = serve campaigns for a coordinator")
+	fs.IntVar(&o.workersProc, "workers-proc", 2, "coordinator: worker processes to spawn (or, with -listen, remote workers to wait for)")
+	fs.StringVar(&o.listen, "listen", "", "coordinator: accept remote workers on this TCP address instead of spawning local processes")
+	fs.StringVar(&o.connect, "connect", "", "worker: dial the coordinator at this TCP address instead of serving stdin/stdout")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.role == "worker" {
+		return &o, nil
+	}
+	if err := o.check(failAt, horizon, topos, planners, placements, models); err != nil {
+		return nil, err
+	}
+	o.gen.FailAt = campaign.Ptr(sim.Time(failAt))
+	o.cfg.Horizon = sim.Time(horizon)
+	return &o, nil
+}
+
+// check rejects every flag value the sweep would trip over mid-run,
+// or run with to no purpose, or silently replace with a default,
+// naming the flag; and it resolves every name of the four sweep axes,
+// so a typo late in a list fails before the first cell instead of when
+// its cells start. The comparisons are written so that NaN fails them.
+func (o *options) check(failAt, horizon float64, topos, planners, placements, models string) error {
+	switch {
+	case o.role != "" && o.role != "coordinator":
+		return fmt.Errorf("-role: unknown role %q (coordinator, worker)", o.role)
+	case o.role == "coordinator" && o.workersProc < 1:
+		return fmt.Errorf("-workers-proc must be at least 1, got %d", o.workersProc)
+	case o.role == "coordinator" && (o.results != "" || o.progress):
+		return fmt.Errorf("-results and -progress stream per-scenario rows, which stay inside the worker processes; drop them or run without -role coordinator")
+	case o.format != "table" && o.format != "json" && o.format != "csv":
+		return fmt.Errorf("-format: unknown format %q (table, json, csv)", o.format)
+	case !(o.env.Fraction >= 0 && o.env.Fraction <= 1):
+		return fmt.Errorf("-fraction %v: want a fraction in [0, 1]", o.env.Fraction)
+	case o.gen.Scenarios < 1:
+		return fmt.Errorf("-scenarios %d: want at least 1", o.gen.Scenarios)
+	case !(o.gen.Correlation >= 0 && o.gen.Correlation <= 1):
+		return fmt.Errorf("-correlation %v: want a strength in [0, 1]", o.gen.Correlation)
+	case !(o.gen.Tilt == 0 || o.gen.Tilt >= 1):
+		return fmt.Errorf("-tilt %v: want 0 (off) or a factor of at least 1", o.gen.Tilt)
+	case !(o.cfg.StopTol >= 0):
+		return fmt.Errorf("-ci-tol %v: want a non-negative tolerance", o.cfg.StopTol)
+	case !(horizon > 0) || math.IsInf(horizon, 1):
+		return fmt.Errorf("-horizon %v: want a finite, positive time", horizon)
+	case !(failAt >= 0 && failAt < horizon):
+		return fmt.Errorf("-fail-at %v: want a time in [0, %v), before -horizon", failAt, horizon)
+	}
+	var err error
+	preset := func(name string) (*topology.Topology, error) { return campaign.PresetTopology(name, o.topoSeed) }
+	if o.topos, err = parseList("-topos", topos, preset); err != nil {
+		return err
+	}
+	o.topoNames = splitList(topos)
+	if o.planners, err = parseList("-planners", planners, checkPlanner); err != nil {
+		return err
+	}
+	if o.placements, err = parseList("-placement", placements, cluster.ParsePlacementPolicy); err != nil {
+		return err
+	}
+	if o.models, err = parseList("-models", models, campaign.ParseModel); err != nil {
+		return err
+	}
+	// campaign.NewEnv reads a zero Fraction as its 0.3 default, so a
+	// planner row would be labelled with a plan it never ran.
+	if o.env.Fraction == 0 && slices.ContainsFunc(o.planners, func(p string) bool { return p != "none" }) {
+		return fmt.Errorf("-fraction 0 replicates no task, yet -planners %q names a planner; use -planners none for checkpoint-only recovery", planners)
+	}
+	return nil
+}
+
+func checkPlanner(name string) (string, error) {
+	if _, ok := plan.Lookup(name); !ok && name != "none" {
+		return "", fmt.Errorf("unknown planner %q (registered: %v, or none)", name, plan.Names())
+	}
+	return name, nil
+}
+
+// parseList resolves every name of the comma-separated list value of
+// flag name; an empty list is an error, since the sweep would have no
+// cells.
+func parseList[T any](name, list string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, s := range splitList(list) {
+		v, err := parse(s)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: empty list, so the sweep has no cells", name)
+	}
+	return out, nil
+}
+
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// startPool starts the coordinator's worker pool and waits for its
+// workers: -workers-proc local processes running this executable with
+// -role worker, or, with -listen, as many remote workers.
+func startPool(o *options, stderr io.Writer) (_ *coord.Pool, err error) {
+	pool := coord.NewPool(coord.PoolOptions{})
+	defer func() {
+		if err != nil {
+			pool.Close()
+		}
+	}()
+	if o.listen != "" {
+		ln, err := net.Listen("tcp", o.listen)
+		if err != nil {
+			return nil, err
+		}
+		defer ln.Close()
+		fmt.Fprintf(stderr, "ppastorm: waiting for %d workers on %s\n", o.workersProc, ln.Addr())
+		if err := pool.AcceptWorkers(ln, o.workersProc); err != nil {
+			return nil, err
+		}
+	} else {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < o.workersProc; i++ {
+			if _, err := pool.AddProcess(exec.Command(exe, "-role", "worker")); err != nil {
+				return nil, err
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := pool.WaitReady(ctx, o.workersProc); err != nil {
+		return nil, fmt.Errorf("waiting for %d workers: %w", o.workersProc, err)
+	}
+	return pool, nil
+}
+
+// sweep is one run of the cell loop: the checked options, the
+// coordinator pool (nil in a single process) and the consumers of the
+// per-scenario stream (each nil when off).
+type sweep struct {
+	*options
+	pool   *coord.Pool
+	sink   *resultSink
+	pairs  *pairedSet
+	stderr io.Writer
+}
+
+// rows runs every cell — topology × planner × placement × model, in
+// flag order — and returns one row per cell.
+func (s *sweep) rows() ([]row, error) {
+	var rows []row
+	for i, topo := range s.topos {
+		for _, name := range s.planners {
+			spec := s.env
+			spec.Topo = topo
+			if name != "none" {
+				spec.Planner = name
+			}
+			// One env per planner: the replication plan is independent
+			// of replica placement, so the placement sweep reuses it
+			// via SetupFor instead of re-planning per policy. A
+			// coordinator never builds the env — workers rebuild it
+			// from each cell's wire spec.
+			var env *campaign.Env
+			var sample *cluster.Cluster
+			if s.pool == nil {
+				var err error
+				if env, err = campaign.NewEnv(spec); err != nil {
+					return nil, err
+				}
+				if sample, err = env.Cluster(); err != nil {
+					return nil, err
+				}
+			}
+			// The failure-free baseline depends only on (topology,
+			// planner, horizon), not on placement or burst model: the
+			// first cell resolves it and every later cell reuses its
+			// volume, locally through Config.Baseline and distributed
+			// by shipping it with the cell's spec.
+			baseline := 0
+			for _, placement := range s.placements {
+				for _, model := range s.models {
+					c := cell{s.topoNames[i], name, placement.String(), model.String()}
+					gen := s.gen
+					gen.Model = model
+					start := time.Now()
+					var rep *campaign.Report
+					var err error
+					if s.pool != nil {
+						spec.Placement = placement
+						rep, err = s.remote(spec, gen, baseline)
+					} else {
+						rep, err = s.local(c, env.SetupFor(placement), sample, gen, baseline)
+					}
+					if err != nil {
+						return nil, fmt.Errorf("cell %s/%s/%s/%s: %w", c.Topology, c.Planner, c.Placement, c.Model, err)
+					}
+					baseline = rep.BaselineSinkTuples
+					rows = append(rows, newRow(c, rep, time.Since(start)))
+				}
+			}
+		}
+	}
+	return rows, nil
+}
+
+// remote ships one cell to the coordinator pool as a self-contained
+// wire spec.
+func (s *sweep) remote(spec campaign.EnvSpec, gen campaign.GenSpec, baseline int) (*campaign.Report, error) {
+	wire, err := campaign.NewWireSpec(spec, []campaign.GenSpec{gen})
+	if err != nil {
+		return nil, err
+	}
+	wire.Horizon, wire.Workers, wire.Shards = s.cfg.Horizon, s.cfg.Workers, s.cfg.Shards
+	wire.Baseline, wire.StopTol = baseline, s.cfg.StopTol
+	return s.pool.RunJob(context.Background(), wire)
+}
+
+// local runs one cell in this process, streaming each result to the
+// -results sink, the CRN pairing and the -progress meter.
+func (s *sweep) local(c cell, setup func() (engine.Setup, error), sample *cluster.Cluster, gen campaign.GenSpec, baseline int) (*campaign.Report, error) {
+	scs, err := campaign.Generate(sample, gen)
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.cfg
+	cfg.Setup, cfg.Scenarios, cfg.Baseline = setup, scs, baseline
+	var meter *progressMeter
+	if s.progress {
+		meter = newProgressMeter(s.stderr, c.Topology+"/"+c.Planner+"/"+c.Placement+"/"+c.Model, len(scs))
+	}
+	pairObs := s.pairs.observer(c, len(scs))
+	if s.sink != nil || meter != nil || pairObs != nil {
+		cfg.OnResult = func(r campaign.ScenarioResult) {
+			if s.sink != nil {
+				s.sink.write(c, r)
+			}
+			if pairObs != nil {
+				pairObs(r)
+			}
+			if meter != nil {
+				meter.tick()
+			}
+		}
+	}
+	rep, err := campaign.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if meter != nil {
+		meter.done(rep.Summary.ESS, stopReason(rep))
+	}
+	if s.sink != nil {
+		if err := s.sink.err(); err != nil {
+			return nil, fmt.Errorf("writing %s: %w", s.results, err)
+		}
+	}
+	return rep, nil
+}
+
+// cell names one sweep cell.
+type cell struct {
+	Topology  string `json:"topology"`
+	Planner   string `json:"planner"`
+	Placement string `json:"placement"`
+	Model     string `json:"model"`
+}
 
 // row is one aggregated sweep cell.
 type row struct {
-	Topology    string `json:"topology"`
-	Planner     string `json:"planner"`
-	Placement   string `json:"placement"`
-	Model       string `json:"model"`
-	Scenarios   int    `json:"scenarios"`
-	Unrecovered int    `json:"unrecovered"`
+	cell
+	Scenarios   int `json:"scenarios"`
+	Unrecovered int `json:"unrecovered"`
 	// ESS is the effective sample size of the cell's loss estimate
 	// (campaign.Summary.ESS): equal to Scenarios for plain Monte-Carlo,
 	// above it under a well-tilted importance sampler.
@@ -104,15 +555,40 @@ type row struct {
 	Wall             float64       `json:"wall_seconds"`
 }
 
+func newRow(c cell, rep *campaign.Report, wall time.Duration) row {
+	sum := rep.Summary
+	return row{
+		cell:             c,
+		Scenarios:        sum.Scenarios,
+		Unrecovered:      sum.Unrecovered,
+		ESS:              sum.ESS,
+		StopReason:       stopReason(rep),
+		Latency:          sum.Latency,
+		Loss:             sum.Loss,
+		FailedTasks:      sum.FailedTasks,
+		Tentative:        sum.TentativeFrac,
+		Corrected:        sum.CorrectedFrac,
+		TimeToCorrection: sum.TimeToCorrection,
+		Baseline:         rep.BaselineSinkTuples,
+		Wall:             wall.Seconds(),
+	}
+}
+
+// stopReason names how a campaign cell ended: halted by the CI-driven
+// stop rule, or ran its full scenario list.
+func stopReason(rep *campaign.Report) string {
+	if rep.Stopped {
+		return "early-stop"
+	}
+	return "exhausted"
+}
+
 // scenarioRow is one streamed per-scenario record: the sweep cell it
 // belongs to plus the scenario's own outcome. Written as the sweep
 // runs, so -results files grow with the campaign instead of a
 // post-hoc dump of retained results.
 type scenarioRow struct {
-	Topology      string  `json:"topology"`
-	Planner       string  `json:"planner"`
-	Placement     string  `json:"placement"`
-	Model         string  `json:"model"`
+	cell
 	Scenario      int     `json:"scenario"`
 	Label         string  `json:"label"`
 	FailedTasks   int     `json:"failed_tasks"`
@@ -163,12 +639,25 @@ func newResultSink(path string) (*resultSink, error) {
 	return s, nil
 }
 
-func (s *resultSink) write(r *scenarioRow) {
+func (s *resultSink) write(c cell, res campaign.ScenarioResult) {
 	if s.lastErr != nil {
 		return
 	}
+	r := scenarioRow{
+		cell:          c,
+		Scenario:      res.Scenario.Index,
+		Label:         res.Scenario.Label,
+		FailedTasks:   res.FailedTasks,
+		Recovered:     res.Recovered,
+		LatencyS:      float64(res.WorstLatency),
+		SinkTuples:    res.SinkTuples,
+		OutputLoss:    res.OutputLoss,
+		TentativeFrac: res.TentativeFrac,
+		CorrectedFrac: res.CorrectedFrac,
+		Corrections:   len(res.CorrectionDelays),
+	}
 	if s.enc != nil {
-		s.lastErr = s.enc.Encode(r)
+		s.lastErr = s.enc.Encode(&r)
 		return
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -210,6 +699,7 @@ func (s *resultSink) close() error {
 // throttled to at most one repaint per 200ms (checked every 1000
 // results so the hot path stays a counter increment).
 type progressMeter struct {
+	w     io.Writer
 	label string
 	total int
 	n     int
@@ -217,9 +707,9 @@ type progressMeter struct {
 	last  time.Time
 }
 
-func newProgressMeter(label string, total int) *progressMeter {
+func newProgressMeter(w io.Writer, label string, total int) *progressMeter {
 	now := time.Now()
-	return &progressMeter{label: label, total: total, start: now, last: now}
+	return &progressMeter{w: w, label: label, total: total, start: now, last: now}
 }
 
 func (p *progressMeter) tick() {
@@ -235,7 +725,7 @@ func (p *progressMeter) tick() {
 
 func (p *progressMeter) print() {
 	rate := float64(p.n) / time.Since(p.start).Seconds()
-	fmt.Fprintf(os.Stderr, "\r%s: %d/%d scenarios (%.0f/s)", p.label, p.n, p.total, rate)
+	fmt.Fprintf(p.w, "\r%s: %d/%d scenarios (%.0f/s)", p.label, p.n, p.total, rate)
 }
 
 // done paints the final progress line, annotated with the cell's
@@ -243,16 +733,7 @@ func (p *progressMeter) print() {
 // exhausting its scenario list).
 func (p *progressMeter) done(ess float64, reason string) {
 	p.print()
-	fmt.Fprintf(os.Stderr, " ess=%.0f %s\n", ess, reason)
-}
-
-// stopReason names how a campaign cell ended: halted by the CI-driven
-// stop rule, or ran its full scenario list.
-func stopReason(rep *campaign.Report) string {
-	if rep.Stopped {
-		return "early-stop"
-	}
-	return "exhausted"
+	fmt.Fprintf(p.w, " ess=%.0f %s\n", ess, reason)
 }
 
 // pairedKey identifies one head-to-head comparison; the placement axis
@@ -267,49 +748,35 @@ type pairedCell struct {
 
 // pairedSet accumulates the CRN placement head-to-head: anti-affinity
 // is the base cell, round-robin the other, paired by scenario index.
-// Only meaningful under -crn (both cells replay identical draws).
+// Only meaningful under -crn (both cells replay identical draws); nil
+// when pairing is off.
 type pairedSet struct {
-	enabled bool
-	cells   map[pairedKey]*pairedCell
-	order   []pairedKey
-}
-
-func newPairedSet(enabled bool) *pairedSet {
-	return &pairedSet{enabled: enabled, cells: map[pairedKey]*pairedCell{}}
+	cells map[pairedKey]*pairedCell
+	order []pairedKey
 }
 
 // observer returns the per-result callback feeding one sweep cell into
-// its pair, or nil when pairing is off or the placement is not part of
-// the anti-affinity/round-robin comparison.
-func (ps *pairedSet) observer(topo, planner, placement, model string, n int) func(campaign.ScenarioResult) {
-	if !ps.enabled {
+// its pair, or nil when pairing is off.
+func (ps *pairedSet) observer(c cell, n int) func(campaign.ScenarioResult) {
+	if ps == nil {
 		return nil
 	}
-	var base bool
-	switch placement {
-	case "anti-affinity":
-		base = true
-	case "round-robin":
-		base = false
-	default:
-		return nil
-	}
-	k := pairedKey{topo, planner, model}
-	c := ps.cells[k]
-	if c == nil {
-		c = &pairedCell{loss: campaign.NewPaired(n), lat: campaign.NewPaired(n)}
-		ps.cells[k] = c
+	k := pairedKey{c.Topology, c.Planner, c.Model}
+	pc := ps.cells[k]
+	if pc == nil {
+		pc = &pairedCell{loss: campaign.NewPaired(n), lat: campaign.NewPaired(n)}
+		ps.cells[k] = pc
 		ps.order = append(ps.order, k)
 	}
-	if base {
+	if c.Placement == cluster.PlacementAntiAffinity.String() {
 		return func(r campaign.ScenarioResult) {
-			c.loss.ObserveBase(r.Scenario.Index, r.OutputLoss)
-			c.lat.ObserveBase(r.Scenario.Index, float64(r.WorstLatency))
+			pc.loss.ObserveBase(r.Scenario.Index, r.OutputLoss)
+			pc.lat.ObserveBase(r.Scenario.Index, float64(r.WorstLatency))
 		}
 	}
 	return func(r campaign.ScenarioResult) {
-		c.loss.ObserveOther(r.Scenario.Index, r.OutputLoss)
-		c.lat.ObserveOther(r.Scenario.Index, float64(r.WorstLatency))
+		pc.loss.ObserveOther(r.Scenario.Index, r.OutputLoss)
+		pc.lat.ObserveOther(r.Scenario.Index, float64(r.WorstLatency))
 	}
 }
 
@@ -340,361 +807,22 @@ func (ps *pairedSet) writeTo(w io.Writer) {
 	}
 }
 
-func main() {
-	var (
-		topos       = flag.String("topos", "medium", "comma-separated topology presets: small, medium, large")
-		topoSeed    = flag.Int64("topo-seed", 1, "random-topology generation seed")
-		planners    = flag.String("planners", "sa,greedy", "comma-separated plan-registry planners; \"none\" = checkpoint only")
-		placements  = flag.String("placement", "anti-affinity", "comma-separated replica placement policies: anti-affinity, round-robin")
-		fraction    = flag.Float64("fraction", 0.3, "actively replicated fraction of tasks")
-		tentative   = flag.Bool("tentative", true, "enable tentative outputs + post-recovery corrections (answer-quality metrics)")
-		models      = flag.String("models", "single,k-of-rack,domain,cascade", "comma-separated burst models")
-		scenarios   = flag.Int("scenarios", 1000, "scenarios per sweep cell")
-		seed        = flag.Int64("seed", 1, "campaign seed (scenario randomness)")
-		correlation = flag.Float64("correlation", 0.5, "correlation strength in [0,1]")
-		crn         = flag.Bool("crn", false, "generate scenarios from common-random-number substreams: every sweep cell replays bit-identical failure draws, enabling the paired head-to-head delta table")
-		tilt        = flag.Float64("tilt", 0, "importance-sample rare cascades at tilted join probability 1-(1-p)^tilt (0 disables, otherwise >= 1); summaries are reweighted to the nominal correlation and report effective samples")
-		ciTol       = flag.Float64("ci-tol", 0, "stop a cell early once the 95% CI half-width of its p95 output loss is at most this (0 disables)")
-		failAt      = flag.Float64("fail-at", 30.5, "base failure-injection time (virtual s)")
-		horizon     = flag.Float64("horizon", 150, "simulation horizon per scenario (virtual s)")
-		workers     = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS, 1 = sequential")
-		shards      = flag.Int("shards", 0, "summary reduction shards; 0 = default. Fixed seed + shards => bit-identical summaries at any -workers")
-		results     = flag.String("results", "", "stream per-scenario rows to this file as the sweep runs (CSV, or JSON lines for .json/.jsonl)")
-		progress    = flag.Bool("progress", false, "print a live per-cell progress line to stderr")
-		format      = flag.String("format", "table", "output format: table, json, csv")
-		out         = flag.String("o", "", "output file (default stdout)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprofile  = flag.String("memprofile", "", "write a pprof allocation profile of the sweep to this file")
-		role        = flag.String("role", "", "process role: empty = single-process sweep, coordinator = distribute cells over a worker pool, worker = serve campaigns for a coordinator")
-		workersProc = flag.Int("workers-proc", 2, "coordinator: worker processes to spawn (or, with -listen, remote workers to wait for)")
-		listen      = flag.String("listen", "", "coordinator: accept remote workers on this TCP address instead of spawning local processes")
-		connectTo   = flag.String("connect", "", "worker: dial the coordinator at this TCP address instead of serving stdin/stdout")
-	)
-	flag.Parse()
-
-	if *role == "worker" {
-		var err error
-		if *connectTo != "" {
-			err = coord.Connect(context.Background(), *connectTo, coord.WorkerOptions{})
-		} else {
-			err = coord.ServeWorker(context.Background(), os.Stdin, os.Stdout, coord.WorkerOptions{})
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	var pool *coord.Pool
-	switch *role {
-	case "":
-	case "coordinator":
-		if *results != "" || *progress {
-			fatal(fmt.Errorf("-results and -progress stream per-scenario rows, which stay inside the worker processes; drop them or run without -role coordinator"))
-		}
-		if *workersProc < 1 {
-			fatal(fmt.Errorf("-workers-proc must be at least 1, got %d", *workersProc))
-		}
-		pool = coord.NewPool(coord.PoolOptions{})
-		defer pool.Close()
-		if *listen != "" {
-			ln, err := net.Listen("tcp", *listen)
-			if err != nil {
-				fatal(err)
-			}
-			defer ln.Close()
-			fmt.Fprintf(os.Stderr, "ppastorm: waiting for %d workers on %s\n", *workersProc, ln.Addr())
-			if err := pool.AcceptWorkers(ln, *workersProc); err != nil {
-				fatal(err)
-			}
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				fatal(err)
-			}
-			for i := 0; i < *workersProc; i++ {
-				if _, err := pool.AddProcess(exec.Command(exe, "-role", "worker")); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		if err := pool.WaitReady(ctx, *workersProc); err != nil {
-			cancel()
-			fatal(fmt.Errorf("waiting for %d workers: %w", *workersProc, err))
-		}
-		cancel()
-	default:
-		fatal(fmt.Errorf("unknown -role %q (coordinator, worker)", *role))
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-
-	// Render into a buffer and write the destination file only after
-	// the whole sweep succeeded, so a failing run never truncates the
-	// results of a previous one.
-	var buf bytes.Buffer
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		w = &buf
-	}
-
-	var modelList []campaign.Model
-	for _, s := range splitList(*models) {
-		m, err := campaign.ParseModel(s)
-		if err != nil {
-			fatal(err)
-		}
-		modelList = append(modelList, m)
-	}
-	var placementList []cluster.PlacementPolicy
-	for _, s := range splitList(*placements) {
-		p, err := cluster.ParsePlacementPolicy(s)
-		if err != nil {
-			fatal(err)
-		}
-		placementList = append(placementList, p)
-	}
-
-	var sink *resultSink
-	if *results != "" {
-		s, err := newResultSink(*results)
-		if err != nil {
-			fatal(err)
-		}
-		sink = s
-	}
-
-	var rows []row
-	// Paired CRN head-to-head: with -crn and both placement policies in
-	// the sweep, per-scenario metrics of the anti-affinity (base) and
-	// round-robin (other) cells are paired by scenario index, since CRN
-	// makes both cells replay identical failure draws. Single-process
-	// only — pairing needs the per-scenario stream.
-	pairs := newPairedSet(*crn && pool == nil)
-	// The failure-free baseline depends only on (topology, planner,
-	// horizon) — not on placement or burst model — so the first cell of
-	// a (topo, planner) sweep resolves it and every later cell reuses
-	// its volume, locally through Config.Baseline and distributed by
-	// shipping it with the cell's spec.
-	baselines := map[string]int{}
-	for _, topoName := range splitList(*topos) {
-		topo, err := campaign.PresetTopology(topoName, *topoSeed)
-		if err != nil {
-			fatal(err)
-		}
-		for _, planner := range splitList(*planners) {
-			name := planner
-			if planner == "none" {
-				planner = ""
-			}
-			// One env per planner: the replication plan is independent
-			// of replica placement, so the placement sweep reuses it
-			// via SetupFor instead of re-planning per policy. The
-			// failure-free baseline is likewise placement-independent
-			// and shared across placements and models. A coordinator
-			// never builds the env — workers rebuild it from each
-			// cell's wire spec.
-			var env *campaign.Env
-			var sample *cluster.Cluster
-			if pool == nil {
-				e, err := campaign.NewEnv(campaign.EnvSpec{
-					Topo:      topo,
-					Planner:   planner,
-					Fraction:  *fraction,
-					Tentative: *tentative,
-				})
-				if err != nil {
-					fatal(err)
-				}
-				env = e
-				sample, err = env.Cluster()
-				if err != nil {
-					fatal(err)
-				}
-			}
-			baseKey := topoName + "/" + name
-			for _, placement := range placementList {
-				for _, model := range modelList {
-					gen := campaign.GenSpec{
-						Seed:        *seed,
-						Scenarios:   *scenarios,
-						Model:       model,
-						FailAt:      campaign.Ptr(sim.Time(*failAt)),
-						Correlation: *correlation,
-						CRN:         *crn,
-						Tilt:        *tilt,
-					}
-					var rep *campaign.Report
-					start := time.Now()
-					if pool != nil {
-						wire, err := campaign.NewWireSpec(campaign.EnvSpec{
-							Topo:      topo,
-							Planner:   planner,
-							Fraction:  *fraction,
-							Placement: placement,
-							Tentative: *tentative,
-						}, []campaign.GenSpec{gen})
-						if err != nil {
-							fatal(err)
-						}
-						wire.Horizon = sim.Time(*horizon)
-						wire.Workers = *workers
-						wire.Shards = *shards
-						wire.Baseline = baselines[baseKey]
-						wire.StopTol = *ciTol
-						rep, err = pool.RunJob(context.Background(), wire)
-						if err != nil {
-							fatal(err)
-						}
-					} else {
-						scs, err := campaign.Generate(sample, gen)
-						if err != nil {
-							fatal(err)
-						}
-						cellTopo, cellPlanner := topoName, name
-						cellPlacement, cellModel := placement.String(), model.String()
-						var meter *progressMeter
-						if *progress {
-							meter = newProgressMeter(
-								cellTopo+"/"+cellPlanner+"/"+cellPlacement+"/"+cellModel, len(scs))
-						}
-						cfg := campaign.Config{
-							Setup:     env.SetupFor(placement),
-							Scenarios: scs,
-							Horizon:   sim.Time(*horizon),
-							Workers:   *workers,
-							Shards:    *shards,
-							Baseline:  baselines[baseKey],
-							StopTol:   *ciTol,
-						}
-						pairObs := pairs.observer(cellTopo, cellPlanner, cellPlacement, cellModel, len(scs))
-						if sink != nil || meter != nil || pairObs != nil {
-							cfg.OnResult = func(r campaign.ScenarioResult) {
-								if sink != nil {
-									sink.write(&scenarioRow{
-										Topology:      cellTopo,
-										Planner:       cellPlanner,
-										Placement:     cellPlacement,
-										Model:         cellModel,
-										Scenario:      r.Scenario.Index,
-										Label:         r.Scenario.Label,
-										FailedTasks:   r.FailedTasks,
-										Recovered:     r.Recovered,
-										LatencyS:      float64(r.WorstLatency),
-										SinkTuples:    r.SinkTuples,
-										OutputLoss:    r.OutputLoss,
-										TentativeFrac: r.TentativeFrac,
-										CorrectedFrac: r.CorrectedFrac,
-										Corrections:   len(r.CorrectionDelays),
-									})
-								}
-								if pairObs != nil {
-									pairObs(r)
-								}
-								if meter != nil {
-									meter.tick()
-								}
-							}
-						}
-						rep, err = campaign.Run(cfg)
-						if err != nil {
-							fatal(err)
-						}
-						if meter != nil {
-							meter.done(rep.Summary.ESS, stopReason(rep))
-						}
-						if sink != nil {
-							if err := sink.err(); err != nil {
-								fatal(fmt.Errorf("writing %s: %w", *results, err))
-							}
-						}
-					}
-					baselines[baseKey] = rep.BaselineSinkTuples
-					rows = append(rows, row{
-						Topology:         topoName,
-						Planner:          name,
-						Placement:        placement.String(),
-						Model:            model.String(),
-						Scenarios:        rep.Summary.Scenarios,
-						Unrecovered:      rep.Summary.Unrecovered,
-						ESS:              rep.Summary.ESS,
-						StopReason:       stopReason(rep),
-						Latency:          rep.Summary.Latency,
-						Loss:             rep.Summary.Loss,
-						FailedTasks:      rep.Summary.FailedTasks,
-						Tentative:        rep.Summary.TentativeFrac,
-						Corrected:        rep.Summary.CorrectedFrac,
-						TimeToCorrection: rep.Summary.TimeToCorrection,
-						Baseline:         rep.BaselineSinkTuples,
-						Wall:             time.Since(start).Seconds(),
-					})
-				}
-			}
-		}
-	}
-
-	if sink != nil {
-		if err := sink.close(); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *results, err))
-		}
-	}
-
-	switch *format {
+// render writes the rows in the -format encoding; the table adds the
+// head-to-head comparison and, when pairs is set, the CRN-paired one.
+func render(w io.Writer, format string, rows []row, pairs *pairedSet) error {
+	switch format {
 	case "json":
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fatal(err)
-		}
+		return enc.Encode(rows)
 	case "csv":
-		if err := writeCSV(w, rows); err != nil {
-			fatal(err)
-		}
-	case "table":
-		writeTable(w, rows)
+		return writeCSV(w, rows)
+	}
+	writeTable(w, rows)
+	if pairs != nil {
 		pairs.writeTo(w)
-	default:
-		fatal(fmt.Errorf("unknown format %q (table, json, csv)", *format))
 	}
-	if *out != "" {
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return nil
 }
 
 var csvHeader = []string{
@@ -752,34 +880,28 @@ func writeTable(w io.Writer, rows []row) {
 // placement fix — a domain burst that kills a co-located replica under
 // round-robin leaves an out-of-rack replica alive under anti-affinity.
 func writeHeadToHead(w io.Writer, rows []row) {
-	type cell struct{ topo, planner, model string }
-	aa := map[cell]row{}
-	rr := map[cell]row{}
-	var order []cell
-	for _, r := range rows {
-		k := cell{r.Topology, r.Planner, r.Model}
-		switch r.Placement {
-		case "anti-affinity":
-			if _, dup := aa[k]; !dup {
-				aa[k] = r
-				if _, other := rr[k]; !other {
-					order = append(order, k)
-				}
-			}
-		case "round-robin":
-			if _, dup := rr[k]; !dup {
-				rr[k] = r
-				if _, other := aa[k]; !other {
-					order = append(order, k)
-				}
-			}
+	type pair struct{ aa, rr *row } // each placement's first row
+	pairs := map[pairedKey]*pair{}
+	var order []pairedKey
+	for i := range rows {
+		r := &rows[i]
+		k := pairedKey{r.Topology, r.Planner, r.Model}
+		p := pairs[k]
+		if p == nil {
+			p = &pair{}
+			pairs[k] = p
+			order = append(order, k)
+		}
+		if r.Placement == cluster.PlacementAntiAffinity.String() && p.aa == nil {
+			p.aa = r
+		} else if r.Placement == cluster.PlacementRoundRobin.String() && p.rr == nil {
+			p.rr = r
 		}
 	}
 	printed := false
 	for _, k := range order {
-		a, okA := aa[k]
-		b, okB := rr[k]
-		if !okA || !okB {
+		a, b := pairs[k].aa, pairs[k].rr
+		if a == nil || b == nil {
 			continue
 		}
 		if !printed {
@@ -793,13 +915,4 @@ func writeHeadToHead(w io.Writer, rows []row) {
 		fmt.Fprintf(w, "  %-8s %-14s %-10s  %8.4f vs %8.4f  (%s)\n",
 			k.topo, k.planner, k.model, a.Loss.P95, b.Loss.P95, delta)
 	}
-}
-
-func fatal(err error) {
-	// os.Exit skips the deferred profile teardown in main: flush the
-	// CPU profile here so a failed profiled sweep still leaves a
-	// readable file. A no-op when profiling is off.
-	pprof.StopCPUProfile()
-	fmt.Fprintln(os.Stderr, "ppastorm:", err)
-	os.Exit(1)
 }

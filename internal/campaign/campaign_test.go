@@ -491,7 +491,8 @@ func TestEnvWindowKnobsUnified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Config.WindowBatches alone propagates everywhere.
+	// Config.WindowBatches is the one window knob: it reaches the
+	// engine's source-replay window and every operator window.
 	env, err := NewEnv(EnvSpec{Topo: topo, Config: engine.Config{WindowBatches: 30}})
 	if err != nil {
 		t.Fatal(err)
@@ -503,10 +504,10 @@ func TestEnvWindowKnobsUnified(t *testing.T) {
 	if s.Config.WindowBatches != 30 {
 		t.Errorf("engine window = %d, want 30", s.Config.WindowBatches)
 	}
-	// Conflicting knobs are rejected instead of silently diverging.
-	_, err = NewEnv(EnvSpec{Topo: topo, WindowBatches: 10, Config: engine.Config{WindowBatches: 30}})
-	if err == nil {
-		t.Error("conflicting window knobs accepted")
+	for op, f := range s.Operators {
+		if w := f(0).(*engine.WindowCountOp).WindowBatches; w != 30 {
+			t.Errorf("operator %d window = %d, want 30", op, w)
+		}
 	}
 }
 

@@ -22,8 +22,8 @@ type EnvSpec struct {
 	// Planner is a plan-registry name ("sa", "greedy", "dp", ...); ""
 	// disables active replication (pure checkpoint recovery). The
 	// *-corr variants plan against a domain-correlated failure
-	// distribution sampled from this environment's own cluster layout
-	// (see CorrScenarios).
+	// distribution sampled from this environment's own cluster layout:
+	// CorrelationSet(corrScenarios, corrSeed).
 	Planner string
 	// Fraction is the actively replicated fraction of tasks for Planner,
 	// in [0, 1] (default 0.3; zero selects the default).
@@ -34,14 +34,6 @@ type EnvSpec struct {
 	// reproduces the legacy domain-blind placement for comparison
 	// sweeps.
 	Placement cluster.PlacementPolicy
-	// CorrScenarios is the number of scenarios sampled per burst model
-	// for the correlation-aware planning objective (default 24; the
-	// sampled sets are deduplicated, so cost grows with distinct
-	// bursts, not the count). CorrSeed seeds the sampling (default 1).
-	// The distribution is sampled and installed only for *-corr
-	// planners (name suffix "-corr") — no other planner reads it.
-	CorrScenarios int
-	CorrSeed      int64
 	// Tentative enables the tentative-output/correction pipeline
 	// (engine.Config.TentativeOutputs): during failures the surviving
 	// topology keeps producing tentative-marked results, and recovered
@@ -49,23 +41,26 @@ type EnvSpec struct {
 	// (tentative fraction, corrected fraction, time-to-correction) are
 	// all zero without it. Failure-free runs are unaffected.
 	Tentative bool
-	// TasksPerNode controls cluster sizing (default 2 primary tasks per
-	// processing node).
-	TasksPerNode int
 	// Layout is the failure-domain layout; the zero value scales
 	// DefaultLayout to ~4 processing nodes per rack.
 	Layout cluster.Layout
-	// WindowBatches is the operators' sliding window (default 10). It
-	// is the single window knob: Setup always propagates it into the
-	// engine config, so the operator windows and the engine's
-	// source-replay window can never diverge. Setting
-	// Config.WindowBatches instead (and leaving this zero) is
-	// equivalent.
-	WindowBatches int
 	// Config overrides engine defaults; zero fields keep them.
-	// Config.WindowBatches is unified with WindowBatches above.
+	// Config.WindowBatches (default 10 here) is the single window
+	// knob: it sizes the operators' sliding windows and the engine's
+	// source-replay window alike, so the two can never diverge.
 	Config engine.Config
 }
+
+// Fixed environment parameters: primary tasks per processing node,
+// and the size (per burst model) and seed of the correlated-failure
+// sample the *-corr planners optimise. The sampled sets are
+// deduplicated, so planning cost grows with distinct bursts, not with
+// corrScenarios.
+const (
+	tasksPerNode  = 2
+	corrScenarios = 24
+	corrSeed      = 1
+)
 
 // Env is a reusable campaign environment. The expensive, immutable
 // parts (topology, plan, factories) are computed once; Setup rebuilds
@@ -90,24 +85,8 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 	if spec.Fraction == 0 {
 		spec.Fraction = 0.3
 	}
-	if spec.TasksPerNode <= 0 {
-		spec.TasksPerNode = 2
-	}
-	if spec.CorrScenarios <= 0 {
-		spec.CorrScenarios = 24
-	}
-	if spec.CorrSeed == 0 {
-		spec.CorrSeed = 1
-	}
-	if spec.WindowBatches == 0 {
-		spec.WindowBatches = spec.Config.WindowBatches
-	}
-	if spec.WindowBatches == 0 {
-		spec.WindowBatches = 10
-	}
-	if spec.Config.WindowBatches != 0 && spec.Config.WindowBatches != spec.WindowBatches {
-		return nil, fmt.Errorf("campaign: WindowBatches %d and Config.WindowBatches %d disagree",
-			spec.WindowBatches, spec.Config.WindowBatches)
+	if spec.Config.WindowBatches == 0 {
+		spec.Config.WindowBatches = 10
 	}
 	n := spec.Topo.NumTasks()
 	budget, err := plan.Budget(n, spec.Fraction)
@@ -116,7 +95,7 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 	}
 	env := &Env{
 		spec:       spec,
-		processing: max(2, (n+spec.TasksPerNode-1)/spec.TasksPerNode),
+		processing: max(2, (n+tasksPerNode-1)/tasksPerNode),
 		sources:    make(map[int]engine.SourceFactory),
 		operators:  make(map[int]engine.OperatorFactory),
 	}
@@ -139,7 +118,7 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 			}
 			env.sources[op] = engine.NewCountSourceFactory(per)
 		} else {
-			env.operators[op] = engine.NewWindowCountFactory(spec.WindowBatches, o.Selectivity)
+			env.operators[op] = engine.NewWindowCountFactory(spec.Config.WindowBatches, o.Selectivity)
 		}
 	}
 
@@ -151,7 +130,7 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 		}
 		ctx := plan.NewContext(spec.Topo)
 		if strings.HasSuffix(spec.Planner, "-corr") {
-			set, err := env.CorrelationSet(spec.CorrScenarios, spec.CorrSeed)
+			set, err := env.CorrelationSet(corrScenarios, corrSeed)
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +204,6 @@ func (env *Env) setup(placement cluster.PlacementPolicy) (engine.Setup, error) {
 		return engine.Setup{}, err
 	}
 	cfg := env.spec.Config
-	cfg.WindowBatches = env.spec.WindowBatches
 	if env.spec.Tentative {
 		cfg.TentativeOutputs = true
 	}
@@ -250,10 +228,10 @@ const (
 	TopoLarge  = "large"
 )
 
-// PresetSpec returns the randtopo spec of a named topology preset:
-// small (5-6 ops, parallelism 1-4), medium (the paper's §VI-C baseline:
-// 5-10 ops, parallelism 1-10) and large (10-14 ops, parallelism 6-16).
-func PresetSpec(name string, seed int64) (randtopo.Spec, error) {
+// PresetTopology generates a named random-topology preset: small (5-6
+// ops, parallelism 1-4), medium (the paper's §VI-C baseline: 5-10 ops,
+// parallelism 1-10) and large (10-14 ops, parallelism 6-16).
+func PresetTopology(name string, seed int64) (*topology.Topology, error) {
 	spec := randtopo.DefaultSpec(seed)
 	switch name {
 	case TopoSmall:
@@ -265,16 +243,7 @@ func PresetSpec(name string, seed int64) (randtopo.Spec, error) {
 		spec.MinOps, spec.MaxOps = 10, 14
 		spec.MinPar, spec.MaxPar = 6, 16
 	default:
-		return randtopo.Spec{}, fmt.Errorf("campaign: unknown topology preset %q (known: small, medium, large)", name)
-	}
-	return spec, nil
-}
-
-// PresetTopology generates a named preset topology.
-func PresetTopology(name string, seed int64) (*topology.Topology, error) {
-	spec, err := PresetSpec(name, seed)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: unknown topology preset %q (known: small, medium, large)", name)
 	}
 	return randtopo.Generate(spec)
 }

@@ -128,7 +128,7 @@ func TestCorrPlannerEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(EnvSpec{Topo: topo, Planner: "sa-corr", CorrScenarios: 8})
+	env, err := NewEnv(EnvSpec{Topo: topo, Planner: "sa-corr"})
 	if err != nil {
 		t.Fatal(err)
 	}

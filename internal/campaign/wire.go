@@ -20,17 +20,13 @@ import (
 // shipped — Generate(i) depends only on (cluster layout, Seed, i), so
 // the rebuilt campaign is the same campaign on every process.
 type WireSpec struct {
-	Topo          topology.Spec  `json:"topo"`
-	Planner       string         `json:"planner,omitempty"`
-	Fraction      float64        `json:"fraction,omitempty"`
-	Placement     string         `json:"placement,omitempty"`
-	CorrScenarios int            `json:"corr_scenarios,omitempty"`
-	CorrSeed      int64          `json:"corr_seed,omitempty"`
-	Tentative     bool           `json:"tentative,omitempty"`
-	TasksPerNode  int            `json:"tasks_per_node,omitempty"`
-	Layout        cluster.Layout `json:"layout"`
-	WindowBatches int            `json:"window_batches,omitempty"`
-	Engine        engine.Config  `json:"engine"`
+	Topo      topology.Spec  `json:"topo"`
+	Planner   string         `json:"planner,omitempty"`
+	Fraction  float64        `json:"fraction,omitempty"`
+	Placement string         `json:"placement,omitempty"`
+	Tentative bool           `json:"tentative,omitempty"`
+	Layout    cluster.Layout `json:"layout"`
+	Engine    engine.Config  `json:"engine"`
 
 	// Gens are the scenario-generation batches; the campaign's scenario
 	// list is their Generate outputs concatenated in order (exactly as a
@@ -60,18 +56,14 @@ func NewWireSpec(spec EnvSpec, gens []GenSpec) (WireSpec, error) {
 		return WireSpec{}, fmt.Errorf("campaign: no scenario generation batches")
 	}
 	return WireSpec{
-		Topo:          topology.ToSpec(spec.Topo),
-		Planner:       spec.Planner,
-		Fraction:      spec.Fraction,
-		Placement:     spec.Placement.String(),
-		CorrScenarios: spec.CorrScenarios,
-		CorrSeed:      spec.CorrSeed,
-		Tentative:     spec.Tentative,
-		TasksPerNode:  spec.TasksPerNode,
-		Layout:        spec.Layout,
-		WindowBatches: spec.WindowBatches,
-		Engine:        spec.Config,
-		Gens:          append([]GenSpec(nil), gens...),
+		Topo:      topology.ToSpec(spec.Topo),
+		Planner:   spec.Planner,
+		Fraction:  spec.Fraction,
+		Placement: spec.Placement.String(),
+		Tentative: spec.Tentative,
+		Layout:    spec.Layout,
+		Engine:    spec.Config,
+		Gens:      append([]GenSpec(nil), gens...),
 	}, nil
 }
 
@@ -89,17 +81,13 @@ func (w WireSpec) EnvSpec() (EnvSpec, error) {
 		}
 	}
 	return EnvSpec{
-		Topo:          topo,
-		Planner:       w.Planner,
-		Fraction:      w.Fraction,
-		Placement:     placement,
-		CorrScenarios: w.CorrScenarios,
-		CorrSeed:      w.CorrSeed,
-		Tentative:     w.Tentative,
-		TasksPerNode:  w.TasksPerNode,
-		Layout:        w.Layout,
-		WindowBatches: w.WindowBatches,
-		Config:        w.Engine,
+		Topo:      topo,
+		Planner:   w.Planner,
+		Fraction:  w.Fraction,
+		Placement: placement,
+		Tentative: w.Tentative,
+		Layout:    w.Layout,
+		Config:    w.Engine,
 	}, nil
 }
 

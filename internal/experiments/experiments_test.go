@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 )
 
@@ -367,66 +366,3 @@ func abs(x float64) float64 {
 }
 
 var _ = engine.StrategyActive // keep the import for the technique table
-
-// TestDomainSweepShape runs a small Monte-Carlo domain sweep and checks
-// its structure: latency, loss, tentative-fraction and
-// corrected-fraction series per placement × planner cell, one point per
-// burst model, and the paper's qualitative expectation that bigger
-// blast radii do not recover faster than single-node failures.
-func TestDomainSweepShape(t *testing.T) {
-	r, err := DomainSweep([]string{"sa", "greedy"}, []cluster.PlacementPolicy{cluster.PlacementAntiAffinity}, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series) != 8 {
-		t.Fatalf("%d series, want 8 (%v)", len(r.Series), names(r))
-	}
-	for _, s := range r.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("series %q has %d points, want one per burst model", s.Name, len(s.Points))
-		}
-	}
-	for _, planner := range []string{"sa", "greedy"} {
-		cell := planner + "/anti-affinity"
-		single := point(t, r, cell+"-p95", "single")
-		domain := point(t, r, cell+"-p95", "domain")
-		if single <= 0 || domain <= 0 {
-			t.Errorf("%s: non-positive p95 latencies (single=%v domain=%v)", planner, single, domain)
-		}
-		if domain < single*0.5 {
-			t.Errorf("%s: whole-domain p95 (%v) implausibly below single-node p95 (%v)", planner, domain, single)
-		}
-	}
-}
-
-// TestDomainSweepOptsPaired: with CRN on, every non-base cell carries
-// paired-difference series (Δp95 loss, Δmean latency, each with a CI
-// half-width) against the sweep's first cell, and the paired CI on the
-// self-comparison collapses to zero because both cells replay
-// identical draws through an identical configuration.
-func TestDomainSweepOptsPaired(t *testing.T) {
-	r, err := DomainSweepOpts([]string{"greedy"}, cluster.PlacementPolicies, 6, 1,
-		SweepOptions{CRN: true, Tilt: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two cells: base gets 4 series, the other 4 + 4 paired-delta.
-	if len(r.Series) != 12 {
-		t.Fatalf("%d series, want 12 (%v)", len(r.Series), names(r))
-	}
-	cell := "greedy/" + cluster.PlacementRoundRobin.String()
-	for _, suffix := range []string{"-dp95loss", "-dp95loss-ci", "-dlat", "-dlat-ci"} {
-		found := false
-		for _, s := range r.Series {
-			if s.Name == cell+suffix {
-				found = true
-				if len(s.Points) != 4 {
-					t.Fatalf("series %q has %d points, want one per burst model", s.Name, len(s.Points))
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("missing paired series %q (%v)", cell+suffix, names(r))
-		}
-	}
-}

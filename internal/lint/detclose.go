@@ -58,8 +58,7 @@ const defaultRoots = "internal/campaign.Run," +
 	"internal/experiments.Fig14a," +
 	"internal/experiments.Fig14b," +
 	"internal/experiments.Fig14c," +
-	"internal/experiments.Fig14d," +
-	"internal/experiments.DomainSweep"
+	"internal/experiments.Fig14d"
 
 // defaultDeterministicPackages are the package-path suffixes whose
 // results must be a pure function of their inputs: everything the
