@@ -20,7 +20,10 @@ import (
 // rebuilding the environment and re-simulating the prefix. A reset
 // engine runs bit-identically to a fresh Setup run from time zero, so
 // results do not depend on which worker (or which engine) ran a
-// scenario.
+// scenario. Each scenario stops as soon as it has re-converged to the
+// failure-free run, whose trajectory the call records once, and
+// splices on that run's remaining sink ledger (engine.RunSpliced): the
+// results are those of a run to the horizon.
 type Config struct {
 	// Setup returns a fresh engine setup for one simulation. It must be
 	// safe for concurrent calls and must rebuild anything a run mutates
@@ -69,7 +72,8 @@ type Config struct {
 	// CorrectionDelays slice is pooled and only valid during the call.
 	OnResult func(ScenarioResult)
 	// Baseline is the failure-free sink-tuple volume the loss metric is
-	// measured against; 0 runs one baseline simulation. The baseline
+	// measured against; 0 takes the volume of the failure-free
+	// trajectory the call records anyway. The baseline
 	// depends only on Setup and Horizon, so sweeps sharing both (e.g.
 	// the same planner over several burst models or placements) pass
 	// the BaselineSinkTuples of their first Report to the later cells
@@ -258,9 +262,11 @@ func (cfg Config) resolved() Config {
 
 // prepare is the set-up step every execution path shares: it validates
 // cfg and the range r of scenarios the call runs, fills in cfg's
-// defaults, builds the engine pool marked just before r's earliest wave
-// and resolves the baseline volume — the explicit Config.Baseline, or
-// one baseline simulation whose engine seeds the pool.
+// defaults, builds the engine pool marked just before r's earliest
+// wave, records the pool's failure-free trajectory from its first
+// engine (which then resets onto its mark and joins the pool) and
+// resolves the baseline volume — the explicit Config.Baseline, or the
+// trajectory's volume at the horizon.
 func prepare(cfg Config, r Range) (Config, *enginePool, int, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, 0, err
@@ -275,15 +281,19 @@ func prepare(cfg Config, r Range) (Config, *enginePool, int, error) {
 		free:  make(chan *engine.Engine, cfg.Workers),
 		mark:  markTime(cfg.Scenarios[r.Lo:r.Hi], cfg.Horizon),
 	}
-	if cfg.Baseline > 0 {
-		return cfg, pool, cfg.Baseline, nil
-	}
-	baseline, err := runOne(pool, nil, cfg.Horizon, false)
+	e, err := pool.get()
 	if err != nil {
 		return cfg, nil, 0, fmt.Errorf("campaign: baseline run: %w", err)
 	}
-	baseline.release()
-	return cfg, pool, baseline.res.SinkTuples, nil
+	if pool.traj, err = e.RecordTrajectory(cfg.Horizon); err != nil {
+		return cfg, nil, 0, fmt.Errorf("campaign: baseline run: %w", err)
+	}
+	e.Reset()
+	pool.put(e)
+	if cfg.Baseline > 0 {
+		return cfg, pool, cfg.Baseline, nil
+	}
+	return cfg, pool, pool.traj.SinkTupleCount(), nil
 }
 
 // markTime returns the instant the engines of a call are marked at: the
@@ -307,11 +317,15 @@ func markTime(scs []Scenario, horizon sim.Time) sim.Time {
 // any idle engine and resets it onto its image — every engine of the
 // call is marked at the same instant, so they are interchangeable — or
 // builds a fresh one when none is idle yet, running it through the
-// failure-free prefix to the mark.
+// failure-free prefix to the mark. traj is the call's failure-free
+// trajectory, which every engine of the pool runs its scenarios
+// against (engine.RunSpliced); it is read-only once prepare recorded
+// it.
 type enginePool struct {
 	setup func() (engine.Setup, error)
 	free  chan *engine.Engine
 	mark  sim.Time
+	traj  *engine.Trajectory
 }
 
 func (p *enginePool) get() (*engine.Engine, error) {
@@ -345,17 +359,33 @@ func (p *enginePool) put(e *engine.Engine) {
 
 // BaselineVolume returns the campaign's failure-free baseline sink
 // volume without running any scenarios: Config.Baseline when set,
-// otherwise the volume of one baseline simulation. The coordinator of
-// a distributed campaign calls it once and ships the volume to every
-// worker, so all ranges measure loss against the same baseline the
-// single-process run would use.
+// otherwise the volume of one baseline simulation, which records no
+// trajectory. The coordinator of a distributed campaign calls it once
+// and ships the volume to every worker, so all ranges measure loss
+// against the same baseline the single-process run would use.
 func BaselineVolume(cfg Config) (int, error) {
-	_, _, base, err := prepare(cfg, Range{0, len(cfg.Scenarios)})
-	return base, err
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	cfg = cfg.resolved()
+	if cfg.Baseline > 0 {
+		return cfg.Baseline, nil
+	}
+	s, err := cfg.Setup()
+	if err != nil {
+		return 0, fmt.Errorf("campaign: baseline run: %w", err)
+	}
+	e, err := engine.New(s)
+	if err != nil {
+		return 0, fmt.Errorf("campaign: baseline run: %w", err)
+	}
+	e.Run(cfg.Horizon)
+	return e.SinkTupleCount(), nil
 }
 
-// Run executes the campaign: one failure-free baseline simulation, then
-// every scenario on the worker pool, streaming results in scenario
+// Run executes the campaign: one failure-free baseline simulation (the
+// trajectory the scenarios splice onto), then every scenario on the
+// worker pool, streaming results in scenario
 // order into sharded quantile-sketch accumulators (see Config.Shards).
 // For a fixed Config (same scenarios, same Setup semantics, same shard
 // count) the report is identical regardless of Workers. Memory stays
@@ -406,12 +436,14 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 
 // runOne executes one simulation with the given failure waves on an
 // engine from the pool — reset onto the pool's image, or built and run
-// to it — and returns the engine to the pool afterwards. With keep
-// false the correction delays land in a pooled buffer (released by
-// entry.release once the reducer streamed them into the
-// time-to-correction sketch) instead of a fresh allocation per
-// scenario.
-func runOne(pool *enginePool, waves []Wave, horizon sim.Time, keep bool) (entry, error) {
+// to it — and returns the engine to the pool afterwards. The engine
+// runs to the trajectory's horizon, or until it re-converges to the
+// trajectory, whose sink ledger it then splices on: the results are
+// the same either way. With keep false the correction delays land in a
+// pooled buffer (released by entry.release once the reducer streamed
+// them into the time-to-correction sketch) instead of a fresh
+// allocation per scenario.
+func runOne(pool *enginePool, waves []Wave, keep bool) (entry, error) {
 	e, err := pool.get()
 	if err != nil {
 		return entry{}, err
@@ -419,7 +451,7 @@ func runOne(pool *enginePool, waves []Wave, horizon sim.Time, keep bool) (entry,
 	for _, w := range waves {
 		e.ScheduleNodeFailures(w.Nodes, w.At)
 	}
-	e.Run(horizon)
+	e.RunSpliced(pool.traj)
 	defer pool.put(e)
 	out := entry{res: ScenarioResult{Recovered: true, SinkTuples: e.SinkTupleCount()}}
 	res := &out.res

@@ -158,7 +158,7 @@ func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base 
 	defer stop()
 	err := par.EachErrCtx(poolCtx, r.Len(), cfg.Workers, func(j int) error {
 		sc := cfg.Scenarios[r.Lo+j]
-		e, err := runOne(pool, sc.Waves, cfg.Horizon, cfg.KeepResults)
+		e, err := runOne(pool, sc.Waves, cfg.KeepResults)
 		if err != nil {
 			st.abort()
 			return fmt.Errorf("campaign: scenario %d (%s): %w", sc.Index, sc.Label, err)

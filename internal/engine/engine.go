@@ -70,11 +70,23 @@ type Engine struct {
 	// in evs. armed is the clock counter once New armed the tickers:
 	// events scheduled after a Reset are numbered from there, as in a
 	// run from time zero. failing is set once a failure is scheduled,
-	// which bars Mark until the next Reset.
-	img     image
-	evs     []sim.Event
-	armed   uint64
-	failing bool
+	// which bars Mark until the next Reset; lastFailure is the latest
+	// scheduled injection time.
+	img         image
+	evs         []sim.Event
+	armed       uint64
+	failing     bool
+	lastFailure sim.Time
+
+	// The re-convergence splice (splice.go): spliced is the trajectory
+	// RunSpliced appended the ledger of, nil until then; witness is the
+	// part of the state that differed from it at the last check; enc,
+	// snap and pend are the encoder's reused buffers.
+	spliced *Trajectory
+	witness int
+	enc     []byte
+	snap    []byte
+	pend    []sim.Event
 
 	// Hot-path object pools, all single-threaded like the simulation:
 	// staged-input tuple backings, batch-completion events, delivery
@@ -316,6 +328,9 @@ func (e *Engine) putProcEvent(pe *procEvent) {
 // batches, heartbeats, checkpoints and replica trims. Run may be called
 // repeatedly with increasing times.
 func (e *Engine) Run(until sim.Time) {
+	if e.spliced != nil {
+		panic("engine: Run after RunSpliced stopped early; Reset the engine first")
+	}
 	e.clock.RunUntil(until)
 }
 
@@ -499,16 +514,23 @@ func (e *Engine) ScheduleNodeFailure(node cluster.NodeID, at sim.Time) {
 // primary and its replica forces the fallback to checkpoint recovery.
 func (e *Engine) ScheduleNodeFailures(nodes []cluster.NodeID, at sim.Time) {
 	set := append([]cluster.NodeID(nil), nodes...)
+	e.scheduleFailure(at, func() { e.injectNodeFailures(set) })
+}
+
+// scheduleFailure schedules one failure injection and records that a
+// failure is scheduled: Mark refuses from now on, and RunSpliced
+// compares no state before the latest injection has fired.
+func (e *Engine) scheduleFailure(at sim.Time, inject func()) {
 	e.failing = true
-	e.clock.At(at, func() { e.injectNodeFailures(set) })
+	e.lastFailure = max(e.lastFailure, at)
+	e.clock.At(at, inject)
 }
 
 // ScheduleDomainFailure injects the correlated failure of one failure
 // domain (rack, zone, ...) at the given virtual time: every node of the
 // domain subtree goes down at once.
 func (e *Engine) ScheduleDomainFailure(dom cluster.DomainID, at sim.Time) {
-	e.failing = true
-	e.clock.At(at, func() { e.injectNodeFailures(e.clus.DomainNodes(dom)) })
+	e.scheduleFailure(at, func() { e.injectNodeFailures(e.clus.DomainNodes(dom)) })
 }
 
 // injectNodeFailures is the common burst handler: mark the nodes
@@ -557,8 +579,7 @@ func (e *Engine) failReplicasOnFailedNodes() {
 // ScheduleCorrelatedFailure fails every processing node at the given
 // time — the paper's correlated-failure injection.
 func (e *Engine) ScheduleCorrelatedFailure(at sim.Time) {
-	e.failing = true
-	e.clock.At(at, func() {
+	e.scheduleFailure(at, func() {
 		ids := e.clus.FailAllProcessing()
 		e.failTasks(ids)
 	})
@@ -569,8 +590,7 @@ func (e *Engine) ScheduleCorrelatedFailure(at sim.Time) {
 func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
 	sorted := append([]topology.TaskID(nil), ids...)
 	sortIDs(sorted)
-	e.failing = true
-	e.clock.At(at, func() { e.failTasks(sorted) })
+	e.scheduleFailure(at, func() { e.failTasks(sorted) })
 }
 
 func (e *Engine) failTasks(ids []topology.TaskID) {
@@ -739,7 +759,9 @@ type CPUStat struct {
 	CkptCPU sim.Time
 }
 
-// CPUStats returns per-task CPU accounting, sorted by task ID.
+// CPUStats returns per-task CPU accounting, sorted by task ID. After
+// RunSpliced stopped early it covers the simulated prefix only: float
+// CPU sums cannot be spliced bit-exactly.
 func (e *Engine) CPUStats() []CPUStat {
 	out := make([]CPUStat, 0, len(e.tasks))
 	for id, rt := range e.tasks {
@@ -753,8 +775,12 @@ func (e *Engine) CPUStats() []CPUStat {
 }
 
 // TaskProgress returns the last fully processed batch of the task's
-// current incarnation.
+// current incarnation; after RunSpliced stopped early, the one it has
+// at the trajectory's horizon.
 func (e *Engine) TaskProgress(id topology.TaskID) int {
+	if e.spliced != nil {
+		return e.spliced.progress[id]
+	}
 	if rt := e.tasks[id]; rt != nil {
 		return rt.processedBatch
 	}

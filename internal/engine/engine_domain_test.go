@@ -231,3 +231,47 @@ func TestPromotedReplicaDiesWithStandbyNode(t *testing.T) {
 		}
 	}
 }
+
+// TestStandbyDiesDuringActivation covers a standby failing inside the
+// activation window of the replica it hosts: the primary fails, the
+// master detects it and starts the take-over, and the standby dies
+// before the ReplicaActivateCost has passed. The dead replica must not
+// be promoted: the task falls back to checkpoint recovery, recovers,
+// and is live at the horizon.
+func TestStandbyDiesDuringActivation(t *testing.T) {
+	topo := chainTopo(1000)
+	strategies := allStrategies(topo.NumTasks(), StrategyCheckpoint)
+	strategies[4] = StrategyActive // the B task
+	cfg := Config{CheckpointInterval: 5}
+	e := newChainEngine(t, cfg, strategies)
+	standby, ok := e.clus.ReplicaNodeOf(4)
+	if !ok {
+		t.Fatal("no replica placed for task 4")
+	}
+	// The primary dies at 15.2 and the heartbeat at 20 detects it; the
+	// standby dies inside [20, 20.2), the default activation window.
+	const horizon = 120
+	e.ScheduleNodeFailure(e.clus.NodeOf(4), 15.2)
+	e.ScheduleNodeFailure(standby, 20.1)
+	e.Run(horizon)
+	var stats []RecoveryStat
+	for _, st := range e.RecoveryStats() {
+		if st.Task == 4 {
+			stats = append(stats, st)
+		}
+	}
+	if len(stats) != 1 || !stats[0].Recovered || stats[0].DetectedAt != 20 {
+		t.Fatalf("task 4 recovery stats %+v, want one failure detected at 20 and recovered", stats)
+	}
+	rt := e.tasks[4]
+	if rt.failed || rt.promoted || rt == e.repl[4] {
+		t.Errorf("task 4 runs on the replica that died (failed=%v promoted=%v), want a checkpoint-restored incarnation", rt.failed, rt.promoted)
+	}
+	// Restoring costs at least RestoreFixed after the activation window.
+	if lat, min := stats[0].Latency(), e.cfg.ReplicaActivateCost+e.cfg.RestoreFixed; lat < min {
+		t.Errorf("task 4 recovered %v after detection, faster than activation plus restore (%v)", lat, min)
+	}
+	if got, want := e.TaskProgress(4), horizon-2; got < want {
+		t.Errorf("task 4 progress %d at the horizon, want at least %d", got, want)
+	}
+}

@@ -82,6 +82,9 @@ func (e *Engine) Mark() error {
 	if e.failing {
 		return errors.New("engine: Mark after a failure was scheduled; an image holds failure-free state only")
 	}
+	if e.spliced != nil {
+		return errors.New("engine: Mark after RunSpliced stopped early; Reset the engine first")
+	}
 	live := e.mark()
 	e.clock.Restore(e.img.now, e.img.seq, e.armed, live)
 	return nil
@@ -197,7 +200,7 @@ func (e *Engine) Reset() {
 	e.sinks = append(e.sinks[:0], img.sinks...)
 	e.sinkTuples = img.sinkTuples
 	e.currentBatch = img.currentBatch
-	e.failing = false
+	e.failing, e.lastFailure, e.spliced = false, 0, nil
 }
 
 // mark records the runtime's state.

@@ -127,6 +127,12 @@ func (m *master) recoverActive(id topology.TaskID, f *failure) {
 		return
 	}
 	e.clock.After(e.cfg.ReplicaActivateCost, func() {
+		if rep.failed {
+			// The standby failed during the activation: fall back to
+			// checkpoint recovery, as detection does.
+			m.recoverCheckpoint(id, f)
+			return
+		}
 		rep.isReplica = false
 		rep.recovering = true
 		rep.promoted = true

@@ -31,6 +31,8 @@ const defaultRoots = "internal/campaign.Run," +
 	"internal/engine.(*Engine).Run," +
 	"internal/engine.(*Engine).Reset," +
 	"internal/engine.(*Engine).Mark," +
+	"internal/engine.(*Engine).RecordTrajectory," +
+	"internal/engine.(*Engine).RunSpliced," +
 	"internal/sketch.(*Sketch).Add," +
 	"internal/sketch.(*Sketch).Merge," +
 	"internal/sketch.(*Sketch).MarshalBinary," +
