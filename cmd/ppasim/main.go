@@ -104,11 +104,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	switch *failure {
 	case "single":
-		e.ScheduleNodeFailure(f.SyntheticNodes[8], sim.Time(*failAt)) // an O2 node
+		e.ScheduleNodeFailures(f.SyntheticNodes[8:9], sim.Time(*failAt)) // an O2 node
 	case "correlated":
-		for _, n := range f.SyntheticNodes {
-			e.ScheduleNodeFailure(n, sim.Time(*failAt))
-		}
+		e.ScheduleNodeFailures(f.SyntheticNodes, sim.Time(*failAt))
 	default:
 		return fmt.Errorf("-failure: unknown failure mode %q", *failure)
 	}

@@ -198,8 +198,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 // options are ppastorm's flags, checked, with the sweep axes resolved.
 // env, gen and cfg are the templates every cell copies: the cell loop
-// fills in the topology, planner, placement, model, scenarios and
-// baseline.
+// fills in the topology, planner, placement, model and scenarios, and
+// for a coordinator the baseline.
 type options struct {
 	topoSeed   int64
 	topoNames  []string
@@ -435,10 +435,10 @@ func (s *sweep) rows() ([]row, error) {
 				}
 			}
 			// The failure-free baseline depends only on (topology,
-			// planner, horizon), not on placement or burst model: the
-			// first cell resolves it and every later cell reuses its
-			// volume, locally through Config.Baseline and distributed
-			// by shipping it with the cell's spec.
+			// planner, horizon), not on placement or burst model. A
+			// local cell takes it from the failure-free trajectory it
+			// records anyway; a coordinator resolves it for the first
+			// cell and ships that volume with every later cell's spec.
 			baseline := 0
 			for _, placement := range s.placements {
 				for _, model := range s.models {
@@ -452,7 +452,7 @@ func (s *sweep) rows() ([]row, error) {
 						spec.Placement = placement
 						rep, err = s.remote(spec, gen, baseline)
 					} else {
-						rep, err = s.local(c, env.SetupFor(placement), sample, gen, baseline)
+						rep, err = s.local(c, env.SetupFor(placement), sample, gen)
 					}
 					if err != nil {
 						return nil, fmt.Errorf("cell %s/%s/%s/%s: %w", c.Topology, c.Planner, c.Placement, c.Model, err)
@@ -480,13 +480,13 @@ func (s *sweep) remote(spec campaign.EnvSpec, gen campaign.GenSpec, baseline int
 
 // local runs one cell in this process, streaming each result to the
 // -results sink, the CRN pairing and the -progress meter.
-func (s *sweep) local(c cell, setup func() (engine.Setup, error), sample *cluster.Cluster, gen campaign.GenSpec, baseline int) (*campaign.Report, error) {
+func (s *sweep) local(c cell, setup func() (engine.Setup, error), sample *cluster.Cluster, gen campaign.GenSpec) (*campaign.Report, error) {
 	scs, err := campaign.Generate(sample, gen)
 	if err != nil {
 		return nil, err
 	}
 	cfg := s.cfg
-	cfg.Setup, cfg.Scenarios, cfg.Baseline = setup, scs, baseline
+	cfg.Setup, cfg.Scenarios = setup, scs
 	var meter *progressMeter
 	if s.progress {
 		meter = newProgressMeter(s.stderr, c.Topology+"/"+c.Planner+"/"+c.Placement+"/"+c.Model, len(scs))

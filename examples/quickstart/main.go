@@ -67,7 +67,11 @@ func main() {
 	}
 
 	// 4. Kill every processing node at t=30s — the correlated failure.
-	eng.ScheduleCorrelatedFailure(30.3)
+	var nodes []ppa.NodeID
+	for _, n := range clus.ProcessingNodes() {
+		nodes = append(nodes, n.ID)
+	}
+	eng.ScheduleNodeFailures(nodes, 30.3)
 	eng.Run(120)
 
 	// 5. Report: actively replicated tasks recover orders of magnitude

@@ -56,20 +56,19 @@ type Config struct {
 	// for bit-reproducible reports — but never on Workers or on how
 	// ranges were assigned to processes. <= 0 selects DefaultShards.
 	Shards int
-	// KeepResults retains every ScenarioResult in Report.Results. Off
-	// by default: the streaming aggregation needs only O(Workers +
-	// Shards) memory however many scenarios run, which is what makes
-	// million-scenario sweeps possible; turning this on restores the
-	// old linear-memory behaviour for callers that post-process
-	// individual scenarios.
+	// KeepResults retains every ScenarioResult in Report.Results, in
+	// the order OnResult receives them. Off by default: the streaming
+	// aggregation needs only O(Workers + Shards) memory however many
+	// scenarios run, which is what makes million-scenario sweeps
+	// possible; turning this on restores the old linear-memory
+	// behaviour for callers that post-process individual scenarios.
 	KeepResults bool
 	// OnResult, when set, receives every scenario result in strict
 	// scenario-index order as soon as the reduction frontier reaches
 	// it — the streaming alternative to KeepResults (per-scenario CSV
 	// rows, progress reporting). It is called serially under the
 	// reducer lock: keep it fast, and do not call back into the
-	// campaign. Unless KeepResults is set, the result's
-	// CorrectionDelays slice is pooled and only valid during the call.
+	// campaign.
 	OnResult func(ScenarioResult)
 	// Baseline is the failure-free sink-tuple volume the loss metric is
 	// measured against; 0 takes the volume of the failure-free
@@ -119,10 +118,7 @@ type ScenarioResult struct {
 	// the post-recovery amendment layer before the horizon.
 	CorrectedFrac float64
 	// CorrectionDelays are the per-batch times (virtual seconds) from
-	// tentative emission to correction. On the streaming path (Config.
-	// KeepResults off) the backing array is pooled: inside a
-	// Config.OnResult callback the slice is valid only for the
-	// duration of the call.
+	// tentative emission to correction.
 	CorrectionDelays []float64
 }
 
@@ -359,10 +355,12 @@ func (p *enginePool) put(e *engine.Engine) {
 
 // BaselineVolume returns the campaign's failure-free baseline sink
 // volume without running any scenarios: Config.Baseline when set,
-// otherwise the volume of one baseline simulation, which records no
-// trajectory. The coordinator of a distributed campaign calls it once
-// and ships the volume to every worker, so all ranges measure loss
-// against the same baseline the single-process run would use.
+// otherwise the volume of one failure-free run to the horizon, which
+// records no trajectory. It equals the volume of the trajectory every
+// Run and RunRange call records. The coordinator of a distributed
+// campaign calls it once and ships the volume to every worker, so all
+// ranges measure loss against the same baseline the single-process
+// run would use.
 func BaselineVolume(cfg Config) (int, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -411,16 +409,25 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// KeepResults records what the reducer hands OnResult: every result
+	// in order, and on a stopped run exactly the consumed prefix.
+	var results []ScenarioResult
+	if cfg.KeepResults {
+		onResult := cfg.OnResult
+		cfg.OnResult = func(r ScenarioResult) {
+			results = append(results, r)
+			if onResult != nil {
+				onResult(r)
+			}
+		}
+	}
 	mon := NewStopMonitor(cfg)
-	aggs, results, err := runShards(ctx, cfg, Range{0, len(cfg.Scenarios)}, pool, base, mon)
+	aggs, err := runShards(ctx, cfg, Range{0, len(cfg.Scenarios)}, pool, base, mon)
 	if err != nil {
 		return nil, err
 	}
 	if mon.Fired() {
 		aggs = aggs[:mon.StopShard()+1]
-		if cfg.KeepResults {
-			results = results[:mon.PrefixScenarios()]
-		}
 	}
 	agg := aggs[0]
 	for _, b := range aggs[1:] {
@@ -439,35 +446,24 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 // to it — and returns the engine to the pool afterwards. The engine
 // runs to the trajectory's horizon, or until it re-converges to the
 // trajectory, whose sink ledger it then splices on: the results are
-// the same either way. With keep false the correction delays land in a
-// pooled buffer (released by entry.release once the reducer streamed
-// them into the time-to-correction sketch) instead of a fresh
-// allocation per scenario.
-func runOne(pool *enginePool, waves []Wave, keep bool) (entry, error) {
+// the same either way.
+func runOne(pool *enginePool, waves []Wave) (ScenarioResult, error) {
 	e, err := pool.get()
 	if err != nil {
-		return entry{}, err
+		return ScenarioResult{}, err
 	}
 	for _, w := range waves {
 		e.ScheduleNodeFailures(w.Nodes, w.At)
 	}
 	e.RunSpliced(pool.traj)
 	defer pool.put(e)
-	out := entry{res: ScenarioResult{Recovered: true, SinkTuples: e.SinkTupleCount()}}
-	res := &out.res
 	acc := e.AccuracyStats()
-	res.TentativeFrac = acc.TentativeFraction()
-	res.CorrectedFrac = acc.CorrectedFraction()
-	if n := len(acc.CorrectionDelays); n > 0 {
-		if keep {
-			res.CorrectionDelays = make([]float64, 0, n)
-		} else {
-			out.box = delayPool.Get().(*[]float64)
-			res.CorrectionDelays = (*out.box)[:0]
-		}
-		for _, d := range acc.CorrectionDelays {
-			res.CorrectionDelays = append(res.CorrectionDelays, float64(d))
-		}
+	res := ScenarioResult{
+		Recovered:        true,
+		SinkTuples:       e.SinkTupleCount(),
+		TentativeFrac:    acc.TentativeFraction(),
+		CorrectedFrac:    acc.CorrectedFraction(),
+		CorrectionDelays: acc.CorrectionDelays,
 	}
 	for _, st := range e.RecoveryStats() {
 		res.FailedTasks++
@@ -479,5 +475,5 @@ func runOne(pool *enginePool, waves []Wave, keep bool) (entry, error) {
 			res.WorstLatency = lat
 		}
 	}
-	return out, nil
+	return res, nil
 }

@@ -486,14 +486,15 @@ func BenchmarkAccuracyCampaign(b *testing.B) {
 	b.ReportMetric(rep.Summary.TimeToCorrection.P95, "t2c_p95_s")
 }
 
+// TestEnvWindowKnobsUnified: the environment's one window constant
+// reaches the engine's source-replay window and every operator window,
+// next to the fixed checkpoint interval and EnvSpec.Tentative.
 func TestEnvWindowKnobsUnified(t *testing.T) {
 	topo, err := PresetTopology(TopoSmall, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Config.WindowBatches is the one window knob: it reaches the
-	// engine's source-replay window and every operator window.
-	env, err := NewEnv(EnvSpec{Topo: topo, Config: engine.Config{WindowBatches: 30}})
+	env, err := NewEnv(EnvSpec{Topo: topo, Tentative: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,12 +502,13 @@ func TestEnvWindowKnobsUnified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config.WindowBatches != 30 {
-		t.Errorf("engine window = %d, want 30", s.Config.WindowBatches)
+	want := engine.Config{CheckpointInterval: 15, TentativeOutputs: true, WindowBatches: 10}
+	if s.Config != want {
+		t.Errorf("engine config = %+v, want %+v", s.Config, want)
 	}
 	for op, f := range s.Operators {
-		if w := f(0).(*engine.WindowCountOp).WindowBatches; w != 30 {
-			t.Errorf("operator %d window = %d, want 30", op, w)
+		if w := f(0).(*engine.WindowCountOp).WindowBatches; w != 10 {
+			t.Errorf("operator %d window = %d, want 10", op, w)
 		}
 	}
 }

@@ -44,22 +44,21 @@ type EnvSpec struct {
 	// Layout is the failure-domain layout; the zero value scales
 	// DefaultLayout to ~4 processing nodes per rack.
 	Layout cluster.Layout
-	// Config overrides engine defaults; zero fields keep them.
-	// Config.WindowBatches (default 10 here) is the single window
-	// knob: it sizes the operators' sliding windows and the engine's
-	// source-replay window alike, so the two can never diverge.
-	Config engine.Config
 }
 
-// Fixed environment parameters: primary tasks per processing node,
-// and the size (per burst model) and seed of the correlated-failure
-// sample the *-corr planners optimise. The sampled sets are
-// deduplicated, so planning cost grows with distinct bursts, not with
-// corrScenarios.
+// Fixed environment parameters: primary tasks per processing node;
+// the size (per burst model) and seed of the correlated-failure sample
+// the *-corr planners optimise; and the engine's window in batches and
+// checkpoint interval in seconds. The sampled sets are deduplicated,
+// so planning cost grows with distinct bursts, not with corrScenarios.
+// windowBatches sizes the operators' sliding windows and the engine's
+// source-replay window alike, so the two can never diverge.
 const (
-	tasksPerNode  = 2
-	corrScenarios = 24
-	corrSeed      = 1
+	tasksPerNode       = 2
+	corrScenarios      = 24
+	corrSeed           = 1
+	windowBatches      = 10
+	checkpointInterval = 15
 )
 
 // Env is a reusable campaign environment. The expensive, immutable
@@ -85,9 +84,6 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 	if spec.Fraction == 0 {
 		spec.Fraction = 0.3
 	}
-	if spec.Config.WindowBatches == 0 {
-		spec.Config.WindowBatches = 10
-	}
 	n := spec.Topo.NumTasks()
 	budget, err := plan.Budget(n, spec.Fraction)
 	if err != nil {
@@ -106,19 +102,15 @@ func NewEnv(spec EnvSpec) (*Env, error) {
 		env.layout.RacksPerZone = max(1, int(math.Ceil(float64(env.processing)/float64(env.layout.Zones*4))))
 	}
 
-	batch := spec.Config.BatchInterval
-	if batch == 0 {
-		batch = 1
-	}
 	for op, o := range spec.Topo.Ops {
 		if spec.Topo.IsSource(op) {
-			per := int(o.SourceRate * float64(batch))
+			per := int(o.SourceRate) // an engine batch lasts one second
 			if per <= 0 {
 				per = 1000
 			}
 			env.sources[op] = engine.NewCountSourceFactory(per)
 		} else {
-			env.operators[op] = engine.NewWindowCountFactory(spec.Config.WindowBatches, o.Selectivity)
+			env.operators[op] = engine.NewWindowCountFactory(windowBatches, o.Selectivity)
 		}
 	}
 
@@ -203,17 +195,14 @@ func (env *Env) setup(placement cluster.PlacementPolicy) (engine.Setup, error) {
 	if err != nil {
 		return engine.Setup{}, err
 	}
-	cfg := env.spec.Config
-	if env.spec.Tentative {
-		cfg.TentativeOutputs = true
-	}
-	if cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = 15
-	}
 	return engine.Setup{
-		Topology:   env.spec.Topo,
-		Cluster:    c,
-		Config:     cfg,
+		Topology: env.spec.Topo,
+		Cluster:  c,
+		Config: engine.Config{
+			CheckpointInterval: checkpointInterval,
+			TentativeOutputs:   env.spec.Tentative,
+			WindowBatches:      windowBatches,
+		},
 		Sources:    env.sources,
 		Operators:  env.operators,
 		Strategies: append([]engine.Strategy(nil), env.strategies...),

@@ -92,9 +92,9 @@ func TestMarkedCampaignMatchesFromZero(t *testing.T) {
 	proc := sample.ProcessingNodes()
 	node := func(i int) []cluster.NodeID { return []cluster.NodeID{proc[i%len(proc)].ID} }
 	// The batch tick at 30 s emits batch 29; its source deliveries
-	// arrive one NetDelay (the default 50 ms) later, on the clock's hop
-	// lane, so a wave at that instant ties with lane events. Computed
-	// the way the engine computes it.
+	// arrive one network delay (the engine's 50 ms) later, on the
+	// clock's hop lane, so a wave at that instant ties with lane
+	// events. Computed the way the engine computes it.
 	tick, netDelay := sim.Time(30), sim.Time(0.05)
 	laneTie := tick + netDelay
 	mixed := append(gen(WholeDomain, 3, 40)[:2],

@@ -95,10 +95,10 @@ func Partition(cfg Config, parts int) ([]Range, error) {
 
 // runShards executes the scenarios of one shard-aligned range on the
 // worker pool, streaming results in scenario-index order into the
-// aggregators of the shard blocks the range owns. It returns those
-// aggregators in shard order (and the retained per-scenario results
-// when KeepResults is set — indexed relative to r.Lo). cfg and r must
-// come through prepare, which also built the pool and resolved base.
+// aggregators of the shard blocks the range owns and to
+// Config.OnResult. It returns those aggregators in shard order. cfg
+// and r must come through prepare, which also built the pool and
+// resolved base.
 //
 // A non-nil mon (RunContext over the whole campaign only) observes
 // each shard block as the reducer closes it — the serialised state a
@@ -108,7 +108,7 @@ func Partition(cfg Config, parts int) ([]Range, error) {
 // none is consumed: the results then cover exactly the blocks up to
 // mon.StopShard(), and an error or cancellation past them does not
 // fail the run.
-func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base int, mon *StopMonitor) ([]*aggregator, []ScenarioResult, error) {
+func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base int, mon *StopMonitor) ([]*aggregator, error) {
 	n := len(cfg.Scenarios)
 	block := blockSize(n, cfg.Shards)
 	first := r.Lo / block
@@ -117,10 +117,6 @@ func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base 
 	for s := range aggs {
 		aggs[s] = newAggregator(weighted)
 	}
-	var results []ScenarioResult
-	if cfg.KeepResults {
-		results = make([]ScenarioResult, r.Len())
-	}
 	window := 4 * cfg.Workers
 	if window < 16 {
 		window = 16
@@ -128,17 +124,12 @@ func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base 
 	poolCtx, cancelPool := context.WithCancel(ctx)
 	defer cancelPool()
 	var stopErr error
-	st := newStreamer(window, func(j int, e *entry) bool {
+	st := newStreamer(window, func(j int, res *ScenarioResult) bool {
 		i := r.Lo + j
 		a := aggs[i/block-first]
-		a.add(&e.res)
+		a.add(res)
 		if cfg.OnResult != nil {
-			cfg.OnResult(e.res)
-		}
-		if cfg.KeepResults {
-			results[j] = e.res
-		} else {
-			e.release()
+			cfg.OnResult(*res)
 		}
 		if mon == nil || ((i+1)%block != 0 && i+1 != n) {
 			return true
@@ -158,27 +149,27 @@ func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base 
 	defer stop()
 	err := par.EachErrCtx(poolCtx, r.Len(), cfg.Workers, func(j int) error {
 		sc := cfg.Scenarios[r.Lo+j]
-		e, err := runOne(pool, sc.Waves, cfg.KeepResults)
+		res, err := runOne(pool, sc.Waves)
 		if err != nil {
 			st.abort()
 			return fmt.Errorf("campaign: scenario %d (%s): %w", sc.Index, sc.Label, err)
 		}
-		e.res.Scenario = sc
+		res.Scenario = sc
 		if base > 0 {
-			e.res.OutputLoss = 1 - float64(e.res.SinkTuples)/float64(base)
+			res.OutputLoss = 1 - float64(res.SinkTuples)/float64(base)
 		}
-		st.deliver(j, e)
+		st.deliver(j, res)
 		return nil
 	})
 	switch {
 	case mon.Fired():
 		// Every scenario of the prefix was consumed before the rule fired.
 	case stopErr != nil:
-		return nil, nil, stopErr
+		return nil, stopErr
 	case err != nil:
-		return nil, nil, err
+		return nil, err
 	}
-	return aggs, results, nil
+	return aggs, nil
 }
 
 // watchCancel aborts the streamer when ctx is cancelled, so workers
@@ -285,9 +276,9 @@ func RunRange(cfg Config, r Range) ([]ShardState, error) {
 // to the single-process RunContext via MergeShardStates. KeepResults
 // is rejected — per-scenario retention does not serialise; use
 // OnResult locally instead. When Config.Baseline is zero every range
-// runs its own (deterministic) baseline simulation; a coordinator
-// should resolve it once with BaselineVolume and ship the volume in
-// the config.
+// measures loss against the volume of the failure-free trajectory it
+// records anyway (see prepare); that volume equals BaselineVolume's,
+// which a coordinator resolves once and ships in the config.
 func RunRangeContext(ctx context.Context, cfg Config, r Range) ([]ShardState, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -299,7 +290,7 @@ func RunRangeContext(ctx context.Context, cfg Config, r Range) ([]ShardState, er
 	if err != nil {
 		return nil, err
 	}
-	aggs, _, err := runShards(ctx, cfg, r, pool, base, nil)
+	aggs, err := runShards(ctx, cfg, r, pool, base, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -104,6 +104,42 @@ func scenariosOf(t *testing.T, env *Env, spec GenSpec) []Scenario {
 	return scs
 }
 
+// TestTrajectoryVolumeMatchesBaseline: the failure-free volume a local
+// campaign measures loss against — its trajectory's, taken from an
+// engine marked before the earliest wave — equals BaselineVolume's
+// from-zero run, which a coordinator ships to its workers instead. The
+// grid is the small, medium and large presets × checkpoint-only and
+// greedy plans × tentative outputs off and on. -short, and the race
+// detector, run the small preset only.
+func TestTrajectoryVolumeMatchesBaseline(t *testing.T) {
+	const horizon = 90
+	presets := []string{TopoSmall, TopoMedium, TopoLarge}
+	if testing.Short() || raceEnabled {
+		presets = presets[:1]
+	}
+	for _, preset := range presets {
+		for _, planner := range []string{"", "greedy"} {
+			for _, tentative := range []bool{false, true} {
+				env := presetEnv(t, preset, planner, tentative)
+				scs := scenariosOf(t, env, GenSpec{Seed: 1, Scenarios: 8, Model: Cascade, Correlation: DefaultCorrelation})
+				cfg := Config{Setup: env.Setup, Scenarios: scs, Horizon: horizon, Workers: 1}
+				want, err := BaselineVolume(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, pool, got, err := prepare(cfg, Range{0, len(scs)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || pool.traj.SinkTupleCount() != want || want == 0 {
+					t.Errorf("%s/%q/tentative=%v: baseline %d, trajectory volume %d; BaselineVolume %d",
+						preset, planner, tentative, got, pool.traj.SinkTupleCount(), want)
+				}
+			}
+		}
+	}
+}
+
 // TestSpliceMatchesFullRun runs every scenario of a grid twice, through
 // Run to the horizon and through RunSpliced, and requires identical
 // reports: the sink volume, AccuracyStats, RecoveryStats and every

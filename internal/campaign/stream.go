@@ -19,29 +19,6 @@ const DefaultShards = 8
 // metric.
 const SketchK = sketch.DefaultK
 
-// delayPool recycles the per-scenario correction-delay buffers on the
-// flat-memory path (KeepResults off): a buffer lives from runOne until
-// the reducer has streamed its delays into the time-to-correction
-// sketch, then returns to the pool.
-var delayPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// entry is one in-flight scenario result awaiting in-order reduction.
-type entry struct {
-	res ScenarioResult
-	// box, when non-nil, is the pooled backing of res.CorrectionDelays,
-	// returned to delayPool after the reducer consumed the delays.
-	box *[]float64
-}
-
-func (e *entry) release() {
-	if e.box != nil {
-		*e.box = e.res.CorrectionDelays[:0]
-		delayPool.Put(e.box)
-		e.box = nil
-		e.res.CorrectionDelays = nil
-	}
-}
-
 // streamer delivers scenario results to a consume function in strict
 // scenario-index order, whatever order the workers finish in. A
 // bounded reorder window applies backpressure: a worker that finished
@@ -61,15 +38,15 @@ type streamer struct {
 	cond    *sync.Cond
 	next    int
 	window  int
-	pending map[int]entry
+	pending map[int]ScenarioResult
 	aborted bool
-	consume func(i int, e *entry) bool
+	consume func(i int, r *ScenarioResult) bool
 }
 
-func newStreamer(window int, consume func(int, *entry) bool) *streamer {
+func newStreamer(window int, consume func(int, *ScenarioResult) bool) *streamer {
 	st := &streamer{
 		window:  window,
-		pending: make(map[int]entry),
+		pending: make(map[int]ScenarioResult),
 		consume: consume,
 	}
 	st.cond = sync.NewCond(&st.mu)
@@ -80,32 +57,31 @@ func newStreamer(window int, consume func(int, *entry) bool) *streamer {
 // while i is more than window ahead of the reduction frontier. The
 // consume callback runs under the streamer lock — serially, in index
 // order.
-func (st *streamer) deliver(i int, e entry) {
+func (st *streamer) deliver(i int, r ScenarioResult) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for !st.aborted && i != st.next && i-st.next >= st.window {
 		st.cond.Wait()
 	}
 	if st.aborted {
-		e.release()
 		return
 	}
 	if i != st.next {
-		st.pending[i] = e
+		st.pending[i] = r
 		return
 	}
 	for {
-		if !st.consume(st.next, &e) {
+		if !st.consume(st.next, &r) {
 			st.abortLocked()
 			return
 		}
 		st.next++
-		ne, ok := st.pending[st.next]
+		nr, ok := st.pending[st.next]
 		if !ok {
 			break
 		}
 		delete(st.pending, st.next)
-		e = ne
+		r = nr
 	}
 	st.cond.Broadcast()
 }
@@ -121,10 +97,7 @@ func (st *streamer) abort() {
 
 func (st *streamer) abortLocked() {
 	st.aborted = true
-	for i, e := range st.pending {
-		e.release()
-		delete(st.pending, i)
-	}
+	clear(st.pending)
 	st.cond.Broadcast()
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,12 +125,12 @@ func reduceSynthetic(t *testing.T, results []ScenarioResult, workers, shards int
 		aggs[s] = newAggregator(false)
 	}
 	block := blockSize(len(results), shards)
-	st := newStreamer(64, func(i int, e *entry) bool {
-		aggs[i/block].add(&e.res)
+	st := newStreamer(64, func(i int, r *ScenarioResult) bool {
+		aggs[i/block].add(r)
 		return true
 	})
 	par.Each(len(results), workers, func(i int) {
-		st.deliver(i, entry{res: results[i]})
+		st.deliver(i, results[i])
 	})
 	agg := aggs[0]
 	for s := 1; s < shards; s++ {
@@ -229,6 +231,64 @@ func TestCampaignStreamsInOrder(t *testing.T) {
 	}
 	if rep.Summary.Scenarios != 24 {
 		t.Fatalf("summary covers %d scenarios", rep.Summary.Scenarios)
+	}
+}
+
+// TestKeepResultsMatchesOnResult: with KeepResults set, Report.Results
+// holds exactly the results OnResult received, in the same order — the
+// whole campaign when it runs out, the consumed prefix when the stop
+// rule fires — correction delays included; without it Results stays
+// nil. Either way every result OnResult kept stays intact after the
+// run.
+func TestKeepResultsMatchesOnResult(t *testing.T) {
+	env, err := NewEnv(EnvSpec{Topo: mustTopo(t), Planner: "greedy", Tentative: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := env.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := Generate(c, GenSpec{Seed: 1, Scenarios: 160, Model: WholeDomain, Correlation: DefaultCorrelation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		stopTol float64
+		want    int
+	}{{0, 160}, {10, 80}} {
+		for _, keep := range []bool{true, false} {
+			var seen, copies []ScenarioResult
+			rep, err := Run(Config{
+				Setup: env.Setup, Scenarios: scs, Horizon: 90, Workers: 4, Shards: 8,
+				StopTol: tc.stopTol, KeepResults: keep,
+				OnResult: func(r ScenarioResult) {
+					seen = append(seen, r)
+					r.CorrectionDelays = slices.Clone(r.CorrectionDelays)
+					copies = append(copies, r)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(copies) != tc.want || rep.Stopped != (tc.want < len(scs)) || rep.Summary.Scenarios != tc.want {
+				t.Fatalf("StopTol %v, keep %v: %d results, stopped %v, summary of %d; want %d results",
+					tc.stopTol, keep, len(copies), rep.Stopped, rep.Summary.Scenarios, tc.want)
+			}
+			delays := 0
+			for _, r := range copies {
+				delays += len(r.CorrectionDelays)
+			}
+			if delays == 0 {
+				t.Fatalf("StopTol %v: no correction delays; test misconfigured", tc.stopTol)
+			}
+			if want := copies; !keep && rep.Results != nil || keep && !reflect.DeepEqual(rep.Results, want) {
+				t.Errorf("StopTol %v, keep %v: Report.Results differ from the OnResult sequence", tc.stopTol, keep)
+			}
+			if !reflect.DeepEqual(seen, copies) {
+				t.Errorf("StopTol %v, keep %v: results kept by OnResult changed after the call", tc.stopTol, keep)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -26,7 +25,6 @@ type WireSpec struct {
 	Placement string         `json:"placement,omitempty"`
 	Tentative bool           `json:"tentative,omitempty"`
 	Layout    cluster.Layout `json:"layout"`
-	Engine    engine.Config  `json:"engine"`
 
 	// Gens are the scenario-generation batches; the campaign's scenario
 	// list is their Generate outputs concatenated in order (exactly as a
@@ -62,7 +60,6 @@ func NewWireSpec(spec EnvSpec, gens []GenSpec) (WireSpec, error) {
 		Placement: spec.Placement.String(),
 		Tentative: spec.Tentative,
 		Layout:    spec.Layout,
-		Engine:    spec.Config,
 		Gens:      append([]GenSpec(nil), gens...),
 	}, nil
 }
@@ -87,7 +84,6 @@ func (w WireSpec) EnvSpec() (EnvSpec, error) {
 		Placement: placement,
 		Tentative: w.Tentative,
 		Layout:    w.Layout,
-		Config:    w.Engine,
 	}, nil
 }
 

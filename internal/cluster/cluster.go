@@ -158,26 +158,6 @@ func (c *Cluster) FailNode(id NodeID) []topology.TaskID {
 	return append([]topology.TaskID(nil), c.tasksOn[id]...)
 }
 
-// FailAllProcessing marks every processing node failed — the paper's
-// correlated-failure injection ("killing all the nodes on which the
-// primary replicas of the tasks are deployed") — and returns all
-// affected tasks.
-func (c *Cluster) FailAllProcessing() []topology.TaskID {
-	var out []topology.TaskID
-	for _, n := range c.ProcessingNodes() {
-		out = append(out, c.FailNode(n.ID)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// RestoreNode clears a node's failed flag (after repair).
-func (c *Cluster) RestoreNode(id NodeID) {
-	if n := c.Node(id); n != nil {
-		n.Failed = false
-	}
-}
-
 // Reset clears every node's failed flag, returning the cluster to its
 // pre-failure state. Placement, replicas and failure domains are kept:
 // Reset models repairing the hardware, not rebuilding the cluster.
@@ -185,15 +165,4 @@ func (c *Cluster) Reset() {
 	for _, n := range c.nodes {
 		n.Failed = false
 	}
-}
-
-// FailedNodes returns the IDs of currently failed nodes.
-func (c *Cluster) FailedNodes() []NodeID {
-	var out []NodeID
-	for _, n := range c.nodes {
-		if n.Failed {
-			out = append(out, n.ID)
-		}
-	}
-	return out
 }

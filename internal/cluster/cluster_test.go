@@ -73,29 +73,12 @@ func TestFailNode(t *testing.T) {
 	if again := c.FailNode(0); again != nil {
 		t.Errorf("double failure returned %v", again)
 	}
-	if got := c.FailedNodes(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("FailedNodes = %v", got)
+	if !c.Node(0).Failed || c.Node(1).Failed {
+		t.Errorf("failed flags %v and %v, want node 0 failed only", c.Node(0).Failed, c.Node(1).Failed)
 	}
-	c.RestoreNode(0)
-	if got := c.FailedNodes(); len(got) != 0 {
-		t.Errorf("after restore FailedNodes = %v", got)
-	}
-}
-
-func TestFailAllProcessing(t *testing.T) {
-	topo := testTopo(t)
-	c := New(3, 2)
-	if err := c.PlaceRoundRobin(topo); err != nil {
-		t.Fatal(err)
-	}
-	failed := c.FailAllProcessing()
-	if len(failed) != topo.NumTasks() {
-		t.Fatalf("failed %d tasks, want all %d", len(failed), topo.NumTasks())
-	}
-	for _, n := range c.StandbyNodes() {
-		if n.Failed {
-			t.Error("standby node failed by FailAllProcessing")
-		}
+	c.Reset()
+	if c.Node(0).Failed {
+		t.Error("node 0 still failed after Reset")
 	}
 }
 

@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/topology"
 )
 
 // This file models hierarchical failure domains. Real correlated
@@ -14,8 +12,13 @@ import (
 // cluster therefore carries a tree of failure domains: the root is the
 // cluster itself, inner domains model zones (power/switch) and racks,
 // and nodes attach to the domain whose failure takes them down.
-// FailNode and FailAllProcessing remain the degenerate cases: a
-// single-node domain and the union of all processing nodes.
+// A single node and the set of all processing nodes are the degenerate
+// cases: a single-node domain and the union of all processing racks.
+// The engine fails a domain by failing every node of DomainNodes at
+// once. Standby nodes in the domain fail too, and with them the active
+// replicas they host; checkpoints are modelled as living in a
+// replicated store that survives domain failures, as in the paper's
+// standby storage.
 
 // DomainID identifies a failure domain within a cluster. The root
 // domain always has ID 0.
@@ -153,24 +156,6 @@ func (c *Cluster) DomainNodes(dom DomainID) []NodeID {
 				out = append(out, n.ID)
 			}
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// FailDomain marks every node of the domain subtree failed — the
-// correlated failure of one shared component — and returns the primary
-// tasks that were running on those nodes, in ascending task order.
-// Standby nodes in the domain are failed too: their active replicas
-// become unavailable (callers track this via Node(id).Failed; the
-// engine fails the hosted replicas). Checkpoints are modelled as
-// living in a replicated store that survives domain failures, as in
-// the paper's standby storage. FailNode is the degenerate single-node
-// case.
-func (c *Cluster) FailDomain(dom DomainID) []topology.TaskID {
-	var out []topology.TaskID
-	for _, n := range c.DomainNodes(dom) {
-		out = append(out, c.FailNode(n)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -69,6 +69,9 @@ func TestDomainTree(t *testing.T) {
 	}
 }
 
+// TestFailDomain fails a rack and then its zone node by node, as the
+// engine injects a domain failure: the rack's primaries fail, the
+// zone's standby only with the zone, and the domains survive Reset.
 func TestFailDomain(t *testing.T) {
 	topo := testTopo(t) // 6 tasks
 	c := New(3, 1)
@@ -86,42 +89,45 @@ func TestFailDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	failed := c.FailDomain(rack)
-	if len(failed) != 4 {
-		t.Fatalf("rack failure hit %v, want the 4 tasks of nodes 0-1", failed)
-	}
-	for i := 1; i < len(failed); i++ {
-		if failed[i-1] >= failed[i] {
-			t.Fatal("failed tasks not sorted")
+	failDomain := func(dom DomainID) []topology.TaskID {
+		var out []topology.TaskID
+		for _, n := range c.DomainNodes(dom) {
+			out = append(out, c.FailNode(n)...)
 		}
+		return out
+	}
+	if failed := failDomain(rack); len(failed) != 4 {
+		t.Fatalf("rack failure hit %v, want the 4 tasks of nodes 0-1", failed)
 	}
 	if c.Node(3).Failed {
 		t.Error("zone-level standby failed by rack failure")
 	}
 	// Failing the enclosing zone takes the standby down and returns no
 	// new primary tasks beyond those already failed.
-	if again := c.FailDomain(zone); len(again) != 0 {
+	if again := failDomain(zone); len(again) != 0 {
 		t.Errorf("double domain failure returned %v", again)
 	}
 	if !c.Node(3).Failed {
 		t.Error("zone failure missed its standby node")
 	}
-	if c.FailDomain(99) != nil {
+	if failDomain(99) != nil {
 		t.Error("unknown domain failure returned tasks")
 	}
 
 	c.Reset()
-	if got := c.FailedNodes(); len(got) != 0 {
-		t.Errorf("after Reset FailedNodes = %v", got)
+	for _, n := range c.Nodes() {
+		if n.Failed {
+			t.Errorf("node %d still failed after Reset", n.ID)
+		}
 	}
 	// Domains survive Reset; a second campaign can re-fail them.
-	if got := c.FailDomain(rack); len(got) != 4 {
+	if got := failDomain(rack); len(got) != 4 {
 		t.Errorf("re-failing rack after Reset hit %v", got)
 	}
 }
 
-// TestFailNodeEdgeCases covers the satellite checklist: double-fail,
-// unknown node, standby nodes, Reset, FailedNodes.
+// TestFailNodeEdgeCases covers double-fail, unknown node, standby
+// nodes and Reset.
 func TestFailNodeEdgeCases(t *testing.T) {
 	topo := testTopo(t)
 	c := New(3, 2)
@@ -149,12 +155,20 @@ func TestFailNodeEdgeCases(t *testing.T) {
 	if again := c.FailNode(0); again != nil {
 		t.Errorf("double fail returned %v", again)
 	}
-	if got := c.FailedNodes(); !reflect.DeepEqual(got, []NodeID{0, 3}) {
-		t.Errorf("FailedNodes = %v, want [0 3]", got)
+	var down []NodeID
+	for _, n := range c.Nodes() {
+		if n.Failed {
+			down = append(down, n.ID)
+		}
+	}
+	if !reflect.DeepEqual(down, []NodeID{0, 3}) {
+		t.Errorf("failed nodes %v, want [0 3]", down)
 	}
 	c.Reset()
-	if got := c.FailedNodes(); len(got) != 0 {
-		t.Errorf("after Reset FailedNodes = %v", got)
+	for _, n := range c.Nodes() {
+		if n.Failed {
+			t.Errorf("node %d still failed after Reset", n.ID)
+		}
 	}
 	// After Reset the same node fails afresh and reports its tasks.
 	if got := c.FailNode(0); !reflect.DeepEqual(got, first) {
@@ -210,10 +224,10 @@ func TestBuildDomains(t *testing.T) {
 	}
 }
 
-// TestDegenerateEquivalence pins FailNode and FailAllProcessing as
-// degenerate cases of the domain model: a single-node domain behaves
-// like FailNode, and failing every rack of a spread layout covers all
-// processing nodes.
+// TestDegenerateEquivalence pins single nodes and the set of all
+// processing nodes as degenerate cases of the domain model: a
+// single-node domain holds just that node, and the racks of a layout
+// that keeps standby apart hold exactly the processing nodes.
 func TestDegenerateEquivalence(t *testing.T) {
 	topo := testTopo(t)
 
@@ -225,12 +239,8 @@ func TestDegenerateEquivalence(t *testing.T) {
 	if err := a.AttachNode(1, rack); err != nil {
 		t.Fatal(err)
 	}
-	b := New(3, 1)
-	if err := b.PlaceRoundRobin(topo); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := a.FailDomain(rack), b.FailNode(1); !reflect.DeepEqual(got, want) {
-		t.Errorf("single-node domain failure %v != FailNode %v", got, want)
+	if got := a.DomainNodes(rack); !reflect.DeepEqual(got, []NodeID{1}) {
+		t.Errorf("single-node domain holds %v, want [1]", got)
 	}
 
 	c := New(4, 2)
@@ -241,21 +251,15 @@ func TestDegenerateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []topology.TaskID
+	var all, want []NodeID
 	for _, r := range racks {
-		all = append(all, c.FailDomain(r)...)
+		all = append(all, c.DomainNodes(r)...)
 	}
-	d := New(4, 2)
-	if err := d.PlaceRoundRobin(topo); err != nil {
-		t.Fatal(err)
+	for _, n := range c.ProcessingNodes() {
+		want = append(want, n.ID)
 	}
-	want := d.FailAllProcessing()
-	sortTasks(all)
+	slices.Sort(all)
 	if !reflect.DeepEqual(all, want) {
-		t.Errorf("all-racks failure %v != FailAllProcessing %v", all, want)
+		t.Errorf("the racks hold %v, want the processing nodes %v", all, want)
 	}
-}
-
-func sortTasks(ids []topology.TaskID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -54,27 +54,23 @@ type Engine struct {
 	// same upstreams and slots, so New computes it once per edge.
 	senderIdx [][]int32
 
-	sinks      []SinkRecord
-	sinkTuples int // total tuples (materialised + counted) seen at sinks
+	sinks []SinkRecord
 	// sinkAcct is the per-(sink task, batch) output accounting: one
 	// slice per task, indexed by batch and grown on demand (nil for
 	// tasks that never recorded a sink batch), so recording a batch
-	// indexes directly and AccuracyStats walks (task, batch) order
-	// without sorting.
+	// indexes directly and AccuracyStats and SinkTupleCount walk
+	// (task, batch) order without sorting.
 	sinkAcct     [][]sinkBatchAcct
 	currentBatch int        // last batch emitted by the source ticker
 	tick         *batchTick // the source ticker, which the image keeps by value
 
 	// img is the state the last Mark recorded (time zero, recorded by
 	// New, until Mark is called); Reset restores it, staging the events
-	// in evs. armed is the clock counter once New armed the tickers:
-	// events scheduled after a Reset are numbered from there, as in a
-	// run from time zero. failing is set once a failure is scheduled,
-	// which bars Mark until the next Reset; lastFailure is the latest
-	// scheduled injection time.
+	// in evs. failing is set once a failure is scheduled, which bars
+	// Mark until the next Reset; lastFailure is the latest scheduled
+	// injection time.
 	img         image
 	evs         []sim.Event
-	armed       uint64
 	failing     bool
 	lastFailure sim.Time
 
@@ -145,13 +141,13 @@ func New(s Setup) (*Engine, error) {
 	}
 	cfg := s.Config.withDefaults()
 	// The clock gets one lane per constant delay the engine re-arms
-	// with: NetDelay (deliveries and trims) first, as the busiest, then
+	// with: netDelay (deliveries and trims) first, as the busiest, then
 	// the checkpoint, replica-ack and heartbeat intervals.
 	e := &Engine{
 		topo:      s.Topology,
 		clus:      s.Cluster,
 		cfg:       cfg,
-		clock:     sim.NewClock(cfg.NetDelay, cfg.CheckpointInterval, cfg.ReplicaTrimInterval, cfg.HeartbeatInterval),
+		clock:     sim.NewClock(netDelay, cfg.CheckpointInterval, cfg.ReplicaTrimInterval, cfg.HeartbeatInterval),
 		sources:   s.Sources,
 		operators: s.Operators,
 	}
@@ -217,7 +213,6 @@ func New(s Setup) (*Engine, error) {
 	e.master = newMaster(e)
 	e.armTickers()
 	e.mark()
-	e.armed = e.img.seq
 	return e, nil
 }
 
@@ -256,9 +251,6 @@ func (e *Engine) armTickers() {
 	}
 }
 
-// Config returns the effective configuration (defaults applied).
-func (e *Engine) Config() Config { return e.cfg }
-
 // Topology returns the executed topology.
 func (e *Engine) Topology() *topology.Topology { return e.topo }
 
@@ -296,7 +288,7 @@ func (de *deliveryEvent) Run() {
 func (e *Engine) deliver(from topology.TaskID, to recipient, batch int, content Batch, d delivery) {
 	de := e.getDeliveryEvent()
 	de.e, de.to, de.ui, de.batch, de.content, de.d = e, to.id, e.senderIdx[from][to.slot], batch, content, d
-	e.clock.AfterRun(e.cfg.NetDelay, de)
+	e.clock.AfterRun(netDelay, de)
 }
 
 func (e *Engine) getDeliveryEvent() *deliveryEvent {
@@ -335,9 +327,8 @@ func (e *Engine) Run(until sim.Time) {
 }
 
 // batchTick is the source batch ticker: batch b is emitted at its end
-// boundary (b+1)*BatchInterval. The time is computed from b, not added
-// up interval by interval, so a non-integer interval accumulates no
-// rounding; the tick therefore re-arms on the heap, not on a lane. It
+// boundary (b+1)*batchInterval. The time is computed from b (see
+// boundary), so the tick re-arms on the heap, not on a lane. It
 // carries its batch number, so the image keeps it by value.
 type batchTick struct {
 	e *Engine
@@ -345,7 +336,7 @@ type batchTick struct {
 }
 
 // at is the firing time of batch b's tick.
-func (t *batchTick) at() sim.Time { return sim.Time(float64(t.b+1)) * t.e.cfg.BatchInterval }
+func (t *batchTick) at() sim.Time { return boundary(t.b) }
 
 // Run implements sim.Runner: emit batch b at every live source task,
 // fabricate punctuations for the failed tasks, and arm the next tick.
@@ -412,7 +403,7 @@ func (a *replicaAck) Run() {
 		return
 	}
 	if prim := e.tasks[id]; prim != nil && !prim.failed {
-		rep.ackAndTrim(prim.processedBatch, e.cfg.CheckpointInterval > 0)
+		rep.ackAndTrim(prim.nextBatch-1, e.cfg.CheckpointInterval > 0)
 	}
 	e.clock.AfterRun(e.cfg.ReplicaTrimInterval, a)
 }
@@ -445,7 +436,7 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	}
 	clear(ck.missIn)
 	for b, owed := range rt.missIn {
-		if b > rt.processedBatch {
+		if b >= rt.nextBatch {
 			continue // open batches are re-staged from scratch on restore
 		}
 		m := make(map[topology.TaskID]bool, len(owed))
@@ -454,16 +445,16 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 		}
 		ck.missIn[b] = m
 	}
-	ck.batch = rt.processedBatch
+	ck.batch = rt.nextBatch - 1
 	ck.bytes = bytes
-	cost := e.cfg.CheckpointFixed + sim.Time(float64(bytes)/e.cfg.CheckpointByteRate)
+	cost := checkpointFixed + sim.Time(float64(bytes)/checkpointByteRate)
 	rt.busyUntil = maxTime(rt.busyUntil, e.clock.Now()) + cost
 	rt.ckptCPU += cost
 
 	// Notify upstream neighbours (and their replicas, which hold the
 	// same buffers) to trim their buffers for this task.
 	for _, u := range rt.upstreams {
-		e.scheduleTrim(u, id, rt.processedBatch)
+		e.scheduleTrim(u, id, ck.batch)
 	}
 }
 
@@ -490,7 +481,7 @@ func (te *trimEvent) Run() {
 func (e *Engine) scheduleTrim(up, down topology.TaskID, ck int) {
 	te := e.getTrimEvent()
 	te.e, te.up, te.down, te.ck = e, up, down, ck
-	e.clock.AfterRun(e.cfg.NetDelay, te)
+	e.clock.AfterRun(netDelay, te)
 }
 
 func (e *Engine) getTrimEvent() *trimEvent {
@@ -503,34 +494,34 @@ func (e *Engine) getTrimEvent() *trimEvent {
 	return &trimEvent{}
 }
 
-// ScheduleNodeFailure injects a node failure at the given virtual time.
-func (e *Engine) ScheduleNodeFailure(node cluster.NodeID, at sim.Time) {
-	e.ScheduleNodeFailures([]cluster.NodeID{node}, at)
-}
-
 // ScheduleNodeFailures injects a simultaneous failure of a set of nodes
-// at the given virtual time — one correlated burst. Failing a standby
-// node kills the active replicas it hosts, so a burst that spans both a
-// primary and its replica forces the fallback to checkpoint recovery.
+// at the given virtual time — one correlated burst, such as a whole
+// failure domain (cluster.DomainNodes) or every processing node. Failing
+// a standby node kills the active replicas it hosts, so a burst that
+// spans both a primary and its replica forces the fallback to
+// checkpoint recovery.
 func (e *Engine) ScheduleNodeFailures(nodes []cluster.NodeID, at sim.Time) {
 	set := append([]cluster.NodeID(nil), nodes...)
 	e.scheduleFailure(at, func() { e.injectNodeFailures(set) })
 }
 
+// ScheduleTaskFailures fails a specific set of tasks at the given time
+// (independent of node placement), useful for targeted experiments.
+func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
+	sorted := append([]topology.TaskID(nil), ids...)
+	sortIDs(sorted)
+	e.scheduleFailure(at, func() { e.failTasks(sorted) })
+}
+
 // scheduleFailure schedules one failure injection and records that a
 // failure is scheduled: Mark refuses from now on, and RunSpliced
-// compares no state before the latest injection has fired.
+// compares no state before the latest injection has fired. The clock
+// fires a failure first among the events of its instant, however late
+// it was scheduled (sim.Clock.Inject).
 func (e *Engine) scheduleFailure(at sim.Time, inject func()) {
 	e.failing = true
 	e.lastFailure = max(e.lastFailure, at)
-	e.clock.At(at, inject)
-}
-
-// ScheduleDomainFailure injects the correlated failure of one failure
-// domain (rack, zone, ...) at the given virtual time: every node of the
-// domain subtree goes down at once.
-func (e *Engine) ScheduleDomainFailure(dom cluster.DomainID, at sim.Time) {
-	e.scheduleFailure(at, func() { e.injectNodeFailures(e.clus.DomainNodes(dom)) })
+	e.clock.Inject(at, inject)
 }
 
 // injectNodeFailures is the common burst handler: mark the nodes
@@ -576,23 +567,6 @@ func (e *Engine) failReplicasOnFailedNodes() {
 	}
 }
 
-// ScheduleCorrelatedFailure fails every processing node at the given
-// time — the paper's correlated-failure injection.
-func (e *Engine) ScheduleCorrelatedFailure(at sim.Time) {
-	e.scheduleFailure(at, func() {
-		ids := e.clus.FailAllProcessing()
-		e.failTasks(ids)
-	})
-}
-
-// ScheduleTaskFailures fails a specific set of tasks at the given time
-// (independent of node placement), useful for targeted experiments.
-func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
-	sorted := append([]topology.TaskID(nil), ids...)
-	sortIDs(sorted)
-	e.scheduleFailure(at, func() { e.failTasks(sorted) })
-}
-
 func (e *Engine) failTasks(ids []topology.TaskID) {
 	for _, id := range ids {
 		rt := e.tasks[id]
@@ -629,14 +603,12 @@ func (e *Engine) recordSinkBatch(task topology.TaskID, batch int, tuples []Tuple
 			firstAt:      now,
 			correctedAt:  -1,
 		}
-		e.sinkTuples += total
 		for _, t := range tuples {
 			e.sinks = append(e.sinks, SinkRecord{Task: task, Batch: batch, Tuple: t, Tentative: tentative, At: now})
 		}
 		return
 	}
 	if a.tentative && !tentative {
-		e.sinkTuples += total - a.count
 		a.count = total
 		a.tentative = false
 		a.correctedAt = now
@@ -660,7 +632,6 @@ func (e *Engine) recordSinkAmendment(task topology.TaskID, batch int, tuples []T
 	now := e.clock.Now()
 	a.count += total
 	a.correctedAt = now
-	e.sinkTuples += total
 	for _, t := range tuples {
 		e.sinks = append(e.sinks, SinkRecord{Task: task, Batch: batch, Tuple: t, Amendment: true, At: now})
 	}
@@ -672,10 +643,19 @@ func (e *Engine) SinkRecords() []SinkRecord { return e.sinks }
 
 // SinkTupleCount returns the total number of tuples observed at sink
 // tasks so far, counting both materialised tuples and unmaterialised
-// (count-only) output. Accounting is deduplicated per (task, batch), so
-// recovery replay that re-emits batches at a restored sink does not
-// inflate the count past the failure-free volume.
-func (e *Engine) SinkTupleCount() int { return e.sinkTuples }
+// (count-only) output: the sum of the per-(task, batch) ledger.
+// Accounting is deduplicated per (task, batch), so recovery replay that
+// re-emits batches at a restored sink does not inflate the count past
+// the failure-free volume.
+func (e *Engine) SinkTupleCount() int {
+	n := 0
+	for _, acct := range e.sinkAcct {
+		for i := range acct {
+			n += acct[i].count
+		}
+	}
+	return n
+}
 
 // AccuracyStats summarises the tentative/correction lifecycle of the
 // sink output: how much of it was first emitted tentative, how much of
@@ -695,9 +675,9 @@ type AccuracyStats struct {
 	// corrected within the run.
 	CorrectedBatches int
 	AmendedTuples    int
-	// CorrectionDelays holds, per corrected batch, the virtual time from
-	// the tentative emission to its (latest) correction.
-	CorrectionDelays []sim.Time
+	// CorrectionDelays holds, per corrected batch, the virtual time in
+	// seconds from the tentative emission to its (latest) correction.
+	CorrectionDelays []float64
 }
 
 // TentativeFraction is the share of sink tuples first emitted
@@ -737,7 +717,7 @@ func (e *Engine) AccuracyStats() AccuracyStats {
 				s.AmendedTuples += a.count - a.firstCount
 				if a.correctedAt >= 0 {
 					s.CorrectedBatches++
-					s.CorrectionDelays = append(s.CorrectionDelays, a.correctedAt-a.firstAt)
+					s.CorrectionDelays = append(s.CorrectionDelays, float64(a.correctedAt-a.firstAt))
 				}
 			}
 		}
@@ -782,7 +762,7 @@ func (e *Engine) TaskProgress(id topology.TaskID) int {
 		return e.spliced.progress[id]
 	}
 	if rt := e.tasks[id]; rt != nil {
-		return rt.processedBatch
+		return rt.nextBatch - 1
 	}
 	return -1
 }

@@ -43,8 +43,9 @@ func domainChainEngine(t *testing.T, cfg Config, strategies []Strategy) (*Engine
 	return e, racks
 }
 
-// TestScheduleDomainFailure fails one rack and checks that exactly the
-// primaries of the rack's processing nodes fail and recover.
+// TestScheduleDomainFailure fails one rack (its DomainNodes, as one
+// burst) and checks that exactly the primaries of the rack's
+// processing nodes fail and recover.
 func TestScheduleDomainFailure(t *testing.T) {
 	cfg := Config{CheckpointInterval: 5}
 	e, racks := domainChainEngine(t, cfg, nil)
@@ -62,7 +63,7 @@ func TestScheduleDomainFailure(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("rack hosts no primaries; layout changed?")
 	}
-	e.ScheduleDomainFailure(rack, 15.2)
+	e.ScheduleNodeFailures(e.clus.DomainNodes(rack), 15.2)
 	e.Run(120)
 	stats := e.RecoveryStats()
 	if len(stats) != len(want) {
@@ -212,9 +213,9 @@ func TestPromotedReplicaDiesWithStandbyNode(t *testing.T) {
 		t.Fatal("no replica placed for task 4")
 	}
 	// Wave 1 at 20.2: primary dies, detection at 25, promotion ~25.2.
-	e.ScheduleNodeFailure(e.clus.NodeOf(4), 20.2)
+	e.ScheduleNodeFailures([]cluster.NodeID{e.clus.NodeOf(4)}, 20.2)
 	// Wave 2 at 32.2: the standby hosting the promoted task dies.
-	e.ScheduleNodeFailure(standby, 32.2)
+	e.ScheduleNodeFailures([]cluster.NodeID{standby}, 32.2)
 	e.Run(150)
 	var stats []RecoveryStat
 	for _, st := range e.RecoveryStats() {
@@ -235,7 +236,7 @@ func TestPromotedReplicaDiesWithStandbyNode(t *testing.T) {
 // TestStandbyDiesDuringActivation covers a standby failing inside the
 // activation window of the replica it hosts: the primary fails, the
 // master detects it and starts the take-over, and the standby dies
-// before the ReplicaActivateCost has passed. The dead replica must not
+// before the replicaActivateCost has passed. The dead replica must not
 // be promoted: the task falls back to checkpoint recovery, recovers,
 // and is live at the horizon.
 func TestStandbyDiesDuringActivation(t *testing.T) {
@@ -251,8 +252,8 @@ func TestStandbyDiesDuringActivation(t *testing.T) {
 	// The primary dies at 15.2 and the heartbeat at 20 detects it; the
 	// standby dies inside [20, 20.2), the default activation window.
 	const horizon = 120
-	e.ScheduleNodeFailure(e.clus.NodeOf(4), 15.2)
-	e.ScheduleNodeFailure(standby, 20.1)
+	e.ScheduleNodeFailures([]cluster.NodeID{e.clus.NodeOf(4)}, 15.2)
+	e.ScheduleNodeFailures([]cluster.NodeID{standby}, 20.1)
 	e.Run(horizon)
 	var stats []RecoveryStat
 	for _, st := range e.RecoveryStats() {
@@ -267,8 +268,8 @@ func TestStandbyDiesDuringActivation(t *testing.T) {
 	if rt.failed || rt.promoted || rt == e.repl[4] {
 		t.Errorf("task 4 runs on the replica that died (failed=%v promoted=%v), want a checkpoint-restored incarnation", rt.failed, rt.promoted)
 	}
-	// Restoring costs at least RestoreFixed after the activation window.
-	if lat, min := stats[0].Latency(), e.cfg.ReplicaActivateCost+e.cfg.RestoreFixed; lat < min {
+	// Restoring costs at least restoreFixed after the activation window.
+	if lat, min := stats[0].Latency(), replicaActivateCost+restoreFixed; lat < min {
 		t.Errorf("task 4 recovered %v after detection, faster than activation plus restore (%v)", lat, min)
 	}
 	if got, want := e.TaskProgress(4), horizon-2; got < want {

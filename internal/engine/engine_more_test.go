@@ -24,7 +24,7 @@ func TestSourceFailureCheckpointRecovery(t *testing.T) {
 	for _, c := range srt.tupleProgress {
 		total += c
 	}
-	if want := int64(1000) * int64(srt.processedBatch+1); total != want {
+	if want := int64(1000) * int64(srt.nextBatch); total != want {
 		t.Errorf("sink consumed %d tuples, want %d after source recovery", total, want)
 	}
 }

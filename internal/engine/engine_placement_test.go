@@ -49,7 +49,7 @@ func TestReplicaSurvivesDomainBurst(t *testing.T) {
 			t.Fatal("no replica placed for task 4")
 		}
 		replicaRack = clus.RackOf(standby)
-		e.ScheduleDomainFailure(primaryRack, 15.2)
+		e.ScheduleNodeFailures(e.clus.DomainNodes(primaryRack), 15.2)
 		e.Run(120)
 		for _, st := range e.RecoveryStats() {
 			if st.Task == 4 {

@@ -43,8 +43,9 @@ func eqFingerprint(a, b resetFingerprint) bool { return reflect.DeepEqual(a, b) 
 // state from the previous run in either direction. An engine marked
 // mid-run resets onto its image and reproduces fresh from-zero runs of
 // several failure scenarios, correction delays included; it is marked
-// with events pending on every lane of its clock. Mark refuses once a
-// failure is scheduled.
+// with events pending on every lane of its clock, which Mark leaves
+// there and every Reset puts back. Mark refuses once a failure is
+// scheduled.
 func TestEngineResetBitIdentical(t *testing.T) {
 	setup := func() Setup {
 		topo := chainTopo(1000)
@@ -134,21 +135,26 @@ func TestEngineResetBitIdentical(t *testing.T) {
 	marked.Run(20)
 	// Every lane holds events at the mark — deliveries and trims,
 	// checkpoints, and the heartbeat and replica acks, which share the
-	// 5 s lane — so the image records all of them; Mark's restore moves
-	// them to the heap, and they return to their lanes as they re-arm.
-	lanes := []sim.Time{marked.cfg.NetDelay, marked.cfg.CheckpointInterval, marked.cfg.HeartbeatInterval, marked.cfg.ReplicaTrimInterval}
-	for _, d := range lanes {
-		if n := marked.clock.LanePending(d); n <= 0 {
-			t.Fatalf("%d events pending on the %v lane at the mark, want some", n, d)
+	// 5 s lane — so the image records all of them. Mark leaves them
+	// where they are; Reset puts back exactly the recorded events.
+	lanes := []sim.Time{netDelay, marked.cfg.CheckpointInterval, marked.cfg.HeartbeatInterval, marked.cfg.ReplicaTrimInterval}
+	onLane := make([]int, len(lanes))
+	for i, d := range lanes {
+		if onLane[i] = marked.clock.LanePending(d); onLane[i] <= 0 {
+			t.Fatalf("%d events pending on the %v lane at the mark, want some", onLane[i], d)
 		}
 	}
+	pending := marked.clock.Pending()
 	if err := marked.Mark(); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range lanes {
-		if n := marked.clock.LanePending(d); n != 0 {
-			t.Fatalf("%d events pending on the %v lane after Mark, want 0", n, d)
+	for i, d := range lanes {
+		if n := marked.clock.LanePending(d); n != onLane[i] {
+			t.Fatalf("%d events pending on the %v lane after Mark, want the %d before it", n, d, onLane[i])
 		}
+	}
+	if n := len(marked.img.events); n != pending {
+		t.Fatalf("Mark recorded %d events of %d pending", n, pending)
 	}
 	for i, sc := range scenarios {
 		fresh, err := New(setup())
@@ -159,6 +165,9 @@ func TestEngineResetBitIdentical(t *testing.T) {
 		want := fingerprint(fresh)
 		if i > 0 {
 			marked.Reset()
+			if n := marked.clock.Pending(); n != pending {
+				t.Fatalf("scenario %d: %d events pending after Reset, want the %d recorded", i, n, pending)
+			}
 		}
 		sc(marked)
 		if got := fingerprint(marked); !eqFingerprint(got, want) {
@@ -179,5 +188,37 @@ func TestEngineResetBitIdentical(t *testing.T) {
 	marked.ScheduleNodeFailures([]cluster.NodeID{1}, 40)
 	if err := marked.Mark(); err == nil {
 		t.Error("Mark after ScheduleNodeFailures: no error")
+	}
+}
+
+// TestLateFailureFiresFirst schedules a failure of a source task's
+// node after Run has passed the mark, without a further Mark, for the
+// instant of a pending batch tick. The failure fires first, so the
+// source never emits that batch, on an engine that was never marked,
+// one marked before and one reset onto that mark alike.
+func TestLateFailureFiresFirst(t *testing.T) {
+	const tick = 21 // batch 20's tick, armed when batch 19's fired at 20
+	for _, name := range []string{"unmarked", "marked", "reset"} {
+		e := newChainEngine(t, Config{CheckpointInterval: 5}, nil)
+		if name != "unmarked" {
+			e.Run(10)
+			if err := e.Mark(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if name == "reset" {
+			e.Run(30)
+			e.Reset()
+		}
+		e.Run(20)
+		src := e.topo.TasksOf(e.topo.SourceOps()[0])[0]
+		e.ScheduleNodeFailures([]cluster.NodeID{e.clus.NodeOf(src)}, tick)
+		e.Run(tick)
+		if got := e.tasks[src].nextBatch; got != 20 {
+			t.Errorf("%s: the failed source's next batch is %d, want 20: batch 20's tick fired before the failure", name, got)
+		}
+		if st := e.RecoveryStats(); len(st) == 0 || st[0].FailedAt != tick {
+			t.Errorf("%s: recovery stats %+v, want the source failed at %v", name, st, tick)
+		}
 	}
 }

@@ -275,7 +275,7 @@ func TestDeadReplicaNotAcked(t *testing.T) {
 	if !ok {
 		t.Fatal("no replica placed for task 2")
 	}
-	e.ScheduleNodeFailure(standby, 2.0) // before the first trim at 5
+	e.ScheduleNodeFailures([]cluster.NodeID{standby}, 2.0) // before the first trim at 5
 	e.Run(30)
 	reps := 0
 	for id := range e.replicas {
@@ -298,20 +298,13 @@ func TestDeadReplicaNotAcked(t *testing.T) {
 	}
 }
 
-// TestRecoveryPollIntervalDefault pins the Config default: the upstream
-// recovery poll scales with the heartbeat instead of a magic constant.
+// TestRecoveryPollIntervalDefault pins the upstream recovery poll: it
+// scales with the heartbeat instead of a magic constant.
 func TestRecoveryPollIntervalDefault(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.RecoveryPollInterval != c.HeartbeatInterval/20 {
-		t.Errorf("RecoveryPollInterval = %v, want HeartbeatInterval/20 = %v",
-			c.RecoveryPollInterval, c.HeartbeatInterval/20)
+	if p := (Config{}).withDefaults().recoveryPoll(); p != 0.25 {
+		t.Errorf("recovery poll = %v for the default 5s heartbeat, want 0.25", p)
 	}
-	c2 := Config{HeartbeatInterval: 10}.withDefaults()
-	if c2.RecoveryPollInterval != 0.5 {
-		t.Errorf("RecoveryPollInterval = %v for 10s heartbeat, want 0.5", c2.RecoveryPollInterval)
-	}
-	c3 := Config{RecoveryPollInterval: 2}.withDefaults()
-	if c3.RecoveryPollInterval != 2 {
-		t.Errorf("explicit RecoveryPollInterval overridden to %v", c3.RecoveryPollInterval)
+	if p := (Config{HeartbeatInterval: 10}).withDefaults().recoveryPoll(); p != 0.5 {
+		t.Errorf("recovery poll = %v for a 10s heartbeat, want 0.5", p)
 	}
 }

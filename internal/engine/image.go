@@ -28,14 +28,13 @@ import (
 // image is one recorded engine state.
 type image struct {
 	now    sim.Time
-	seq    uint64      // clock counter when recorded
+	seq    int64       // clock counter when recorded
 	events []sim.Event // pooled runners point at private copies
 	prim   []taskImage // by task ID
 	repl   []taskImage // by task ID; zero where the task has no replica
 	store  []*checkpointData
 
 	sinks        []SinkRecord
-	sinkTuples   int
 	sinkAcct     [][]sinkBatchAcct
 	currentBatch int
 }
@@ -47,21 +46,20 @@ type image struct {
 // buffer contents are shared: an emitted batch's tuples are never
 // written again.
 type taskImage struct {
-	isReplica      bool
-	epoch          int
-	procScheduled  bool
-	busyUntil      sim.Time
-	nextBatch      int
-	processedBatch int
-	ackBatch       int
-	procCPU        sim.Time
-	ckptCPU        sim.Time
-	state          []byte // operator Snapshot; nil for a source
-	winBase        int
-	recs           []batchRec
-	outBuf         []replayQueue
-	ckptBound      []int
-	tupleProgress  []int64
+	isReplica     bool
+	epoch         int
+	procScheduled bool
+	busyUntil     sim.Time
+	nextBatch     int
+	ackBatch      int
+	procCPU       sim.Time
+	ckptCPU       sim.Time
+	state         []byte // operator Snapshot; nil for a source
+	winBase       int
+	recs          []batchRec
+	outBuf        []replayQueue
+	ckptBound     []int
+	tupleProgress []int64
 }
 
 // Mark records the engine's state at the current instant: the clock's
@@ -71,13 +69,13 @@ type taskImage struct {
 // later Reset returns the engine there, until the next Mark.
 //
 // Mark fails once a failure has been scheduled (and until the next
-// Reset): an image holds failure-free state only. A scenario that
-// schedules its failures after Mark or Reset, all after the marked
-// instant, runs bit-identically to the same scenario on a fresh engine
-// — same-instant ties included, because after either call the clock
-// numbers the events scheduled next as if they were scheduled right
-// after New, ahead of every event the prefix scheduled (see
-// sim.Clock.Restore).
+// Reset): an image holds failure-free state only. Mark leaves the
+// clock as it is. A scenario that schedules its failures after Mark or
+// Reset, all after the marked instant, runs bit-identically to the
+// same scenario on a fresh engine — same-instant ties included, because
+// the clock fires a failure first among the events of its instant
+// however late it was scheduled (sim.Clock.Inject), and Reset puts
+// back exactly the events the mark recorded.
 func (e *Engine) Mark() error {
 	if e.failing {
 		return errors.New("engine: Mark after a failure was scheduled; an image holds failure-free state only")
@@ -85,26 +83,22 @@ func (e *Engine) Mark() error {
 	if e.spliced != nil {
 		return errors.New("engine: Mark after RunSpliced stopped early; Reset the engine first")
 	}
-	live := e.mark()
-	e.clock.Restore(e.img.now, e.img.seq, e.armed, live)
+	e.mark()
 	return nil
 }
 
-// mark records the image and returns the pending events it copied (New
-// records time zero through it).
-func (e *Engine) mark() []sim.Event {
+// mark records the image (New records time zero through it).
+func (e *Engine) mark() {
 	img := image{
 		now:          e.clock.Now(),
 		prim:         make([]taskImage, len(e.prim)),
 		repl:         make([]taskImage, len(e.repl)),
 		store:        make([]*checkpointData, len(e.store)),
 		sinks:        slices.Clone(e.sinks),
-		sinkTuples:   e.sinkTuples,
 		sinkAcct:     make([][]sinkBatchAcct, len(e.sinkAcct)),
 		currentBatch: e.currentBatch,
 	}
-	live, seq := e.clock.AppendPending(nil)
-	img.events, img.seq = slices.Clone(live), seq
+	img.events, img.seq = e.clock.AppendPending(nil)
 	for i := range img.events {
 		switch r := img.events[i].Run.(type) {
 		case *deliveryEvent:
@@ -135,7 +129,6 @@ func (e *Engine) mark() []sim.Event {
 		}
 	}
 	e.img = img
-	return live
 }
 
 // Reset returns the engine to the state the last Mark recorded, or to
@@ -174,7 +167,7 @@ func (e *Engine) Reset() {
 			evs[i].Run = e.tick
 		}
 	}
-	e.clock.Restore(img.now, img.seq, e.armed, evs)
+	e.clock.Restore(img.now, img.seq, evs)
 	clear(evs)
 	e.evs = evs[:0]
 	for id := range e.tasks {
@@ -198,7 +191,6 @@ func (e *Engine) Reset() {
 		e.store[id].copyFrom(src)
 	}
 	e.sinks = append(e.sinks[:0], img.sinks...)
-	e.sinkTuples = img.sinkTuples
 	e.currentBatch = img.currentBatch
 	e.failing, e.lastFailure, e.spliced = false, 0, nil
 }
@@ -206,19 +198,18 @@ func (e *Engine) Reset() {
 // mark records the runtime's state.
 func (rt *taskRuntime) mark() taskImage {
 	im := taskImage{
-		isReplica:      rt.isReplica,
-		epoch:          rt.epoch,
-		procScheduled:  rt.procScheduled,
-		busyUntil:      rt.busyUntil,
-		nextBatch:      rt.nextBatch,
-		processedBatch: rt.processedBatch,
-		ackBatch:       rt.ackBatch,
-		procCPU:        rt.procCPU,
-		ckptCPU:        rt.ckptCPU,
-		winBase:        rt.win.base,
-		outBuf:         copyQueues(nil, rt.outBuf),
-		ckptBound:      slices.Clone(rt.ckptBound),
-		tupleProgress:  slices.Clone(rt.tupleProgress),
+		isReplica:     rt.isReplica,
+		epoch:         rt.epoch,
+		procScheduled: rt.procScheduled,
+		busyUntil:     rt.busyUntil,
+		nextBatch:     rt.nextBatch,
+		ackBatch:      rt.ackBatch,
+		procCPU:       rt.procCPU,
+		ckptCPU:       rt.ckptCPU,
+		winBase:       rt.win.base,
+		outBuf:        copyQueues(nil, rt.outBuf),
+		ckptBound:     slices.Clone(rt.ckptBound),
+		tupleProgress: slices.Clone(rt.tupleProgress),
 	}
 	if !rt.isSource {
 		im.state, _ = rt.udf.Snapshot(nil)
@@ -243,7 +234,7 @@ func (rt *taskRuntime) restore(im *taskImage) {
 	rt.epoch = im.epoch
 	rt.procScheduled = im.procScheduled
 	rt.busyUntil = im.busyUntil
-	rt.nextBatch, rt.processedBatch, rt.ackBatch = im.nextBatch, im.processedBatch, im.ackBatch
+	rt.nextBatch, rt.ackBatch = im.nextBatch, im.ackBatch
 	rt.procCPU, rt.ckptCPU = im.procCPU, im.ckptCPU
 	rt.sinkOut = rt.sinkOut[:0]
 	rt.sinkCount = 0

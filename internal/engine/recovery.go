@@ -68,7 +68,7 @@ func (m *master) onFailure(id topology.TaskID, rt *taskRuntime) {
 			Strategy: m.eng.strategy[id],
 			FailedAt: m.eng.clock.Now(),
 		},
-		preFailProgress: rt.processedBatch,
+		preFailProgress: rt.nextBatch - 1,
 	}
 }
 
@@ -126,7 +126,7 @@ func (m *master) recoverActive(id topology.TaskID, f *failure) {
 		m.recoverCheckpoint(id, f)
 		return
 	}
-	e.clock.After(e.cfg.ReplicaActivateCost, func() {
+	e.clock.After(replicaActivateCost, func() {
 		if rep.failed {
 			// The standby failed during the activation: fall back to
 			// checkpoint recovery, as detection does.
@@ -182,10 +182,10 @@ func (m *master) recoverCheckpoint(id topology.TaskID, f *failure) {
 	ck := e.store[id]
 	var restoreCost sim.Time
 	if ck != nil {
-		restoreCost = e.cfg.RestoreFixed + sim.Time(float64(ck.bytes)/e.cfg.RestoreByteRate)
+		restoreCost = restoreFixed + sim.Time(float64(ck.bytes)/restoreByteRate)
 	} else {
 		// No checkpoint yet: cold restart reprocesses from batch 0.
-		restoreCost = e.cfg.RestoreFixed
+		restoreCost = restoreFixed
 	}
 	e.clock.After(restoreCost, func() { m.installCheckpoint(id, ck) })
 }
@@ -204,9 +204,8 @@ func (m *master) installCheckpoint(id topology.TaskID, ck *checkpointData) {
 		urt := e.tasks[u]
 		if urt == nil || urt.failed || urt.recovering {
 			// An upstream peer is still failed or catching up: poll
-			// until it has recovered (the §V-B synchronisation). The
-			// poll period scales with the failure-detection cadence.
-			e.clock.After(e.cfg.RecoveryPollInterval, func() { m.installCheckpoint(id, ck) })
+			// until it has recovered (the §V-B synchronisation).
+			e.clock.After(e.cfg.recoveryPoll(), func() { m.installCheckpoint(id, ck) })
 			return
 		}
 	}
@@ -269,7 +268,7 @@ func (m *master) recoverSourceReplay(id topology.TaskID, f *failure) {
 	if replayFrom < 0 {
 		replayFrom = 0
 	}
-	e.clock.After(e.cfg.RestartCost, func() {
+	e.clock.After(restartCost, func() {
 		anc := m.ancestors(id)
 		// Rewind live ancestors (deepest first is unnecessary: batch
 		// staging regulates order).
@@ -338,7 +337,7 @@ func (m *master) checkRecovered(rt *taskRuntime) {
 	if !ok || !f.detected {
 		return
 	}
-	if rt.processedBatch < f.preFailProgress {
+	if rt.nextBatch-1 < f.preFailProgress {
 		return
 	}
 	now := maxTime(m.eng.clock.Now(), rt.busyUntil)

@@ -66,7 +66,6 @@ type trajPoint struct {
 	at           sim.Time
 	currentBatch int
 	events       digest
-	volume       int  // sink volume so far
 	records      int  // sink records so far
 	ok           bool // the state was encodable (see encodeTask)
 }
@@ -104,15 +103,15 @@ func (e *Engine) RecordTrajectory(horizon sim.Time) (*Trajectory, error) {
 	}
 	first := e.firstBoundary()
 	last := first
-	for e.boundary(last) < horizon {
+	for boundary(last) < horizon {
 		last++
 	}
 	tr.points = make([]trajPoint, 0, last-first)
 	tr.tasks = make([]digest, 0, (last-first)*n)
 	for b := first; b < last; b++ {
-		at := e.boundary(b)
+		at := boundary(b)
 		e.clock.RunUntil(at)
-		pt := trajPoint{at: at, currentBatch: e.currentBatch, volume: e.sinkTuples, records: len(e.sinks)}
+		pt := trajPoint{at: at, currentBatch: e.currentBatch, records: len(e.sinks)}
 		pt.events, pt.ok = e.digestOf(n)
 		for id := range n {
 			d, ok := e.digestOf(id)
@@ -122,9 +121,9 @@ func (e *Engine) RecordTrajectory(horizon sim.Time) (*Trajectory, error) {
 		tr.points = append(tr.points, pt)
 	}
 	e.clock.RunUntil(horizon)
-	tr.volume = e.sinkTuples
+	tr.volume = e.SinkTupleCount()
 	for id, rt := range e.tasks {
-		tr.progress[id] = rt.processedBatch
+		tr.progress[id] = rt.nextBatch - 1
 	}
 	for _, id := range tr.sinkIDs {
 		if acct := e.sinkAcct[id]; len(acct) > tr.acctFrom[id] {
@@ -169,14 +168,15 @@ func (e *Engine) RunSpliced(tr *Trajectory) sim.Time {
 	return tr.horizon
 }
 
-// boundary returns the instant of batch b's tick, computed as the tick
-// computes it.
-func (e *Engine) boundary(b int) sim.Time { return sim.Time(float64(b+1)) * e.cfg.BatchInterval }
+// boundary returns the instant of batch b's tick. It is computed from
+// b, not added up interval by interval, so a non-integer interval
+// accumulates no rounding.
+func boundary(b int) sim.Time { return sim.Time(float64(b+1)) * batchInterval }
 
 // firstBoundary returns the first batch whose tick lies after now.
 func (e *Engine) firstBoundary() int {
-	b := max(int(float64(e.clock.Now()/e.cfg.BatchInterval))-1, 0)
-	for e.boundary(b) <= e.clock.Now() {
+	b := max(int(float64(e.clock.Now()/batchInterval))-1, 0)
+	for boundary(b) <= e.clock.Now() {
 		b++
 	}
 	return b
@@ -246,10 +246,9 @@ func (e *Engine) digestOf(part int) (d digest, ok bool) {
 }
 
 // splice appends the trajectory's ledger after point pt: the sink
-// volume and records the failure-free run added from there, and every
-// sink task's ledger entries from its next batch on.
+// records the failure-free run added from there, and every sink task's
+// ledger entries from its next batch on.
 func (e *Engine) splice(tr *Trajectory, pt *trajPoint) {
-	e.sinkTuples += tr.volume - pt.volume
 	e.sinks = append(e.sinks, tr.sinks[pt.records-tr.sinksFrom:]...)
 	for _, id := range tr.sinkIDs {
 		nb := e.tasks[id].nextBatch
@@ -276,7 +275,6 @@ func (e *Engine) splice(tr *Trajectory, pt *trajPoint) {
 // cover.
 func (e *Engine) encodeTask(buf []byte, rt *taskRuntime) ([]byte, bool) {
 	buf = appendInt(buf, rt.nextBatch)
-	buf = appendInt(buf, rt.processedBatch)
 	buf = appendTime(buf, maxTime(rt.busyUntil, e.clock.Now()))
 	buf = appendBool(buf, rt.procScheduled)
 	if !rt.isSource {

@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestRunSplicedContract pins RunSpliced's contract on the chain
@@ -27,7 +29,7 @@ func TestRunSplicedContract(t *testing.T) {
 	}
 	scenario := func() {
 		e.Reset()
-		e.ScheduleNodeFailure(e.clus.NodeOf(4), 15.2)
+		e.ScheduleNodeFailures([]cluster.NodeID{e.clus.NodeOf(4)}, 15.2)
 	}
 	scenario()
 	e.Run(horizon)

@@ -97,14 +97,13 @@ type taskRuntime struct {
 	// tentOut marks the batches this incarnation closed (and emitted)
 	// tentative. Amendments are only accepted for batches in tentOut,
 	// and replayed buffered output re-delivers the taint.
-	tentOut   map[int]bool
-	nextBatch int
-	// processedBatch is the progress measure: the last batch fully
-	// processed (§VI's progress vector collapses to the batch index
-	// under the batch discipline).
-	processedBatch int
-	busyUntil      sim.Time
-	procScheduled  bool
+	tentOut map[int]bool
+	// nextBatch is the next batch to process, so nextBatch-1 is the
+	// progress measure: the last batch fully processed (§VI's progress
+	// vector collapses to the batch index under the batch discipline).
+	nextBatch     int
+	busyUntil     sim.Time
+	procScheduled bool
 
 	// outBuf buffers emitted batches per recipient slot for replay
 	// (§II-B); trimmed when the downstream checkpoints.
@@ -202,7 +201,6 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	} else {
 		rt.tupleProgress = make([]int64, len(rt.upstreams))
 	}
-	rt.processedBatch = -1
 	rt.ackBatch = -1
 	rt.instantiate()
 	return rt
@@ -240,7 +238,6 @@ func (rt *taskRuntime) slotOf(down topology.TaskID) (int32, bool) {
 // batch, keeping the window base in sync.
 func (rt *taskRuntime) rebase(next int) {
 	rt.nextBatch = next
-	rt.processedBatch = next - 1
 	rt.win.base = next
 }
 
@@ -416,7 +413,7 @@ func (rt *taskRuntime) tryProcess() {
 			total += r.staged[i].Count
 		}
 	}
-	cost := rt.eng.cfg.PerBatchOverhead + sim.Time(float64(total)/rt.eng.cfg.ProcRate)
+	cost := perBatchOverhead + sim.Time(float64(total)/rt.eng.cfg.ProcRate)
 	now := rt.eng.clock.Now()
 	start := now
 	if rt.busyUntil > start {
@@ -488,7 +485,6 @@ func (rt *taskRuntime) completeBatch(b int, cost sim.Time) {
 	}
 	rt.win.release(b, &rt.eng.tuples)
 	rt.nextBatch = b + 1
-	rt.processedBatch = b
 	if rt.eng.topo.IsSink(rt.opIdx) && !rt.isReplica {
 		rt.eng.recordSinkBatch(rt.id, b, rt.sinkOut, rt.sinkCount, tentative)
 	}
@@ -570,7 +566,7 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 // standard delta-correction approximation. Reprocessing is charged at
 // the normal processing rate.
 func (rt *taskRuntime) reprocessAmendment(ui int32, batch int, delta Batch) {
-	cost := rt.eng.cfg.PerBatchOverhead + sim.Time(float64(delta.Count)/rt.eng.cfg.ProcRate)
+	cost := perBatchOverhead + sim.Time(float64(delta.Count)/rt.eng.cfg.ProcRate)
 	now := rt.eng.clock.Now()
 	start := maxTime(rt.busyUntil, now)
 	rt.busyUntil = start + cost
@@ -632,7 +628,6 @@ func (rt *taskRuntime) emitSourceBatch(b int) {
 	rt.finishEmit(b, false) // source data is always firm
 	rt.tupleProgress[0] += int64(content.Count)
 	rt.nextBatch = b + 1
-	rt.processedBatch = b
 	if rt.recovering {
 		rt.eng.master.checkRecovered(rt)
 	}
@@ -654,7 +649,7 @@ func (rt *taskRuntime) resendAll() { rt.resendSince(-1) }
 // resendSince redelivers buffered output batches strictly after the
 // given batch to the downstream tasks, in ascending downstream task and
 // batch order — resendAll, and the take-over resend of an activated
-// replica. The cost is charged at ResendRate.
+// replica. The cost is charged at resendRate.
 func (rt *taskRuntime) resendSince(since int) {
 	if rt.failed {
 		return
@@ -673,7 +668,7 @@ func (rt *taskRuntime) resendSince(since int) {
 		}
 	}
 	if total > 0 {
-		rt.busyUntil = maxTime(rt.busyUntil, rt.eng.clock.Now()) + sim.Time(float64(total)/rt.eng.cfg.ResendRate)
+		rt.busyUntil = maxTime(rt.busyUntil, rt.eng.clock.Now()) + sim.Time(float64(total)/resendRate)
 	}
 }
 
@@ -737,7 +732,6 @@ func (rt *taskRuntime) resetTo(batch int) {
 		}
 	}
 	rt.nextBatch = batch
-	rt.processedBatch = batch - 1
 	if rt.udf != nil {
 		// Restore(nil) resets the operator to its initial state.
 		_ = rt.udf.Restore(nil)

@@ -276,6 +276,70 @@ func TestFig14aShape(t *testing.T) {
 	}
 }
 
+// TestFig8Pinned pins Fig. 8, the correlated failure of all 15
+// processing nodes: active replication recovers fastest, Storm's
+// source replay next and 30 s checkpoints slowest.
+func TestFig8Pinned(t *testing.T) {
+	t.Parallel()
+	r, err := Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r, []pinnedSeries{
+		{"Active-5s", []float64{0.402000000000001, 0.7520000000000024, 0.402000000000001, 0.7520000000000024}},
+		{"Active-30s", []float64{0.6820000000000022, 1.3519999999999968, 0.6820000000000022, 1.3519999999999968}},
+		{"Checkpoint-5s", []float64{5.090009600000009, 9.122009600000005, 5.404025600000004, 9.500025600000008}},
+		{"Checkpoint-15s", []float64{12.356009600000029, 23.638009599999933, 12.632076800000021, 23.766025599999935}},
+		{"Checkpoint-30s", []float64{24.35200959999996, 48.282028799999935, 24.41602559999994, 48.66607679999994}},
+		{"Storm", []float64{3.216000000000008, 4.714000000000006, 8.256000000000057, 14.754000000000048}},
+	})
+	const x = "win:30s rate:2000tps"
+	active, storm, ckpt := point(t, r, "Active-5s", x), point(t, r, "Storm", x), point(t, r, "Checkpoint-30s", x)
+	if !(active < storm && storm < ckpt) {
+		t.Errorf("%s: want Active-5s %v < Storm %v < Checkpoint-30s %v", x, active, storm, ckpt)
+	}
+}
+
+// TestFig14bPinned pins Fig. 14(b) over the benchmark's 25 topologies:
+// at highly parallel topologies SA's plans beat greedy's at a small
+// budget.
+func TestFig14bPinned(t *testing.T) {
+	t.Parallel()
+	r, err := Fig14b(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r, []pinnedSeries{
+		{"SA-para:10~20", []float64{0.08080213140409669, 0.2296519271308681, 0.47267018227933905, 0.6724917036425828, 0.8547418895245861}},
+		{"SA-para:1~10", []float64{0.008857111553156992, 0.11461429653335588, 0.40026490985010177, 0.628490565429762, 0.8286680170100533}},
+		{"Greedy-para:10~20", []float64{0.00881213988646965, 0.050050364987348335, 0.3649542403304036, 0.621017794452152, 0.8250790959658733}},
+		{"Greedy-para:1~10", []float64{0.013430767241369464, 0.08994030611249532, 0.3375000350877363, 0.5928069151171279, 0.8120392606312714}},
+	})
+	if sa, g := point(t, r, "SA-para:10~20", "0.2"), point(t, r, "Greedy-para:10~20", "0.2"); sa <= g {
+		t.Errorf("para 10~20 at 0.2: SA %v should beat Greedy %v", sa, g)
+	}
+}
+
+// TestFig14cPinned pins Fig. 14(c) over the benchmark's 25 topologies:
+// at the same budget SA's plans reach a higher OF on structured
+// topologies than on fully partitioned ones.
+func TestFig14cPinned(t *testing.T) {
+	t.Parallel()
+	r, err := Fig14c(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r, []pinnedSeries{
+		{"SA-Structure", []float64{0.006204327067978488, 0.06709271313242277, 0.4109164016833774, 0.6530561214156291, 0.8422879071092624}},
+		{"SA-Full", []float64{0.003115087786693849, 0.02831725771847014, 0.2922167091243133, 0.5315376307887655, 0.7603586032155505}},
+		{"Greedy-Structure", []float64{0.03117612570201819, 0.11572465276724614, 0.39846415127463336, 0.6542632445019723, 0.8362194069345675}},
+		{"Greedy-Full", []float64{0.0013487166568559416, 0.09043240111439767, 0.3620603020421504, 0.6072319629093922, 0.8021371563223386}},
+	})
+	if st, full := point(t, r, "SA-Structure", "0.4"), point(t, r, "SA-Full", "0.4"); st <= full {
+		t.Errorf("at 0.4: SA-Structure %v should exceed SA-Full %v", st, full)
+	}
+}
+
 func TestFig14dShape(t *testing.T) {
 	t.Parallel()
 	r, err := Fig14d(6)

@@ -102,11 +102,9 @@ func runRecovery(tech technique, cfg recoveryConfig, mode failureMode, failNodeI
 	}
 	switch mode {
 	case singleNode:
-		e.ScheduleNodeFailure(f.SyntheticNodes[failNodeIdx], failAt)
+		e.ScheduleNodeFailures(f.SyntheticNodes[failNodeIdx:failNodeIdx+1], failAt)
 	case correlated:
-		for _, n := range f.SyntheticNodes {
-			e.ScheduleNodeFailure(n, failAt)
-		}
+		e.ScheduleNodeFailures(f.SyntheticNodes, failAt)
 	}
 	e.Run(runHorizon)
 	out := make(map[topology.TaskID]sim.Time)

@@ -112,9 +112,7 @@ func Fig10(rate int) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			for _, n := range f.SyntheticNodes {
-				e.ScheduleNodeFailure(n, failAt)
-			}
+			e.ScheduleNodeFailures(f.SyntheticNodes, failAt)
 			e.Run(runHorizon)
 			var worstAll, worstActive float64
 			for _, st := range e.RecoveryStats() {

@@ -11,13 +11,13 @@ import (
 )
 
 // PooledEscape reports uses of a pooled value after its release in
-// the same function. The engine's pooled events, its tuple and
-// record pools, and the campaign's sync.Pool delay buffers all
-// recycle objects in place: a reference that survives the Put/release
-// call aliases memory the next Get may already be rewriting —
-// corruption that surfaces later as an inexplicable flipped golden
-// hash. Storing the value into a struct field or capturing it in a
-// closure after release is the escape variant of the same bug.
+// the same function. The engine's pooled events and its tuple and
+// record pools recycle objects in place: a reference that survives
+// the Put/release call aliases memory the next Get may already be
+// rewriting — corruption that surfaces later as an inexplicable
+// flipped golden hash. Storing the value into a struct field or
+// capturing it in a closure after release is the escape variant of
+// the same bug.
 //
 // Detection is linear within a function body: a value is considered
 // pooled when it is assigned from a Get()/get() call on a

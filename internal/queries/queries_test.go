@@ -218,9 +218,7 @@ func TestFig6CorrelatedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range f.SyntheticNodes {
-		e.ScheduleNodeFailure(n, 30.2)
-	}
+	e.ScheduleNodeFailures(f.SyntheticNodes, 30.2)
 	e.Run(200)
 	stats := e.RecoveryStats()
 	if len(stats) != 15 {

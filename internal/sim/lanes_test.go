@@ -17,34 +17,41 @@ type scheduler interface {
 	At(t Time, fn func())
 	AtRun(t Time, r Runner)
 	AfterRun(d Time, r Runner)
+	Inject(t Time, fn func())
 	Step() bool
 	RunUntil(deadline Time)
 	Pending() int
-	AppendPending(dst []Event) ([]Event, uint64)
-	Restore(now Time, seq, base uint64, evs []Event)
+	AppendPending(dst []Event) ([]Event, int64)
+	Restore(now Time, seq int64, evs []Event)
 }
 
 // refClock is the reference: one unsorted list of events, fired by a
-// linear scan for the smallest (at, seq). AfterRun is plain AtRun at
-// now+d. Restore defers and renumbers as Clock.Restore documents.
+// linear scan for the earliest, a failure before any other event of its
+// instant and otherwise the smallest number. AfterRun is plain AtRun at
+// now+d. Failures are numbered from their own counter, as
+// Clock.Inject documents, so that both clocks record the same numbers.
 type refClock struct {
 	now        Time
-	seq        uint64
+	seq, fails int64
 	evs        []Event
-	deferred   []Event
-	base, last uint64
-	restored   bool
 }
+
+func newRefClock() *refClock { return &refClock{fails: math.MinInt64} }
 
 func (r *refClock) Now() Time                 { return r.now }
 func (r *refClock) At(t Time, fn func())      { r.AtRun(t, runFunc(fn)) }
 func (r *refClock) AfterRun(d Time, x Runner) { r.AtRun(r.now+d, x) }
-func (r *refClock) Pending() int              { return len(r.evs) + len(r.deferred) }
+func (r *refClock) Pending() int              { return len(r.evs) }
 func (r *refClock) Step() bool                { return r.fire(Time(math.Inf(1))) }
 
 func (r *refClock) AtRun(t Time, x Runner) {
 	r.seq++
 	r.evs = append(r.evs, Event{At: t, Seq: r.seq, Run: x})
+}
+
+func (r *refClock) Inject(t Time, fn func()) {
+	r.fails++
+	r.evs = append(r.evs, Event{At: t, Seq: r.fails, Run: runFunc(fn)})
 }
 
 func (r *refClock) RunUntil(deadline Time) {
@@ -54,13 +61,14 @@ func (r *refClock) RunUntil(deadline Time) {
 }
 
 func (r *refClock) fire(deadline Time) bool {
-	r.flush()
 	if len(r.evs) == 0 {
 		return false
 	}
 	next := 0
 	for i, e := range r.evs {
-		if n := r.evs[next]; e.At < n.At || e.At == n.At && e.Seq < n.Seq {
+		n := r.evs[next]
+		ef, nf := e.Seq < 0, n.Seq < 0
+		if e.At < n.At || e.At == n.At && (ef && !nf || ef == nf && e.Seq < n.Seq) {
 			next = i
 		}
 	}
@@ -74,36 +82,18 @@ func (r *refClock) fire(deadline Time) bool {
 	return true
 }
 
-func (r *refClock) AppendPending(dst []Event) ([]Event, uint64) {
-	r.flush()
+func (r *refClock) AppendPending(dst []Event) ([]Event, int64) {
 	return append(dst, r.evs...), r.seq
 }
 
-func (r *refClock) Restore(now Time, seq, base uint64, evs []Event) {
-	r.now, r.seq, r.base, r.last = now, base, base, seq
-	r.evs, r.deferred = nil, nil
+func (r *refClock) Restore(now Time, seq int64, evs []Event) {
+	r.now, r.seq, r.fails = now, seq, math.MinInt64
+	r.evs = slices.Clone(evs)
 	for _, ev := range evs {
-		if ev.Seq <= base {
-			r.evs = append(r.evs, ev)
-		} else {
-			r.deferred = append(r.deferred, ev)
+		if ev.Seq < 0 {
+			r.fails = max(r.fails, ev.Seq)
 		}
 	}
-	r.restored = seq > base
-}
-
-func (r *refClock) flush() {
-	if !r.restored {
-		return
-	}
-	shift := r.seq - r.base
-	for _, ev := range r.deferred {
-		ev.Seq += shift
-		r.evs = append(r.evs, ev)
-	}
-	r.deferred = nil
-	r.seq = r.last + shift
-	r.restored = false
 }
 
 // world is one clock under the randomized test with the log of the
@@ -124,7 +114,7 @@ func (w *world) probe() *probe {
 
 // probe is a test event: it logs its number and, depending on it,
 // schedules a follow-up on a lane, at a delay that may or may not have
-// a lane, or at an absolute time on the heap.
+// a lane, at an absolute time on the heap, or as a failure.
 type probe struct {
 	w  *world
 	id int
@@ -142,6 +132,10 @@ func (p *probe) Run() {
 		w.clk.AtRun(w.clk.Now()+grid*Time(p.id%3), w.probe())
 	case 3:
 		w.clk.AfterRun(grid*Time(p.id%7), w.probe())
+	case 4:
+		if p.id%3 == 0 {
+			w.clk.Inject(w.clk.Now()+grid*Time(p.id%4), w.probe().Run)
+		}
 	}
 }
 
@@ -175,6 +169,28 @@ func heads(c *Clock) map[int]Time {
 	return out
 }
 
+// failTies counts, among the earliest pending events of c, the
+// failures and the other events on the heap and at the lane heads.
+func failTies(c *Clock) (fails, heap, lanes int) {
+	first := Time(math.Inf(1))
+	for _, at := range heads(c) {
+		first = min(first, at)
+	}
+	for i := range c.heap {
+		if e := &c.heap[i]; e.at == first && e.seq < 0 {
+			fails++
+		} else if e.at == first {
+			heap++
+		}
+	}
+	for i := range c.lanes {
+		if l := &c.lanes[i]; l.n > 0 && l.front().at == first {
+			lanes++
+		}
+	}
+	return fails, heap, lanes
+}
+
 // wantCold is the cold-lane cache recomputed from scratch.
 func wantCold(c *Clock) int {
 	cold := 0
@@ -187,16 +203,19 @@ func wantCold(c *Clock) int {
 }
 
 // TestLanesMatchReference drives the laned clock and the reference
-// through random sequences of At, AtRun, AfterRun, Step, RunUntil and
-// record/restore cycles, and requires the same firing order, time,
-// pending count and recorded events after every operation, and a cold
-// lane cache equal to one recomputed from scratch. Every seed builds the
-// clock with its own set of 1 to 4 lane delays on a coarse time grid,
-// so sets repeat a delay or include a zero delay, AfterRun hits lane
-// and non-lane delays alike, and lane and heap events tie at one
-// instant all the time; the test counts those ties and the sets.
+// through random sequences of At, AtRun, AfterRun, Inject, Step,
+// RunUntil and record/restore cycles, and requires the same firing
+// order, time, pending count and recorded events after every
+// operation, and a cold lane cache equal to one recomputed from
+// scratch. Every seed builds the clock with its own set of 1 to 4 lane
+// delays on a coarse time grid, so sets repeat a delay or include a
+// zero delay, AfterRun hits lane and non-lane delays alike, and lane
+// and heap events tie at one instant all the time, as do failures with
+// each other, with the heap top and with lane heads, before and after
+// restores; the test counts those ties and the sets.
 func TestLanesMatchReference(t *testing.T) {
 	var heapLaneTies, laneLaneTies, dupSets, zeroSets, laneCap int
+	var failFailTies, failHeapTies, failLaneTies, restoredFailTies int
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		delays := make([]Time, 1+rng.Intn(4))
@@ -213,23 +232,27 @@ func TestLanesMatchReference(t *testing.T) {
 		}
 		clk := NewClock(delays...)
 		a := &world{clk: clk, delays: delays}
-		b := &world{clk: &refClock{}, delays: delays}
+		b := &world{clk: newRefClock(), delays: delays}
 		worlds := []*world{a, b}
 		type image struct {
-			now  Time
-			seq  uint64
-			evs  [2][]Event
-			base uint64
+			now Time
+			seq int64
+			evs [2][]Event
 		}
 		var img *image
+		restored := false
 		for step := 0; step < 400; step++ {
-			op := rng.Intn(10)
+			op := rng.Intn(11)
 			k := rng.Intn(5)
 			switch op {
 			case 0:
 				for _, w := range worlds {
 					p := w.probe()
 					w.clk.At(w.clk.Now()+grid*Time(k), p.Run)
+				}
+			case 10:
+				for _, w := range worlds {
+					w.clk.Inject(w.clk.Now()+grid*Time(k), w.probe().Run)
 				}
 			case 1:
 				d := grid * Time(rng.Intn(7)) // a lane delay or not
@@ -262,6 +285,14 @@ func TestLanesMatchReference(t *testing.T) {
 				if lanes > 1 {
 					laneLaneTies++
 				}
+				if f, h, l := failTies(clk); f > 0 {
+					failFailTies += min(f-1, 1)
+					failHeapTies += min(h, 1)
+					failLaneTies += min(l, 1)
+					if restored && f+h+l > 1 {
+						restoredFailTies++
+					}
+				}
 				if fa, fb := a.clk.Step(), b.clk.Step(); fa != fb {
 					t.Fatalf("seed %d step %d: Step fired %v, reference %v", seed, step, fa, fb)
 				}
@@ -273,7 +304,7 @@ func TestLanesMatchReference(t *testing.T) {
 			case 8:
 				im := &image{now: a.clk.Now()}
 				for i, w := range worlds {
-					var seq uint64
+					var seq int64
 					im.evs[i], seq = w.clk.AppendPending(nil)
 					if i == 0 {
 						im.seq = seq
@@ -284,15 +315,15 @@ func TestLanesMatchReference(t *testing.T) {
 				if ka, kb := pendingKey(slices.Clone(im.evs[0])), pendingKey(slices.Clone(im.evs[1])); !reflect.DeepEqual(ka, kb) {
 					t.Fatalf("seed %d step %d: recorded\n%v\nreference\n%v", seed, step, ka, kb)
 				}
-				im.base = uint64(rng.Int63n(int64(im.seq) + 1))
 				img = im
 			case 9:
 				if img == nil {
 					continue
 				}
 				for i, w := range worlds {
-					w.clk.Restore(img.now, img.seq, img.base, img.evs[i])
+					w.clk.Restore(img.now, img.seq, img.evs[i])
 				}
+				restored = true
 			}
 			if !reflect.DeepEqual(a.log, b.log) {
 				t.Fatalf("seed %d step %d (op %d): fired\n%v\nreference\n%v", seed, step, op, a.log, b.log)
@@ -319,6 +350,10 @@ func TestLanesMatchReference(t *testing.T) {
 		t.Fatalf("%d steps had a lane head tied with the heap top and %d two lane heads tied, "+
 			"%d lane sets repeated a delay and %d had a zero delay, and a lane grew to %d; "+
 			"want 1000, 400, 10, 10 and 128", heapLaneTies, laneLaneTies, dupSets, zeroSets, laneCap)
+	}
+	if failFailTies < 500 || failHeapTies < 500 || failLaneTies < 500 || restoredFailTies < 500 {
+		t.Fatalf("%d steps had a failure tied with another, %d with an event on the heap and %d with a lane head, "+
+			"%d of them after a restore; want 500 each", failFailTies, failHeapTies, failLaneTies, restoredFailTies)
 	}
 }
 

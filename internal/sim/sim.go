@@ -6,11 +6,17 @@
 // DESIGN.md §4).
 //
 // Events fire in (time, seq) order, seq being the scheduling order, so
-// events at the same instant fire FIFO. A clock is built with the
-// constant delays its user re-arms with (the engine's network delay and
-// its timer intervals) and keeps one lane per distinct delay: a FIFO ring
-// of the events scheduled that delay after now. Every other event goes to
-// a binary heap of values. A lane needs no ordering work: now never
+// events at the same instant fire FIFO. Failures are the exception:
+// Inject numbers them from their own counter, below every other event,
+// so a failure fires first among the events of its instant however
+// late it was scheduled, and failures of one instant fire in the order
+// they were injected.
+//
+// A clock is built with the constant delays its user re-arms with (the
+// engine's network delay and its timer intervals) and keeps one lane
+// per distinct delay: a FIFO ring of the events scheduled that delay
+// after now. Every other event goes to a binary heap of values. A lane
+// needs no ordering work: now never
 // decreases between restores, rounding makes float addition monotone, so
 // now+d never decreases either, and seq strictly increases, so every lane
 // is always sorted by (time, seq). Firing takes the smallest of the heap
@@ -21,7 +27,9 @@
 // Restore. Stale engine events (of a failed task incarnation) fence
 // themselves when they fire. So events are plain values without handles,
 // the queues keep no index into themselves, and a fired event's slot is
-// cleared, retaining nothing.
+// cleared, retaining nothing. AppendPending records the pending events
+// and Restore puts exactly those back: since the numbers alone order
+// the events, a restored clock fires like the recorded one.
 package sim
 
 import (
@@ -57,7 +65,7 @@ func (f runFunc) Run() { f() }
 // heap.
 type event struct {
 	at  Time
-	seq uint64
+	seq int64
 	run Runner
 }
 
@@ -121,9 +129,13 @@ func (l *lane) clear() {
 // for the same instant fire in scheduling order. Not safe for concurrent
 // use: the whole simulation is single-threaded by design.
 type Clock struct {
-	now  Time
-	seq  uint64
-	heap []event
+	now Time
+	// seq is the number of the latest event scheduled with At, AtRun or
+	// AfterRun, counting up from 1; fails is the number of the latest
+	// failure Inject scheduled, counting up from math.MinInt64. So a
+	// failure's number is negative, below every other event's.
+	seq, fails int64
+	heap       []event
 	// lanes holds one lane per distinct NewClock delay, in argument
 	// order. Firing compares the heap top with the head of lanes[0], the
 	// hot lane, and with the head of lanes[cold], the earliest head among
@@ -131,21 +143,13 @@ type Clock struct {
 	// only when its lane pops or another lane receives its first event.
 	lanes []lane
 	cold  int
-
-	// deferred holds the recorded events a Restore queues only at the
-	// next step, numbered past the events scheduled in between; base is
-	// the counter they are shifted from and last the recorded counter.
-	// restored is set until that step.
-	deferred   []Event
-	base, last uint64
-	restored   bool
 }
 
 // Event is a value copy of one pending event, as AppendPending reports
-// it and Restore queues it again.
+// it and Restore queues it again. A negative Seq marks a failure.
 type Event struct {
 	At  Time
-	Seq uint64
+	Seq int64
 	Run Runner
 }
 
@@ -155,7 +159,7 @@ type Event struct {
 // first on every firing, so it should be the busiest. A negative or NaN
 // delay panics: it would run the clock backwards.
 func NewClock(delays ...Time) *Clock {
-	c := &Clock{}
+	c := &Clock{fails: math.MinInt64}
 	for _, d := range delays {
 		if !(d >= 0) {
 			panic(fmt.Sprintf("sim: invalid lane delay %v", d))
@@ -188,14 +192,30 @@ func (c *Clock) At(t Time, fn func()) { c.AtRun(t, runFunc(fn)) }
 // Semantics match At; passing a pooled Runner avoids the closure
 // allocation.
 func (c *Clock) AtRun(t Time, r Runner) {
+	c.check(t)
+	c.seq++
+	c.push(event{at: t, seq: c.seq, run: r})
+}
+
+// Inject schedules the failure fn at absolute virtual time t on the
+// heap. It fires ahead of every event of that instant that is not a
+// failure, whenever either was scheduled, and after the failures of
+// that instant injected before it. Semantics otherwise match At.
+func (c *Clock) Inject(t Time, fn func()) {
+	c.check(t)
+	c.fails++
+	c.push(event{at: t, seq: c.fails, run: runFunc(fn)})
+}
+
+// check panics on a time in the past or a NaN time: scheduling there
+// would make the simulation non-causal.
+func (c *Clock) check(t Time) {
 	if !(t >= c.now) {
 		if t != t {
 			panic("sim: scheduling event at NaN time")
 		}
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, c.now))
 	}
-	c.seq++
-	c.push(event{at: t, seq: c.seq, run: r})
 }
 
 // After schedules fn d seconds from now.
@@ -234,7 +254,7 @@ func (c *Clock) recold() {
 
 // Pending returns the number of events still queued.
 func (c *Clock) Pending() int {
-	n := len(c.heap) + len(c.deferred)
+	n := len(c.heap)
 	for i := range c.lanes {
 		n += c.lanes[i].n
 	}
@@ -286,9 +306,6 @@ func (c *Clock) RunUntil(deadline Time) {
 // lane's head and the cold lanes' earliest head, if it is due by
 // deadline, and reports whether it did.
 func (c *Clock) fire(deadline Time) bool {
-	if c.restored {
-		c.flush()
-	}
 	var next *event
 	if len(c.heap) > 0 {
 		next = &c.heap[0]
@@ -324,11 +341,9 @@ func (c *Clock) fire(deadline Time) bool {
 // AppendPending appends a value copy of every pending event, of the heap
 // and every lane, to dst, in no particular order, and returns the
 // extended slice together with the sequence counter (the number the
-// latest scheduled event got). Restore takes both back.
-func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
-	if c.restored {
-		c.flush()
-	}
+// latest scheduled event that is not a failure got). Restore takes both
+// back.
+func (c *Clock) AppendPending(dst []Event) ([]Event, int64) {
 	for i := range c.heap {
 		e := &c.heap[i]
 		dst = append(dst, Event{At: e.at, Seq: e.seq, Run: e.run})
@@ -346,20 +361,13 @@ func (c *Clock) AppendPending(dst []Event) ([]Event, uint64) {
 // Restore sets the clock to time now with exactly the pending events
 // evs, recorded by AppendPending from a clock whose counter stood at
 // seq; whatever was queued before, on the heap or a lane, is dropped.
-// The recorded events all go to the heap, so each lane only ever holds
-// events AfterRun scheduled since, in order. base splits them: those
-// numbered at most base are queued at once with their recorded
-// numbers, and the counter restarts at base, so the events the caller
-// schedules next are numbered as if scheduled when the counter stood
-// at base. The rest are queued at the next Step, RunUntil or
-// AppendPending, numbered past the caller's events in their recorded
-// order, and the counter resumes past them. The restored clock
-// therefore fires exactly like a run from time zero that scheduled the
-// caller's events right after its base-th event, same-instant ties
-// included. With base equal to seq it is a plain restore;
-// Restore(0, 0, 0, nil) makes the clock indistinguishable from a new
-// one.
-func (c *Clock) Restore(now Time, seq, base uint64, evs []Event) {
+// The recorded events keep their numbers, the counter resumes at seq
+// and the failure counter past the recorded failures, so the restored
+// clock fires exactly like the recorded one, same-instant ties
+// included. The recorded events all go to the heap, so each lane only
+// ever holds events AfterRun scheduled since, in order.
+// Restore(0, 0, nil) makes the clock indistinguishable from a new one.
+func (c *Clock) Restore(now Time, seq int64, evs []Event) {
 	for _, ev := range evs {
 		if !(ev.At >= now) {
 			panic(fmt.Sprintf("sim: restoring event at %v before now %v", ev.At, now))
@@ -371,37 +379,14 @@ func (c *Clock) Restore(now Time, seq, base uint64, evs []Event) {
 		c.lanes[i].clear()
 	}
 	c.cold = 0
-	clear(c.deferred)
-	c.deferred = c.deferred[:0]
-	c.now = now
-	c.seq = base
-	c.base, c.last = base, seq
+	c.now, c.seq, c.fails = now, seq, math.MinInt64
 	for _, ev := range evs {
-		if ev.Seq <= base {
-			c.queue(ev)
-		} else {
-			c.deferred = append(c.deferred, ev)
+		if ev.Seq < 0 {
+			c.fails = max(c.fails, ev.Seq)
 		}
+		c.push(event{at: ev.At, seq: ev.Seq, run: ev.Run})
 	}
-	c.restored = seq > base
 }
-
-// flush queues the events Restore deferred, shifted past the events
-// scheduled since, and moves the counter past them.
-func (c *Clock) flush() {
-	shift := c.seq - c.base
-	for _, ev := range c.deferred {
-		ev.Seq += shift
-		c.queue(ev)
-	}
-	clear(c.deferred)
-	c.deferred = c.deferred[:0]
-	c.seq = c.last + shift
-	c.restored = false
-}
-
-// queue pushes a recorded event with its own time and number.
-func (c *Clock) queue(ev Event) { c.push(event{at: ev.At, seq: ev.Seq, run: ev.Run}) }
 
 // --- binary heap of values over (at, seq) ---
 

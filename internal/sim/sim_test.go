@@ -113,7 +113,8 @@ func TestNaNTimesPanic(t *testing.T) {
 		{"After", func(c *Clock) { c.After(nan, noop) }},
 		{"AfterRun", func(c *Clock) { c.AfterRun(nan, &countRunner{}) }},
 		{"RunUntil", func(c *Clock) { c.RunUntil(nan) }},
-		{"Restore", func(c *Clock) { c.Restore(0, 1, 1, []Event{{At: nan, Seq: 1, Run: &countRunner{}}}) }},
+		{"Inject", func(c *Clock) { c.Inject(nan, noop) }},
+		{"Restore", func(c *Clock) { c.Restore(0, 1, []Event{{At: nan, Seq: 1, Run: &countRunner{}}}) }},
 	} {
 		c := NewClock(1)
 		c.At(1, noop)
@@ -247,7 +248,7 @@ func TestClockReset(t *testing.T) {
 	c := NewClock(1)
 	first := run(c)
 	c.At(20, func() { t.Error("leftover event fired after the reset") })
-	c.Restore(0, 0, 0, nil)
+	c.Restore(0, 0, nil)
 	if c.Now() != 0 || c.Pending() != 0 {
 		t.Fatalf("after the reset: now=%v pending=%d", c.Now(), c.Pending())
 	}
@@ -262,29 +263,41 @@ func TestClockReset(t *testing.T) {
 	}
 }
 
-// TestClockRestore records a clock mid-run and restores it: recorded
-// events numbered at most base keep their place ahead of the events
-// scheduled after Restore, the later ones fire after them at the same
-// instant, and events scheduled once running come last — the order a
-// run from time zero gives when the caller's events are scheduled
-// right after the base-th event. Lane events tie with heap events at 5,
-// before the record and after each restore; Restore moves the recorded
-// lane event to the heap, where it keeps its place.
+// TestClockRestore records a clock mid-run and restores it twice; each
+// restored clock fires exactly like a run that was never recorded.
+// Three failures tie at 5 with a heap event and a lane head recorded
+// at 2 and with heap and lane events scheduled after the restore: the
+// failures fire first, in the order they were injected, whether that
+// was before the record, right after the restore or once running.
+// Restore moves the recorded lane event to the heap, where it keeps
+// its place.
 func TestClockRestore(t *testing.T) {
 	var got []string
 	hit := func(s string) func() { return func() { got = append(got, s) } }
-	// The first three events are armed (base 3); at 1 and 2 they
-	// schedule a heap and a lane event for 5, tied with the armed one.
 	prefix := func(c *Clock) {
-		c.At(5, hit("armed"))
-		c.At(1, func() { c.At(5, hit("prefix")) })
-		c.At(2, func() { c.After(3, hit("prefix-hop")) })
+		c.At(5, hit("heap"))
+		c.At(2, func() { c.After(3, hit("lane")) })
+		c.Inject(5, hit("fail-early"))
 	}
+	rest := func(c *Clock) {
+		c.At(5, hit("wave"))
+		c.After(3, hit("wave-hop"))
+		c.Inject(5, hit("fail-wave"))
+		c.At(2, func() {
+			c.Inject(5, hit("fail-late"))
+			c.At(5, hit("late"))
+			c.After(3, hit("late-hop"))
+		})
+		c.RunUntil(10)
+	}
+	want := []string{"fail-early", "fail-wave", "fail-late", "heap", "lane", "wave", "wave-hop", "late", "late-hop"}
+
 	c := NewClock(3)
 	prefix(c)
-	c.RunUntil(10)
-	if want := []string{"armed", "prefix", "prefix-hop"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unrestored run fired %v, want %v", got, want)
+	c.RunUntil(2)
+	rest(c)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unrecorded run fired %v, want %v", got, want)
 	}
 
 	c = NewClock(3)
@@ -296,21 +309,11 @@ func TestClockRestore(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		got = nil
-		c.Restore(2, seq, 3, evs)
-		if n := c.LanePending(3); n != 0 {
-			t.Fatalf("round %d: %d events left on the lane", round, n)
+		c.Restore(2, seq, evs)
+		if c.Now() != 2 || c.Pending() != 3 || c.LanePending(3) != 0 {
+			t.Fatalf("round %d: now=%v, %d pending, %d on the lane", round, c.Now(), c.Pending(), c.LanePending(3))
 		}
-		c.At(5, hit("wave"))
-		c.After(3, hit("wave-hop"))
-		c.At(2, func() {
-			c.At(5, hit("late"))
-			c.After(3, hit("late-hop"))
-		})
-		if c.Now() != 2 || c.Pending() != 6 {
-			t.Fatalf("round %d: now=%v pending=%d", round, c.Now(), c.Pending())
-		}
-		c.RunUntil(10)
-		want := []string{"armed", "wave", "wave-hop", "prefix", "prefix-hop", "late", "late-hop"}
+		rest(c)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: fired %v, want %v", round, got, want)
 		}

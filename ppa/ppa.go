@@ -136,6 +136,10 @@ func PlanDiff(old, new Plan) (activate, deactivate []TaskID) {
 // a hierarchical failure-domain tree (node -> rack -> zone).
 type Cluster = cluster.Cluster
 
+// NodeID identifies a cluster node, as Engine.ScheduleNodeFailures
+// takes it.
+type NodeID = cluster.NodeID
+
 // NewCluster builds a cluster with the given node counts.
 func NewCluster(processing, standby int) *Cluster {
 	return cluster.New(processing, standby)
@@ -162,8 +166,11 @@ type Engine = engine.Engine
 // EngineSetup describes an engine instance.
 type EngineSetup = engine.Setup
 
-// EngineConfig is the engine cost model and fault-tolerance
-// configuration.
+// EngineConfig is the engine's fault-tolerance configuration: the
+// processing rate, the heartbeat, checkpoint and replica-ack
+// intervals, tentative outputs and the window length. The rest of the
+// cost model (batch length, network delay, checkpoint, restore and
+// take-over costs) is fixed at values calibrated to the paper's nodes.
 type EngineConfig = engine.Config
 
 // Fault-tolerance strategies.

@@ -45,7 +45,11 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.ScheduleCorrelatedFailure(20.3)
+	var nodes []ppa.NodeID
+	for _, n := range clus.ProcessingNodes() {
+		nodes = append(nodes, n.ID)
+	}
+	eng.ScheduleNodeFailures(nodes, 20.3)
 	eng.Run(120)
 
 	stats := eng.RecoveryStats()
