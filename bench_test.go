@@ -306,9 +306,10 @@ func BenchmarkMemoizedObjective(b *testing.B) {
 // objective: a domain-correlated failure distribution is sampled from
 // the standard campaign cluster for the medium topology, and each
 // iteration runs a cold sa-corr plan (seed plan + hill-climbing under
-// the expected-OF objective, memoized per task-set). The reported
-// "corr_of" is the expected OF of the returned plan — the headline
-// quality number of the *-corr planner family.
+// the expected-OF objective, each move scored by its delta to the
+// current plan). The reported "corr_of" is the expected OF of the
+// returned plan — the headline quality number of the *-corr planner
+// family.
 func BenchmarkCorrObjective(b *testing.B) {
 	topo := benchTopology(b, 5, 10, 1, 10)
 	env, err := campaign.NewEnv(campaign.EnvSpec{Topo: topo})
@@ -333,6 +334,51 @@ func BenchmarkCorrObjective(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(ctx.CorrObjective(p), "corr_of")
 			b.ReportMetric(float64(scenarios.Len()), "distinct_scenarios")
+		}
+	}
+}
+
+// BenchmarkCorrPlanPresets measures the planning layer of a campaign
+// set-up: the *-corr plans campaign.NewEnv computes for the medium and
+// large presets (topology seed 1, fraction 0.3, the environment's
+// CorrelationSet(24, 1)), each iteration on a cold context. sweep-medium
+// plans medium/sa-corr. "corr_of" is the plan's expected OF.
+func BenchmarkCorrPlanPresets(b *testing.B) {
+	for _, preset := range []string{campaign.TopoMedium, campaign.TopoLarge} {
+		topo, err := campaign.PresetTopology(preset, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, err := campaign.NewEnv(campaign.EnvSpec{Topo: topo})
+		if err != nil {
+			b.Fatal(err)
+		}
+		scenarios, err := env.CorrelationSet(24, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		budget, err := plan.Budget(topo.NumTasks(), 0.3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range []string{"sa-corr", "structured-corr"} {
+			pl := plan.MustLookup(name)
+			b.Run(preset+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ctx := plan.NewContext(topo)
+					if err := ctx.SetScenarios(scenarios); err != nil {
+						b.Fatal(err)
+					}
+					p, err := pl.Plan(ctx, budget)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if i == 0 {
+						b.ReportMetric(ctx.CorrObjective(p), "corr_of")
+						b.ReportMetric(float64(scenarios.Len()), "distinct_scenarios")
+					}
+				}
+			})
 		}
 	}
 }

@@ -52,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		topoPath = fs.String("topology", "-", "topology spec JSON file ('-' for stdin)")
 		planner  = fs.String("planner", "sa", "planner name (see -list)")
-		budget   = fs.Int("budget", -1, "replication budget in tasks (overrides -fraction)")
+		budget   = fs.Int("budget", -1, "replication budget in tasks, at most the task count (overrides -fraction; -1 leaves it unset)")
 		fraction = fs.Float64("fraction", 0.5, "replication budget as a fraction of the task count, in [0, 1]")
 		corrScen = fs.Int("corr-scenarios", 24, "scenarios sampled per burst model for the *-corr planners")
 		corrSeed = fs.Int64("corr-seed", 1, "seed of the correlation-distribution sampling")
@@ -69,6 +69,12 @@ func run(args []string, stdout io.Writer) error {
 	if !ok {
 		return fmt.Errorf("-planner: unknown planner %q (registered: %v)", *planner, plan.Names())
 	}
+	if *budget < -1 {
+		return fmt.Errorf("-budget: %d is negative (-1 leaves the budget to -fraction)", *budget)
+	}
+	if *corrScen <= 0 {
+		return fmt.Errorf("-corr-scenarios: need a positive scenario count, got %d", *corrScen)
+	}
 
 	in := os.Stdin
 	if *topoPath != "-" {
@@ -84,6 +90,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-topology: %w", err)
 	}
 	b := *budget
+	if b > topo.NumTasks() {
+		return fmt.Errorf("-budget: %d exceeds the topology's %d tasks", b, topo.NumTasks())
+	}
 	if b < 0 {
 		if b, err = plan.Budget(topo.NumTasks(), *fraction); err != nil {
 			return fmt.Errorf("-fraction: %w", err)

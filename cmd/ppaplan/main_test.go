@@ -33,8 +33,11 @@ func seed7Spec(t *testing.T) string {
 
 // TestRunRejectsBadFlags checks that every out-of-domain flag value is
 // an error naming the flag, returned before anything is printed: a NaN
-// fraction would print a garbage budget, and a fraction outside [0, 1]
-// would be clamped silently.
+// fraction would print a garbage budget, a fraction outside [0, 1]
+// would be clamped silently, a budget below -1 would silently fall back
+// to -fraction, a budget above the task count would be printed as
+// given, and a non-positive scenario count would fail in the sampler
+// without naming the flag.
 func TestRunRejectsBadFlags(t *testing.T) {
 	path := seed7Spec(t)
 	for _, tc := range []struct {
@@ -48,6 +51,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-topology", path, "-planner", "paxos"}, "-planner"},
 		{[]string{"-topology", path, "-algorithm", "sa"}, "-algorithm"},
 		{[]string{"-topology", filepath.Join(t.TempDir(), "missing.json")}, "-topology"},
+		{[]string{"-topology", path, "-planner", "sa-corr", "-corr-scenarios", "0"}, "-corr-scenarios"},
+		{[]string{"-topology", path, "-budget", "-5"}, "-budget"},
+		{[]string{"-topology", path, "-budget", "1000"}, "-budget"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

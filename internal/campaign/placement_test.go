@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -144,6 +145,41 @@ func TestCorrPlannerEnv(t *testing.T) {
 	}
 	if active == 0 {
 		t.Fatal("sa-corr produced no active replicas")
+	}
+}
+
+// TestCorrPresetPlansPinned pins the plans NewEnv computes with the
+// *-corr planners on the three presets at topology seed 1 and default
+// settings — the plans the campaign sweeps run. The delta-scored hill
+// climb must pick exactly the tasks the full-rescoring climb picked.
+func TestCorrPresetPlansPinned(t *testing.T) {
+	for _, tc := range []struct {
+		topo, planner, want string
+	}{
+		{TopoSmall, "sa-corr", "[0 3 7 12 13 17]"},
+		{TopoSmall, "structured-corr", "[2 3 6 12 13 17]"},
+		{TopoMedium, "sa-corr", "[0 1 2 3 4 5 6 7 26 27 37 38 39 40 43 44 51]"},
+		{TopoMedium, "structured-corr", "[0 1 2 3 4 5 6 7 26 27 37 38 39 40 43 44 51]"},
+		{TopoLarge, "sa-corr", "[0 1 2 3 4 5 6 10 11 12 14 15 17 18 19 20 26 27 28 29 30 33 34 35 36 38 43 44 68 81 82 83 84 85]"},
+		{TopoLarge, "structured-corr", "[0 1 2 3 4 5 6 10 12 14 17 18 19 25 26 27 28 29 30 33 34 35 36 37 38 43 44 68 69 81 82 83 84 85]"},
+	} {
+		topo, err := PresetTopology(tc.topo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := NewEnv(EnvSpec{Topo: topo, Planner: tc.planner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var active []int
+		for id, st := range env.strategies {
+			if st == engine.StrategyActive {
+				active = append(active, id)
+			}
+		}
+		if got := fmt.Sprint(active); got != tc.want {
+			t.Errorf("%s %s: plan %s, want %s", tc.topo, tc.planner, got, tc.want)
+		}
 	}
 }
 

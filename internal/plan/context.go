@@ -30,21 +30,18 @@ type Context struct {
 	mu   sync.Mutex
 	memo bool
 	// corr is the domain-correlated failure distribution of the
-	// correlation-aware objective; corrMemo caches CorrObjective values
-	// per plan key and is invalidated whenever corr changes.
-	corr     *ScenarioSet
-	corrMemo map[string]float64
-	scopes   map[string]*Scope
+	// correlation-aware objective.
+	corr   *ScenarioSet
+	scopes map[string]*Scope
 }
 
 // NewContext builds a planning context for the topology. Memoization is
 // enabled by default; see SetMemoize.
 func NewContext(t *topology.Topology) *Context {
 	c := &Context{
-		Topo:     t,
-		memo:     true,
-		corrMemo: map[string]float64{},
-		scopes:   map[string]*Scope{},
+		Topo:   t,
+		memo:   true,
+		scopes: map[string]*Scope{},
 	}
 	ops := allOps(t)
 	c.whole = newScope(c, ops)
@@ -54,19 +51,16 @@ func NewContext(t *topology.Topology) *Context {
 }
 
 // SetMemoize enables or disables memoization of objective values (it
-// is on by default). Disabling clears every scope's memo and the
-// correlation memo; it exists so benchmarks can quantify the
-// value-memoization win and is not needed in normal use. The per-Scope
-// base-vector reuse that powers incremental Extend evaluation is part
-// of the planning algorithms themselves and is not affected by this
-// switch.
+// is on by default). Disabling clears every scope's memo; it exists so
+// benchmarks can quantify the value-memoization win and is not needed
+// in normal use. The per-Scope base-vector reuse that powers
+// incremental Extend evaluation is part of the planning algorithms
+// themselves and is not affected by this switch, and neither is
+// CorrObjective, which is never memoized.
 func (c *Context) SetMemoize(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.memo = on
-	if !on {
-		c.corrMemo = map[string]float64{}
-	}
 	for _, s := range c.scopes {
 		s.setMemo(on)
 	}

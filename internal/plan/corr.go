@@ -87,16 +87,14 @@ func boolKey(v []bool) string {
 }
 
 // SetScenarios installs the domain-correlated failure distribution used
-// by CorrObjective and the *-corr planners, replacing any previous one
-// and invalidating the correlation memo. A nil set reverts
-// CorrObjective to the worst-case OF.
+// by CorrObjective and the *-corr planners, replacing any previous one.
+// A nil set reverts CorrObjective to the worst-case OF.
 func (c *Context) SetScenarios(s *ScenarioSet) error {
 	if s != nil && s.n != c.Topo.NumTasks() {
 		return fmt.Errorf("plan: scenario set for %d tasks installed on a %d-task topology", s.n, c.Topo.NumTasks())
 	}
 	c.mu.Lock()
 	c.corr = s
-	c.corrMemo = map[string]float64{}
 	c.mu.Unlock()
 	return nil
 }
@@ -111,52 +109,58 @@ func (c *Context) Scenarios() *ScenarioSet {
 // CorrObjective evaluates the correlation-aware objective of a plan:
 // the expected Output Fidelity over the installed failure distribution,
 // where a scenario fails exactly its non-replicated tasks (replicated
-// tasks survive via their out-of-domain replicas). Values are memoized
-// per plan key like the other objectives; the distinct scenarios of a
-// memo miss are evaluated on the shared internal/par worker pool and
+// tasks survive via their out-of-domain replicas). The distinct
+// scenarios are evaluated on the shared internal/par worker pool and
 // folded in scenario order, so the value is deterministic at any worker
-// count. Without a distribution it degrades to the worst-case OF.
+// count. Values are not memoized: the *-corr planners score their
+// candidate plans incrementally instead (see Corr), so callers evaluate
+// a plan once. Without a distribution it degrades to the worst-case OF.
 func (c *Context) CorrObjective(p Plan) float64 {
-	c.mu.Lock()
-	s := c.corr
-	c.mu.Unlock()
+	s := c.Scenarios()
 	if s == nil || s.Len() == 0 {
 		return c.OF(p)
 	}
-	key := p.Key()
-	c.mu.Lock()
-	if c.memo {
-		if v, ok := c.corrMemo[key]; ok {
-			c.mu.Unlock()
-			return v
-		}
+	ofs := c.whole.evalScenarios(s, p.replicated, 0).ofs
+	return s.expect(func(i int) float64 { return ofs[i] })
+}
+
+// expect folds the per-scenario OFs of(i) into the expected OF, in
+// scenario order. Every correlation-aware value goes through this one
+// fold, so a delta-scored move and CorrObjective agree bit for bit.
+func (s *ScenarioSet) expect(of func(i int) float64) float64 {
+	var v float64
+	for i, w := range s.weights {
+		v += w * of(i)
 	}
-	c.mu.Unlock()
-	v := c.evalCorr(s, p)
-	c.mu.Lock()
-	// Only memoize if the distribution is still the one the value was
-	// computed under — a concurrent SetScenarios swaps both the
-	// distribution and the memo, and a stale value must not leak into
-	// the fresh cache.
-	if c.memo && c.corr == s && len(c.corrMemo) < maxMemoEntries {
-		c.corrMemo[key] = v
-	}
-	c.mu.Unlock()
 	return v
 }
 
-// evalCorr folds the distribution's scenarios in scenario order. Each
-// scenario is the whole-topology OF of its alive set: a task is alive
-// unless the scenario fails it and the plan does not replicate it.
-func (c *Context) evalCorr(s *ScenarioSet, p Plan) float64 {
-	ofs := par.Map(s.Len(), 0, func(i int) float64 {
-		return c.whole.evalFailed(s.failed[i], p.replicated)
+// corrBase is one plan evaluated under every distinct scenario of a
+// distribution on the whole-topology scope: each scenario's per-task
+// information-loss vector and its OF.
+type corrBase struct {
+	vecs [][]float64
+	ofs  []float64
+}
+
+// evalScenarios evaluates the replicated set rep under every scenario
+// of set on up to workers goroutines: in scenario i a task is alive
+// unless the scenario fails it and rep does not replicate it.
+func (s *Scope) evalScenarios(set *ScenarioSet, rep []bool, workers int) corrBase {
+	n := len(rep)
+	flat := make([]float64, set.Len()*n)
+	base := corrBase{vecs: make([][]float64, set.Len()), ofs: make([]float64, set.Len())}
+	par.Each(set.Len(), workers, func(i int) {
+		vec := flat[i*n : (i+1)*n : (i+1)*n]
+		b := s.bufs.Get().(*evalBuf)
+		for id, f := range set.failed[i] {
+			b.alive[id] = !f || rep[id]
+		}
+		s.compute(MetricOF, b.alive, vec, s.tasks)
+		s.bufs.Put(b)
+		base.vecs[i], base.ofs[i] = vec, s.objective(MetricOF, vec)
 	})
-	var v float64
-	for i, of := range ofs {
-		v += s.weights[i] * of
-	}
-	return v
+	return base
 }
 
 // corrRounds caps the hill-climbing rounds of a Corr planner. Each
@@ -167,16 +171,21 @@ const corrRounds = 8
 // planner's plan (chosen under the paper's worst-case single-burst
 // objective) and hill-climbs under CorrObjective — per round, every
 // affordable add and every 1-for-1 swap of a replicated task for an
-// unreplicated one is scored on the worker pool, and the best strictly
-// improving move is applied; ties break towards the first move in
-// enumeration order (adds before swaps, ascending task IDs), so the
-// result is deterministic. With no distribution installed on the
-// context the refinement is skipped and the inner plan is returned
-// unchanged (CorrObjective would equal the inner objective).
+// unreplicated one is scored, and the best strictly improving move is
+// applied; ties break towards the first move in enumeration order (adds
+// before swaps, ascending task IDs), so the result is deterministic.
+// Moves are scored incrementally against the current plan (see
+// corrClimb), each value equal to CorrObjective of the moved plan. With
+// no distribution installed on the context the refinement is skipped
+// and the inner plan is returned unchanged (CorrObjective would equal
+// the inner objective).
 type Corr struct {
 	Inner Planner
-	// Workers sets the move-evaluation parallelism: 0 uses GOMAXPROCS,
-	// 1 runs sequentially. Results are identical at any worker count.
+	// Workers bounds the hill climb's parallelism — the per-scenario
+	// evaluation of the current plan, the per-task rescoring and the
+	// move scoring: 0 uses GOMAXPROCS, 1 runs sequentially. The inner
+	// planner's own parallelism is its own setting. Results are
+	// identical at any worker count.
 	Workers int
 }
 
@@ -190,50 +199,20 @@ func (p Corr) Plan(c *Context, budget int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	if c.Scenarios() == nil {
+	set := c.Scenarios()
+	if set == nil {
 		return cur, nil
 	}
-	n := c.Topo.NumTasks()
-	if budget > n {
+	if n := c.Topo.NumTasks(); budget > n {
 		budget = n
 	}
-	best := c.CorrObjective(cur)
-	type move struct {
-		add topology.TaskID
-		del topology.TaskID // noTask for a pure add
-	}
-	const noTask = topology.TaskID(-1)
+	cl := newCorrClimb(c.whole, set, p.Workers)
 	for round := 0; round < corrRounds; round++ {
-		var ins, outs []topology.TaskID
-		for id := 0; id < n; id++ {
-			if cur.Has(topology.TaskID(id)) {
-				outs = append(outs, topology.TaskID(id))
-			} else {
-				ins = append(ins, topology.TaskID(id))
-			}
-		}
-		var moves []move
-		if cur.Size() < budget {
-			for _, in := range ins {
-				moves = append(moves, move{add: in, del: noTask})
-			}
-		}
-		for _, out := range outs {
-			for _, in := range ins {
-				moves = append(moves, move{add: in, del: out})
-			}
-		}
+		moves := corrMoves(cur, budget)
 		if len(moves) == 0 {
 			break
 		}
-		vals := par.Map(len(moves), p.Workers, func(i int) float64 {
-			probe := cur.Clone()
-			if moves[i].del != noTask {
-				probe.Remove(moves[i].del)
-			}
-			probe.Add(moves[i].add)
-			return c.CorrObjective(probe)
-		})
+		best, vals := cl.score(cur, moves)
 		bestMove := -1
 		for i, v := range vals {
 			if v > best {
@@ -250,4 +229,140 @@ func (p Corr) Plan(c *Context, budget int) (Plan, error) {
 		cur.Add(moves[bestMove].add)
 	}
 	return cur, nil
+}
+
+// corrMove is one hill-climbing move: replicate add and, unless del is
+// noTask, stop replicating del.
+type corrMove struct {
+	add, del topology.TaskID
+}
+
+const noTask = topology.TaskID(-1)
+
+// corrMoves enumerates the moves from cur in the climb's tie-break
+// order: every pure add while cur is under budget, then every 1-for-1
+// swap, by ascending removed and then added task ID.
+func corrMoves(cur Plan, budget int) []corrMove {
+	var ins, outs []topology.TaskID
+	for id := range cur.replicated {
+		if cur.Has(topology.TaskID(id)) {
+			outs = append(outs, topology.TaskID(id))
+		} else {
+			ins = append(ins, topology.TaskID(id))
+		}
+	}
+	var moves []corrMove
+	if cur.Size() < budget {
+		for _, in := range ins {
+			moves = append(moves, corrMove{add: in, del: noTask})
+		}
+	}
+	for _, out := range outs {
+		for _, in := range ins {
+			moves = append(moves, corrMove{add: in, del: out})
+		}
+	}
+	return moves
+}
+
+// corrClimb scores hill-climbing moves by their delta to the current
+// plan. A move changes a task's liveness only in the scenarios that
+// fail it (elsewhere the task is alive with or without a replica), and
+// there only the task's in-scope downstream cone can change. So each
+// round evaluates the current plan once per scenario, then rescores
+// every task's flip on the cached vectors of the scenarios that fail
+// it; a move's per-scenario OF is then the base, a flip, or — where a
+// swap's scenario fails both tasks — one rescoring of both cones. Every
+// value is bit-identical to CorrObjective of the moved plan: an
+// unchanged alive set gives the same vector, cones recomputed in
+// topological order on the base vector give the same vector as a full
+// pass (Scope.Extend relies on the same fact), and the OFs are folded
+// by the same expect.
+type corrClimb struct {
+	w       *Scope // the whole-topology scope
+	set     *ScenarioSet
+	workers int
+	// cones[t] is task t and every task downstream of it, in scope
+	// topological order.
+	cones [][]topology.TaskID
+}
+
+func newCorrClimb(w *Scope, set *ScenarioSet, workers int) *corrClimb {
+	cl := &corrClimb{w: w, set: set, workers: workers, cones: make([][]topology.TaskID, set.n)}
+	for t := range cl.cones {
+		cl.cones[t] = w.downstream([]topology.TaskID{topology.TaskID(t)})
+	}
+	return cl
+}
+
+// score returns CorrObjective(cur) and, for every move, CorrObjective
+// of cur with the move applied.
+func (cl *corrClimb) score(cur Plan, moves []corrMove) (float64, []float64) {
+	set, w, rep := cl.set, cl.w, cur.replicated
+	base := w.evalScenarios(set, rep, cl.workers)
+	// flips[t] holds each scenario's OF with task t's liveness flipped
+	// from cur: made alive if cur leaves it unreplicated, failed if cur
+	// replicates it. It is a pure add's per-scenario OFs, and a swap's
+	// in the scenarios that fail only one of its two tasks.
+	flips := par.Map(set.n, cl.workers, func(t int) []float64 {
+		ofs := append([]float64(nil), base.ofs...)
+		b := w.bufs.Get().(*evalBuf)
+		for i, f := range set.failed {
+			if f[t] {
+				ofs[i] = cl.rescore(b, base, rep, i, topology.TaskID(t), noTask)
+			}
+		}
+		w.bufs.Put(b)
+		return ofs
+	})
+	vals := par.Map(len(moves), cl.workers, func(k int) float64 {
+		a, d := moves[k].add, moves[k].del
+		if d == noTask {
+			return set.expect(func(i int) float64 { return flips[a][i] })
+		}
+		var b *evalBuf
+		v := set.expect(func(i int) float64 {
+			switch f := set.failed[i]; {
+			case f[a] && f[d]:
+				if b == nil {
+					b = w.bufs.Get().(*evalBuf)
+				}
+				return cl.rescore(b, base, rep, i, a, d)
+			case f[a]:
+				return flips[a][i]
+			case f[d]:
+				return flips[d][i]
+			}
+			return base.ofs[i]
+		})
+		if b != nil {
+			w.bufs.Put(b)
+		}
+		return v
+	})
+	return set.expect(func(i int) float64 { return base.ofs[i] }), vals
+}
+
+// rescore returns scenario i's OF after tasks a and d (d may be noTask),
+// which the scenario fails, flip liveness from the plan rep. On a copy
+// of the scenario's base vector it recomputes only the tasks' cones,
+// a's and then d's: a task below a but not below d has no input below
+// d, so it is final after a's pass, and d's pass then recomputes every
+// task below d from final inputs.
+func (cl *corrClimb) rescore(b *evalBuf, base corrBase, rep []bool, i int, a, d topology.TaskID) float64 {
+	f, w := cl.set.failed[i], cl.w
+	copy(b.vec, base.vecs[i])
+	cones := [2][]topology.TaskID{cl.cones[a]}
+	if d != noTask {
+		cones[1] = cl.cones[d]
+	}
+	for _, cone := range cones {
+		for _, id := range cone {
+			b.alive[id] = (!f[id] || rep[id]) != (id == a || id == d)
+		}
+	}
+	for _, cone := range cones {
+		w.compute(MetricOF, b.alive, b.vec, cone)
+	}
+	return w.objective(MetricOF, b.vec)
 }

@@ -2,9 +2,11 @@ package plan
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/randtopo"
 	"repro/internal/topology"
 )
 
@@ -71,9 +73,10 @@ func TestCorrObjectiveDefaultsToWorstCase(t *testing.T) {
 	}
 }
 
-// TestCorrObjectiveMemoParity pins the memoized evaluation: values with
-// the cache enabled equal the uncached computation, and the cache is
-// invalidated when the distribution changes.
+// TestCorrObjectiveMemoParity: CorrObjective is never memoized, so a
+// context with memoization on and one with it off agree, a repeated
+// call returns the same value, and a new distribution changes the
+// value.
 func TestCorrObjectiveMemoParity(t *testing.T) {
 	topo := corrChainTopo(t)
 	n := topo.NumTasks()
@@ -95,13 +98,13 @@ func TestCorrObjectiveMemoParity(t *testing.T) {
 		p := New(n)
 		p.AddAll(tasks)
 		a := memo.CorrObjective(p)
-		b := memo.CorrObjective(p) // memo hit
+		b := memo.CorrObjective(p)
 		c := raw.CorrObjective(p)
 		if a != b || a != c {
-			t.Fatalf("plan %v: memoized %v / hit %v / unmemoized %v differ", tasks, a, b, c)
+			t.Fatalf("plan %v: memoizing context %v / repeat %v / unmemoized context %v differ", tasks, a, b, c)
 		}
 	}
-	// A new distribution must not serve stale values.
+	// A new distribution changes the value.
 	full := New(n)
 	full.AddAll([]topology.TaskID{0, 1, 2, 3})
 	before := memo.CorrObjective(New(n))
@@ -113,7 +116,7 @@ func TestCorrObjectiveMemoParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := memo.CorrObjective(New(n)); got == before {
-		t.Fatalf("stale memo value %v survived SetScenarios", got)
+		t.Fatalf("value %v unchanged by SetScenarios", got)
 	}
 }
 
@@ -193,4 +196,136 @@ func TestCorrPlannerDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("plans differ across workers/memo: %v vs %v", base.Tasks(), alt.Tasks())
 		}
 	}
+}
+
+// specTopos returns the §VI-C random topologies of randtopo.DefaultSpec
+// seeds 1–count, every third with joins.
+func specTopos(t *testing.T, count int64) []*topology.Topology {
+	t.Helper()
+	var topos []*topology.Topology
+	for seed := int64(1); seed <= count; seed++ {
+		spec := randtopo.DefaultSpec(seed)
+		if seed%3 == 0 {
+			spec.JoinFraction = 0.5
+		}
+		topo, err := randtopo.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, topo)
+	}
+	return topos
+}
+
+// randomScenarioSet draws a failure distribution over n tasks: the
+// empty failure set, up to 12 random bursts that never fail one chosen
+// task (and, at low density, miss others too), and a repeat of one of
+// them, so the weights are unequal.
+func randomScenarioSet(t *testing.T, rng *rand.Rand, n int) *ScenarioSet {
+	t.Helper()
+	spared := topology.TaskID(rng.Intn(n))
+	density := []float64{0.05, 0.2, 0.5}[rng.Intn(3)]
+	sets := [][]topology.TaskID{{}}
+	for k := 1 + rng.Intn(12); k > 0; k-- {
+		var set []topology.TaskID
+		for id := topology.TaskID(0); int(id) < n; id++ {
+			if id != spared && rng.Float64() < density {
+				set = append(set, id)
+			}
+		}
+		sets = append(sets, set)
+	}
+	sets = append(sets, sets[rng.Intn(len(sets))])
+	s, err := NewScenarioSet(n, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCorrMoveScoresMatchObjective: the delta-scored climb values the
+// current plan and every move exactly as CorrObjective values the moved
+// plan (==), for the empty plan (pure adds) and random plans with one
+// task of slack (adds and swaps).
+func TestCorrMoveScoresMatchObjective(t *testing.T) {
+	for ti, topo := range specTopos(t, 40) {
+		rng := rand.New(rand.NewSource(int64(ti)))
+		n := topo.NumTasks()
+		s := randomScenarioSet(t, rng, n)
+		c := NewContext(topo)
+		if err := c.SetScenarios(s); err != nil {
+			t.Fatal(err)
+		}
+		cl := newCorrClimb(c.whole, s, 4)
+		for trial, cur := range []Plan{New(n), randomAlive(rng, n), randomAlive(rng, n)} {
+			moves := corrMoves(cur, cur.Size()+1)
+			got, vals := cl.score(cur, moves)
+			if want := c.CorrObjective(cur); got != want {
+				t.Fatalf("topo %d plan %d: base value %v, CorrObjective %v", ti, trial, got, want)
+			}
+			for k, m := range moves {
+				probe := cur.Clone()
+				if m.del != noTask {
+					probe.Remove(m.del)
+				}
+				probe.Add(m.add)
+				if want := c.CorrObjective(probe); vals[k] != want {
+					t.Fatalf("topo %d plan %d: move +%d -%d scored %v, CorrObjective %v", ti, trial, m.add, m.del, vals[k], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCorrPlanMatchesReference: Corr returns the reference climb's plan
+// (refCorrPlan, which scores every move with CorrObjective) for every
+// inner planner, at fractions 0.1, 0.3 and 0.6 and at 1, 2 and 8
+// workers; across the grid the climb must move some seed plan. The
+// reference is slow under the race detector, which then checks every
+// eighth topology.
+func TestCorrPlanMatchesReference(t *testing.T) {
+	moved, runs := 0, 0
+	for ti, topo := range specTopos(t, 40) {
+		if raceEnabled && ti%8 != 0 {
+			continue
+		}
+		rng := rand.New(rand.NewSource(int64(ti)))
+		n := topo.NumTasks()
+		c := NewContext(topo)
+		if err := c.SetScenarios(randomScenarioSet(t, rng, n)); err != nil {
+			t.Fatal(err)
+		}
+		for _, inner := range []Planner{SA{}, Greedy{}, Structured{}} {
+			for _, frac := range []float64{0.1, 0.3, 0.6} {
+				budget, err := Budget(n, frac)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refCorrPlan(Corr{Inner: inner}, c, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs++
+				if seed, err := inner.Plan(c, budget); err != nil {
+					t.Fatal(err)
+				} else if seed.Key() != want.Key() {
+					moved++
+				}
+				for _, workers := range []int{1, 2, 8} {
+					got, err := Corr{Inner: inner, Workers: workers}.Plan(c, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Tasks(), want.Tasks()) {
+						t.Fatalf("topo %d %s-corr fraction %v workers %d: plan %v, reference %v",
+							ti, inner.Name(), frac, workers, got.Tasks(), want.Tasks())
+					}
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the climb never moved a seed plan; the comparison is vacuous")
+	}
+	t.Logf("the climb moved %d of %d seed plans", moved, runs)
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/mctree"
-	"repro/internal/randtopo"
 	"repro/internal/topology"
 )
 
@@ -338,17 +337,8 @@ func TestTreeAliveImpliesOutput(t *testing.T) {
 // small random topologies covering every partitioning.
 func referenceTopos(t *testing.T) []*topology.Topology {
 	var topos []*topology.Topology
-	for seed := int64(1); seed <= 24; seed++ {
-		spec := randtopo.DefaultSpec(seed)
-		if seed%3 == 0 {
-			spec.JoinFraction = 0.5
-		}
-		topo, err := randtopo.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topos = append(topos, topo)
-		topos = append(topos, randomSmallTopo(rand.New(rand.NewSource(seed))))
+	for i, topo := range specTopos(t, 24) {
+		topos = append(topos, topo, randomSmallTopo(rand.New(rand.NewSource(int64(i+1)))))
 	}
 	return topos
 }

@@ -1,6 +1,9 @@
 package plan
 
-import "repro/internal/topology"
+import (
+	"repro/internal/par"
+	"repro/internal/topology"
+)
 
 // refOF is a reference of Output Fidelity written straight from §III:
 // it propagates ILout (Eqs. 1–3) under the failure set and folds the
@@ -77,4 +80,74 @@ func refIC(t *topology.Topology, failed []bool) float64 {
 		}
 	}
 	return clamp01(processed / normal)
+}
+
+// refCorrPlan is the reference of the Corr hill climb: every move is
+// scored by a full CorrObjective evaluation of the moved plan, with the
+// same enumeration order and tie-break as Corr.Plan.
+func refCorrPlan(p Corr, c *Context, budget int) (Plan, error) {
+	cur, err := p.Inner.Plan(c, budget)
+	if err != nil {
+		return Plan{}, err
+	}
+	if c.Scenarios() == nil {
+		return cur, nil
+	}
+	n := c.Topo.NumTasks()
+	if budget > n {
+		budget = n
+	}
+	best := c.CorrObjective(cur)
+	type move struct {
+		add topology.TaskID
+		del topology.TaskID // noTask for a pure add
+	}
+	const noTask = topology.TaskID(-1)
+	for round := 0; round < corrRounds; round++ {
+		var ins, outs []topology.TaskID
+		for id := 0; id < n; id++ {
+			if cur.Has(topology.TaskID(id)) {
+				outs = append(outs, topology.TaskID(id))
+			} else {
+				ins = append(ins, topology.TaskID(id))
+			}
+		}
+		var moves []move
+		if cur.Size() < budget {
+			for _, in := range ins {
+				moves = append(moves, move{add: in, del: noTask})
+			}
+		}
+		for _, out := range outs {
+			for _, in := range ins {
+				moves = append(moves, move{add: in, del: out})
+			}
+		}
+		if len(moves) == 0 {
+			break
+		}
+		vals := par.Map(len(moves), p.Workers, func(i int) float64 {
+			probe := cur.Clone()
+			if moves[i].del != noTask {
+				probe.Remove(moves[i].del)
+			}
+			probe.Add(moves[i].add)
+			return c.CorrObjective(probe)
+		})
+		bestMove := -1
+		for i, v := range vals {
+			if v > best {
+				best = v
+				bestMove = i
+			}
+		}
+		if bestMove < 0 {
+			break
+		}
+		if moves[bestMove].del != noTask {
+			cur.Remove(moves[bestMove].del)
+		}
+		cur.Add(moves[bestMove].add)
+	}
+	return cur, nil
 }

@@ -192,25 +192,11 @@ func (s *Scope) Eval(m Metric, p Plan) float64 {
 // eval computes the scoped objective of an alive set in full on a
 // recycled propagation vector, bypassing the memo (used by the memo
 // miss path, by brute force, whose 2^N distinct plans would only
-// pollute it, and by the single-failure and scenario evaluations).
+// pollute it, and by the single-failure vector).
 func (s *Scope) eval(m Metric, alive []bool) float64 {
 	b := s.bufs.Get().(*evalBuf)
 	s.compute(m, alive, b.vec, s.tasks)
 	v := s.objective(m, b.vec)
-	s.bufs.Put(b)
-	return v
-}
-
-// evalFailed computes the scoped OF when the tasks marked in failed are
-// down unless rep replicates them — one scenario of a correlated
-// failure distribution under a plan.
-func (s *Scope) evalFailed(failed, rep []bool) float64 {
-	b := s.bufs.Get().(*evalBuf)
-	for id, f := range failed {
-		b.alive[id] = !f || rep[id]
-	}
-	s.compute(MetricOF, b.alive, b.vec, s.tasks)
-	v := s.objective(MetricOF, b.vec)
 	s.bufs.Put(b)
 	return v
 }
@@ -240,10 +226,18 @@ func (s *Scope) Extend(m Metric, base Plan, ids []topology.TaskID) float64 {
 	b := s.bufs.Get().(*evalBuf)
 	vec := b.vec
 	copy(vec, s.baseVector(m, base))
-	// Dirty set: the added tasks and everything downstream of them
-	// within the scope, re-evaluated in scope topological order.
-	n := s.c.Topo.NumTasks()
-	dirty := make([]bool, n)
+	s.compute(m, probe.replicated, vec, s.downstream(ids))
+	v := s.objective(m, vec)
+	s.bufs.Put(b)
+	s.memoPut(m, key, v)
+	return v
+}
+
+// downstream returns the in-scope tasks among ids and every in-scope
+// task downstream of them, in scope topological order: the tasks whose
+// propagation entries can change when ids change liveness.
+func (s *Scope) downstream(ids []topology.TaskID) []topology.TaskID {
+	dirty := make([]bool, s.c.Topo.NumTasks())
 	nDirty := 0
 	queue := make([]topology.TaskID, 0, len(ids))
 	for _, id := range ids {
@@ -270,11 +264,7 @@ func (s *Scope) Extend(m Metric, base Plan, ids []topology.TaskID) float64 {
 			order = append(order, id)
 		}
 	}
-	s.compute(m, probe.replicated, vec, order)
-	v := s.objective(m, vec)
-	s.bufs.Put(b)
-	s.memoPut(m, key, v)
-	return v
+	return order
 }
 
 // baseVector returns the cached propagation vector of the base plan,
