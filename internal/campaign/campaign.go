@@ -31,8 +31,9 @@ type Config struct {
 	// the node IDs and failure-domain layout must be identical across
 	// calls so that scenario node sets stay meaningful. The source and
 	// operator factories must return equivalent fresh instances on
-	// every call, and operator Restore must reproduce a Snapshot —
-	// engine reuse resets engines onto their image through both.
+	// every call, and operator Restore must reproduce a Snapshot and
+	// replace the whole state — engine reuse resets engines onto their
+	// image, and recovery reuses incarnations, through Restore.
 	Setup func() (engine.Setup, error)
 	// Scenarios to execute, typically from Generate.
 	Scenarios []Scenario

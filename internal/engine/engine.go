@@ -42,13 +42,28 @@ type Engine struct {
 	tasks    []*taskRuntime // current primary incarnation per task
 	replicas []*taskRuntime // active replica per task (nil if none)
 	// prim and repl are the immortal runtime objects built at New:
-	// recovery may point tasks/replicas at fresh incarnations, but
+	// recovery may point tasks/replicas at new incarnations, but
 	// Reset always restores (and reuses) these originals.
 	prim []*taskRuntime
 	repl []*taskRuntime
+	// born lists the incarnations recovery started since the last
+	// Reset; Reset moves them to spare, by task ID, where the recoveries
+	// of later scenarios take their incarnations from (incarnation).
+	// No incarnation is reused within a scenario, so no stale event or
+	// closure can reach a recycled one.
+	born  []*taskRuntime
+	spare [][]*taskRuntime
+	// scratch holds, by task ID, the operator instance amendments are
+	// reprocessed on (nil until the task's first amendment); it is reset
+	// with Restore(nil) before every use.
+	scratch []OperatorFunc
 
 	master *master
-	store  []*checkpointData // latest checkpoint by task ID; nil before the first
+	// store holds the latest checkpoint of each task, by task ID (see
+	// checkpoint). Reset keeps every object, so a checkpoint recycles the
+	// queues, maps and state buffer of the task's previous one, in this
+	// run or an earlier one.
+	store []checkpointData
 	// senderIdx[from][slot] is task from's compact upstream index at its
 	// recipient in that slot. Every incarnation of either task has the
 	// same upstreams and slots, so New computes it once per edge.
@@ -86,28 +101,40 @@ type Engine struct {
 
 	// Hot-path object pools, all single-threaded like the simulation:
 	// staged-input tuple backings, batch-completion events, delivery
-	// events and checkpoint-trim notifications are recycled instead of
-	// allocated per event.
+	// events, checkpoint-trim notifications and amendment completions
+	// are recycled instead of allocated per event; Reset returns the
+	// events still pending to their pools.
 	tuples    tuplePool
 	procFree  []*procEvent
 	delivFree []*deliveryEvent
 	trimFree  []*trimEvent
+	amendFree []*amendEvent
 }
 
 // checkpointData is one stored checkpoint: computation state plus the
 // output buffer (§II-B), the tentative marks of the buffered batches
 // and the record of still-owed (fabricated) inputs, so a restored task
 // keeps accepting the late corrections of batches it closed tentative
-// before the snapshot. The object (and its queues, maps and state
-// buffer) is recycled in place when the task's next checkpoint replaces
-// it.
+// before the snapshot. taken is unset until the task's first
+// checkpoint. The object (and its queues, maps and state buffer) is
+// recycled in place when the task's next checkpoint replaces it.
 type checkpointData struct {
+	taken   bool
 	batch   int
 	state   []byte
 	outBuf  []replayQueue // by recipient slot, as taskRuntime.outBuf
 	tentOut map[int]bool
-	missIn  map[int]map[topology.TaskID]bool
+	missIn  owedSet
 	bytes   int // charged size: len(state) + tupleBytes × (counted + buffered tuples)
+}
+
+// checkpoint returns task id's latest checkpoint, or nil before its
+// first.
+func (e *Engine) checkpoint(id topology.TaskID) *checkpointData {
+	if ck := &e.store[id]; ck.taken {
+		return ck
+	}
+	return nil
 }
 
 // tupleBytes is the modelled checkpoint footprint of one tuple, charged
@@ -178,7 +205,9 @@ func New(s Setup) (*Engine, error) {
 		}
 		copy(e.strategy, s.Strategies)
 	}
-	e.store = make([]*checkpointData, n)
+	e.store = make([]checkpointData, n)
+	e.spare = make([][]*taskRuntime, n)
+	e.scratch = make([]OperatorFunc, n)
 	e.sinkAcct = make([][]sinkBatchAcct, n)
 	e.tasks = make([]*taskRuntime, n)
 	e.replicas = make([]*taskRuntime, n)
@@ -316,6 +345,51 @@ func (e *Engine) putProcEvent(pe *procEvent) {
 	e.procFree = append(e.procFree, pe)
 }
 
+func (e *Engine) getAmendEvent() *amendEvent {
+	if n := len(e.amendFree); n > 0 {
+		ae := e.amendFree[n-1]
+		e.amendFree[n-1] = nil
+		e.amendFree = e.amendFree[:n-1]
+		return ae
+	}
+	return &amendEvent{}
+}
+
+func (e *Engine) putAmendEvent(ae *amendEvent) {
+	ae.rt, ae.delta = nil, Batch{}
+	e.amendFree = append(e.amendFree, ae)
+}
+
+// scratchOp returns task id's scratch operator for amendments (see
+// Engine.scratch), reset to its initial state.
+func (e *Engine) scratchOp(id topology.TaskID) OperatorFunc {
+	op := e.scratch[id]
+	if op == nil {
+		op = e.operators[e.topo.Tasks[id].Op](e.topo.Tasks[id].Index)
+		e.scratch[id] = op
+	}
+	// Restore(nil) resets the operator to its initial state.
+	_ = op.Restore(nil)
+	return op
+}
+
+// incarnation returns a new primary incarnation of task id for
+// recovery: a spare one, re-initialised, or a new one when the task
+// has no spare left.
+func (e *Engine) incarnation(id topology.TaskID) *taskRuntime {
+	var rt *taskRuntime
+	if s := e.spare[id]; len(s) > 0 {
+		rt = s[len(s)-1]
+		s[len(s)-1] = nil
+		e.spare[id] = s[:len(s)-1]
+		rt.reinit(false)
+	} else {
+		rt = newTaskRuntime(e, id, false)
+	}
+	e.born = append(e.born, rt)
+	return rt
+}
+
 // Run advances the simulation to the given virtual time, driving source
 // batches, heartbeats, checkpoints and replica trims. Run may be called
 // repeatedly with increasing times.
@@ -411,18 +485,15 @@ func (a *replicaAck) Run() {
 // takeCheckpoint snapshots one task's state and output buffer, charges
 // the save cost, stores the checkpoint on the standby store and asks the
 // upstream tasks to trim their output buffers (§II-B, §V-B). The task's
-// previous checkpointData (queues, maps and state buffer) is recycled in
-// place: once replaced it can never be restored again.
+// checkpointData (queues, maps and state buffer) is recycled in place:
+// once replaced a checkpoint can never be restored again.
 func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	rt := e.tasks[id]
 	if rt == nil || rt.failed {
 		return
 	}
-	ck := e.store[id]
-	if ck == nil {
-		ck = newCheckpointData()
-		e.store[id] = ck
-	}
+	ck := &e.store[id]
+	ck.taken = true
 	var counted int
 	ck.state, counted = rt.snapshotState(ck.state[:0])
 	bytes := len(ck.state) + counted*tupleBytes
@@ -430,21 +501,9 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	for s := range rt.outBuf {
 		bytes += rt.outBuf[s].count() * tupleBytes // buffered tuples are part of the checkpoint payload
 	}
-	clear(ck.tentOut)
-	for b, t := range rt.tentOut {
-		ck.tentOut[b] = t
-	}
-	clear(ck.missIn)
-	for b, owed := range rt.missIn {
-		if b >= rt.nextBatch {
-			continue // open batches are re-staged from scratch on restore
-		}
-		m := make(map[topology.TaskID]bool, len(owed))
-		for u, v := range owed {
-			m[u] = v
-		}
-		ck.missIn[b] = m
-	}
+	ck.tentOut = copyMarks(ck.tentOut, rt.tentOut)
+	// Open batches are re-staged from scratch on restore.
+	ck.missIn.copyBelow(&rt.missIn, rt.nextBatch)
 	ck.batch = rt.nextBatch - 1
 	ck.bytes = bytes
 	cost := checkpointFixed + sim.Time(float64(bytes)/checkpointByteRate)

@@ -3,10 +3,10 @@ package engine
 import (
 	"errors"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // This file holds the engine's image: the state Mark records at the
@@ -32,7 +32,7 @@ type image struct {
 	events []sim.Event // pooled runners point at private copies
 	prim   []taskImage // by task ID
 	repl   []taskImage // by task ID; zero where the task has no replica
-	store  []*checkpointData
+	store  []checkpointData
 
 	sinks        []SinkRecord
 	sinkAcct     [][]sinkBatchAcct
@@ -93,7 +93,7 @@ func (e *Engine) mark() {
 		now:          e.clock.Now(),
 		prim:         make([]taskImage, len(e.prim)),
 		repl:         make([]taskImage, len(e.repl)),
-		store:        make([]*checkpointData, len(e.store)),
+		store:        make([]checkpointData, len(e.store)),
 		sinks:        slices.Clone(e.sinks),
 		sinkAcct:     make([][]sinkBatchAcct, len(e.sinkAcct)),
 		currentBatch: e.currentBatch,
@@ -122,31 +122,32 @@ func (e *Engine) mark() {
 		}
 		img.sinkAcct[id] = slices.Clone(e.sinkAcct[id])
 	}
-	for id, ck := range e.store {
-		if ck != nil {
-			img.store[id] = newCheckpointData()
-			img.store[id].copyFrom(ck)
-		}
+	for id := range e.store {
+		img.store[id].copyFrom(&e.store[id])
 	}
 	e.img = img
 }
 
 // Reset returns the engine to the state the last Mark recorded, or to
-// its initial state at time zero when Mark was never called, reusing
-// the routing, buffers and pools built by New. Every runtime gets fresh
-// operator/source instances from the factories, loaded with the
-// recorded operator state; failures, recoveries and sink output since
-// the mark are dropped, and the cluster's failure flags are cleared
-// (placement is kept). A reset engine runs bit-identically to a freshly
-// constructed one driven to the marked instant, so Monte-Carlo
-// campaigns reuse one engine per worker instead of rebuilding the
-// environment per scenario. Reset assumes the Setup's factories return
-// equivalent fresh instances on every call and that Restore reproduces
-// a Snapshot — the properties a fresh Setup per scenario and checkpoint
-// recovery already rely on.
+// its initial state at time zero when Mark was never called. It reuses
+// what the engine built or grew: the routing, buffers and pools, every
+// checkpoint object, and every runtime's operator and source instance.
+// Each operator is loaded with the recorded state through Restore; a
+// source is kept as it is, since its batches are a function of the
+// batch number. Failures, recoveries and sink output since the mark
+// are dropped, and the cluster's failure flags are cleared (placement
+// is kept). The incarnations recovery started since the last Reset
+// become spares for later recoveries, and the pooled events still
+// pending go back to their pools. A reset engine runs bit-identically
+// to a freshly constructed one driven to the marked instant, so
+// Monte-Carlo campaigns reuse one engine per worker instead of
+// rebuilding the environment per scenario. Reset relies on Restore
+// replacing an operator's whole state (see OperatorFunc), as
+// checkpoint recovery does.
 func (e *Engine) Reset() {
 	img := &e.img
 	e.clus.Reset()
+	e.recycle()
 	evs := append(e.evs[:0], img.events...)
 	for i := range evs {
 		switch r := evs[i].Run.(type) {
@@ -178,21 +179,39 @@ func (e *Engine) Reset() {
 			rep.restore(&img.repl[id])
 		}
 		e.sinkAcct[id] = append(e.sinkAcct[id][:0], img.sinkAcct[id]...)
+		e.store[id].copyFrom(&img.store[id])
 	}
 	e.master.reset()
-	for id, src := range img.store {
-		if src == nil {
-			e.store[id] = nil
-			continue
-		}
-		if e.store[id] == nil {
-			e.store[id] = newCheckpointData()
-		}
-		e.store[id].copyFrom(src)
-	}
 	e.sinks = append(e.sinks[:0], img.sinks...)
 	e.currentBatch = img.currentBatch
 	e.failing, e.lastFailure, e.spliced = false, 0, nil
+}
+
+// recycle keeps what the run since the last Reset leaves behind for
+// reuse: the pooled events still pending on the clock go back to their
+// pools, and the incarnations recovery started become spares.
+func (e *Engine) recycle() {
+	pend, _ := e.clock.AppendPending(e.pend[:0])
+	for _, ev := range pend {
+		switch r := ev.Run.(type) {
+		case *deliveryEvent:
+			r.content = Batch{}
+			e.delivFree = append(e.delivFree, r)
+		case *procEvent:
+			e.putProcEvent(r)
+		case *trimEvent:
+			e.trimFree = append(e.trimFree, r)
+		case *amendEvent:
+			e.putAmendEvent(r)
+		}
+	}
+	clear(pend)
+	e.pend = pend[:0]
+	for _, rt := range e.born {
+		e.spare[rt.id] = append(e.spare[rt.id], rt)
+	}
+	clear(e.born)
+	e.born = e.born[:0]
 }
 
 // mark records the runtime's state.
@@ -222,33 +241,26 @@ func (rt *taskRuntime) mark() taskImage {
 	return im
 }
 
-// restore returns the runtime to a recorded state: a fresh operator or
-// source instance loaded with the recorded operator state, the way a
-// checkpoint restore loads it, and the recorded open batches, buffers
-// and counters. A recorded state is failure-free, so the owed-input and
-// tentative marks are empty.
+// restore returns the runtime to a recorded state: reinit, then the
+// recorded operator state loaded into the runtime's own operator the
+// way a checkpoint restore loads it, and the recorded open batches,
+// buffers and counters. A recorded state is failure-free, so the
+// owed-input and tentative marks stay empty.
 func (rt *taskRuntime) restore(im *taskImage) {
 	e := rt.eng
-	rt.isReplica = im.isReplica
-	rt.failed, rt.recovering, rt.promoted = false, false, false
+	rt.reinit(im.isReplica)
 	rt.epoch = im.epoch
 	rt.procScheduled = im.procScheduled
 	rt.busyUntil = im.busyUntil
 	rt.nextBatch, rt.ackBatch = im.nextBatch, im.ackBatch
 	rt.procCPU, rt.ckptCPU = im.procCPU, im.ckptCPU
-	rt.sinkOut = rt.sinkOut[:0]
-	rt.sinkCount = 0
-	clear(rt.emitBuf)
-	clear(rt.missIn)
-	clear(rt.tentOut)
 	rt.outBuf = copyQueues(rt.outBuf, im.outBuf)
 	copy(rt.ckptBound, im.ckptBound)
 	copy(rt.tupleProgress, im.tupleProgress)
-	rt.win.resetTo(im.winBase, &e.tuples)
+	rt.win.base = im.winBase
 	for i := range im.recs {
 		rt.win.load(&im.recs[i], &e.tuples)
 	}
-	rt.instantiate()
 	if !rt.isSource {
 		if err := rt.udf.Restore(im.state); err != nil {
 			panic("engine: restoring a marked operator state failed: " + err.Error())
@@ -256,23 +268,29 @@ func (rt *taskRuntime) restore(im *taskImage) {
 	}
 }
 
-func newCheckpointData() *checkpointData {
-	return &checkpointData{
-		tentOut: make(map[int]bool),
-		missIn:  make(map[int]map[topology.TaskID]bool),
-	}
-}
-
 // copyFrom overwrites the checkpoint with a copy of src, recycling its
-// queues, maps and state buffer in place like takeCheckpoint does.
+// queues, maps and state buffer in place like takeCheckpoint does. A
+// src that holds no checkpoint leaves them as they are: only taken is
+// copied.
 func (ck *checkpointData) copyFrom(src *checkpointData) {
+	ck.taken = src.taken
+	if !src.taken {
+		return
+	}
 	ck.batch, ck.bytes = src.batch, src.bytes
 	ck.state = append(ck.state[:0], src.state...)
 	ck.outBuf = copyQueues(ck.outBuf, src.outBuf)
-	clear(ck.tentOut)
-	maps.Copy(ck.tentOut, src.tentOut)
-	clear(ck.missIn)
-	for b, owed := range src.missIn {
-		ck.missIn[b] = maps.Clone(owed)
+	ck.tentOut = copyMarks(ck.tentOut, src.tentOut)
+	ck.missIn.copyBelow(&src.missIn, math.MaxInt)
+}
+
+// copyMarks overwrites dst with the tentative marks of src and returns
+// it, allocating dst on first use.
+func copyMarks(dst, src map[int]bool) map[int]bool {
+	if dst == nil {
+		dst = make(map[int]bool, len(src))
 	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }

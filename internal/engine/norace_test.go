@@ -1,0 +1,7 @@
+//go:build !race
+
+package engine_test
+
+// raceEnabled reports that the race detector is on; the recycled
+// incarnation grid then runs its -short subset.
+const raceEnabled = false

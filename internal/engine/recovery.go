@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/sim"
@@ -35,13 +36,22 @@ func (r RecoveryStat) Latency() sim.Time {
 // of batch-over punctuations for tentative outputs (§V-A, §V-B).
 type master struct {
 	eng *Engine
-	// failures tracked per task
-	pending map[topology.TaskID]*failure
+	// fails holds each task's tracked failure, by task ID; pending lists
+	// the tasks that have one, sorted. The loops over pending (heartbeat,
+	// fabricate) only schedule events: nothing they call tracks or ends
+	// a failure while they run.
+	fails   []failure
+	pending []topology.TaskID
 	done    []RecoveryStat
+	// installs holds each task's checkpoint install event, by task ID: a
+	// task has at most one install pending, since it gets no new
+	// incarnation, and so cannot fail again, before its install ends.
+	installs []installEvent
 }
 
 type failure struct {
-	stat RecoveryStat
+	tracked bool
+	stat    RecoveryStat
 	// preFailProgress is the progress vector captured at failure time
 	// (the batch index, which under the batch discipline determines the
 	// per-input-stream tuple sequence numbers).
@@ -50,19 +60,31 @@ type failure struct {
 }
 
 func newMaster(e *Engine) *master {
-	return &master{eng: e, pending: make(map[topology.TaskID]*failure)}
+	n := e.topo.NumTasks()
+	m := &master{eng: e, fails: make([]failure, n), installs: make([]installEvent, n)}
+	for id := range m.installs {
+		m.installs[id] = installEvent{m: m, id: topology.TaskID(id)}
+	}
+	return m
 }
 
 // reset clears all failure bookkeeping (Engine.Reset).
 func (m *master) reset() {
-	clear(m.pending)
+	for _, id := range m.pending {
+		m.fails[id] = failure{}
+	}
+	m.pending = m.pending[:0]
 	m.done = m.done[:0]
 }
 
 // onFailure captures the failed task's progress; detection happens at
-// the next heartbeat.
+// the next heartbeat. It replaces a failure the task still tracks.
 func (m *master) onFailure(id topology.TaskID, rt *taskRuntime) {
-	m.pending[id] = &failure{
+	if i, found := slices.BinarySearch(m.pending, id); !found {
+		m.pending = slices.Insert(m.pending, i, id)
+	}
+	m.fails[id] = failure{
+		tracked: true,
 		stat: RecoveryStat{
 			Task:     id,
 			Strategy: m.eng.strategy[id],
@@ -75,62 +97,48 @@ func (m *master) onFailure(id topology.TaskID, rt *taskRuntime) {
 // heartbeat detects failed tasks and starts their recovery.
 func (m *master) heartbeat() {
 	now := m.eng.clock.Now()
-	for _, id := range m.pendingIDs() {
-		f := m.pending[id]
+	for _, id := range m.pending {
+		f := &m.fails[id]
 		if f.detected {
 			continue
 		}
 		f.detected = true
 		f.stat.DetectedAt = now
-		m.recover(id, f)
+		m.recover(id)
 	}
-}
-
-// pendingIDs returns the tasks with a tracked failure, sorted; nil (and
-// no allocation) on the failure-free path every batch tick takes.
-func (m *master) pendingIDs() []topology.TaskID {
-	if len(m.pending) == 0 {
-		return nil
-	}
-	ids := make([]topology.TaskID, 0, len(m.pending))
-	for id := range m.pending {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	return ids
 }
 
 // recover dispatches on the task's fault-tolerance strategy.
-func (m *master) recover(id topology.TaskID, f *failure) {
+func (m *master) recover(id topology.TaskID) {
 	switch m.eng.strategy[id] {
 	case StrategyActive:
-		m.recoverActive(id, f)
+		m.recoverActive(id)
 	case StrategySourceReplay:
-		m.recoverSourceReplay(id, f)
+		m.recoverSourceReplay(id)
 	case StrategyNone:
 		// Unrecoverable within the experiment horizon: fabrication
 		// continues, the task stays down.
 	default:
-		m.recoverCheckpoint(id, f)
+		m.recoverCheckpoint(id)
 	}
 }
 
 // recoverActive promotes the task's replica: outputs on, buffered output
 // resent to the downstream tasks (which deduplicate by batch), §V-B.
-func (m *master) recoverActive(id topology.TaskID, f *failure) {
+func (m *master) recoverActive(id topology.TaskID) {
 	e := m.eng
 	rep := e.replicas[id]
 	if rep == nil || rep.failed {
 		// No usable replica (not planned, or standby failed): fall back
 		// to checkpoint recovery.
-		m.recoverCheckpoint(id, f)
+		m.recoverCheckpoint(id)
 		return
 	}
 	e.clock.After(replicaActivateCost, func() {
 		if rep.failed {
 			// The standby failed during the activation: fall back to
 			// checkpoint recovery, as detection does.
-			m.recoverCheckpoint(id, f)
+			m.recoverCheckpoint(id)
 			return
 		}
 		rep.isReplica = false
@@ -177,9 +185,9 @@ func (m *master) recoverActive(id topology.TaskID, f *failure) {
 // recoverCheckpoint restores the task from its latest checkpoint on a
 // standby node and replays the upstream output buffers (§V-B Passive
 // Replication).
-func (m *master) recoverCheckpoint(id topology.TaskID, f *failure) {
+func (m *master) recoverCheckpoint(id topology.TaskID) {
 	e := m.eng
-	ck := e.store[id]
+	ck := e.checkpoint(id)
 	var restoreCost sim.Time
 	if ck != nil {
 		restoreCost = restoreFixed + sim.Time(float64(ck.bytes)/restoreByteRate)
@@ -187,8 +195,22 @@ func (m *master) recoverCheckpoint(id topology.TaskID, f *failure) {
 		// No checkpoint yet: cold restart reprocesses from batch 0.
 		restoreCost = restoreFixed
 	}
-	e.clock.After(restoreCost, func() { m.installCheckpoint(id, ck) })
+	ie := &m.installs[id]
+	ie.ck = ck
+	e.clock.AfterRun(restoreCost, ie)
 }
+
+// installEvent ends a task's checkpoint restore, and then polls until
+// the install can go ahead (installCheckpoint). ck is the checkpoint
+// restored, nil for a cold restart.
+type installEvent struct {
+	m  *master
+	id topology.TaskID
+	ck *checkpointData
+}
+
+// Run implements sim.Runner.
+func (ie *installEvent) Run() { ie.m.installCheckpoint(ie) }
 
 // installCheckpoint finishes a checkpoint recovery once the paper's
 // synchronisation condition holds (§V-B): "if a task and its upstream
@@ -198,19 +220,20 @@ func (m *master) recoverCheckpoint(id topology.TaskID, f *failure) {
 // processing progress". Under a correlated failure this serialises the
 // recovery waves level by level — the main reason checkpoint recovery
 // of a correlated failure is so much slower than of a single failure.
-func (m *master) installCheckpoint(id topology.TaskID, ck *checkpointData) {
+func (m *master) installCheckpoint(ie *installEvent) {
 	e := m.eng
-	for _, u := range e.topo.UpstreamTasks(id) {
+	id, ck := ie.id, ie.ck
+	for _, u := range e.prim[id].upstreams {
 		urt := e.tasks[u]
 		if urt == nil || urt.failed || urt.recovering {
 			// An upstream peer is still failed or catching up: poll
 			// until it has recovered (the §V-B synchronisation).
-			e.clock.After(e.cfg.recoveryPoll(), func() { m.installCheckpoint(id, ck) })
+			e.clock.AfterRun(e.cfg.recoveryPoll(), ie)
 			return
 		}
 	}
 
-	rt := newTaskRuntime(e, id, false)
+	rt := e.incarnation(id)
 	rt.recovering = true
 	if ck != nil {
 		if rt.isSource {
@@ -227,16 +250,8 @@ func (m *master) installCheckpoint(id topology.TaskID, ck *checkpointData) {
 		}
 		rt.rebase(rt.nextBatch)
 		rt.outBuf = copyQueues(rt.outBuf, ck.outBuf)
-		for b, t := range ck.tentOut {
-			rt.tentOut[b] = t
-		}
-		for b, owed := range ck.missIn {
-			for u, v := range owed {
-				if v {
-					markIn(rt.missIn, b, u)
-				}
-			}
-		}
+		rt.tentOut = copyMarks(rt.tentOut, ck.tentOut)
+		rt.missIn.copyBelow(&ck.missIn, math.MaxInt)
 	}
 	e.tasks[id] = rt
 	rt.busyUntil = e.clock.Now()
@@ -262,7 +277,7 @@ func (m *master) installCheckpoint(id topology.TaskID, ck *checkpointData) {
 // windows through the whole upstream topology (§VI-A). Live ancestor
 // tasks rewind and rebuild their states by reprocessing; their duplicate
 // outputs toward non-rewound tasks are dropped by batch deduplication.
-func (m *master) recoverSourceReplay(id topology.TaskID, f *failure) {
+func (m *master) recoverSourceReplay(id topology.TaskID) {
 	e := m.eng
 	replayFrom := e.currentBatch - e.cfg.WindowBatches
 	if replayFrom < 0 {
@@ -283,8 +298,8 @@ func (m *master) recoverSourceReplay(id topology.TaskID, f *failure) {
 				art.resetTo(replayFrom)
 			}
 		}
-		// Fresh incarnation of the failed task.
-		rt := newTaskRuntime(e, id, false)
+		// A new incarnation of the failed task.
+		rt := e.incarnation(id)
 		rt.recovering = true
 		rt.rebase(replayFrom)
 		if rt.isSource {
@@ -333,8 +348,8 @@ func (m *master) ancestors(id topology.TaskID) []topology.TaskID {
 // checkRecovered marks the task recovered once its current incarnation
 // has reached the pre-failure progress.
 func (m *master) checkRecovered(rt *taskRuntime) {
-	f, ok := m.pending[rt.id]
-	if !ok || !f.detected {
+	f := &m.fails[rt.id]
+	if !f.tracked || !f.detected {
 		return
 	}
 	if rt.nextBatch-1 < f.preFailProgress {
@@ -345,14 +360,13 @@ func (m *master) checkRecovered(rt *taskRuntime) {
 	f.stat.Recovered = true
 	rt.recovering = false
 	m.done = append(m.done, f.stat)
-	delete(m.pending, rt.id)
+	*f = failure{}
+	i, _ := slices.BinarySearch(m.pending, rt.id)
+	m.pending = slices.Delete(m.pending, i, i+1)
 }
 
 // isDone reports whether the task's failure has been fully recovered.
-func (m *master) isDone(id topology.TaskID) bool {
-	_, pending := m.pending[id]
-	return !pending
-}
+func (m *master) isDone(id topology.TaskID) bool { return !m.fails[id].tracked }
 
 // fabricate delivers batch-over punctuations on behalf of failed or
 // still-recovering tasks so their downstream tasks keep producing
@@ -367,29 +381,28 @@ func (m *master) fabricate() {
 		return
 	}
 	fab := delivery{punct: true, tent: true, fab: true}
-	for _, id := range m.pendingIDs() {
-		f := m.pending[id]
-		if !f.detected {
+	for _, id := range m.pending {
+		if !m.fails[id].detected {
 			continue
 		}
-		downs := e.topo.DownstreamTasks(id)
-		sortIDs(downs)
-		for _, d := range downs {
-			for _, drt := range []*taskRuntime{e.tasks[d], e.replicas[d]} {
-				if drt == nil || drt.failed {
-					continue
-				}
-				ui, ok := drt.upIdx(id)
-				if !ok {
-					continue
-				}
-				for b := drt.nextBatch; b <= e.currentBatch; b++ {
-					if drt.hasPunct(b, ui) {
-						continue
-					}
-					drt.receive(ui, b, Batch{}, fab)
-				}
-			}
+		for _, d := range e.prim[id].downs {
+			ui := e.senderIdx[id][d.slot]
+			m.fabricateFor(e.tasks[d.id], ui, fab)
+			m.fabricateFor(e.replicas[d.id], ui, fab)
+		}
+	}
+}
+
+// fabricateFor delivers the fabricated punctuations the downstream
+// runtime drt still misses from its upstream ui, up to the current
+// batch.
+func (m *master) fabricateFor(drt *taskRuntime, ui int32, fab delivery) {
+	if drt == nil || drt.failed {
+		return
+	}
+	for b := drt.nextBatch; b <= m.eng.currentBatch; b++ {
+		if !drt.hasPunct(b, ui) {
+			drt.receive(ui, b, Batch{}, fab)
 		}
 	}
 }
@@ -399,8 +412,8 @@ func (m *master) fabricate() {
 // failures in order.
 func (m *master) stats() []RecoveryStat {
 	out := append([]RecoveryStat(nil), m.done...)
-	for _, f := range m.pending {
-		out = append(out, f.stat)
+	for _, id := range m.pending {
+		out = append(out, m.fails[id].stat)
 	}
 	slices.SortStableFunc(out, func(a, b RecoveryStat) int { return cmp.Compare(a.Task, b.Task) })
 	return out

@@ -73,6 +73,12 @@ func (q *replayQueue) trim(upTo int) {
 	q.first += k
 }
 
+// reset empties the queue, keeping its backing array.
+func (q *replayQueue) reset() {
+	clear(q.items)
+	q.first, q.items = 0, q.items[:0]
+}
+
 // count returns the summed tuple count of the held batches: the volume
 // a checkpoint of the buffer is charged for.
 func (q *replayQueue) count() int {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -213,4 +214,65 @@ func rewindFingerprint(e *Engine) string {
 	}
 	return fmt.Sprintf("sink=%d progress=%v buffered=%v cpu=%v recovery=%v",
 		e.SinkTupleCount(), progress, buffered, cpu, rec)
+}
+
+// TestOwedSetMatchesMap drives an owedSet and a map reference of
+// batch → owing upstreams with the same random adds (in any batch
+// order), settles, drops and copies, over 70 upstreams so a row spans
+// two bitset words, and requires the same debts after every step: every
+// batch that owes something listed once, in ascending order.
+func TestOwedSetMatchesMap(t *testing.T) {
+	const nup, batches, steps = 70, 24, 4000
+	rng := rand.New(rand.NewSource(1))
+	s, ref := newOwedSet(nup), map[int]map[int32]bool{}
+	for step := 0; step < steps; step++ {
+		b := rng.Intn(batches)
+		switch op := rng.Intn(10); {
+		case op < 4:
+			miss := newUbits(nup)
+			for k := rng.Intn(3) + 1; k > 0; k-- {
+				ui := rng.Intn(nup)
+				miss.set(ui)
+				if ref[b] == nil {
+					ref[b] = map[int32]bool{}
+				}
+				ref[b][int32(ui)] = true
+			}
+			s.add(b, miss)
+		case op < 8:
+			ui := int32(rng.Intn(nup))
+			if owed := ref[b]; len(owed) > 0 && rng.Intn(2) == 0 {
+				ui = nup
+				for u := range owed {
+					ui = min(ui, u) // an upstream the batch owes
+				}
+			}
+			s.settle(b, ui)
+			if delete(ref[b], ui); len(ref[b]) == 0 {
+				delete(ref, b)
+			}
+		case op < 9:
+			s.dropFrom(b)
+			maps.DeleteFunc(ref, func(k int, _ map[int32]bool) bool { return k >= b })
+		default:
+			var c owedSet
+			c.copyBelow(&s, b)
+			s = owedSet{}
+			s.copyBelow(&c, math.MaxInt)
+			maps.DeleteFunc(ref, func(k int, _ map[int32]bool) bool { return k >= b })
+		}
+		if !slices.IsSorted(s.batches) || len(s.bits) != len(s.batches)*s.words {
+			t.Fatalf("step %d: batches %v with %d words of bits", step, s.batches, len(s.bits))
+		}
+		if len(s.batches) != len(ref) {
+			t.Fatalf("step %d: set lists batches %v, reference %d batches", step, s.batches, len(ref))
+		}
+		for i, sb := range s.batches {
+			for ui := int32(0); ui < nup; ui++ {
+				if got, want := s.row(i).test(int(ui)), ref[sb][ui]; got != want || s.owes(sb, ui) != want {
+					t.Fatalf("step %d: batch %d owes upstream %d: %v, reference %v", step, sb, ui, got, want)
+				}
+			}
+		}
+	}
 }

@@ -336,9 +336,9 @@ const (
 // order is what decides same-instant ties, and events scheduled later
 // are numbered after all of them in any run. Replica acks, and the
 // completions of replicas and of stale incarnations, act on no primary
-// and are left out. ok is false when a one-off closure (a failure, an
-// activation, a restore, a poll, an amendment) is pending or a
-// delivery carries materialised tuples.
+// and are left out. ok is false when a one-off event (a failure, an
+// activation, a checkpoint install or its poll, an amendment) is
+// pending or a delivery carries materialised tuples.
 func (e *Engine) encodeEvents(buf []byte) ([]byte, bool) {
 	evs, _ := e.clock.AppendPending(e.pend[:0])
 	slices.SortFunc(evs, func(a, b sim.Event) int {

@@ -86,8 +86,9 @@ func (o *WindowCountOp) Snapshot(buf []byte) ([]byte, int) {
 }
 
 // Restore implements OperatorFunc; Restore(nil) resets to initial state.
+// The window's backing array is reused.
 func (o *WindowCountOp) Restore(data []byte) error {
-	o.window = nil
+	o.window = o.window[:0]
 	o.seen = 0
 	o.acc = 0
 	if data == nil {
@@ -101,7 +102,7 @@ func (o *WindowCountOp) Restore(data []byte) error {
 	if n < 0 || n > (len(data)-16)/8 {
 		return fmt.Errorf("engine: window snapshot truncated")
 	}
-	o.window = make([]int, n)
+	o.window = slices.Grow(o.window, n)[:n]
 	for i := range o.window {
 		o.window[i] = int(binary.LittleEndian.Uint64(data[16+8*i:]))
 	}

@@ -49,9 +49,11 @@ type delivery struct {
 }
 
 // taskRuntime is one incarnation of a task (primary or active replica).
-// A task that fails and recovers gets a fresh incarnation; stale events
+// A task that fails and recovers gets a new incarnation; stale events
 // of the old incarnation are fenced by the failed flag and the epoch
-// counter.
+// counter. The incarnations recovery starts are recycled: Reset keeps
+// them as spares, and a later scenario's recovery re-initialises one
+// (reinit) instead of building it (Engine.incarnation).
 type taskRuntime struct {
 	eng       *Engine
 	id        topology.TaskID
@@ -93,7 +95,7 @@ type taskRuntime struct {
 	// when a batch closes tentative, surviving the close so that the
 	// recovered upstream's late real data can be matched and reprocessed
 	// as an amendment.
-	missIn map[int]map[topology.TaskID]bool
+	missIn owedSet
 	// tentOut marks the batches this incarnation closed (and emitted)
 	// tentative. Amendments are only accepted for batches in tentOut,
 	// and replayed buffered output re-delivers the taint.
@@ -142,8 +144,6 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 		opIdx:     task.Op,
 		taskIndex: task.Index,
 		isSource:  t.IsSource(task.Op),
-		isReplica: isReplica,
-		missIn:    make(map[int]map[topology.TaskID]bool),
 		tentOut:   make(map[int]bool),
 	}
 	for _, in := range t.InputsOf(id) {
@@ -160,6 +160,7 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 		}
 	}
 	rt.win.init(len(rt.upstreams))
+	rt.missIn = newOwedSet(len(rt.upstreams))
 
 	// Group outgoing substreams into per-operator routes.
 	byOp := map[int]*route{}
@@ -192,28 +193,46 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	rt.emitBuf = make([]Batch, nrec)
 	rt.outBuf = make([]replayQueue, nrec)
 	rt.ckptBound = make([]int, nrec)
-	for i := range rt.ckptBound {
-		rt.ckptBound[i] = noCheckpoint
-	}
-
 	if rt.isSource {
 		rt.tupleProgress = make([]int64, 1)
+		rt.src = e.sources[rt.opIdx](rt.taskIndex)
 	} else {
 		rt.tupleProgress = make([]int64, len(rt.upstreams))
+		rt.udf = e.operators[rt.opIdx](rt.taskIndex)
 	}
-	rt.ackBatch = -1
-	rt.instantiate()
+	rt.reinit(isReplica)
 	return rt
 }
 
-// instantiate gives the runtime a fresh operator or source instance
-// from its factory.
-func (rt *taskRuntime) instantiate() {
-	e := rt.eng
-	if rt.isSource {
-		rt.src = e.sources[rt.opIdx](rt.taskIndex)
-	} else {
-		rt.udf = e.operators[rt.opIdx](rt.taskIndex)
+// reinit puts the runtime in the state newTaskRuntime builds: a live
+// incarnation at batch 0 with no staged input, buffered output, owed
+// input or tentative mark. It keeps what every incarnation of the task
+// shares or can reuse: the routing, the grown batch window, the
+// buffers' backing arrays and the operator or source instance, the
+// operator reset by Restore(nil). newTaskRuntime ends with it, so the
+// initial state is written here alone.
+func (rt *taskRuntime) reinit(isReplica bool) {
+	rt.isReplica = isReplica
+	rt.failed, rt.recovering, rt.promoted = false, false, false
+	rt.epoch = 0
+	rt.win.resetTo(0, &rt.eng.tuples)
+	rt.missIn.dropFrom(0) // every batch
+	clear(rt.tentOut)
+	rt.nextBatch, rt.busyUntil, rt.procScheduled = 0, 0, false
+	for s := range rt.outBuf {
+		rt.outBuf[s].reset()
+	}
+	for s := range rt.ckptBound {
+		rt.ckptBound[s] = noCheckpoint
+	}
+	rt.ackBatch = -1
+	clear(rt.tupleProgress)
+	rt.procCPU, rt.ckptCPU = 0, 0
+	clear(rt.emitBuf)
+	rt.sinkOut, rt.sinkCount = rt.sinkOut[:0], 0
+	if rt.udf != nil {
+		// Restore(nil) resets the operator to its initial state.
+		_ = rt.udf.Restore(nil)
 	}
 }
 
@@ -325,7 +344,7 @@ func (rt *taskRuntime) receiveLate(ui int32, batch int, content Batch, d deliver
 	if !d.punct || d.tent {
 		return // a still-tentative replay cannot correct anything
 	}
-	if miss := rt.missIn[batch]; miss[rt.upstreams[ui]] {
+	if rt.missIn.owes(batch, ui) {
 		rt.settleOwed(batch, ui)
 		rt.reprocessAmendment(ui, batch, content)
 	}
@@ -336,18 +355,17 @@ func (rt *taskRuntime) receiveLate(ui int32, batch int, content Batch, d deliver
 // has been absorbed or amended, a restore from a pre-correction
 // snapshot must not repeat the amendment (the upstream resends the same
 // batch on every recovery, and a duplicate amendment would overcount at
-// sinks). It runs on every data delivery, so the maps are only looked
-// into when they hold a record at all.
+// sinks). It runs on every data delivery, so the owed-input lists are
+// only searched when they hold a batch at all.
 func (rt *taskRuntime) settleOwed(batch int, ui int32) {
 	if r := rt.win.peek(batch); r != nil {
 		r.miss.clear(int(ui))
 	}
-	from := rt.upstreams[ui]
-	if len(rt.missIn) > 0 {
-		clearIn(rt.missIn, batch, from)
+	if len(rt.missIn.batches) > 0 {
+		rt.missIn.settle(batch, ui)
 	}
-	if ck := rt.eng.store[rt.id]; ck != nil && len(ck.missIn) > 0 {
-		clearIn(ck.missIn, batch, from)
+	if ck := rt.eng.checkpoint(rt.id); ck != nil && len(ck.missIn.batches) > 0 {
+		ck.missIn.settle(batch, ui)
 	}
 }
 
@@ -359,24 +377,6 @@ func (rt *taskRuntime) stageInput(r *batchRec, ui int32, content Batch) {
 		b.Tuples = rt.eng.tuples.get()
 	}
 	b.Append(content)
-}
-
-func markIn(m map[int]map[topology.TaskID]bool, batch int, from topology.TaskID) {
-	s := m[batch]
-	if s == nil {
-		s = make(map[topology.TaskID]bool)
-		m[batch] = s
-	}
-	s[from] = true
-}
-
-func clearIn(m map[int]map[topology.TaskID]bool, batch int, from topology.TaskID) {
-	if s := m[batch]; s != nil {
-		delete(s, from)
-		if len(s) == 0 {
-			delete(m, batch)
-		}
-	}
 }
 
 // hasPunct reports whether the batch-over punctuation of (batch,
@@ -472,16 +472,12 @@ func (rt *taskRuntime) completeBatch(b int, cost sim.Time) {
 	}
 	rt.finishEmit(b, tentative)
 	// The open-batch miss flags record which upstream inputs are still
-	// owed; on a tentative close they are spilled to the missIn map so
-	// they survive the record's release and can be matched against the
+	// owed; on a tentative close they are spilled to missIn so they
+	// survive the record's release and can be matched against the
 	// recovered upstream's late real data to trigger the amendment that
 	// corrects this batch.
 	if tentative && r != nil && r.miss.any() {
-		for ui, u := range rt.upstreams {
-			if r.miss.test(ui) {
-				markIn(rt.missIn, b, u)
-			}
-		}
+		rt.missIn.add(b, r.miss)
 	}
 	rt.win.release(b, &rt.eng.tuples)
 	rt.nextBatch = b + 1
@@ -558,30 +554,49 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 }
 
 // reprocessAmendment re-runs a late input delta of an already-closed
-// tentative batch through a fresh operator instance and emits the
-// result as an amendment. For the engine's linear synthetic operators
-// (counts, passthrough, windowed selectivity) the output of the delta
-// equals the delta of the outputs, so the amendment exactly closes the
-// gap the fabricated input left; for non-linear operators it is the
-// standard delta-correction approximation. Reprocessing is charged at
-// the normal processing rate.
+// tentative batch through an operator instance in its initial state and
+// emits the result as an amendment. For the engine's linear synthetic
+// operators (counts, passthrough, windowed selectivity) the output of
+// the delta equals the delta of the outputs, so the amendment exactly
+// closes the gap the fabricated input left; for non-linear operators it
+// is the standard delta-correction approximation. Reprocessing is
+// charged at the normal processing rate.
 func (rt *taskRuntime) reprocessAmendment(ui int32, batch int, delta Batch) {
 	cost := perBatchOverhead + sim.Time(float64(delta.Count)/rt.eng.cfg.ProcRate)
 	now := rt.eng.clock.Now()
 	start := maxTime(rt.busyUntil, now)
 	rt.busyUntil = start + cost
-	epoch := rt.epoch
-	fromOp := rt.upOps[ui]
-	rt.eng.clock.At(start+cost, func() {
-		if rt.failed || rt.epoch != epoch {
-			return
-		}
-		rt.procCPU += cost
-		op := rt.eng.operators[rt.opIdx](rt.taskIndex)
-		op.ProcessBatch(batch, fromOp, delta, rt)
-		op.OnBatchEnd(batch, rt)
-		rt.finishAmend(batch)
-	})
+	ae := rt.eng.getAmendEvent()
+	ae.rt, ae.b, ae.fromOp, ae.delta, ae.cost, ae.epoch = rt, batch, rt.upOps[ui], delta, cost, rt.epoch
+	rt.eng.clock.AtRun(start+cost, ae)
+}
+
+// amendEvent is the pooled completion of one amendment: the delta of
+// batch b from operator fromOp, reprocessed on the task's scratch
+// operator. Like procEvent it recycles itself on fire and is fenced by
+// the epoch. The splice encodes no amendment event, so a scenario never
+// splices while one is pending.
+type amendEvent struct {
+	rt     *taskRuntime
+	b      int
+	fromOp int
+	delta  Batch
+	cost   sim.Time
+	epoch  int
+}
+
+// Run implements sim.Runner.
+func (ae *amendEvent) Run() {
+	rt, b, fromOp, delta, cost, epoch := ae.rt, ae.b, ae.fromOp, ae.delta, ae.cost, ae.epoch
+	rt.eng.putAmendEvent(ae)
+	if rt.failed || rt.epoch != epoch {
+		return
+	}
+	rt.procCPU += cost
+	op := rt.eng.scratchOp(rt.id)
+	op.ProcessBatch(b, fromOp, delta, rt)
+	op.OnBatchEnd(b, rt)
+	rt.finishAmend(b)
 }
 
 // finishAmend records or forwards the amendment output of one batch.
@@ -721,11 +736,7 @@ func (rt *taskRuntime) resetTo(batch int) {
 	// Batches at or above the rewind point are reprocessed from scratch;
 	// older tentative batches stay closed, so their owed-input records
 	// and tentative marks must survive for the correction layer.
-	for b := range rt.missIn {
-		if b >= batch {
-			delete(rt.missIn, b)
-		}
-	}
+	rt.missIn.dropFrom(batch)
 	for b := range rt.tentOut {
 		if b >= batch {
 			delete(rt.tentOut, b)

@@ -74,7 +74,12 @@ type OperatorFunc interface {
 	// overwritten, never read. Stateless operators return nil, 0.
 	Snapshot(buf []byte) (state []byte, counted int)
 	// Restore loads a state produced by Snapshot; Restore(nil) resets the
-	// operator to its initial state.
+	// operator to its initial state, the state a new instance from the
+	// factory has. The engine reuses one instance across checkpoint
+	// restores, Reset, Storm-style rewinds and amendments, so Restore
+	// must replace the whole state: nothing an earlier batch, Restore
+	// or amendment left may survive it. The operator may keep the
+	// backing arrays its state used.
 	Restore(data []byte) error
 }
 

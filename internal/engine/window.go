@@ -9,7 +9,8 @@ import "slices"
 // slice. It replaces the four nested map[int]map[topology.TaskID] maps
 // that used to be rebuilt per batch on the engine hot path; records are
 // recycled in place as the window slides, so steady-state batch
-// processing allocates nothing.
+// processing allocates nothing. The owed inputs of closed batches are
+// held the same way, in an owedSet.
 
 // ubits is a bitset over the compact upstream indexes of one task.
 type ubits []uint64
@@ -223,6 +224,74 @@ func (w *batchWindow) resetTo(batch int, pool *tuplePool) {
 		}
 	}
 	w.base = batch
+}
+
+// owedSet records the owed inputs of a task's closed batches (see
+// taskRuntime.missIn). It lists only the batches that owe something,
+// in ascending order, each with a bitset over the compact upstream
+// indexes. The bitsets are stored flat: batch batches[i] owes the
+// upstreams set in bits[i*words:(i+1)*words]. Recording and settling
+// a debt reuse the two backing arrays.
+type owedSet struct {
+	words   int
+	batches []int
+	bits    []uint64
+}
+
+func newOwedSet(nup int) owedSet { return owedSet{words: (nup + 63) / 64} }
+
+// row returns the bitset of the i-th listed batch.
+func (s *owedSet) row(i int) ubits { return s.bits[i*s.words : (i+1)*s.words] }
+
+// owes reports whether batch b owes the input of upstream ui.
+func (s *owedSet) owes(b int, ui int32) bool {
+	i, ok := slices.BinarySearch(s.batches, b)
+	return ok && s.row(i).test(int(ui))
+}
+
+// add records that batch b owes the inputs set in miss.
+func (s *owedSet) add(b int, miss ubits) {
+	i, ok := slices.BinarySearch(s.batches, b)
+	if !ok {
+		s.batches = slices.Insert(s.batches, i, b)
+		n := len(s.bits)
+		s.bits = slices.Grow(s.bits, s.words)[:n+s.words]
+		copy(s.bits[(i+1)*s.words:], s.bits[i*s.words:n])
+		clear(s.row(i))
+	}
+	r := s.row(i)
+	for w := range r {
+		r[w] |= miss[w]
+	}
+}
+
+// settle clears batch b's debt to upstream ui, and drops the batch once
+// it owes nothing more.
+func (s *owedSet) settle(b int, ui int32) {
+	i, ok := slices.BinarySearch(s.batches, b)
+	if !ok {
+		return
+	}
+	if r := s.row(i); r.clear(int(ui)) && !r.any() {
+		s.batches = slices.Delete(s.batches, i, i+1)
+		s.bits = slices.Delete(s.bits, i*s.words, (i+1)*s.words)
+	}
+}
+
+// dropFrom forgets the debts of batch b and every later batch.
+func (s *owedSet) dropFrom(b int) {
+	i, _ := slices.BinarySearch(s.batches, b)
+	s.batches = s.batches[:i]
+	s.bits = s.bits[:i*s.words]
+}
+
+// copyBelow overwrites the set with the debts src records for the
+// batches below end.
+func (s *owedSet) copyBelow(src *owedSet, end int) {
+	i, _ := slices.BinarySearch(src.batches, end)
+	s.words = src.words
+	s.batches = append(s.batches[:0], src.batches[:i]...)
+	s.bits = append(s.bits[:0], src.bits[:i*src.words]...)
 }
 
 // tuplePool recycles the backing arrays of staged input batches. A
