@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -317,21 +318,37 @@ func markTime(scs []Scenario, horizon sim.Time) sim.Time {
 // failure-free prefix to the mark. traj is the call's failure-free
 // trajectory, which every engine of the pool runs its scenarios
 // against (engine.RunSpliced); it is read-only once prepare recorded
-// it.
+// it. failed keeps the first error building an engine, and every later
+// get returns it: a failing Setup stops the call's scenarios from
+// starting at once, not only once the worker that met it has
+// reported it, which can take many scenarios on a busy host.
 type enginePool struct {
-	setup func() (engine.Setup, error)
-	free  chan *engine.Engine
-	mark  sim.Time
-	traj  *engine.Trajectory
+	setup  func() (engine.Setup, error)
+	free   chan *engine.Engine
+	mark   sim.Time
+	traj   *engine.Trajectory
+	failed atomic.Pointer[error]
 }
 
 func (p *enginePool) get() (*engine.Engine, error) {
+	if err := p.failed.Load(); err != nil {
+		return nil, *err
+	}
 	select {
 	case e := <-p.free:
 		e.Reset()
 		return e, nil
 	default:
 	}
+	e, err := p.build()
+	if err != nil {
+		p.failed.CompareAndSwap(nil, &err)
+	}
+	return e, err
+}
+
+// build builds an engine and runs it to the mark.
+func (p *enginePool) build() (*engine.Engine, error) {
 	s, err := p.setup()
 	if err != nil {
 		return nil, err

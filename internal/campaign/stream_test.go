@@ -292,22 +292,54 @@ func TestKeepResultsMatchesOnResult(t *testing.T) {
 	}
 }
 
+// heldSource is a source that blocks, until release is closed, once it
+// is asked again for a batch it has already generated: once its engine
+// has been reset, or it serves a recovery.
+type heldSource struct {
+	engine.SourceFunc
+	last    int
+	release <-chan struct{}
+}
+
+func (s *heldSource) BatchAt(b int) engine.Batch {
+	if b <= s.last {
+		<-s.release
+	}
+	s.last = max(s.last, b)
+	return s.SourceFunc.BatchAt(b)
+}
+
+// countedOp is an operator that counts its Restore calls.
+type countedOp struct {
+	engine.OperatorFunc
+	restores *atomic.Int64
+}
+
+func (o countedOp) Restore(data []byte) error {
+	o.restores.Add(1)
+	return o.OperatorFunc.Restore(data)
+}
+
 // TestCampaignFailFast: a persistently failing Setup aborts the
 // campaign promptly — the runner must not drain thousands of remaining
-// scenarios before reporting the error. The first engines build, so
-// without the pool's stop flag the workers holding them would run the
-// whole campaign. Scenario starts are counted through the source
-// factories, which engine.New and Reset both call once per source
-// task; recovering a source task calls them too, so the count bounds
-// the starts from above. The failing setup only runs once a worker
-// finds no idle engine, which takes longer the faster the engines run
-// their scenarios, so only the starts after it are bounded, by the
-// work already in flight: until the failed scenario aborts the
-// reorder window (4 × Workers results), later scenarios keep
-// completing, and each worker may start one more scenario on either
-// side of the pool's stop flag. The bound leaves another 2 × Workers
-// for the source recoveries the count includes. Without the stop flag
-// the workers holding engines start all the remaining scenarios.
+// scenarios before reporting the error. Setup fails from its fourth
+// call on, which a worker makes only when it finds no idle engine. So
+// that the call is certain however fast a scenario runs, every engine
+// is held inside its first scenario after a Reset until the failing
+// call has happened: the engine the campaign's set-up builds is then
+// held from the first scenario on, each engine a worker builds after
+// at most one scenario, and the fourth worker to look for one builds
+// it. A scenario starts when the pool resets an engine for it or
+// calls Setup for it. Resets are counted through the operators'
+// Restore, which Reset calls once per operator task; recovering a task
+// calls it too, so the count bounds the starts from above. After the
+// failure the pool hands out no engine and calls Setup no more, so
+// only the scenarios held or already past the pool finish; the bound
+// leaves room for each worker to start a few more. Without the pool's
+// failure flag, the workers holding engines keep starting scenarios
+// until the failing worker has reported the error, which on a busy
+// host can take hundreds; without the runner's stop as well, they
+// keep calling Setup for every remaining scenario.
 func TestCampaignFailFast(t *testing.T) {
 	env := testEnv(t, "")
 	c, err := env.Cluster()
@@ -318,7 +350,8 @@ func TestCampaignFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var factoryCalls atomic.Int64
+	var restores atomic.Int64
+	release := make(chan struct{})
 	counted := func() (engine.Setup, error) {
 		s, err := env.Setup()
 		if err != nil {
@@ -327,33 +360,41 @@ func TestCampaignFailFast(t *testing.T) {
 		sources := make(map[int]engine.SourceFactory, len(s.Sources))
 		for op, f := range s.Sources {
 			sources[op] = func(task int) engine.SourceFunc {
-				factoryCalls.Add(1)
-				return f(task)
+				return &heldSource{SourceFunc: f(task), last: -1, release: release}
 			}
 		}
-		s.Sources = sources
+		operators := make(map[int]engine.OperatorFactory, len(s.Operators))
+		for op, f := range s.Operators {
+			operators[op] = func(task int) engine.OperatorFunc { return countedOp{f(task), &restores} }
+		}
+		s.Sources, s.Operators = sources, operators
 		return s, nil
 	}
-	// Calibrate: the source-factory calls of one scenario start.
+	// Calibrate: the Restore calls of one scenario start.
 	s, err := counted()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.New(s); err != nil {
+	e, err := engine.New(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	perStart := factoryCalls.Swap(0)
+	e.Reset()
+	perStart := restores.Swap(0)
 	if perStart == 0 {
-		t.Fatal("environment has no source tasks to count starts by")
+		t.Fatal("environment has no operator tasks to count starts by")
 	}
 
 	const workers = 8
 	var calls atomic.Int64
 	var failedAt sync.Once
-	var callsAtFailure int64
+	var restoresAtFailure int64
 	setup := func() (engine.Setup, error) {
 		if n := calls.Add(1); n > 3 {
-			failedAt.Do(func() { callsAtFailure = factoryCalls.Load() })
+			failedAt.Do(func() {
+				restoresAtFailure = restores.Load()
+				close(release)
+			})
 			return engine.Setup{}, fmt.Errorf("injected setup failure %d", n)
 		}
 		return counted()
@@ -367,7 +408,7 @@ func TestCampaignFailFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("failing campaign returned no error")
 	}
-	if after := (factoryCalls.Load() - callsAtFailure) / perStart; after > 8*workers {
+	if after := (restores.Load()-restoresAtFailure)/perStart + calls.Load() - 4; after > 8*workers {
 		t.Fatalf("campaign started up to %d more of 5000 scenarios after a persistent setup failure, want at most %d", after, 8*workers)
 	}
 }

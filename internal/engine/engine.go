@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -80,19 +81,21 @@ type Engine struct {
 	tick         *batchTick // the source ticker, which the image keeps by value
 
 	// img is the state the last Mark recorded (time zero, recorded by
-	// New, until Mark is called); Reset restores it, staging the events
-	// in evs. failing is set once a failure is scheduled, which bars
-	// Mark until the next Reset; lastFailure is the latest scheduled
-	// injection time.
+	// New, until Mark is called); Reset restores it. zero holds the
+	// primaries' time-zero images New records, which no Mark replaces:
+	// reinit restores them into recycled incarnations. failing is set
+	// once a failure is scheduled, which bars Mark until the next Reset;
+	// lastFailure is the latest scheduled injection time.
 	img         image
-	evs         []sim.Event
+	zero        []taskImage
 	failing     bool
 	lastFailure sim.Time
 
 	// The re-convergence splice (splice.go): spliced is the trajectory
 	// RunSpliced appended the ledger of, nil until then; witness is the
-	// part of the state that differed from it at the last check; enc,
-	// snap and pend are the encoder's reused buffers.
+	// part of the state that differed from it at the last check; enc
+	// and snap are the encoder's reused buffers, and pend is the event
+	// buffer the encoder, Reset and recycle reuse in turn.
 	spliced *Trajectory
 	witness int
 	enc     []byte
@@ -112,20 +115,15 @@ type Engine struct {
 }
 
 // checkpointData is one stored checkpoint: computation state plus the
-// output buffer (§II-B), the tentative marks of the buffered batches
-// and the record of still-owed (fabricated) inputs, so a restored task
-// keeps accepting the late corrections of batches it closed tentative
-// before the snapshot. taken is unset until the task's first
+// task's replayState (§II-B). taken is unset until the task's first
 // checkpoint. The object (and its queues, maps and state buffer) is
 // recycled in place when the task's next checkpoint replaces it.
 type checkpointData struct {
-	taken   bool
-	batch   int
-	state   []byte
-	outBuf  []replayQueue // by recipient slot, as taskRuntime.outBuf
-	tentOut map[int]bool
-	missIn  owedSet
-	bytes   int // charged size: len(state) + tupleBytes × (counted + buffered tuples)
+	taken bool
+	batch int
+	state []byte
+	replayState
+	bytes int // charged size: len(state) + tupleBytes × (counted + buffered tuples)
 }
 
 // checkpoint returns task id's latest checkpoint, or nil before its
@@ -242,6 +240,7 @@ func New(s Setup) (*Engine, error) {
 	e.master = newMaster(e)
 	e.armTickers()
 	e.mark()
+	e.zero = e.img.prim
 	return e, nil
 }
 
@@ -382,7 +381,7 @@ func (e *Engine) incarnation(id topology.TaskID) *taskRuntime {
 		rt = s[len(s)-1]
 		s[len(s)-1] = nil
 		e.spare[id] = s[:len(s)-1]
-		rt.reinit(false)
+		rt.reinit()
 	} else {
 		rt = newTaskRuntime(e, id, false)
 	}
@@ -482,11 +481,11 @@ func (a *replicaAck) Run() {
 	e.clock.AfterRun(e.cfg.ReplicaTrimInterval, a)
 }
 
-// takeCheckpoint snapshots one task's state and output buffer, charges
-// the save cost, stores the checkpoint on the standby store and asks the
-// upstream tasks to trim their output buffers (§II-B, §V-B). The task's
-// checkpointData (queues, maps and state buffer) is recycled in place:
-// once replaced a checkpoint can never be restored again.
+// takeCheckpoint snapshots one task's operator state and replayState,
+// charges the save cost, stores the checkpoint on the standby store and
+// asks the upstream tasks to trim their output buffers (§II-B, §V-B).
+// The task's checkpointData (queues, maps and state buffer) is recycled
+// in place: once replaced a checkpoint can never be restored again.
 func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	rt := e.tasks[id]
 	if rt == nil || rt.failed {
@@ -497,17 +496,14 @@ func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	var counted int
 	ck.state, counted = rt.snapshotState(ck.state[:0])
 	bytes := len(ck.state) + counted*tupleBytes
-	ck.outBuf = copyQueues(ck.outBuf, rt.outBuf)
 	for s := range rt.outBuf {
 		bytes += rt.outBuf[s].count() * tupleBytes // buffered tuples are part of the checkpoint payload
 	}
-	ck.tentOut = copyMarks(ck.tentOut, rt.tentOut)
-	// Open batches are re-staged from scratch on restore.
-	ck.missIn.copyBelow(&rt.missIn, rt.nextBatch)
+	ck.replayState.copyFrom(&rt.replayState)
 	ck.batch = rt.nextBatch - 1
 	ck.bytes = bytes
 	cost := checkpointFixed + sim.Time(float64(bytes)/checkpointByteRate)
-	rt.busyUntil = maxTime(rt.busyUntil, e.clock.Now()) + cost
+	rt.busyUntil = max(rt.busyUntil, e.clock.Now()) + cost
 	rt.ckptCPU += cost
 
 	// Notify upstream neighbours (and their replicas, which hold the
@@ -568,7 +564,7 @@ func (e *Engine) ScheduleNodeFailures(nodes []cluster.NodeID, at sim.Time) {
 // (independent of node placement), useful for targeted experiments.
 func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
 	sorted := append([]topology.TaskID(nil), ids...)
-	sortIDs(sorted)
+	slices.Sort(sorted)
 	e.scheduleFailure(at, func() { e.failTasks(sorted) })
 }
 
@@ -603,7 +599,7 @@ func (e *Engine) injectNodeFailures(nodes []cluster.NodeID) {
 			}
 		}
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	e.failReplicasOnFailedNodes()
 	e.failTasks(ids)
 }

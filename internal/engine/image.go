@@ -2,8 +2,6 @@ package engine
 
 import (
 	"errors"
-	"maps"
-	"math"
 	"slices"
 
 	"repro/internal/sim"
@@ -14,7 +12,13 @@ import (
 // engine that is never marked resets to a fresh start, and a campaign
 // that marks its engines just before the earliest failure wave runs the
 // shared failure-free prefix once per engine instead of once per
-// scenario.
+// scenario. New keeps its primaries' time-zero images for good
+// (Engine.zero): reinit restores them into recycled incarnations.
+//
+// A runtime's image is its taskState, copied by taskState.copyFrom —
+// the one copy that recording, restoring and re-initialising share, so
+// a field added to taskState is recorded and restored with no further
+// code — and its operator state, through Snapshot and Restore.
 //
 // An image only ever holds failure-free state: every runtime is the
 // immortal primary or replica built by New, the master tracks no
@@ -39,34 +43,19 @@ type image struct {
 	currentBatch int
 }
 
-// taskImage is the recorded state of one task runtime. The operator
-// state goes through the OperatorFunc Snapshot/Restore contract, like a
-// checkpoint; the open-batch records are deep copies, because their
-// staged tuple backings return to the pool when a batch closes. Output
-// buffer contents are shared: an emitted batch's tuples are never
-// written again.
+// taskImage is the recorded state of one task runtime: its taskState,
+// copied, and its operator state through the OperatorFunc
+// Snapshot/Restore contract, like a checkpoint.
 type taskImage struct {
-	isReplica     bool
-	epoch         int
-	procScheduled bool
-	busyUntil     sim.Time
-	nextBatch     int
-	ackBatch      int
-	procCPU       sim.Time
-	ckptCPU       sim.Time
-	state         []byte // operator Snapshot; nil for a source
-	winBase       int
-	recs          []batchRec
-	outBuf        []replayQueue
-	ckptBound     []int
-	tupleProgress []int64
+	taskState
+	op []byte // operator Snapshot; nil for a source
 }
 
 // Mark records the engine's state at the current instant: the clock's
-// pending events with their firing order, every task runtime's open
-// batches, output buffers, checkpoint bounds, progress counters, epoch
-// and operator state, the checkpoint store and the sink ledger. Every
-// later Reset returns the engine there, until the next Mark.
+// pending events with their firing order, every task runtime's
+// taskState and operator state, the checkpoint store and the sink
+// ledger. Every later Reset returns the engine there, until the next
+// Mark.
 //
 // Mark fails once a failure has been scheduled (and until the next
 // Reset): an image holds failure-free state only. Mark leaves the
@@ -148,7 +137,7 @@ func (e *Engine) Reset() {
 	img := &e.img
 	e.clus.Reset()
 	e.recycle()
-	evs := append(e.evs[:0], img.events...)
+	evs := append(e.pend[:0], img.events...)
 	for i := range evs {
 		switch r := evs[i].Run.(type) {
 		case *deliveryEvent:
@@ -170,7 +159,7 @@ func (e *Engine) Reset() {
 	}
 	e.clock.Restore(img.now, img.seq, evs)
 	clear(evs)
-	e.evs = evs[:0]
+	e.pend = evs[:0]
 	for id := range e.tasks {
 		e.prim[id].restore(&img.prim[id])
 		e.tasks[id] = e.prim[id]
@@ -216,53 +205,21 @@ func (e *Engine) recycle() {
 
 // mark records the runtime's state.
 func (rt *taskRuntime) mark() taskImage {
-	im := taskImage{
-		isReplica:     rt.isReplica,
-		epoch:         rt.epoch,
-		procScheduled: rt.procScheduled,
-		busyUntil:     rt.busyUntil,
-		nextBatch:     rt.nextBatch,
-		ackBatch:      rt.ackBatch,
-		procCPU:       rt.procCPU,
-		ckptCPU:       rt.ckptCPU,
-		winBase:       rt.win.base,
-		outBuf:        copyQueues(nil, rt.outBuf),
-		ckptBound:     slices.Clone(rt.ckptBound),
-		tupleProgress: slices.Clone(rt.tupleProgress),
-	}
+	var im taskImage
+	im.taskState.copyFrom(&rt.taskState, &rt.eng.tuples)
 	if !rt.isSource {
-		im.state, _ = rt.udf.Snapshot(nil)
-	}
-	for i := range rt.win.recs {
-		if r := &rt.win.recs[i]; r.batch >= 0 {
-			im.recs = append(im.recs, r.clone())
-		}
+		im.op, _ = rt.udf.Snapshot(nil)
 	}
 	return im
 }
 
-// restore returns the runtime to a recorded state: reinit, then the
-// recorded operator state loaded into the runtime's own operator the
-// way a checkpoint restore loads it, and the recorded open batches,
-// buffers and counters. A recorded state is failure-free, so the
-// owed-input and tentative marks stay empty.
+// restore returns the runtime to a recorded state: the state copied
+// back into the runtime's own storage, and the operator state loaded
+// into its own operator the way a checkpoint restore loads it.
 func (rt *taskRuntime) restore(im *taskImage) {
-	e := rt.eng
-	rt.reinit(im.isReplica)
-	rt.epoch = im.epoch
-	rt.procScheduled = im.procScheduled
-	rt.busyUntil = im.busyUntil
-	rt.nextBatch, rt.ackBatch = im.nextBatch, im.ackBatch
-	rt.procCPU, rt.ckptCPU = im.procCPU, im.ckptCPU
-	rt.outBuf = copyQueues(rt.outBuf, im.outBuf)
-	copy(rt.ckptBound, im.ckptBound)
-	copy(rt.tupleProgress, im.tupleProgress)
-	rt.win.base = im.winBase
-	for i := range im.recs {
-		rt.win.load(&im.recs[i], &e.tuples)
-	}
+	rt.taskState.copyFrom(&im.taskState, &rt.eng.tuples)
 	if !rt.isSource {
-		if err := rt.udf.Restore(im.state); err != nil {
+		if err := rt.udf.Restore(im.op); err != nil {
 			panic("engine: restoring a marked operator state failed: " + err.Error())
 		}
 	}
@@ -279,18 +236,5 @@ func (ck *checkpointData) copyFrom(src *checkpointData) {
 	}
 	ck.batch, ck.bytes = src.batch, src.bytes
 	ck.state = append(ck.state[:0], src.state...)
-	ck.outBuf = copyQueues(ck.outBuf, src.outBuf)
-	ck.tentOut = copyMarks(ck.tentOut, src.tentOut)
-	ck.missIn.copyBelow(&src.missIn, math.MaxInt)
-}
-
-// copyMarks overwrites dst with the tentative marks of src and returns
-// it, allocating dst on first use.
-func copyMarks(dst, src map[int]bool) map[int]bool {
-	if dst == nil {
-		dst = make(map[int]bool, len(src))
-	}
-	clear(dst)
-	maps.Copy(dst, src)
-	return dst
+	ck.replayState.copyFrom(&src.replayState)
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"repro/internal/sim"
@@ -177,7 +176,7 @@ func (m *master) recoverActive(id topology.TaskID) {
 		// its resend work drains.
 		m.checkRecovered(rep)
 		if !m.isDone(id) {
-			e.clock.At(maxTime(rep.busyUntil, e.clock.Now()), func() { m.checkRecovered(rep) })
+			e.clock.At(max(rep.busyUntil, e.clock.Now()), func() { m.checkRecovered(rep) })
 		}
 	})
 }
@@ -249,9 +248,7 @@ func (m *master) installCheckpoint(ie *installEvent) {
 			rt.nextBatch = ck.batch + 1
 		}
 		rt.rebase(rt.nextBatch)
-		rt.outBuf = copyQueues(rt.outBuf, ck.outBuf)
-		rt.tentOut = copyMarks(rt.tentOut, ck.tentOut)
-		rt.missIn.copyBelow(&ck.missIn, math.MaxInt)
+		rt.replayState.copyFrom(&ck.replayState)
 	}
 	e.tasks[id] = rt
 	rt.busyUntil = e.clock.Now()
@@ -341,7 +338,7 @@ func (m *master) ancestors(id topology.TaskID) []topology.TaskID {
 	for tid := range seen {
 		out = append(out, tid)
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -355,7 +352,7 @@ func (m *master) checkRecovered(rt *taskRuntime) {
 	if rt.nextBatch-1 < f.preFailProgress {
 		return
 	}
-	now := maxTime(m.eng.clock.Now(), rt.busyUntil)
+	now := max(m.eng.clock.Now(), rt.busyUntil)
 	f.stat.RecoveredAt = now
 	f.stat.Recovered = true
 	rt.recovering = false

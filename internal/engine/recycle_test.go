@@ -78,6 +78,9 @@ func (r *rig) marked(t testing.TB) *engine.Engine {
 	if err := e.Mark(); err != nil {
 		t.Fatal(err)
 	}
+	if err := engine.CheckImage(e); err != nil {
+		t.Fatalf("%s: after Mark: %v", r.name, err)
+	}
 	return e
 }
 
@@ -105,11 +108,15 @@ func run(e *engine.Engine, tr *engine.Trajectory, sc campaign.Scenario) sim.Time
 
 // check runs the sequence on one engine and requires every scenario to
 // report exactly what it reports on a freshly built and marked engine,
-// and the spare incarnations to re-initialise to new ones after every
+// the engine to hold exactly its image after every Mark and Reset, and
+// the spare incarnations to re-initialise to new ones after every
 // scenario, while the ones it used still hold what it left.
 func (r *rig) check(t *testing.T) {
 	t.Helper()
 	e, tr := r.recording(t)
+	if err := engine.CheckImage(e); err != nil {
+		t.Fatalf("%s: after recording the trajectory: %v", r.name, err)
+	}
 	spares := 0
 	for i, sc := range r.scs {
 		got := reportOf(e, run(e, tr, sc))
@@ -119,6 +126,9 @@ func (r *rig) check(t *testing.T) {
 			t.Fatalf("%s: scenario %d (%s): the recycling engine reports\n%+v\na fresh engine\n%+v", r.name, i, sc.Label, got, want)
 		}
 		e.Reset()
+		if err := engine.CheckImage(e); err != nil {
+			t.Fatalf("%s: reset after scenario %d (%s): %v", r.name, i, sc.Label, err)
+		}
 		n, err := engine.CheckSpares(e)
 		if err != nil {
 			t.Fatalf("%s: after scenario %d (%s): %v", r.name, i, sc.Label, err)
@@ -263,11 +273,13 @@ func q1Rig(t *testing.T) *rig {
 // small scenarios. The grid is the small, medium and large presets ×
 // checkpoint-only and greedy plans × tentative outputs off and on, five
 // scenarios of each burst model per cell; then the medium preset under
-// source-replay recovery, and a Q1 query engine. After every scenario
-// each spare incarnation must re-initialise to exactly what
-// newTaskRuntime builds (CheckSpares), so a runtime field that the
-// re-initialisation forgets fails here. -short, and the race detector,
-// run the small preset only.
+// source-replay recovery, and a Q1 query engine. Right after every
+// Mark and Reset the engine must equal its image field by field and
+// share no storage with it (CheckImage), so a field that the image
+// copy or Reset forgets fails here; after every scenario each spare
+// incarnation must re-initialise to exactly what newTaskRuntime builds
+// (CheckSpares). -short, and the race detector, run the small preset
+// only.
 func TestRecycledIncarnationsMatchFresh(t *testing.T) {
 	presets := []string{campaign.TopoSmall, campaign.TopoMedium, campaign.TopoLarge}
 	if testing.Short() || raceEnabled {

@@ -1,9 +1,40 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"slices"
 )
+
+// replayState is what a task keeps to replay its output (§II-B): a
+// taskState holds it, and a checkpoint stores it with the operator
+// state, so a restored task keeps accepting the late corrections of
+// batches it closed tentative before the snapshot.
+type replayState struct {
+	// outBuf buffers emitted batches per recipient slot for replay;
+	// trimmed when the downstream checkpoints.
+	outBuf []replayQueue
+	// tentOut marks the batches the task closed (and emitted)
+	// tentative. Amendments are only accepted for batches in tentOut,
+	// and replayed buffered output re-delivers the taint.
+	tentOut map[int]bool
+	// missIn records, per closed batch and upstream, a
+	// master-fabricated punctuation whose real data never arrived: the
+	// input is owed. Open-batch miss flags live in the window; they are
+	// spilled here when a batch closes tentative, surviving the close so
+	// that the recovered upstream's late real data can be matched and
+	// reprocessed as an amendment. It lists closed batches only, all
+	// below nextBatch.
+	missIn owedSet
+}
+
+// copyFrom overwrites the state with a copy of src, reusing its queues,
+// map and owed-input lists.
+func (s *replayState) copyFrom(src *replayState) {
+	s.outBuf = copyQueues(s.outBuf, src.outBuf)
+	s.tentOut = copyMarks(s.tentOut, src.tentOut)
+	s.missIn.copyFrom(&src.missIn)
+}
 
 // replayQueue is the output buffer a task keeps for one downstream
 // recipient (§II-B): the batches emitted to it, kept for replay until
@@ -113,5 +144,19 @@ func copyQueues(dst, src []replayQueue) []replayQueue {
 	for i := range src {
 		dst[i].copyFrom(&src[i])
 	}
+	return dst
+}
+
+// copyMarks overwrites dst with the tentative marks of src and returns
+// it. A nil dst gets a map only when src holds a mark.
+func copyMarks(dst, src map[int]bool) map[int]bool {
+	clear(dst)
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[int]bool, len(src))
+	}
+	maps.Copy(dst, src)
 	return dst
 }

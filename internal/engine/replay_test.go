@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"maps"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -256,10 +255,9 @@ func TestOwedSetMatchesMap(t *testing.T) {
 			maps.DeleteFunc(ref, func(k int, _ map[int32]bool) bool { return k >= b })
 		default:
 			var c owedSet
-			c.copyBelow(&s, b)
+			c.copyFrom(&s)
 			s = owedSet{}
-			s.copyBelow(&c, math.MaxInt)
-			maps.DeleteFunc(ref, func(k int, _ map[int32]bool) bool { return k >= b })
+			s.copyFrom(&c)
 		}
 		if !slices.IsSorted(s.batches) || len(s.bits) != len(s.batches)*s.words {
 			t.Fatalf("step %d: batches %v with %d words of bits", step, s.batches, len(s.bits))

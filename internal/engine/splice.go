@@ -29,7 +29,10 @@ import (
 // tentative marks of closed batches and the checkpoint bounds are read
 // only by restores, replays and amendments; the tuple and CPU counters
 // feed no decision; a source's batch window is never used. DESIGN.md
-// ("Re-convergence splice") states each exclusion.
+// ("Re-convergence splice") states each exclusion, and the table in
+// schema_test.go classifies every taskState field as compared by
+// encodeTask, checked by converged or excluded, and checks encodeTask
+// against it.
 
 // digest is a 128-bit state digest: the first half of a SHA-256.
 type digest [16]byte
@@ -275,7 +278,7 @@ func (e *Engine) splice(tr *Trajectory, pt *trajPoint) {
 // cover.
 func (e *Engine) encodeTask(buf []byte, rt *taskRuntime) ([]byte, bool) {
 	buf = appendInt(buf, rt.nextBatch)
-	buf = appendTime(buf, maxTime(rt.busyUntil, e.clock.Now()))
+	buf = appendTime(buf, max(rt.busyUntil, e.clock.Now()))
 	buf = appendBool(buf, rt.procScheduled)
 	if !rt.isSource {
 		// A separate buffer: Snapshot's contract promises no more than

@@ -54,6 +54,10 @@ type delivery struct {
 // counter. The incarnations recovery starts are recycled: Reset keeps
 // them as spares, and a later scenario's recovery re-initialises one
 // (reinit) instead of building it (Engine.incarnation).
+//
+// A runtime has three parts: the wiring every incarnation of the task
+// shares, its taskState, and the emit scratch, which is empty between
+// events.
 type taskRuntime struct {
 	eng       *Engine
 	id        topology.TaskID
@@ -62,6 +66,34 @@ type taskRuntime struct {
 	isSource  bool
 	src       SourceFunc
 	udf       OperatorFunc
+	// upstreams is sorted by task ID; an upstream's position in it is
+	// its compact index into upOps, the window's per-batch state and
+	// tupleProgress (see upIdx). upOps holds the upstream operator per
+	// compact index.
+	upstreams []topology.TaskID
+	upOps     []int
+	routes    []route
+	// downs lists every recipient with its slot, sorted by task ID: the
+	// replay order of resendSince and the lookup of slotOf.
+	downs []recipient
+
+	taskState
+
+	// emit staging during batch processing: one slot per downstream
+	// recipient in route order, reused across batches (the tuple
+	// backing is handed off to outBuf at finishEmit, so slots restart
+	// empty each batch).
+	emitBuf   []Batch
+	sinkOut   []Tuple
+	sinkCount int // unmaterialised tuples emitted at a sink this batch
+}
+
+// taskState is the part of a runtime that changes as the task runs.
+// With the operator state, which goes through Snapshot and Restore, it
+// is what an image records (taskImage) and what copyFrom copies; the
+// splice digests part of it (encodeTask, and the table in
+// schema_test.go that classifies every field).
+type taskState struct {
 	isReplica bool
 	failed    bool
 	// recovering is set while the incarnation works to reach the failed
@@ -74,32 +106,11 @@ type taskRuntime struct {
 	promoted bool
 	epoch    int
 
-	// upstreams is sorted by task ID; an upstream's position in it is
-	// its compact index into upOps, the window's per-batch state and
-	// tupleProgress (see upIdx). upOps holds the upstream operator per
-	// compact index.
-	upstreams []topology.TaskID
-	upOps     []int
-	routes    []route
-	// downs lists every recipient with its slot, sorted by task ID: the
-	// replay order of resendSince and the lookup of slotOf.
-	downs []recipient
-
 	// win holds the per-open-batch input state (staged input and
 	// punctuation/taint/miss flags per upstream) as a dense ring of
 	// recycled records — see window.go.
 	win batchWindow
-	// missIn records, per closed batch and upstream, a master-fabricated
-	// punctuation whose real data never arrived: the input is owed.
-	// Open-batch miss flags live in the window; they are spilled here
-	// when a batch closes tentative, surviving the close so that the
-	// recovered upstream's late real data can be matched and reprocessed
-	// as an amendment.
-	missIn owedSet
-	// tentOut marks the batches this incarnation closed (and emitted)
-	// tentative. Amendments are only accepted for batches in tentOut,
-	// and replayed buffered output re-delivers the taint.
-	tentOut map[int]bool
+	replayState
 	// nextBatch is the next batch to process, so nextBatch-1 is the
 	// progress measure: the last batch fully processed (§VI's progress
 	// vector collapses to the batch index under the batch discipline).
@@ -107,9 +118,6 @@ type taskRuntime struct {
 	busyUntil     sim.Time
 	procScheduled bool
 
-	// outBuf buffers emitted batches per recipient slot for replay
-	// (§II-B); trimmed when the downstream checkpoints.
-	outBuf []replayQueue
 	// ckptBound tracks, per recipient slot, the last batch covered by a
 	// downstream checkpoint (noCheckpoint before the first): buffered
 	// output up to it can never be requested for replay again.
@@ -125,16 +133,30 @@ type taskRuntime struct {
 
 	procCPU sim.Time
 	ckptCPU sim.Time
-
-	// emit staging during batch processing: one slot per downstream
-	// recipient in route order, reused across batches (the tuple
-	// backing is handed off to outBuf at finishEmit, so slots restart
-	// empty each batch).
-	emitBuf   []Batch
-	sinkOut   []Tuple
-	sinkCount int // unmaterialised tuples emitted at a sink this batch
 }
 
+// copyFrom overwrites the state with a copy of src. One struct
+// assignment copies the scalars, so a field added later is copied too;
+// then each slice, map and window gets its own storage back and src's
+// content copied into it, so the two states share nothing but the
+// emitted batches' tuples, which are never written again. A state
+// without a window ring or a marks map gets one only when src holds a
+// live record or a mark.
+func (s *taskState) copyFrom(src *taskState, pool *tuplePool) {
+	win, rs, bound, progress := s.win, s.replayState, s.ckptBound, s.tupleProgress
+	*s = *src
+	s.win, s.replayState = win, rs
+	s.win.copyFrom(&src.win, pool)
+	s.replayState.copyFrom(&src.replayState)
+	s.ckptBound = append(bound[:0], src.ckptBound...)
+	s.tupleProgress = append(progress[:0], src.tupleProgress...)
+}
+
+// newTaskRuntime builds a runtime in its initial state: a live
+// incarnation at batch 0 with no staged input, buffered output, owed
+// input or tentative mark, and a new operator or source instance. The
+// initial state is written here alone: reinit copies the image New
+// records of it.
 func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime {
 	t := e.topo
 	task := t.Tasks[id]
@@ -144,7 +166,6 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 		opIdx:     task.Op,
 		taskIndex: task.Index,
 		isSource:  t.IsSource(task.Op),
-		tentOut:   make(map[int]bool),
 	}
 	for _, in := range t.InputsOf(id) {
 		for _, sub := range in.Subs {
@@ -159,8 +180,6 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 			rt.upOps[ui] = in.FromOp
 		}
 	}
-	rt.win.init(len(rt.upstreams))
-	rt.missIn = newOwedSet(len(rt.upstreams))
 
 	// Group outgoing substreams into per-operator routes.
 	byOp := map[int]*route{}
@@ -191,8 +210,6 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	slices.SortFunc(rt.downs, func(a, b recipient) int { return cmp.Compare(a.id, b.id) })
 	nrec := len(rt.downs)
 	rt.emitBuf = make([]Batch, nrec)
-	rt.outBuf = make([]replayQueue, nrec)
-	rt.ckptBound = make([]int, nrec)
 	if rt.isSource {
 		rt.tupleProgress = make([]int64, 1)
 		rt.src = e.sources[rt.opIdx](rt.taskIndex)
@@ -200,41 +217,26 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 		rt.tupleProgress = make([]int64, len(rt.upstreams))
 		rt.udf = e.operators[rt.opIdx](rt.taskIndex)
 	}
-	rt.reinit(isReplica)
-	return rt
-}
-
-// reinit puts the runtime in the state newTaskRuntime builds: a live
-// incarnation at batch 0 with no staged input, buffered output, owed
-// input or tentative mark. It keeps what every incarnation of the task
-// shares or can reuse: the routing, the grown batch window, the
-// buffers' backing arrays and the operator or source instance, the
-// operator reset by Restore(nil). newTaskRuntime ends with it, so the
-// initial state is written here alone.
-func (rt *taskRuntime) reinit(isReplica bool) {
 	rt.isReplica = isReplica
-	rt.failed, rt.recovering, rt.promoted = false, false, false
-	rt.epoch = 0
-	rt.win.resetTo(0, &rt.eng.tuples)
-	rt.missIn.dropFrom(0) // every batch
-	clear(rt.tentOut)
-	rt.nextBatch, rt.busyUntil, rt.procScheduled = 0, 0, false
-	for s := range rt.outBuf {
-		rt.outBuf[s].reset()
-	}
+	rt.win.init(len(rt.upstreams))
+	rt.outBuf = make([]replayQueue, nrec)
+	rt.tentOut = make(map[int]bool)
+	rt.missIn = newOwedSet(len(rt.upstreams))
+	rt.ckptBound = make([]int, nrec)
 	for s := range rt.ckptBound {
 		rt.ckptBound[s] = noCheckpoint
 	}
 	rt.ackBatch = -1
-	clear(rt.tupleProgress)
-	rt.procCPU, rt.ckptCPU = 0, 0
-	clear(rt.emitBuf)
-	rt.sinkOut, rt.sinkCount = rt.sinkOut[:0], 0
-	if rt.udf != nil {
-		// Restore(nil) resets the operator to its initial state.
-		_ = rt.udf.Restore(nil)
-	}
+	return rt
 }
+
+// reinit re-initialises a recycled incarnation as a new primary one: it
+// restores the task's time-zero primary image (Engine.zero), which
+// holds the state newTaskRuntime builds, into the runtime's own
+// storage and operator. It keeps what every incarnation of the task
+// shares or can reuse: the routing, the grown batch window, the
+// buffers' backing arrays and the operator or source instance.
+func (rt *taskRuntime) reinit() { rt.restore(&rt.eng.zero[rt.id]) }
 
 // upIdx returns the compact index of an upstream task, and false when
 // the task is no upstream of this one.
@@ -564,7 +566,7 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 func (rt *taskRuntime) reprocessAmendment(ui int32, batch int, delta Batch) {
 	cost := perBatchOverhead + sim.Time(float64(delta.Count)/rt.eng.cfg.ProcRate)
 	now := rt.eng.clock.Now()
-	start := maxTime(rt.busyUntil, now)
+	start := max(rt.busyUntil, now)
 	rt.busyUntil = start + cost
 	ae := rt.eng.getAmendEvent()
 	ae.rt, ae.b, ae.fromOp, ae.delta, ae.cost, ae.epoch = rt, batch, rt.upOps[ui], delta, cost, rt.epoch
@@ -683,7 +685,7 @@ func (rt *taskRuntime) resendSince(since int) {
 		}
 	}
 	if total > 0 {
-		rt.busyUntil = maxTime(rt.busyUntil, rt.eng.clock.Now()) + sim.Time(float64(total)/resendRate)
+		rt.busyUntil = max(rt.busyUntil, rt.eng.clock.Now()) + sim.Time(float64(total)/resendRate)
 	}
 }
 
@@ -775,12 +777,3 @@ func decodeInt(b []byte) (int, error) {
 	}
 	return int(binary.LittleEndian.Uint64(b)), nil
 }
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func sortIDs(ids []topology.TaskID) { slices.Sort(ids) }

@@ -84,12 +84,9 @@ const initialWindow = 8
 
 func (w *batchWindow) init(nup int) {
 	w.nup = nup
-	w.base = 0
-	if w.recs == nil {
-		w.recs = make([]batchRec, initialWindow)
-		for i := range w.recs {
-			w.recs[i].batch = -1
-		}
+	w.recs = make([]batchRec, initialWindow)
+	for i := range w.recs {
+		w.recs[i].batch = -1
 	}
 }
 
@@ -129,7 +126,7 @@ func (w *batchWindow) rec(b int) *batchRec {
 // grow resizes the ring to hold at least span batches, repositioning
 // live records and redistributing the spare state of free slots.
 func (w *batchWindow) grow(span int) {
-	size := len(w.recs)
+	size := max(len(w.recs), 1)
 	for size < span {
 		size *= 2
 	}
@@ -185,34 +182,30 @@ func (w *batchWindow) release(b int, pool *tuplePool) {
 	}
 }
 
-// load copies a recorded record (see batchRec.clone) into the window,
-// priming its staged tuple backings from the pool.
-func (w *batchWindow) load(src *batchRec, pool *tuplePool) {
-	r := w.rec(src.batch)
-	for i, s := range src.staged {
-		r.staged[i].Count = s.Count
-		if len(s.Tuples) > 0 {
-			r.staged[i].Tuples = append(pool.get(), s.Tuples...)
+// copyFrom overwrites the window with the live records of src, their
+// staged tuples copied into backings from the pool. A window without a
+// ring gets one, as small as the live records allow, only when src
+// holds a live record.
+func (w *batchWindow) copyFrom(src *batchWindow, pool *tuplePool) {
+	w.resetTo(src.base, pool)
+	w.nup = src.nup
+	for i := range src.recs {
+		s := &src.recs[i]
+		if s.batch < 0 {
+			continue
 		}
+		r := w.rec(s.batch)
+		for u, b := range s.staged {
+			r.staged[u].Count = b.Count
+			if len(b.Tuples) > 0 {
+				r.staged[u].Tuples = append(pool.get(), b.Tuples...)
+			}
+		}
+		copy(r.punct, s.punct)
+		copy(r.taint, s.taint)
+		copy(r.miss, s.miss)
+		r.punctCount = s.punctCount
 	}
-	copy(r.punct, src.punct)
-	copy(r.taint, src.taint)
-	copy(r.miss, src.miss)
-	r.punctCount = src.punctCount
-}
-
-// clone returns a deep copy of the record: the staged tuples are copied
-// out of their pooled backings, which are recycled when the batch closes.
-func (r *batchRec) clone() batchRec {
-	c := *r
-	c.staged = make([]Batch, len(r.staged))
-	for i, s := range r.staged {
-		c.staged[i] = Batch{Count: s.Count, Tuples: slices.Clone(s.Tuples)}
-	}
-	c.punct = slices.Clone(r.punct)
-	c.taint = slices.Clone(r.taint)
-	c.miss = slices.Clone(r.miss)
-	return c
 }
 
 // resetTo drops every record and rebases the window at batch.
@@ -285,13 +278,11 @@ func (s *owedSet) dropFrom(b int) {
 	s.bits = s.bits[:i*s.words]
 }
 
-// copyBelow overwrites the set with the debts src records for the
-// batches below end.
-func (s *owedSet) copyBelow(src *owedSet, end int) {
-	i, _ := slices.BinarySearch(src.batches, end)
+// copyFrom overwrites the set with the debts src records.
+func (s *owedSet) copyFrom(src *owedSet) {
 	s.words = src.words
-	s.batches = append(s.batches[:0], src.batches[:i]...)
-	s.bits = append(s.bits[:0], src.bits[:i*src.words]...)
+	s.batches = append(s.batches[:0], src.batches...)
+	s.bits = append(s.bits[:0], src.bits...)
 }
 
 // tuplePool recycles the backing arrays of staged input batches. A
