@@ -242,13 +242,12 @@ func benchTopology(b *testing.B, minOps, maxOps, minPar, maxPar int) *topology.T
 }
 
 // BenchmarkPlanners compares every planner on small/medium/large random
-// topologies at a 40% replication budget, quantifying the memoized
-// objective evaluation and parallel candidate search on the planner hot
-// path. A fresh context per iteration makes each measurement a full
-// cold planning run. Planners that cannot handle a size (DP past its
-// state cap, brute force past 24 tasks) are skipped.
+// topologies at a 40% replication budget. A fresh context per iteration
+// makes each measurement a full cold planning run. Planners that cannot
+// handle a size (DP past its state cap, brute force past 24 tasks) are
+// skipped.
 func BenchmarkPlanners(b *testing.B) {
-	for _, name := range []string{"greedy", "full", "structured", "sa", "portfolio", "dp", "brute"} {
+	for _, name := range []string{"greedy", "full", "structured", "sa", "dp", "brute"} {
 		pl, ok := plan.Lookup(name)
 		if !ok {
 			b.Fatalf("planner %q not registered", name)
@@ -270,35 +269,6 @@ func BenchmarkPlanners(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkMemoizedObjective isolates the memoization win on the
-// planner hot path: a Fig. 14-style budget sweep (both SA objectives at
-// five replication ratios, the workload of the Fig. 12 driver) over one
-// shared context, with the objective caches enabled vs disabled.
-// Candidate plans probed at one budget are cache hits at the next.
-func BenchmarkMemoizedObjective(b *testing.B) {
-	topo := benchTopology(b, 5, 10, 1, 10)
-	for _, mode := range []struct {
-		name string
-		memo bool
-	}{{"memoized", true}, {"unmemoized", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := plan.NewContext(topo)
-				ctx.SetMemoize(mode.memo)
-				for _, frac := range []float64{0.1, 0.2, 0.4, 0.6, 0.8} {
-					budget := int(frac * float64(topo.NumTasks()))
-					if _, err := plan.MustLookup("sa").Plan(ctx, budget); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := plan.MustLookup("sa-ic").Plan(ctx, budget); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -380,27 +350,6 @@ func BenchmarkCorrPlanPresets(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkParallelSearch isolates the worker-pool win on the SA
-// segment enumeration: one worker vs GOMAXPROCS on the large topology.
-func BenchmarkParallelSearch(b *testing.B) {
-	topo := benchTopology(b, 12, 16, 5, 15)
-	budget := 2 * topo.NumTasks() / 5
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := plan.NewContext(topo)
-				sa := plan.SA{Workers: mode.workers}
-				if _, err := sa.Plan(ctx, budget); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -2,8 +2,7 @@
 // query topology given as a JSON spec (see internal/topology.Spec),
 // printing the chosen tasks and the plan's predicted Output Fidelity
 // and Internal Completeness. Any planner in the plan registry can be
-// selected by name, including the portfolio meta-planner that races
-// the others.
+// selected by name.
 //
 // The *-corr planners (dp-corr, structured-corr, sa-corr) optimise the
 // expected OF under a domain-correlated failure distribution instead of
@@ -17,7 +16,7 @@
 //
 //	ppaplan -topology topo.json -planner sa -fraction 0.5
 //	topogen -seed 7 | ppaplan -planner greedy -budget 10
-//	topogen -seed 7 | ppaplan -planner portfolio
+//	topogen -seed 7 | ppaplan -planner dp -fraction 0.3
 //	topogen -seed 7 | ppaplan -planner sa-corr -corr-scenarios 64
 //	ppaplan -list
 package main

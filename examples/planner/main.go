@@ -1,10 +1,8 @@
 // Planner example: compare the replication-plan optimisers (DP,
-// structure-aware, greedy, and the portfolio that races all registered
-// planners) on random query topologies of §VI-C — the paper's
-// Fig. 13/14 story at example scale. The structure-aware algorithm
-// tracks the optimum while the greedy baseline collapses at small
-// replication budgets because it ignores MC-tree completeness; the
-// portfolio is never worse than any single planner.
+// structure-aware and greedy) on random query topologies of §VI-C —
+// the paper's Fig. 13/14 story at example scale. The structure-aware
+// algorithm tracks the optimum while the greedy baseline collapses at
+// small replication budgets because it ignores MC-tree completeness.
 package main
 
 import (
@@ -21,7 +19,7 @@ func main() {
 	spec.MinPar, spec.MaxPar = 1, 3
 	spec.Skew = 0.5
 
-	planners := []string{"dp", "sa", "greedy", "portfolio"}
+	planners := []string{"dp", "sa", "greedy"}
 	for i := 0; i < 3; i++ {
 		s := spec
 		s.Seed = spec.Seed + int64(i)*17

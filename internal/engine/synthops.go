@@ -109,34 +109,6 @@ func (o *WindowCountOp) Restore(data []byte) error {
 	return nil
 }
 
-// PassthroughOp forwards every input tuple unchanged; counted input is
-// forwarded as counts. Used in tests and as a trivial example operator.
-type PassthroughOp struct{}
-
-// NewPassthroughFactory builds the factory for PassthroughOp.
-func NewPassthroughFactory() OperatorFactory {
-	return func(int) OperatorFunc { return &PassthroughOp{} }
-}
-
-// ProcessBatch implements OperatorFunc.
-func (o *PassthroughOp) ProcessBatch(batch, fromOp int, in Batch, emit Emitter) {
-	for _, t := range in.Tuples {
-		emit.Emit(t)
-	}
-	if extra := in.Count - len(in.Tuples); extra > 0 {
-		emit.EmitCount(extra)
-	}
-}
-
-// OnBatchEnd implements OperatorFunc.
-func (o *PassthroughOp) OnBatchEnd(int, Emitter) {}
-
-// Snapshot implements OperatorFunc (stateless).
-func (o *PassthroughOp) Snapshot([]byte) ([]byte, int) { return nil, 0 }
-
-// Restore implements OperatorFunc.
-func (o *PassthroughOp) Restore([]byte) error { return nil }
-
 // FuncSource adapts a function to SourceFunc.
 type FuncSource func(b int) Batch
 

@@ -46,7 +46,6 @@ const defaultRoots = "internal/campaign.Run," +
 	"internal/plan.(DP).Plan," +
 	"internal/plan.(Full).Plan," +
 	"internal/plan.(Greedy).Plan," +
-	"internal/plan.(Portfolio).Plan," +
 	"internal/plan.(SA).Plan," +
 	"internal/plan.(Structured).Plan," +
 	"internal/experiments.Fig7," +

@@ -237,21 +237,11 @@ func SegmentsConnected(t *topology.Topology, a, b Tree) bool {
 }
 
 // IsFullTopology reports whether every operator of the topology connects
-// to each downstream neighbour with Full partitioning.
+// to each downstream neighbour with Full partitioning. Only tests call
+// it: this package's and internal/randtopo's TestGenerateFullTopology.
 func IsFullTopology(t *topology.Topology) bool {
 	for _, e := range t.Edges {
 		if e.Part != topology.Full {
-			return false
-		}
-	}
-	return true
-}
-
-// IsStructuredTopology reports whether Full partitioning appears only on
-// edges into sink operators.
-func IsStructuredTopology(t *topology.Topology) bool {
-	for _, e := range t.Edges {
-		if e.Part == topology.Full && !t.IsSink(e.To) {
 			return false
 		}
 	}

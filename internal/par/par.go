@@ -1,9 +1,9 @@
 // Package par provides the repo's deterministic worker pool: an atomic
 // cursor over a fixed index space. Each index is computed independently
 // and lands at its own slot, so callers that merge results in index
-// order observe output identical to a sequential loop — the planners
-// and the failure-campaign runner both rely on this for bit-identical
-// results at any worker count.
+// order observe output identical to a sequential loop — the correlation
+// planners and the failure-campaign runner both rely on this for
+// bit-identical results at any worker count.
 package par
 
 import (
@@ -22,23 +22,19 @@ func Map[T any](n, workers int, fn func(int) T) []T {
 	return out
 }
 
-// EachErr runs fn(i) for every i in [0, n) on up to workers goroutines
-// and fails fast: after any fn returns a non-nil error, no further
-// index is claimed; indices already claimed still run to completion.
-// Because the cursor claims indices in ascending order, every index
-// below the first failing one has executed, so the returned error is
-// deterministically the one with the smallest index regardless of the
-// worker count. workers <= 0 selects GOMAXPROCS; workers == 1 runs
-// inline (and stops at the first error).
-func EachErr(n, workers int, fn func(int) error) error {
-	return EachErrCtx(context.Background(), n, workers, fn)
-}
-
-// EachErrCtx is EachErr with cancellation: once ctx is done, no further
-// index is claimed (indices already claimed still run to completion)
-// and ctx.Err() is returned unless some fn failed first — an fn error
-// always wins over the cancellation error, preserving EachErr's
-// smallest-failing-index determinism.
+// EachErrCtx runs fn(i) for every i in [0, n) on up to workers
+// goroutines and fails fast: after any fn returns a non-nil error, no
+// further index is claimed; indices already claimed still run to
+// completion. Because the cursor claims indices in ascending order,
+// every index below the first failing one has executed, so the returned
+// error is deterministically the one with the smallest index regardless
+// of the worker count. workers <= 0 selects GOMAXPROCS; workers == 1
+// runs inline (and stops at the first error).
+//
+// Once ctx is done, no further index is claimed either (indices already
+// claimed still run to completion) and ctx.Err() is returned unless
+// some fn failed first — an fn error always wins over the cancellation
+// error, preserving the smallest-failing-index determinism.
 func EachErrCtx(ctx context.Context, n, workers int, fn func(int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

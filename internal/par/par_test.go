@@ -37,7 +37,7 @@ func TestEachCoversEveryIndex(t *testing.T) {
 func TestEachErrSmallestIndex(t *testing.T) {
 	failing := map[int]bool{3: true, 7: true, 900: true}
 	for _, workers := range []int{1, 2, 8, 0} {
-		err := EachErr(1000, workers, func(i int) error {
+		err := EachErrCtx(context.Background(), 1000, workers, func(i int) error {
 			if failing[i] {
 				return fmt.Errorf("index %d", i)
 			}
@@ -56,7 +56,7 @@ func TestEachErrFailFast(t *testing.T) {
 	const n = 100_000
 	var executed atomic.Int64
 	boom := errors.New("boom")
-	err := EachErr(n, 8, func(i int) error {
+	err := EachErrCtx(context.Background(), n, 8, func(i int) error {
 		executed.Add(1)
 		if i == 5 {
 			return boom
@@ -123,7 +123,7 @@ func TestEachErrCtxCancel(t *testing.T) {
 
 func TestEachErrNilError(t *testing.T) {
 	var count atomic.Int64
-	if err := EachErr(500, 4, func(int) error { count.Add(1); return nil }); err != nil {
+	if err := EachErrCtx(context.Background(), 500, 4, func(int) error { count.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count.Load() != 500 {

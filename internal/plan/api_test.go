@@ -136,18 +136,3 @@ func TestPlanByName(t *testing.T) {
 		t.Error("Lookup accepted an unknown planner")
 	}
 }
-
-func TestPlanPortfolioAlgorithm(t *testing.T) {
-	c := NewContext(pipelineTopo(t))
-	p := planByName(t, c, "portfolio", 3)
-	// The portfolio includes the optimal planners; on this 5-task
-	// topology budget 3 covers a complete chain, so OF must be positive
-	// and at least the SA plan's.
-	sa := planByName(t, c, "sa", 3)
-	if c.OF(p) < c.OF(sa) {
-		t.Errorf("portfolio OF %v below SA OF %v", c.OF(p), c.OF(sa))
-	}
-	if c.OF(p) <= 0 {
-		t.Errorf("portfolio OF = %v, want > 0", c.OF(p))
-	}
-}

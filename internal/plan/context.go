@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"sync"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // maxMemoEntries bounds each objective cache so that exhaustive
 // searches (brute force, huge DP levels) cannot exhaust memory; once a
@@ -14,56 +10,30 @@ const maxMemoEntries = 1 << 20
 // Context bundles the topology and the evaluation scopes shared by the
 // planners. The worst-case objectives are those of the whole-topology
 // scope, built once; every scope memoizes its objective values keyed on
-// Plan.Key, so the repeated candidate evaluations of the planners (and
-// planners racing each other inside a Portfolio) share work. A Context
-// is safe for concurrent use by multiple goroutines.
+// Plan.Key, so the repeated candidate evaluations of a planner, and of
+// planners run one after another on the context, share work. A Context
+// serves one goroutine: the planners run on their caller's goroutine,
+// and only the correlation evaluation fans out (see CorrObjective).
 type Context struct {
 	Topo *topology.Topology
 
 	whole *Scope
 
 	// single[id] is the OF when only task id fails — the greedy
-	// ranking, computed once on first use.
-	singleOnce sync.Once
-	single     []float64
+	// ranking, computed on first use.
+	single []float64
 
-	mu   sync.Mutex
-	memo bool
 	// corr is the domain-correlated failure distribution of the
 	// correlation-aware objective.
 	corr   *ScenarioSet
 	scopes map[string]*Scope
 }
 
-// NewContext builds a planning context for the topology. Memoization is
-// enabled by default; see SetMemoize.
+// NewContext builds a planning context for the topology.
 func NewContext(t *topology.Topology) *Context {
-	c := &Context{
-		Topo:   t,
-		memo:   true,
-		scopes: map[string]*Scope{},
-	}
-	ops := allOps(t)
-	c.whole = newScope(c, ops)
-	c.whole.setMemo(true)
-	c.scopes[scopeSig(ops)] = c.whole
+	c := &Context{Topo: t, scopes: map[string]*Scope{}}
+	c.whole = c.ScopeOf(allOps(t))
 	return c
-}
-
-// SetMemoize enables or disables memoization of objective values (it
-// is on by default). Disabling clears every scope's memo; it exists so
-// benchmarks can quantify the value-memoization win and is not needed
-// in normal use. The per-Scope base-vector reuse that powers
-// incremental Extend evaluation is part of the planning algorithms
-// themselves and is not affected by this switch, and neither is
-// CorrObjective, which is never memoized.
-func (c *Context) SetMemoize(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memo = on
-	for _, s := range c.scopes {
-		s.setMemo(on)
-	}
 }
 
 // ObjectiveWith evaluates the given metric of a plan under the
@@ -80,22 +50,22 @@ func (c *Context) IC(p Plan) float64 { return c.whole.Eval(MetricIC, p) }
 
 // singleFailureOFs returns the OF of every single-task failure, indexed
 // by TaskID: entry id is the whole-topology OF with every task alive but
-// id. The vector is computed once per context and shared, so repeated
-// greedy rankings (and greedy runs racing inside a portfolio) reuse it.
-// The returned slice must not be modified.
+// id. The vector is computed once per context, so repeated greedy
+// rankings reuse it. The returned slice must not be modified.
 func (c *Context) singleFailureOFs() []float64 {
-	c.singleOnce.Do(func() {
-		alive := make([]bool, c.Topo.NumTasks())
-		for id := range alive {
-			alive[id] = true
-		}
-		c.single = make([]float64, len(alive))
-		for id := range alive {
-			alive[id] = false
-			c.single[id] = c.whole.eval(MetricOF, alive)
-			alive[id] = true
-		}
-	})
+	if c.single != nil {
+		return c.single
+	}
+	alive := make([]bool, c.Topo.NumTasks())
+	for id := range alive {
+		alive[id] = true
+	}
+	c.single = make([]float64, len(alive))
+	for id := range alive {
+		alive[id] = false
+		c.single[id] = c.whole.eval(MetricOF, alive)
+		alive[id] = true
+	}
 	return c.single
 }
 
@@ -106,19 +76,10 @@ func (c *Context) singleFailureOFs() []float64 {
 // the scope behind OF and IC.
 func (c *Context) ScopeOf(ops []int) *Scope {
 	sig := scopeSig(ops)
-	c.mu.Lock()
-	if s, ok := c.scopes[sig]; ok {
-		c.mu.Unlock()
-		return s
+	s, ok := c.scopes[sig]
+	if !ok {
+		s = newScope(c, ops)
+		c.scopes[sig] = s
 	}
-	c.mu.Unlock()
-	s := newScope(c, ops)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.scopes[sig]; ok {
-		return prev
-	}
-	s.setMemo(c.memo)
-	c.scopes[sig] = s
 	return s
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/par"
 	"repro/internal/topology"
@@ -93,30 +94,22 @@ func (c *Context) SetScenarios(s *ScenarioSet) error {
 	if s != nil && s.n != c.Topo.NumTasks() {
 		return fmt.Errorf("plan: scenario set for %d tasks installed on a %d-task topology", s.n, c.Topo.NumTasks())
 	}
-	c.mu.Lock()
 	c.corr = s
-	c.mu.Unlock()
 	return nil
-}
-
-// Scenarios returns the installed failure distribution, or nil.
-func (c *Context) Scenarios() *ScenarioSet {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.corr
 }
 
 // CorrObjective evaluates the correlation-aware objective of a plan:
 // the expected Output Fidelity over the installed failure distribution,
 // where a scenario fails exactly its non-replicated tasks (replicated
 // tasks survive via their out-of-domain replicas). The distinct
-// scenarios are evaluated on the shared internal/par worker pool and
+// scenarios are evaluated on the internal/par worker pool at GOMAXPROCS
+// (the one fan-out of the package; see Corr for what it buys) and
 // folded in scenario order, so the value is deterministic at any worker
 // count. Values are not memoized: the *-corr planners score their
 // candidate plans incrementally instead (see Corr), so callers evaluate
 // a plan once. Without a distribution it degrades to the worst-case OF.
 func (c *Context) CorrObjective(p Plan) float64 {
-	s := c.Scenarios()
+	s := c.corr
 	if s == nil || s.Len() == 0 {
 		return c.OF(p)
 	}
@@ -144,20 +137,21 @@ type corrBase struct {
 }
 
 // evalScenarios evaluates the replicated set rep under every scenario
-// of set on up to workers goroutines: in scenario i a task is alive
-// unless the scenario fails it and rep does not replicate it.
+// of set on up to workers goroutines (0: GOMAXPROCS): in scenario i a
+// task is alive unless the scenario fails it and rep does not replicate
+// it. Each scenario has its own vector and alive set; the workers only
+// read the scope.
 func (s *Scope) evalScenarios(set *ScenarioSet, rep []bool, workers int) corrBase {
 	n := len(rep)
 	flat := make([]float64, set.Len()*n)
+	alive := make([]bool, set.Len()*n)
 	base := corrBase{vecs: make([][]float64, set.Len()), ofs: make([]float64, set.Len())}
 	par.Each(set.Len(), workers, func(i int) {
-		vec := flat[i*n : (i+1)*n : (i+1)*n]
-		b := s.bufs.Get().(*evalBuf)
+		vec, al := flat[i*n:(i+1)*n:(i+1)*n], alive[i*n:(i+1)*n]
 		for id, f := range set.failed[i] {
-			b.alive[id] = !f || rep[id]
+			al[id] = !f || rep[id]
 		}
-		s.compute(MetricOF, b.alive, vec, s.tasks)
-		s.bufs.Put(b)
+		s.compute(MetricOF, al, vec, s.tasks)
 		base.vecs[i], base.ofs[i] = vec, s.objective(MetricOF, vec)
 	})
 	return base
@@ -179,14 +173,17 @@ const corrRounds = 8
 // no distribution installed on the context the refinement is skipped
 // and the inner plan is returned unchanged (CorrObjective would equal
 // the inner objective).
+//
+// The inner planner runs on the caller's goroutine. The climb — the
+// per-scenario evaluation of the current plan, the per-task rescoring
+// and the move scoring — fans out on the internal/par worker pool at
+// GOMAXPROCS, and the plan is identical at any worker count. The
+// fan-out pays: on a 2-vCPU Xeon (Go 1.24, BenchmarkCorrPlanPresets at
+// -cpu 2, medians of 5 alternating runs) one worker instead of two
+// takes medium sa-corr from 6.5 to 8.0 ms and large from 23.2 to
+// 33.0 ms.
 type Corr struct {
 	Inner Planner
-	// Workers bounds the hill climb's parallelism — the per-scenario
-	// evaluation of the current plan, the per-task rescoring and the
-	// move scoring: 0 uses GOMAXPROCS, 1 runs sequentially. The inner
-	// planner's own parallelism is its own setting. Results are
-	// identical at any worker count.
-	Workers int
 }
 
 // Name implements Planner: the inner planner's name with a "-corr"
@@ -194,19 +191,23 @@ type Corr struct {
 func (p Corr) Name() string { return p.Inner.Name() + "-corr" }
 
 // Plan implements Planner.
-func (p Corr) Plan(c *Context, budget int) (Plan, error) {
+func (p Corr) Plan(c *Context, budget int) (Plan, error) { return p.plan(c, budget, 0) }
+
+// plan is Plan with the climb on up to workers goroutines (0:
+// GOMAXPROCS).
+func (p Corr) plan(c *Context, budget, workers int) (Plan, error) {
 	cur, err := p.Inner.Plan(c, budget)
 	if err != nil {
 		return Plan{}, err
 	}
-	set := c.Scenarios()
+	set := c.corr
 	if set == nil {
 		return cur, nil
 	}
 	if n := c.Topo.NumTasks(); budget > n {
 		budget = n
 	}
-	cl := newCorrClimb(c.whole, set, p.Workers)
+	cl := newCorrClimb(c.whole, set, workers)
 	for round := 0; round < corrRounds; round++ {
 		moves := corrMoves(cur, budget)
 		if len(moves) == 0 {
@@ -278,6 +279,10 @@ func corrMoves(cur Plan, budget int) []corrMove {
 // topological order on the base vector give the same vector as a full
 // pass (Scope.Extend relies on the same fact), and the OFs are folded
 // by the same expect.
+//
+// The climb's workers read the scope, the base vectors and the flip
+// table, and write only their own slots and the evaluation buffers they
+// draw from bufs.
 type corrClimb struct {
 	w       *Scope // the whole-topology scope
 	set     *ScenarioSet
@@ -285,6 +290,14 @@ type corrClimb struct {
 	// cones[t] is task t and every task downstream of it, in scope
 	// topological order.
 	cones [][]topology.TaskID
+	bufs  sync.Pool // *evalBuf
+}
+
+// evalBuf is one worker's evaluation buffers, indexed by TaskID: a
+// propagation vector and an alive set.
+type evalBuf struct {
+	vec   []float64
+	alive []bool
 }
 
 func newCorrClimb(w *Scope, set *ScenarioSet, workers int) *corrClimb {
@@ -292,6 +305,7 @@ func newCorrClimb(w *Scope, set *ScenarioSet, workers int) *corrClimb {
 	for t := range cl.cones {
 		cl.cones[t] = w.downstream([]topology.TaskID{topology.TaskID(t)})
 	}
+	cl.bufs.New = func() any { return &evalBuf{vec: make([]float64, set.n), alive: make([]bool, set.n)} }
 	return cl
 }
 
@@ -306,13 +320,13 @@ func (cl *corrClimb) score(cur Plan, moves []corrMove) (float64, []float64) {
 	// in the scenarios that fail only one of its two tasks.
 	flips := par.Map(set.n, cl.workers, func(t int) []float64 {
 		ofs := append([]float64(nil), base.ofs...)
-		b := w.bufs.Get().(*evalBuf)
+		b := cl.bufs.Get().(*evalBuf)
 		for i, f := range set.failed {
 			if f[t] {
 				ofs[i] = cl.rescore(b, base, rep, i, topology.TaskID(t), noTask)
 			}
 		}
-		w.bufs.Put(b)
+		cl.bufs.Put(b)
 		return ofs
 	})
 	vals := par.Map(len(moves), cl.workers, func(k int) float64 {
@@ -325,7 +339,7 @@ func (cl *corrClimb) score(cur Plan, moves []corrMove) (float64, []float64) {
 			switch f := set.failed[i]; {
 			case f[a] && f[d]:
 				if b == nil {
-					b = w.bufs.Get().(*evalBuf)
+					b = cl.bufs.Get().(*evalBuf)
 				}
 				return cl.rescore(b, base, rep, i, a, d)
 			case f[a]:
@@ -336,7 +350,7 @@ func (cl *corrClimb) score(cur Plan, moves []corrMove) (float64, []float64) {
 			return base.ofs[i]
 		})
 		if b != nil {
-			w.bufs.Put(b)
+			cl.bufs.Put(b)
 		}
 		return v
 	})

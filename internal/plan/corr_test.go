@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/randtopo"
@@ -184,7 +186,7 @@ func TestCorrPlannerDeterministicAcrossWorkers(t *testing.T) {
 		if err := c.SetScenarios(s); err != nil {
 			t.Fatal(err)
 		}
-		p, err := Corr{Inner: Greedy{}, Workers: workers}.Plan(c, 2)
+		p, err := Corr{Inner: Greedy{}}.plan(c, 2, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,48 +286,55 @@ func TestCorrMoveScoresMatchObjective(t *testing.T) {
 // reference is slow under the race detector, which then checks every
 // eighth topology.
 func TestCorrPlanMatchesReference(t *testing.T) {
-	moved, runs := 0, 0
-	for ti, topo := range specTopos(t, 40) {
-		if raceEnabled && ti%8 != 0 {
-			continue
-		}
-		rng := rand.New(rand.NewSource(int64(ti)))
-		n := topo.NumTasks()
-		c := NewContext(topo)
-		if err := c.SetScenarios(randomScenarioSet(t, rng, n)); err != nil {
-			t.Fatal(err)
-		}
-		for _, inner := range []Planner{SA{}, Greedy{}, Structured{}} {
-			for _, frac := range []float64{0.1, 0.3, 0.6} {
-				budget, err := Budget(n, frac)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := refCorrPlan(Corr{Inner: inner}, c, budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs++
-				if seed, err := inner.Plan(c, budget); err != nil {
-					t.Fatal(err)
-				} else if seed.Key() != want.Key() {
-					moved++
-				}
-				for _, workers := range []int{1, 2, 8} {
-					got, err := Corr{Inner: inner, Workers: workers}.Plan(c, budget)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got.Tasks(), want.Tasks()) {
-						t.Fatalf("topo %d %s-corr fraction %v workers %d: plan %v, reference %v",
-							ti, inner.Name(), frac, workers, got.Tasks(), want.Tasks())
-					}
-				}
+	// Each topology has its own context, so the topologies run as
+	// parallel subtests.
+	var moved, runs atomic.Int64
+	t.Run("topologies", func(t *testing.T) {
+		for ti, topo := range specTopos(t, 40) {
+			if raceEnabled && ti%8 != 0 {
+				continue
 			}
+			t.Run(fmt.Sprint(ti), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(int64(ti)))
+				n := topo.NumTasks()
+				c := NewContext(topo)
+				if err := c.SetScenarios(randomScenarioSet(t, rng, n)); err != nil {
+					t.Fatal(err)
+				}
+				for _, inner := range []Planner{SA{}, Greedy{}, Structured{}} {
+					for _, frac := range []float64{0.1, 0.3, 0.6} {
+						budget, err := Budget(n, frac)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := refCorrPlan(inner, c, budget)
+						if err != nil {
+							t.Fatal(err)
+						}
+						runs.Add(1)
+						if seed, err := inner.Plan(c, budget); err != nil {
+							t.Fatal(err)
+						} else if seed.Key() != want.Key() {
+							moved.Add(1)
+						}
+						for _, workers := range []int{1, 2, 8} {
+							got, err := Corr{Inner: inner}.plan(c, budget, workers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got.Tasks(), want.Tasks()) {
+								t.Fatalf("topo %d %s-corr fraction %v workers %d: plan %v, reference %v",
+									ti, inner.Name(), frac, workers, got.Tasks(), want.Tasks())
+							}
+						}
+					}
+				}
+			})
 		}
-	}
-	if moved == 0 {
+	})
+	if moved.Load() == 0 {
 		t.Fatal("the climb never moved a seed plan; the comparison is vacuous")
 	}
-	t.Logf("the climb moved %d of %d seed plans", moved, runs)
+	t.Logf("the climb moved %d of %d seed plans", moved.Load(), runs.Load())
 }

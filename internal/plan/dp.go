@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/mctree"
-	"repro/internal/par"
 )
 
 // ErrSearchSpace is returned by the dynamic programming planner when the
@@ -29,23 +28,13 @@ const (
 // whose number of non-replicated tasks exactly matches the available
 // slack, and exhausted candidates are pruned. The best plan by
 // worst-case OF (ties broken by smaller resource usage) is returned.
-//
-// Candidate expansion at each usage level fans out across a worker
-// pool; the per-state expansions are merged in state order, so the
-// search (including dedup and tie-breaking) is bit-identical to a
-// sequential run.
-type DP struct {
-	// Workers sets the candidate-expansion parallelism: 0 uses
-	// GOMAXPROCS, 1 runs sequentially. Results are bit-identical
-	// regardless of the worker count.
-	Workers int
-}
+type DP struct{}
 
 // Name implements Planner.
 func (DP) Name() string { return "dp" }
 
 // Plan implements Planner.
-func (d DP) Plan(c *Context, budget int) (Plan, error) {
+func (DP) Plan(c *Context, budget int) (Plan, error) {
 	n := c.Topo.NumTasks()
 	if budget > n {
 		budget = n
@@ -62,30 +51,17 @@ func (d DP) Plan(c *Context, budget int) (Plan, error) {
 	best := empty.Clone()
 	bestOF := c.OF(best)
 
-	// expansion is one state's fate at a usage level: whether the state
-	// survives into the next level, plus its new candidate plans in
-	// tree order. Candidates carry their OF (computed in the worker) so
-	// the sequential merge only deduplicates and selects.
-	type candidate struct {
-		p   Plan
-		key string
-		of  float64
-	}
-	type expansion struct {
-		keep  bool
-		cands []candidate
-	}
-
+	// counts[ti] is tree ti's number of tasks the state being expanded
+	// does not replicate; it serves both the pruning bound and the
+	// expansion filter.
+	counts := make([]int, len(trees))
 	for usage := 1; usage <= budget; usage++ {
-		exps := par.Map(len(states), d.Workers, func(i int) expansion {
-			st := states[i]
+		var next []Plan
+		for _, st := range states {
 			dif := usage - st.Size()
 			if dif < 0 {
-				return expansion{}
+				continue
 			}
-			// Count each tree's non-replicated tasks once; the counts
-			// serve both the pruning bound and the expansion filter.
-			counts := make([]int, len(trees))
 			maxNonrep := 0
 			for ti, tr := range trees {
 				nr := tr.NonReplicated(st.Vector())
@@ -97,38 +73,28 @@ func (d DP) Plan(c *Context, budget int) (Plan, error) {
 			if dif > maxNonrep {
 				// All possible expansions of this candidate have been
 				// considered; prune it (it stays a contender via best).
-				return expansion{}
+				continue
 			}
-			ex := expansion{keep: true}
+			next = append(next, st)
 			for ti, tr := range trees {
 				if counts[ti] != dif {
 					continue
 				}
 				np := st.Clone()
 				np.AddAll(tr.MissingTasks(st.Vector()))
-				ex.cands = append(ex.cands, candidate{p: np, key: np.Key(), of: c.OF(np)})
-			}
-			return ex
-		})
-		var next []Plan
-		for i, ex := range exps {
-			if !ex.keep {
-				continue
-			}
-			next = append(next, states[i])
-			for _, cd := range ex.cands {
-				if seen[cd.key] {
+				key := np.Key()
+				if seen[key] {
 					continue
 				}
-				seen[cd.key] = true
+				seen[key] = true
 				if len(seen) > maxStates {
 					return Plan{}, ErrSearchSpace
 				}
-				if cd.of > bestOF || (cd.of == bestOF && cd.p.Size() < best.Size()) {
-					best = cd.p
-					bestOF = cd.of
+				if of := c.OF(np); of > bestOF || (of == bestOF && np.Size() < best.Size()) {
+					best = np
+					bestOF = of
 				}
-				next = append(next, cd.p)
+				next = append(next, np)
 			}
 		}
 		states = next

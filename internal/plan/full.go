@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/topology"
 )
@@ -15,9 +14,7 @@ import (
 type fullState struct {
 	scope  *Scope
 	metric Metric
-
-	once   sync.Once
-	ranked map[int][]topology.TaskID
+	ranked map[int][]topology.TaskID // computed on first use
 }
 
 func newFullState(c *Context, ops []int, m Metric) *fullState {
@@ -29,41 +26,42 @@ func newFullState(c *Context, ops []int, m Metric) *fullState {
 // assumption that all other tasks of the same operator are failed and
 // the tasks of the other operators are alive (§IV-C2).
 func (f *fullState) rank(c *Context) map[int][]topology.TaskID {
-	f.once.Do(func() {
-		t := c.Topo
-		ops := f.scope.Ops()
-		f.ranked = make(map[int][]topology.TaskID, len(ops))
-		for _, op := range ops {
-			// pseudo-plan: every in-scope task of the other operators is
-			// alive ("replicated"), operator op contributes only the probe.
-			base := New(t.NumTasks())
-			for _, other := range ops {
-				if other == op {
-					continue
-				}
-				base.AddAll(t.TasksOf(other))
+	if f.ranked != nil {
+		return f.ranked
+	}
+	t := c.Topo
+	ops := f.scope.Ops()
+	f.ranked = make(map[int][]topology.TaskID, len(ops))
+	for _, op := range ops {
+		// pseudo-plan: every in-scope task of the other operators is
+		// alive ("replicated"), operator op contributes only the probe.
+		base := New(t.NumTasks())
+		for _, other := range ops {
+			if other == op {
+				continue
 			}
-			type scored struct {
-				id topology.TaskID
-				d  float64
-			}
-			var ss []scored
-			for _, id := range t.TasksOf(op) {
-				ss = append(ss, scored{id: id, d: f.scope.Extend(f.metric, base, []topology.TaskID{id})})
-			}
-			sort.SliceStable(ss, func(i, j int) bool {
-				if ss[i].d != ss[j].d {
-					return ss[i].d > ss[j].d
-				}
-				return ss[i].id < ss[j].id
-			})
-			ids := make([]topology.TaskID, len(ss))
-			for i, s := range ss {
-				ids[i] = s.id
-			}
-			f.ranked[op] = ids
+			base.AddAll(t.TasksOf(other))
 		}
-	})
+		type scored struct {
+			id topology.TaskID
+			d  float64
+		}
+		var ss []scored
+		for _, id := range t.TasksOf(op) {
+			ss = append(ss, scored{id: id, d: f.scope.Extend(f.metric, base, []topology.TaskID{id})})
+		}
+		sort.SliceStable(ss, func(i, j int) bool {
+			if ss[i].d != ss[j].d {
+				return ss[i].d > ss[j].d
+			}
+			return ss[i].id < ss[j].id
+		})
+		ids := make([]topology.TaskID, len(ss))
+		for i, s := range ss {
+			ids[i] = s.id
+		}
+		f.ranked[op] = ids
+	}
 	return f.ranked
 }
 

@@ -3,8 +3,7 @@
 // over MC-trees (Alg. 1), the task-level greedy algorithm (Alg. 2), the
 // structured-topology planner (Alg. 3), the full-topology planner
 // (Alg. 4) and the structure-aware general planner (Alg. 5), plus a
-// brute-force reference optimiser used to validate optimality in tests
-// and a Portfolio meta-planner that races every registered planner.
+// brute-force reference optimiser used to validate optimality in tests.
 //
 // All planners solve the same problem (Definition 2): given a topology
 // and a resource budget of R actively replicated tasks, choose the R
@@ -12,9 +11,12 @@
 // survives a worst-case correlated failure (every non-replicated task
 // failed). They are exposed uniformly through the Planner interface and
 // the fixed package registry (Lookup/Names), and share one Context — a
-// concurrency-safe, memoizing objective evaluator. Budget turns a
-// replication ratio into the task budget, and Diff gives the replicas
-// to start and stop when one plan replaces another (§V-C).
+// memoizing objective evaluator. As in §IV, every planner is a
+// sequential algorithm that runs on its caller's goroutine, and a
+// Context serves one goroutine; only the correlation evaluation of the
+// *-corr variants fans out (see Corr). Budget turns a replication ratio
+// into the task budget, and Diff gives the replicas to start and stop
+// when one plan replaces another (§V-C).
 //
 // The package also owns the output-quality models of §III that the
 // planners optimise. Output Fidelity (OF) estimates the quality of the

@@ -8,7 +8,8 @@ import (
 // Planner is the uniform interface of every replication-plan optimiser:
 // given a shared planning context and a budget of actively replicated
 // tasks, produce a plan. Implementations are stateless option structs —
-// a Planner value may be used concurrently and reused across contexts.
+// one Planner value may plan on any number of contexts, each on its own
+// goroutine. Plan runs on its caller's goroutine.
 type Planner interface {
 	// Name is the planner's registry name (e.g. "dp", "sa", "greedy").
 	Name() string
@@ -20,7 +21,7 @@ type Planner interface {
 var registry = func() map[string]Planner {
 	m := map[string]Planner{}
 	for _, p := range []Planner{
-		DP{}, Greedy{}, SA{}, SA{Metric: MetricIC}, Structured{}, Full{}, Brute{}, Portfolio{},
+		DP{}, Greedy{}, SA{}, SA{Metric: MetricIC}, Structured{}, Full{}, Brute{},
 		// Correlation-aware variants: inner planner seeds,
 		// hill-climbing under the context's domain-correlated failure
 		// distribution refines (see corr.go).

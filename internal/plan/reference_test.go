@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"repro/internal/par"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // refOF is a reference of Output Fidelity written straight from §III:
 // it propagates ILout (Eqs. 1–3) under the failure set and folds the
@@ -82,15 +79,16 @@ func refIC(t *topology.Topology, failed []bool) float64 {
 	return clamp01(processed / normal)
 }
 
-// refCorrPlan is the reference of the Corr hill climb: every move is
-// scored by a full CorrObjective evaluation of the moved plan, with the
-// same enumeration order and tie-break as Corr.Plan.
-func refCorrPlan(p Corr, c *Context, budget int) (Plan, error) {
-	cur, err := p.Inner.Plan(c, budget)
+// refCorrPlan is the reference of the Corr hill climb over the inner
+// planner's plan: every move is scored by a full CorrObjective
+// evaluation of the moved plan, with the same enumeration order and
+// tie-break as Corr.Plan.
+func refCorrPlan(inner Planner, c *Context, budget int) (Plan, error) {
+	cur, err := inner.Plan(c, budget)
 	if err != nil {
 		return Plan{}, err
 	}
-	if c.Scenarios() == nil {
+	if c.corr == nil {
 		return cur, nil
 	}
 	n := c.Topo.NumTasks()
@@ -126,14 +124,15 @@ func refCorrPlan(p Corr, c *Context, budget int) (Plan, error) {
 		if len(moves) == 0 {
 			break
 		}
-		vals := par.Map(len(moves), p.Workers, func(i int) float64 {
+		vals := make([]float64, len(moves))
+		for i, m := range moves {
 			probe := cur.Clone()
-			if moves[i].del != noTask {
-				probe.Remove(moves[i].del)
+			if m.del != noTask {
+				probe.Remove(m.del)
 			}
-			probe.Add(moves[i].add)
-			return c.CorrObjective(probe)
-		})
+			probe.Add(m.add)
+			vals[i] = c.CorrObjective(probe)
+		}
 		bestMove := -1
 		for i, v := range vals {
 			if v > best {

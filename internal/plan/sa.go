@@ -46,10 +46,6 @@ type SA struct {
 	// MetricIC reproduces the paper's Fig. 12 IC-optimised plans and
 	// is the registry's "sa-ic" planner).
 	Metric Metric
-	// Workers sets the candidate-enumeration parallelism: 0 uses
-	// GOMAXPROCS, 1 runs sequentially. Results are bit-identical
-	// regardless of the worker count.
-	Workers int
 }
 
 // Name implements Planner: "sa" for the OF objective, "sa-ic" for the
@@ -96,7 +92,7 @@ func (s SA) Plan(c *Context, budget int) (Plan, error) {
 			planners = append(planners, &fullSub{st: newFullState(c, sub.Ops, m)})
 			continue
 		}
-		st, err := newStructuredState(c, sub.Ops, m, s.Workers)
+		st, err := newStructuredState(c, sub.Ops, m)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: structure-aware: %w", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/topology"
 )
@@ -14,8 +13,8 @@ import (
 // needs — the in-scope task order, the scope's sink tasks and their
 // total failure-free output rate, the failure-free input rates and the
 // in-scope downstream adjacency used for incremental re-evaluation.
-// Scopes are created by Context.ScopeOf and shared; a Scope is safe for
-// concurrent use.
+// Scopes are created by Context.ScopeOf and shared by the planners on
+// the context's goroutine; a Scope serves one goroutine.
 //
 // Within the scope a task is alive when the evaluated set holds it —
 // for a plan, when it is replicated — and failed otherwise; tasks
@@ -51,25 +50,18 @@ type Scope struct {
 	// down[id] lists the in-scope tasks directly downstream of task id.
 	down [][]topology.TaskID
 
-	bufs sync.Pool // *evalBuf
-
-	mu   sync.Mutex
-	memo [2]map[string]float64 // indexed by Metric; nil while memoization is off
-	base [2]scopedBase         // indexed by Metric
+	// scratch is the propagation vector of eval and Extend.
+	scratch []float64
+	memo    [2]map[string]float64 // indexed by Metric; a nil map memoizes nothing
+	base    [2]scopedBase         // indexed by Metric
 }
 
-// scopedBase is an immutable snapshot of the per-task propagation
-// vector (OF: information loss; IC: throughput fraction) of one plan.
+// scopedBase is the per-task propagation vector (OF: information loss;
+// IC: throughput fraction) of the plan with the given key; no plan of a
+// topology with tasks has the empty key.
 type scopedBase struct {
 	key string
 	vec []float64
-}
-
-// evalBuf is one recycled set of evaluation buffers, indexed by TaskID:
-// a propagation vector and an alive set.
-type evalBuf struct {
-	vec   []float64
-	alive []bool
 }
 
 // scopeSig returns the canonical identity of an operator set.
@@ -96,8 +88,10 @@ func newScope(c *Context, ops []int) *Scope {
 		taskIn:   make([]bool, n),
 		normalIn: make([]float64, n),
 		down:     make([][]topology.TaskID, n),
+		scratch:  make([]float64, n),
+		memo:     [2]map[string]float64{{}, {}},
+		base:     [2]scopedBase{{vec: make([]float64, n)}, {vec: make([]float64, n)}},
 	}
-	s.bufs.New = func() any { return &evalBuf{vec: make([]float64, n), alive: make([]bool, n)} }
 	for _, op := range s.ops {
 		s.opIn[op] = true
 	}
@@ -144,34 +138,10 @@ func newScope(c *Context, ops []int) *Scope {
 	return s
 }
 
-// setMemo switches the scope's memo on (keeping what it holds) or off
-// (dropping it).
-func (s *Scope) setMemo(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for m := range s.memo {
-		switch {
-		case !on:
-			s.memo[m] = nil
-		case s.memo[m] == nil:
-			s.memo[m] = map[string]float64{}
-		}
-	}
-}
-
-func (s *Scope) memoGet(m Metric, key string) (float64, bool) {
-	s.mu.Lock()
-	v, ok := s.memo[m][key]
-	s.mu.Unlock()
-	return v, ok
-}
-
 func (s *Scope) memoPut(m Metric, key string, v float64) {
-	s.mu.Lock()
 	if cache := s.memo[m]; cache != nil && len(cache) < maxMemoEntries {
 		cache[key] = v
 	}
-	s.mu.Unlock()
 }
 
 // Ops returns the scope's operator set.
@@ -181,7 +151,7 @@ func (s *Scope) Ops() []int { return s.ops }
 // key.
 func (s *Scope) Eval(m Metric, p Plan) float64 {
 	key := p.Key()
-	if v, ok := s.memoGet(m, key); ok {
+	if v, ok := s.memo[m][key]; ok {
 		return v
 	}
 	v := s.eval(m, p.replicated)
@@ -189,16 +159,13 @@ func (s *Scope) Eval(m Metric, p Plan) float64 {
 	return v
 }
 
-// eval computes the scoped objective of an alive set in full on a
-// recycled propagation vector, bypassing the memo (used by the memo
-// miss path, by brute force, whose 2^N distinct plans would only
-// pollute it, and by the single-failure vector).
+// eval computes the scoped objective of an alive set in full on the
+// scratch vector, bypassing the memo (used by the memo miss path, by
+// brute force, whose 2^N distinct plans would only pollute it, and by
+// the single-failure vector).
 func (s *Scope) eval(m Metric, alive []bool) float64 {
-	b := s.bufs.Get().(*evalBuf)
-	s.compute(m, alive, b.vec, s.tasks)
-	v := s.objective(m, b.vec)
-	s.bufs.Put(b)
-	return v
+	s.compute(m, alive, s.scratch, s.tasks)
+	return s.objective(m, s.scratch)
 }
 
 // EvalBase computes the scoped objective of a plan that is about to
@@ -220,15 +187,12 @@ func (s *Scope) Extend(m Metric, base Plan, ids []topology.TaskID) float64 {
 	probe := base.Clone()
 	probe.AddAll(ids)
 	key := probe.Key()
-	if v, ok := s.memoGet(m, key); ok {
+	if v, ok := s.memo[m][key]; ok {
 		return v
 	}
-	b := s.bufs.Get().(*evalBuf)
-	vec := b.vec
-	copy(vec, s.baseVector(m, base))
-	s.compute(m, probe.replicated, vec, s.downstream(ids))
-	v := s.objective(m, vec)
-	s.bufs.Put(b)
+	copy(s.scratch, s.baseVector(m, base))
+	s.compute(m, probe.replicated, s.scratch, s.downstream(ids))
+	v := s.objective(m, s.scratch)
 	s.memoPut(m, key, v)
 	return v
 }
@@ -268,22 +232,16 @@ func (s *Scope) downstream(ids []topology.TaskID) []topology.TaskID {
 }
 
 // baseVector returns the cached propagation vector of the base plan,
-// computing and caching it on mismatch. The returned slice is the
-// immutable cached snapshot; callers must copy before mutating.
+// recomputing it in place on mismatch. The returned slice is the cache
+// itself: callers must copy before mutating, and it is overwritten by
+// the metric's next base.
 func (s *Scope) baseVector(m Metric, base Plan) []float64 {
-	key := base.Key()
-	s.mu.Lock()
-	if b := s.base[m]; b.key == key {
-		s.mu.Unlock()
-		return b.vec
+	b := &s.base[m]
+	if key := base.Key(); b.key != key {
+		s.compute(m, base.replicated, b.vec, s.tasks)
+		b.key = key
 	}
-	s.mu.Unlock()
-	vec := make([]float64, s.c.Topo.NumTasks())
-	s.compute(m, base.replicated, vec, s.tasks)
-	s.mu.Lock()
-	s.base[m] = scopedBase{key: key, vec: vec}
-	s.mu.Unlock()
-	return vec
+	return b.vec
 }
 
 // compute fills vec for the given in-scope tasks (which must be in

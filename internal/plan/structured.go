@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/mctree"
-	"repro/internal/par"
 	"repro/internal/topology"
 )
 
@@ -16,17 +15,16 @@ const maxSegments = 4096
 // structuredState caches the unit decomposition of one structured
 // (sub-)topology so that repeated planning steps do not recompute it.
 type structuredState struct {
-	scope   *Scope
-	metric  Metric
-	workers int
-	units   []mctree.Unit
+	scope  *Scope
+	metric Metric
+	units  []mctree.Unit
 	// unitScopes caches each unit's evaluation scope; segmentValue runs
 	// in the BFS inner loop and must not rebuild scope signatures there.
 	unitScopes []*Scope
 	adj        [][]int // unit adjacency
 }
 
-func newStructuredState(c *Context, ops []int, m Metric, workers int) (*structuredState, error) {
+func newStructuredState(c *Context, ops []int, m Metric) (*structuredState, error) {
 	units, err := mctree.SplitUnits(c.Topo, mctree.SubTopology{Ops: ops, Kind: mctree.StructuredSub}, maxSegments)
 	if err != nil {
 		return nil, fmt.Errorf("plan: splitting units: %w", err)
@@ -34,7 +32,6 @@ func newStructuredState(c *Context, ops []int, m Metric, workers int) (*structur
 	st := &structuredState{
 		scope:      c.ScopeOf(ops),
 		metric:     m,
-		workers:    workers,
 		units:      units,
 		unitScopes: make([]*Scope, len(units)),
 		adj:        make([][]int, len(units)),
@@ -81,126 +78,101 @@ func (st *structuredState) segmentValue(c *Context, ui int, seg mctree.Tree) flo
 	return st.unitScopes[ui].Eval(st.metric, p)
 }
 
-// candidate is one proposed expansion of the current plan.
-type candidate struct {
-	tasks []topology.TaskID
-	cost  int
-}
-
 // step proposes the next expansion per one iteration of Algorithm 3
 // (PLANSTRUCTUREDTOPOLOGY): every non-replicated segment seeds a
-// candidate; a segment that alone does not raise the scoped OF is
-// extended by a BFS over the neighbouring units, each visited unit
-// contributing its best segment connected to the candidate, stopping
-// when maxCost would be exceeded. The candidate with the maximal profit
-// density is returned (nil when no affordable candidate exists).
-//
-// The per-segment candidate construction is independent of the other
-// segments, so it fans out across the worker pool; candidates are
-// merged and ranked in segment-enumeration order, making the result
-// bit-identical to a sequential run.
+// candidate (see grow), and the candidate with the maximal profit
+// density (OF(P ∪ CG) - OF(P)) / |CG| (Alg. 3 line 17) is returned,
+// ties broken towards the smaller, then lexicographically smaller task
+// set (nil when no affordable candidate exists).
 func (st *structuredState) step(c *Context, cur Plan, maxCost int) []topology.TaskID {
 	if maxCost <= 0 {
 		return nil
 	}
 	baseOF := st.scope.EvalBase(st.metric, cur)
-
-	newTasks := func(segs []mctree.Tree) ([]topology.TaskID, int) {
-		set := map[topology.TaskID]bool{}
-		for _, s := range segs {
-			for _, id := range s.Tasks {
-				if !cur.Has(id) {
-					set[id] = true
-				}
-			}
-		}
-		ids := make([]topology.TaskID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sortTaskIDs(ids)
-		return ids, len(ids)
-	}
-
-	// Flatten the (unit, segment) enumeration so that every seed
-	// candidate is built independently on the worker pool.
-	type seed struct {
-		ui  int
-		seg mctree.Tree
-	}
-	var seeds []seed
-	for ui, unit := range st.units {
-		for _, seg := range unit.Segments {
-			seeds = append(seeds, seed{ui: ui, seg: seg})
-		}
-	}
-	built := par.Map(len(seeds), st.workers, func(i int) *candidate {
-		ui, seg := seeds[i].ui, seeds[i].seg
-		if seg.NonReplicated(cur.Vector()) == 0 {
-			return nil // segment already fully replicated
-		}
-		cg := []mctree.Tree{seg}
-		ids, cost := newTasks(cg)
-		if cost > maxCost {
-			return nil
-		}
-		if st.scope.Extend(st.metric, cur, ids) <= baseOF {
-			// The segment alone does not help: grow a connected set
-			// of segments across the units by BFS (Alg. 3 lines
-			// 10-15).
-			visited := map[int]bool{ui: true}
-			queue := append([]int(nil), st.adj[ui]...)
-			for len(queue) > 0 {
-				vi := queue[0]
-				queue = queue[1:]
-				if visited[vi] {
-					continue
-				}
-				visited[vi] = true
-				gj, ok := st.bestConnected(c, vi, cg, cur)
-				if !ok {
-					continue
-				}
-				_, curCost := newTasks(cg)
-				extra := gj.NonReplicated(cur.Vector())
-				if curCost+extra > maxCost {
-					break // Alg. 3 line 15: stop the BFS
-				}
-				cg = append(cg, gj)
-				for _, next := range st.adj[vi] {
-					if !visited[next] {
-						queue = append(queue, next)
-					}
-				}
-			}
-			ids, cost = newTasks(cg)
-			if cost > maxCost {
-				return nil
-			}
-		}
-		if cost == 0 {
-			return nil
-		}
-		return &candidate{tasks: ids, cost: cost}
-	})
-
-	// Select the candidate with the maximal profit density
-	// (OF(P ∪ CG) - OF(P)) / |CG| (Alg. 3 line 17), in enumeration
-	// order.
 	bestDensity := -1.0
 	var best []topology.TaskID
-	for _, cand := range built {
-		if cand == nil {
-			continue
-		}
-		density := (st.scope.Extend(st.metric, cur, cand.tasks) - baseOF) / float64(cand.cost)
-		if density > bestDensity ||
-			(density == bestDensity && (best == nil || lessIDs(cand.tasks, best))) {
-			bestDensity = density
-			best = cand.tasks
+	for ui, unit := range st.units {
+		for _, seg := range unit.Segments {
+			ids := st.grow(c, cur, ui, seg, baseOF, maxCost)
+			if len(ids) == 0 {
+				continue
+			}
+			density := (st.scope.Extend(st.metric, cur, ids) - baseOF) / float64(len(ids))
+			if density > bestDensity ||
+				(density == bestDensity && (best == nil || lessIDs(ids, best))) {
+				bestDensity = density
+				best = ids
+			}
 		}
 	}
 	return best
+}
+
+// grow builds the candidate that segment seg of unit ui seeds: the
+// tasks of the segment that cur does not replicate. A segment that
+// alone does not raise the scoped OF above baseOF is extended by a BFS
+// over the neighbouring units, each visited unit contributing its best
+// segment connected to the candidate, stopping when maxCost would be
+// exceeded (Alg. 3 lines 10-15). It returns nil when the segment is
+// already replicated or the candidate is not affordable.
+func (st *structuredState) grow(c *Context, cur Plan, ui int, seg mctree.Tree, baseOF float64, maxCost int) []topology.TaskID {
+	if seg.NonReplicated(cur.Vector()) == 0 {
+		return nil
+	}
+	cg := []mctree.Tree{seg}
+	ids := newTasks(cur, cg)
+	if len(ids) > maxCost {
+		return nil
+	}
+	if st.scope.Extend(st.metric, cur, ids) > baseOF {
+		return ids
+	}
+	visited := map[int]bool{ui: true}
+	queue := append([]int(nil), st.adj[ui]...)
+	for len(queue) > 0 {
+		vi := queue[0]
+		queue = queue[1:]
+		if visited[vi] {
+			continue
+		}
+		visited[vi] = true
+		gj, ok := st.bestConnected(c, vi, cg, cur)
+		if !ok {
+			continue
+		}
+		if len(newTasks(cur, cg))+gj.NonReplicated(cur.Vector()) > maxCost {
+			break // Alg. 3 line 15: stop the BFS
+		}
+		cg = append(cg, gj)
+		for _, next := range st.adj[vi] {
+			if !visited[next] {
+				queue = append(queue, next)
+			}
+		}
+	}
+	if ids = newTasks(cur, cg); len(ids) > maxCost {
+		return nil
+	}
+	return ids
+}
+
+// newTasks returns the tasks of the segments that cur does not
+// replicate, in ascending order.
+func newTasks(cur Plan, segs []mctree.Tree) []topology.TaskID {
+	set := map[topology.TaskID]bool{}
+	for _, s := range segs {
+		for _, id := range s.Tasks {
+			if !cur.Has(id) {
+				set[id] = true
+			}
+		}
+	}
+	ids := make([]topology.TaskID, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sortTaskIDs(ids)
+	return ids
 }
 
 // bestConnected returns the segment of unit vi that is connected to the
@@ -254,7 +226,7 @@ func (Structured) Name() string { return "structured" }
 
 // Plan implements Planner.
 func (Structured) Plan(c *Context, budget int) (Plan, error) {
-	st, err := newStructuredState(c, allOps(c.Topo), MetricOF, 0)
+	st, err := newStructuredState(c, allOps(c.Topo), MetricOF)
 	if err != nil {
 		return Plan{}, err
 	}

@@ -40,9 +40,6 @@ import (
 // Time is virtual time in seconds.
 type Time float64
 
-// Millis returns the time in whole milliseconds, for reporting.
-func (t Time) Millis() float64 { return float64(t) * 1000 }
-
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 
@@ -252,7 +249,8 @@ func (c *Clock) recold() {
 	}
 }
 
-// Pending returns the number of events still queued.
+// Pending returns the number of events still queued. Only tests call
+// it: this package's and internal/engine's TestEngineResetBitIdentical.
 func (c *Clock) Pending() int {
 	n := len(c.heap)
 	for i := range c.lanes {
@@ -262,7 +260,8 @@ func (c *Clock) Pending() int {
 }
 
 // LanePending returns the number of events pending on the lane of delay
-// d, or -1 when the clock has no lane of that delay.
+// d, or -1 when the clock has no lane of that delay. Only tests call it:
+// this package's and internal/engine's TestEngineResetBitIdentical.
 func (c *Clock) LanePending(d Time) int {
 	if i := c.lane(d); i >= 0 {
 		return c.lanes[i].n

@@ -167,9 +167,6 @@ func TestTimeFormatting(t *testing.T) {
 	if Time(1.5).String() != "1.500s" {
 		t.Errorf("String = %q", Time(1.5).String())
 	}
-	if Time(2).Millis() != 2000 {
-		t.Errorf("Millis = %v", Time(2).Millis())
-	}
 }
 
 // countRunner is a pooled Runner that only counts its firings.

@@ -49,10 +49,6 @@ type weightedItem struct {
 	v, w float64
 }
 
-// NewWeighted returns an empty weighted summary with accuracy
-// parameter k (DefaultK when k <= 0) and seed 0.
-func NewWeighted(k int) *Weighted { return NewSeededWeighted(k, 0) }
-
 // NewSeededWeighted returns an empty weighted summary with an explicit
 // compaction-coin seed. Summaries that are merged together should
 // share a seed.

@@ -142,6 +142,8 @@ func (m *AccessLogModel) AccessCounts(task, batch int) (counts map[int]int, rest
 // TrueTopK returns the objects with the highest total expected access
 // counts — the ground truth ranking implied by the Zipf weights (rank r
 // maps to the objects r*Servers..r*Servers+Servers-1, one per server).
+// Only tests call it: this package's and internal/queries'
+// TestQ1BaselineFindsTrueTopK.
 func (m *AccessLogModel) TrueTopK(k int) []string {
 	m.init()
 	if k > m.Objects {
@@ -272,7 +274,9 @@ func (m *TrafficModel) LocRecords(batch int) []int {
 
 // TrueJams returns the IDs of all jam-causing incidents in the batch
 // range [from, to] — Q2's ground truth (the accurate incident set IA is
-// the set of incidents that incur traffic jams).
+// the set of incidents that incur traffic jams). Only tests call it: this
+// package's and internal/queries' TestQ2BaselineDetectsJams and
+// TestQ2JoinInputLossKillsDetection.
 func (m *TrafficModel) TrueJams(from, to int) []string {
 	var out []string
 	for b := from; b <= to; b++ {

@@ -5,17 +5,16 @@
 // 2016).
 //
 // The package re-exports the part of the internal implementation that
-// the examples use:
+// the examples use, and the types its functions name:
 //
 //   - building query topologies (operators, tasks, partitionings) by
-//     hand, from a serialisable spec or with the §VI-C random
-//     generator;
-//   - the MC-tree analysis;
+//     hand, and the preset random topologies of the campaigns;
+//   - the MC-tree counts;
 //   - planning: a planning context for a topology, the planners by
 //     registry name (structure-aware, dynamic programming, greedy,
-//     portfolio, ...), the fraction → budget rule, plan diffs, and the
-//     engine strategy vector of a plan; the context reports a plan's
-//     Output Fidelity and Internal Completeness;
+//     ...), the fraction → budget rule and the engine strategy vector
+//     of a plan; the context reports a plan's Output Fidelity and
+//     Internal Completeness;
 //   - the deterministic discrete-event streaming engine with
 //     checkpointing, active replication, failure injection, recovery
 //     and tentative outputs;
@@ -36,7 +35,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mctree"
 	"repro/internal/plan"
-	"repro/internal/randtopo"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -44,7 +42,7 @@ import (
 // --- Topology model ---
 
 // Topology is a validated task-level query DAG with failure-free stream
-// rates. Build one with NewBuilder or FromSpec.
+// rates. Build one with NewBuilder.
 type Topology = topology.Topology
 
 // Builder assembles topologies.
@@ -53,43 +51,19 @@ type Builder = topology.Builder
 // TaskID identifies a task within a topology.
 type TaskID = topology.TaskID
 
-// Partitioning kinds (§II-A of the paper).
-const (
-	OneToOne = topology.OneToOne
-	Split    = topology.Split
-	Merge    = topology.Merge
-	Full     = topology.Full
-)
+// Merge is the partitioning (§II-A of the paper) where each upstream
+// task sends to a single downstream task and each downstream task
+// receives from several upstream tasks.
+const Merge = topology.Merge
 
-// Input kinds: Independent unions its input streams, Correlated joins
-// them (§III-A1).
-const (
-	Independent = topology.Independent
-	Correlated  = topology.Correlated
-)
-
-// Spec is the JSON-serialisable topology description used by the CLI
-// tools.
-type Spec = topology.Spec
+// Independent is the input kind of an operator that unions its input
+// streams instead of joining them (§III-A1).
+const Independent = topology.Independent
 
 // NewBuilder returns an empty topology builder.
 func NewBuilder() *Builder { return topology.NewBuilder() }
 
-// FromSpec builds a topology from its serialisable description.
-func FromSpec(s Spec) (*Topology, error) { return topology.FromSpec(s) }
-
-// ToSpec converts a topology back to its description.
-func ToSpec(t *Topology) Spec { return topology.ToSpec(t) }
-
 // --- MC-trees ---
-
-// MCTree is a minimal complete tree (Definition 1).
-type MCTree = mctree.Tree
-
-// EnumerateMCTrees lists the MC-trees of a topology (capped).
-func EnumerateMCTrees(t *Topology, maxTrees int) ([]MCTree, error) {
-	return mctree.Enumerate(t, maxTrees)
-}
 
 // CountMCTrees counts MC-tree derivations without enumeration.
 func CountMCTrees(t *Topology) float64 { return mctree.Count(t) }
@@ -101,7 +75,8 @@ func MinMCTreeSize(t *Topology) int { return mctree.MinTreeSize(t) }
 // --- Planning ---
 
 // Plan is a partially active replication plan (the set of tasks chosen
-// for active replication).
+// for active replication): what a Planner returns and PlanContext
+// evaluates.
 type Plan = plan.Plan
 
 // PlanContext is the planning context of one topology: it evaluates a
@@ -116,19 +91,13 @@ func NewPlanContext(t *Topology) *PlanContext { return plan.NewContext(t) }
 type Planner = plan.Planner
 
 // LookupPlanner returns the planner registered under name: "sa"
-// (structure-aware), "sa-ic", "dp", "greedy", "portfolio", ... (see
-// cmd/ppaplan -list).
+// (structure-aware), "sa-ic", "dp", "greedy", ... (see cmd/ppaplan
+// -list).
 func LookupPlanner(name string) (Planner, bool) { return plan.Lookup(name) }
 
 // PlanBudget converts a replication ratio in [0, 1] (0.5 for PPA-0.5)
 // into a budget of actively replicated tasks out of n.
 func PlanBudget(n int, frac float64) (int, error) { return plan.Budget(n, frac) }
-
-// PlanDiff computes the dynamic-adaptation delta between two plans
-// (§V-C): replicas to create and replicas to deactivate.
-func PlanDiff(old, new Plan) (activate, deactivate []TaskID) {
-	return plan.Diff(old, new)
-}
 
 // --- Cluster ---
 
@@ -173,13 +142,9 @@ type EngineSetup = engine.Setup
 // take-over costs) is fixed at values calibrated to the paper's nodes.
 type EngineConfig = engine.Config
 
-// Fault-tolerance strategies.
-const (
-	StrategyCheckpoint   = engine.StrategyCheckpoint
-	StrategyActive       = engine.StrategyActive
-	StrategySourceReplay = engine.StrategySourceReplay
-	StrategyNone         = engine.StrategyNone
-)
+// StrategyCheckpoint is the passive fault-tolerance strategy: a task
+// recovers from its latest checkpoint plus upstream buffer replay.
+const StrategyCheckpoint = engine.StrategyCheckpoint
 
 // Strategies is the per-task strategy vector of a plan over n tasks:
 // the active tasks (Plan.Tasks) get StrategyActive, every other task
@@ -217,13 +182,9 @@ func NewCountSourceFactory(perBatch int) SourceFactory {
 // (single node, k-of-rack, whole domain, cascading multi-domain).
 type BurstModel = campaign.Model
 
-// Burst models of the Monte-Carlo failure campaigns.
-const (
-	BurstSingleNode  = campaign.SingleNode
-	BurstKOfRack     = campaign.KOfRack
-	BurstWholeDomain = campaign.WholeDomain
-	BurstCascade     = campaign.Cascade
-)
+// BurstWholeDomain is the burst model that fails every node of one
+// drawn rack.
+const BurstWholeDomain = campaign.WholeDomain
 
 // BurstModels lists every burst model.
 func BurstModels() []BurstModel { return campaign.Models }
@@ -290,15 +251,3 @@ func NewCampaignEnv(spec CampaignEnvSpec) (*CampaignEnv, error) { return campaig
 func PresetTopology(name string, seed int64) (*Topology, error) {
 	return campaign.PresetTopology(name, seed)
 }
-
-// --- Random topologies ---
-
-// RandomSpec controls the §VI-C random topology generator.
-type RandomSpec = randtopo.Spec
-
-// DefaultRandomSpec returns the paper's baseline random-topology
-// specification.
-func DefaultRandomSpec(seed int64) RandomSpec { return randtopo.DefaultSpec(seed) }
-
-// GenerateRandom builds a random topology from the spec.
-func GenerateRandom(spec RandomSpec) (*Topology, error) { return randtopo.Generate(spec) }
