@@ -37,10 +37,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("topology: %d ops, %d tasks; cluster: %d nodes in %d racks\n",
-		topo.NumOps(), topo.NumTasks(), len(clus.Nodes()), len(clus.DomainsOfKind("rack")))
+		topo.NumOps(), topo.NumTasks(), len(clus.Nodes()), len(clus.Racks()))
 
 	// 2. For each burst model, draw 100 seeded scenarios against the
-	// failure-domain tree and run them in parallel. The same seed
+	// failure-domain layout and run them in parallel. The same seed
 	// always reproduces the same report, whatever the worker count.
 	//
 	// Aggregation streams: each result folds into mergeable quantile

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,18 +68,14 @@ func TestGenerateDeterministicAndShaped(t *testing.T) {
 				if len(sc.Waves) != 1 {
 					t.Fatalf("%s scenario %d has %d waves", model, sc.Index, len(sc.Waves))
 				}
-				rack := c.DomainOf(sc.Waves[0].Nodes[0])
-				rackNodes := map[cluster.NodeID]bool{}
-				for _, n := range c.DomainNodes(rack) {
-					rackNodes[n] = true
-				}
+				rack := c.RackOf(sc.Waves[0].Nodes[0])
 				for _, n := range sc.Waves[0].Nodes {
-					if !rackNodes[n] {
-						t.Fatalf("%s scenario %d: node %d outside rack %d", model, sc.Index, n, rack)
+					if !slices.Contains(rack.Nodes, n) {
+						t.Fatalf("%s scenario %d: node %d outside rack %d", model, sc.Index, n, rack.ID)
 					}
 				}
-				if model == WholeDomain && len(sc.Waves[0].Nodes) != len(c.DomainNodes(rack)) {
-					t.Fatalf("domain scenario %d fails %d of %d rack nodes", sc.Index, len(sc.Waves[0].Nodes), len(c.DomainNodes(rack)))
+				if model == WholeDomain && len(sc.Waves[0].Nodes) != len(rack.Nodes) {
+					t.Fatalf("domain scenario %d fails %d of %d rack nodes", sc.Index, len(sc.Waves[0].Nodes), len(rack.Nodes))
 				}
 			case Cascade:
 				for i := 1; i < len(sc.Waves); i++ {
@@ -397,7 +394,7 @@ func TestPresets(t *testing.T) {
 }
 
 // TestEnvClusterStable verifies the property Run relies on: every
-// Cluster() call yields an identical node/domain layout.
+// Cluster() call yields an identical node and rack layout.
 func TestEnvClusterStable(t *testing.T) {
 	env := testEnv(t, "")
 	a, err := env.Cluster()
@@ -408,13 +405,8 @@ func TestEnvClusterStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Nodes()) != len(b.Nodes()) || len(a.Domains()) != len(b.Domains()) {
+	if len(a.Nodes()) != len(b.Nodes()) || !reflect.DeepEqual(a.Racks(), b.Racks()) || !reflect.DeepEqual(a.Zones(), b.Zones()) {
 		t.Fatal("cluster layout not reproducible")
-	}
-	for _, n := range a.Nodes() {
-		if a.DomainOf(n.ID) != b.DomainOf(n.ID) {
-			t.Fatalf("node %d attached to different domains across builds", n.ID)
-		}
 	}
 }
 

@@ -167,7 +167,7 @@ func (env *Env) CorrelationSet(scenarios int, seed int64) (*plan.ScenarioSet, er
 // layout, so scenario node IDs are portable across simulations.
 func (env *Env) Cluster() (*cluster.Cluster, error) {
 	c := cluster.New(env.processing, env.standby)
-	if _, err := c.BuildDomains(env.layout); err != nil {
+	if err := c.BuildDomains(env.layout); err != nil {
 		return nil, err
 	}
 	if err := c.PlaceRoundRobin(env.spec.Topo); err != nil {

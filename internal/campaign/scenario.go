@@ -1,6 +1,6 @@
 // Package campaign generates and executes Monte-Carlo failure
 // campaigns: thousands of seeded, reproducible correlated-failure
-// scenarios drawn from a cluster's failure-domain tree, each run as an
+// scenarios drawn from a cluster's failure-domain layout, each run as an
 // independent engine simulation on a worker pool, with recovery-latency
 // and output-loss distributions aggregated per configuration. It is the
 // repo's standard scale/perf harness: where the §VI experiments replay
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -231,10 +232,10 @@ func (j *joiner) join() bool {
 }
 
 // Generate draws spec.Scenarios scenarios against the cluster's
-// failure-domain tree. The cluster is only inspected, never mutated;
+// failure-domain layout. The cluster is only inspected, never mutated;
 // node IDs refer to any identically laid-out cluster, so the campaign
 // runner can rebuild a fresh cluster per simulation. KOfRack,
-// WholeDomain and Cascade require the cluster to have rack domains
+// WholeDomain and Cascade require the cluster to have racks
 // (cluster.BuildDomains).
 func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 	params := spec.resolve()
@@ -267,16 +268,15 @@ func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 		return nil, fmt.Errorf("campaign: cluster has no processing nodes")
 	}
 	// Only racks that actually hold nodes can produce a burst.
-	var racks []cluster.DomainID
-	for _, r := range c.DomainsOfKind("rack") {
-		if len(c.DomainNodes(r)) > 0 {
+	var racks []cluster.Rack
+	for _, r := range c.Racks() {
+		if len(r.Nodes) > 0 {
 			racks = append(racks, r)
 		}
 	}
 	if spec.Model != SingleNode && len(racks) == 0 {
-		return nil, fmt.Errorf("campaign: model %s needs non-empty rack domains (call cluster.BuildDomains)", spec.Model)
+		return nil, fmt.Errorf("campaign: model %s needs non-empty racks (call cluster.BuildDomains)", spec.Model)
 	}
-	zones := c.DomainsOfKind("zone")
 
 	out := make([]Scenario, spec.Scenarios)
 	for i := range out {
@@ -291,25 +291,25 @@ func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 			sc.Label = fmt.Sprintf("node-%d", n)
 			sc.Waves = []Wave{{At: at, Nodes: []cluster.NodeID{n}}}
 		case KOfRack:
-			rack, nodes := pickRack(c, racks, rng)
-			burst := []cluster.NodeID{nodes[rng.Intn(len(nodes))]}
+			rack := racks[rng.Intn(len(racks))]
+			burst := []cluster.NodeID{rack.Nodes[rng.Intn(len(rack.Nodes))]}
 			jn := newJoiner(rng, spec.Correlation, spec.Tilt)
-			for _, n := range nodes {
+			for _, n := range rack.Nodes {
 				if n != burst[0] && jn.join() {
 					burst = append(burst, n)
 				}
 			}
 			sc.Weight = jn.w
 			sortNodes(burst)
-			sc.Label = fmt.Sprintf("rack-%d/k=%d", rack, len(burst))
+			sc.Label = fmt.Sprintf("rack-%d/k=%d", rack.ID, len(burst))
 			sc.Waves = []Wave{{At: at, Nodes: burst}}
 		case WholeDomain:
-			rack, nodes := pickRack(c, racks, rng)
-			sc.Label = fmt.Sprintf("rack-%d/all", rack)
-			sc.Waves = []Wave{{At: at, Nodes: nodes}}
+			rack := racks[rng.Intn(len(racks))]
+			sc.Label = fmt.Sprintf("rack-%d/all", rack.ID)
+			sc.Waves = []Wave{{At: at, Nodes: slices.Clone(rack.Nodes)}}
 		case Cascade:
 			jn := newJoiner(rng, spec.Correlation, spec.Tilt)
-			sc.Label, sc.Waves = genCascade(c, racks, zones, jn, at, params.lag)
+			sc.Label, sc.Waves = genCascade(racks, c.Zones(), jn, at, params.lag)
 			sc.Weight = jn.w
 		default:
 			return nil, fmt.Errorf("campaign: unknown burst model %d", spec.Model)
@@ -319,24 +319,18 @@ func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 	return out, nil
 }
 
-// pickRack draws one rack; Generate pre-filters racks to non-empty
-// ones, so the node list is never empty.
-func pickRack(c *cluster.Cluster, racks []cluster.DomainID, rng burstRNG) (cluster.DomainID, []cluster.NodeID) {
-	rack := racks[rng.Intn(len(racks))]
-	return rack, c.DomainNodes(rack)
-}
-
-// genCascade builds a rolling multi-rack burst within one zone. The
-// spread draws go through the joiner so a tilted sampler over-draws
-// long cascades while the weight records the likelihood ratio.
-func genCascade(c *cluster.Cluster, racks []cluster.DomainID, zones []cluster.DomainID, jn *joiner, at sim.Time, lag sim.Time) (string, []Wave) {
+// genCascade builds a rolling multi-rack burst within one zone, over
+// the non-empty racks. The spread draws go through the joiner so a
+// tilted sampler over-draws long cascades while the weight records the
+// likelihood ratio.
+func genCascade(racks []cluster.Rack, zones []int, jn *joiner, at sim.Time, lag sim.Time) (string, []Wave) {
 	rng := jn.rng
 	// Group racks by zone; fall back to treating all racks as one zone.
-	var pool []cluster.DomainID
+	var pool []cluster.Rack
 	if len(zones) > 0 {
 		zone := zones[rng.Intn(len(zones))]
 		for _, r := range racks {
-			if c.Domain(r).Parent == zone {
+			if r.Zone == zone {
 				pool = append(pool, r)
 			}
 		}
@@ -352,12 +346,8 @@ func genCascade(c *cluster.Cluster, racks []cluster.DomainID, zones []cluster.Do
 		if j > 0 && !jn.join() {
 			continue
 		}
-		nodes := c.DomainNodes(rack)
-		if len(nodes) == 0 {
-			continue
-		}
-		waves = append(waves, Wave{At: at + sim.Time(len(waves))*lag, Nodes: nodes})
-		labels = append(labels, fmt.Sprintf("rack-%d", rack))
+		waves = append(waves, Wave{At: at + sim.Time(len(waves))*lag, Nodes: slices.Clone(rack.Nodes)})
+		labels = append(labels, fmt.Sprintf("rack-%d", rack.ID))
 	}
 	return "cascade[" + strings.Join(labels, ",") + "]", waves
 }

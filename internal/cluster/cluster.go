@@ -7,7 +7,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -29,22 +29,27 @@ type Cluster struct {
 	nodes     []*Node
 	placement map[topology.TaskID]NodeID // primary task -> processing node
 	replicaOn map[topology.TaskID]NodeID // replicated task -> standby node
-	// tasksOn is the reverse placement index (node -> primary tasks),
-	// kept in sync by Place so that failure injection never rescans the
-	// whole placement map.
-	tasksOn map[NodeID][]topology.TaskID
+	// tasksOn and replicasOn are the reverse indexes of placement and
+	// replicaOn (node -> tasks, ascending), kept in sync by place so
+	// that failure injection never rescans the placement maps.
+	tasksOn    map[NodeID][]topology.TaskID
+	replicasOn map[NodeID][]topology.TaskID
 
-	domains    []*Domain           // failure-domain tree, root first (see domain.go)
-	nodeDomain map[NodeID]DomainID // node -> directly attached domain
+	// The failure-domain layout (see domain.go): the racks in creation
+	// order, the zone IDs, and each node's index into racks.
+	racks  []Rack
+	zones  []int
+	rackOf []int
 }
 
 // New builds a cluster with the given number of processing and standby
 // nodes.
 func New(processing, standby int) *Cluster {
 	c := &Cluster{
-		placement: make(map[topology.TaskID]NodeID),
-		replicaOn: make(map[topology.TaskID]NodeID),
-		tasksOn:   make(map[NodeID][]topology.TaskID),
+		placement:  make(map[topology.TaskID]NodeID),
+		replicaOn:  make(map[topology.TaskID]NodeID),
+		tasksOn:    make(map[NodeID][]topology.TaskID),
+		replicasOn: make(map[NodeID][]topology.TaskID),
 	}
 	for i := 0; i < processing; i++ {
 		c.nodes = append(c.nodes, &Node{ID: NodeID(i)})
@@ -106,29 +111,22 @@ func (c *Cluster) PlaceRoundRobin(t *topology.Topology) error {
 // Place assigns a primary task to a node, moving it off its previous
 // node if it was already placed.
 func (c *Cluster) Place(id topology.TaskID, node NodeID) {
-	if prev, ok := c.placement[id]; ok {
+	place(c.placement, c.tasksOn, id, node)
+}
+
+// place points task id at node in the placement map at and keeps its
+// reverse index on in sync.
+func place(at map[topology.TaskID]NodeID, on map[NodeID][]topology.TaskID, id topology.TaskID, node NodeID) {
+	if prev, ok := at[id]; ok {
 		if prev == node {
 			return
 		}
-		onPrev := c.tasksOn[prev]
-		for i, t := range onPrev {
-			if t == id {
-				c.tasksOn[prev] = append(onPrev[:i], onPrev[i+1:]...)
-				break
-			}
-		}
+		i, _ := slices.BinarySearch(on[prev], id)
+		on[prev] = slices.Delete(on[prev], i, i+1)
 	}
-	c.placement[id] = node
-	c.tasksOn[node] = insertSorted(c.tasksOn[node], id)
-}
-
-// insertSorted inserts id into a sorted task slice, keeping it sorted.
-func insertSorted(ids []topology.TaskID, id topology.TaskID) []topology.TaskID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
+	at[id] = node
+	i, _ := slices.BinarySearch(on[node], id)
+	on[node] = slices.Insert(on[node], i, id)
 }
 
 // NodeOf returns the node hosting the primary of the task.
@@ -145,21 +143,25 @@ func (c *Cluster) ReplicaNodeOf(id topology.TaskID) (NodeID, bool) {
 	return n, ok
 }
 
-// FailNode marks a node failed and returns the primary tasks that were
-// running on it, in ascending task order. The lookup uses the reverse
-// placement index, so multi-wave campaigns never rescan the placement
-// map.
+// ReplicasOn returns the tasks whose active replica the node hosts, in
+// ascending task order. The returned slice must not be modified.
+func (c *Cluster) ReplicasOn(id NodeID) []topology.TaskID { return c.replicasOn[id] }
+
+// FailNode marks a node failed and returns the primary tasks placed on
+// it, in ascending task order, or nil when the node is unknown or
+// already failed. The returned slice is TasksOn's and must not be
+// modified.
 func (c *Cluster) FailNode(id NodeID) []topology.TaskID {
 	n := c.Node(id)
 	if n == nil || n.Failed {
 		return nil
 	}
 	n.Failed = true
-	return append([]topology.TaskID(nil), c.tasksOn[id]...)
+	return c.tasksOn[id]
 }
 
 // Reset clears every node's failed flag, returning the cluster to its
-// pre-failure state. Placement, replicas and failure domains are kept:
+// pre-failure state. Placement, replicas and the layout are kept:
 // Reset models repairing the hardware, not rebuilding the cluster.
 func (c *Cluster) Reset() {
 	for _, n := range c.nodes {

@@ -8,121 +8,140 @@ import (
 	"repro/internal/topology"
 )
 
-func TestDomainTree(t *testing.T) {
-	c := New(4, 2)
-	if c.Domain(RootDomain) == nil || c.Domain(RootDomain).Kind != "cluster" {
-		t.Fatal("no root domain")
-	}
-	zone, err := c.AddDomain(RootDomain, "zone", "z0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rack, err := c.AddDomain(zone, "rack", "r0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddDomain(99, "rack", "orphan"); err == nil {
-		t.Error("unknown parent accepted")
-	}
-	if got := c.Domain(zone).Children(); len(got) != 1 || got[0] != rack {
-		t.Errorf("zone children = %v", got)
-	}
-	if got := c.DomainsOfKind("rack"); len(got) != 1 || got[0] != rack {
-		t.Errorf("racks = %v", got)
+// TestBuildDomains pins the layout's numbering and node lists: zones
+// and racks share one count from 1, each zone just before its racks;
+// processing nodes, then standby nodes, go to the racks round-robin,
+// or the standby nodes to a standby zone of one rack after the others.
+// Campaign scenario labels name racks by these IDs.
+func TestBuildDomains(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		processing, standby int
+		layout              Layout
+		zones               []int
+		racks               []Rack
+	}{
+		{"default", 8, 4, DefaultLayout(), []int{1, 4}, []Rack{
+			{2, 1, []NodeID{0, 4, 8}},
+			{3, 1, []NodeID{1, 5, 9}},
+			{5, 4, []NodeID{2, 6, 10}},
+			{6, 4, []NodeID{3, 7, 11}},
+		}},
+		{"standby zone", 10, 5, Layout{Zones: 4, RacksPerZone: 2}, []int{1, 4, 7, 10, 13}, []Rack{
+			{2, 1, []NodeID{0, 8}},
+			{3, 1, []NodeID{1, 9}},
+			{5, 4, []NodeID{2}},
+			{6, 4, []NodeID{3}},
+			{8, 7, []NodeID{4}},
+			{9, 7, []NodeID{5}},
+			{11, 10, []NodeID{6}},
+			{12, 10, []NodeID{7}},
+			{14, 13, []NodeID{10, 11, 12, 13, 14}},
+		}},
+		{"more racks than nodes", 2, 0, Layout{Zones: 1, RacksPerZone: 3}, []int{1}, []Rack{
+			{2, 1, []NodeID{0}},
+			{3, 1, []NodeID{1}},
+			{4, 1, nil},
+		}},
+	} {
+		cl := New(c.processing, c.standby)
+		if err := cl.BuildDomains(c.layout); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cl.Zones(), c.zones) {
+			t.Errorf("%s: zones %v, want %v", c.name, cl.Zones(), c.zones)
+		}
+		if !reflect.DeepEqual(cl.Racks(), c.racks) {
+			t.Errorf("%s: racks %v, want %v", c.name, cl.Racks(), c.racks)
+		}
+		for _, r := range cl.Racks() {
+			for _, n := range r.Nodes {
+				if got := cl.RackOf(n); got == nil || got.ID != r.ID {
+					t.Errorf("%s: RackOf(%d) = %v, want rack %d", c.name, n, got, r.ID)
+				}
+			}
+		}
 	}
 
-	if err := c.AttachNode(0, rack); err != nil {
+	c := New(4, 2)
+	if c.RackOf(0) != nil {
+		t.Error("a node has a rack before BuildDomains")
+	}
+	if err := c.BuildDomains(Layout{Zones: 2, RacksPerZone: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachNode(1, zone); err != nil {
+	// A second layout replaces the first.
+	if err := c.BuildDomains(Layout{Zones: 1, RacksPerZone: 2, SpreadStandby: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachNode(99, rack); err == nil {
-		t.Error("attaching unknown node accepted")
+	want := []Rack{{2, 1, []NodeID{0, 2, 4}}, {3, 1, []NodeID{1, 3, 5}}}
+	if !reflect.DeepEqual(c.Racks(), want) || !reflect.DeepEqual(c.Zones(), []int{1}) {
+		t.Errorf("after a second BuildDomains: zones %v, racks %v, want [1] and %v", c.Zones(), c.Racks(), want)
 	}
-	if err := c.AttachNode(0, 99); err == nil {
-		t.Error("attaching to unknown domain accepted")
+	if c.RackOf(99) != nil || c.RackOf(-1) != nil {
+		t.Error("an unknown node has a rack")
 	}
-	if got := c.DomainOf(0); got != rack {
-		t.Errorf("DomainOf(0) = %d, want rack %d", got, rack)
-	}
-	if got := c.DomainOf(2); got != RootDomain {
-		t.Errorf("unattached node domain = %d, want root", got)
-	}
-	if got := c.DomainOf(99); got != NoDomain {
-		t.Errorf("unknown node domain = %d, want NoDomain", got)
-	}
-	// Zone subtree holds both the directly attached node and the rack's.
-	if got := c.DomainNodes(zone); !reflect.DeepEqual(got, []NodeID{0, 1}) {
-		t.Errorf("zone nodes = %v", got)
-	}
-	// Root covers everything, including never-attached nodes.
-	if got := c.DomainNodes(RootDomain); len(got) != 6 {
-		t.Errorf("root nodes = %v", got)
-	}
-	// Reattaching moves the node between domains.
-	if err := c.AttachNode(0, zone); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.DomainNodes(rack); len(got) != 0 {
-		t.Errorf("rack still owns %v after reattach", got)
+	if err := c.BuildDomains(Layout{}); err == nil {
+		t.Error("invalid layout accepted")
 	}
 }
 
-// TestFailDomain fails a rack and then its zone node by node, as the
-// engine injects a domain failure: the rack's primaries fail, the
-// zone's standby only with the zone, and the domains survive Reset.
-func TestFailDomain(t *testing.T) {
+// TestFailRack fails a rack node by node, as the engine injects a
+// domain failure: the rack's primaries fail, the other racks' nodes
+// survive, and the layout survives Reset.
+func TestFailRack(t *testing.T) {
 	topo := testTopo(t) // 6 tasks
-	c := New(3, 1)
+	c := New(4, 2)
 	if err := c.PlaceRoundRobin(topo); err != nil {
 		t.Fatal(err)
 	}
-	zone, _ := c.AddDomain(RootDomain, "zone", "z0")
-	rack, _ := c.AddDomain(zone, "rack", "r0")
-	for _, n := range []NodeID{0, 1} {
-		if err := c.AttachNode(n, rack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.AttachNode(3, zone); err != nil { // the standby node
+	if err := c.BuildDomains(Layout{Zones: 1, RacksPerZone: 2, SpreadStandby: true}); err != nil {
 		t.Fatal(err)
 	}
-
-	failDomain := func(dom DomainID) []topology.TaskID {
+	rack := c.Racks()[0] // nodes 0, 2 and standby 4
+	failRack := func() []topology.TaskID {
 		var out []topology.TaskID
-		for _, n := range c.DomainNodes(dom) {
+		for _, n := range rack.Nodes {
 			out = append(out, c.FailNode(n)...)
 		}
 		return out
 	}
-	if failed := failDomain(rack); len(failed) != 4 {
-		t.Fatalf("rack failure hit %v, want the 4 tasks of nodes 0-1", failed)
+	if failed := failRack(); !reflect.DeepEqual(failed, []topology.TaskID{0, 4, 2}) {
+		t.Fatalf("rack failure hit %v, want the tasks of nodes 0 and 2", failed)
 	}
-	if c.Node(3).Failed {
-		t.Error("zone-level standby failed by rack failure")
-	}
-	// Failing the enclosing zone takes the standby down and returns no
-	// new primary tasks beyond those already failed.
-	if again := failDomain(zone); len(again) != 0 {
-		t.Errorf("double domain failure returned %v", again)
-	}
-	if !c.Node(3).Failed {
-		t.Error("zone failure missed its standby node")
-	}
-	if failDomain(99) != nil {
-		t.Error("unknown domain failure returned tasks")
-	}
-
-	c.Reset()
 	for _, n := range c.Nodes() {
-		if n.Failed {
-			t.Errorf("node %d still failed after Reset", n.ID)
+		if in := c.RackOf(n.ID).ID == rack.ID; n.Failed != in {
+			t.Errorf("node %d failed %v, in the failed rack %v", n.ID, n.Failed, in)
 		}
 	}
-	// Domains survive Reset; a second campaign can re-fail them.
-	if got := failDomain(rack); len(got) != 4 {
-		t.Errorf("re-failing rack after Reset hit %v", got)
+	if again := failRack(); len(again) != 0 {
+		t.Errorf("double rack failure returned %v", again)
+	}
+	c.Reset()
+	if got := failRack(); len(got) != 3 {
+		t.Errorf("re-failing the rack after Reset hit %v", got)
+	}
+}
+
+// TestProcessingRacks pins the set of all processing nodes as a
+// degenerate case of the layout: with standby nodes kept apart, the
+// racks before the standby rack hold exactly the processing nodes.
+func TestProcessingRacks(t *testing.T) {
+	c := New(4, 2)
+	if err := c.BuildDomains(Layout{Zones: 1, RacksPerZone: 2}); err != nil {
+		t.Fatal(err)
+	}
+	racks := c.Racks()
+	var all, want []NodeID
+	for _, r := range racks[:len(racks)-1] {
+		all = append(all, r.Nodes...)
+	}
+	for _, n := range c.ProcessingNodes() {
+		want = append(want, n.ID)
+	}
+	slices.Sort(all)
+	if !reflect.DeepEqual(all, want) {
+		t.Errorf("the racks hold %v, want the processing nodes %v", all, want)
 	}
 }
 
@@ -173,93 +192,5 @@ func TestFailNodeEdgeCases(t *testing.T) {
 	// After Reset the same node fails afresh and reports its tasks.
 	if got := c.FailNode(0); !reflect.DeepEqual(got, first) {
 		t.Errorf("re-fail after Reset = %v, want %v", got, first)
-	}
-}
-
-func TestBuildDomains(t *testing.T) {
-	c := New(8, 4)
-	racks, err := c.BuildDomains(Layout{Zones: 2, RacksPerZone: 2, SpreadStandby: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(racks) != 4 {
-		t.Fatalf("racks = %v", racks)
-	}
-	if got := len(c.DomainsOfKind("zone")); got != 2 {
-		t.Fatalf("%d zones", got)
-	}
-	// Every node is attached to some rack; processing and standby both.
-	total := 0
-	for _, r := range racks {
-		nodes := c.DomainNodes(r)
-		if len(nodes) != 3 { // 2 processing + 1 standby per rack
-			t.Errorf("rack %d holds %v", r, nodes)
-		}
-		total += len(nodes)
-	}
-	if total != 12 {
-		t.Fatalf("racks cover %d of 12 nodes", total)
-	}
-
-	// Dedicated standby zone when not spreading.
-	c2 := New(4, 2)
-	if _, err := c2.BuildDomains(Layout{Zones: 1, RacksPerZone: 2}); err != nil {
-		t.Fatal(err)
-	}
-	standbyRacks := 0
-	for _, d := range c2.Domains() {
-		if d.Kind == "rack" && d.Name == "rack-standby" {
-			standbyRacks++
-			if got := c2.DomainNodes(d.ID); len(got) != 2 {
-				t.Errorf("standby rack holds %v", got)
-			}
-		}
-	}
-	if standbyRacks != 1 {
-		t.Fatalf("%d standby racks", standbyRacks)
-	}
-
-	if _, err := c.BuildDomains(Layout{}); err == nil {
-		t.Error("invalid layout accepted")
-	}
-}
-
-// TestDegenerateEquivalence pins single nodes and the set of all
-// processing nodes as degenerate cases of the domain model: a
-// single-node domain holds just that node, and the racks of a layout
-// that keeps standby apart hold exactly the processing nodes.
-func TestDegenerateEquivalence(t *testing.T) {
-	topo := testTopo(t)
-
-	a := New(3, 1)
-	if err := a.PlaceRoundRobin(topo); err != nil {
-		t.Fatal(err)
-	}
-	rack, _ := a.AddDomain(RootDomain, "rack", "r0")
-	if err := a.AttachNode(1, rack); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.DomainNodes(rack); !reflect.DeepEqual(got, []NodeID{1}) {
-		t.Errorf("single-node domain holds %v, want [1]", got)
-	}
-
-	c := New(4, 2)
-	if err := c.PlaceRoundRobin(topo); err != nil {
-		t.Fatal(err)
-	}
-	racks, err := c.BuildDomains(Layout{Zones: 1, RacksPerZone: 2}) // standby kept separate
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all, want []NodeID
-	for _, r := range racks {
-		all = append(all, c.DomainNodes(r)...)
-	}
-	for _, n := range c.ProcessingNodes() {
-		want = append(want, n.ID)
-	}
-	slices.Sort(all)
-	if !reflect.DeepEqual(all, want) {
-		t.Errorf("the racks hold %v, want the processing nodes %v", all, want)
 	}
 }

@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/topology"
@@ -73,12 +73,12 @@ func (c *Cluster) PlaceReplicas(tasks []topology.TaskID, policy PlacementPolicy)
 	if len(standby) == 0 && len(tasks) > 0 {
 		return fmt.Errorf("cluster: no standby nodes for %d replicas", len(tasks))
 	}
-	sorted := append([]topology.TaskID(nil), tasks...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(tasks)
+	slices.Sort(sorted)
 	switch policy {
 	case PlacementRoundRobin:
 		for i, id := range sorted {
-			c.replicaOn[id] = standby[i%len(standby)].ID
+			place(c.replicaOn, c.replicasOn, id, standby[i%len(standby)].ID)
 		}
 		return nil
 	case PlacementAntiAffinity:
@@ -92,7 +92,7 @@ func (c *Cluster) PlaceReplicas(tasks []topology.TaskID, policy PlacementPolicy)
 // each task (ascending order) it scores every standby node by
 // (same-zone-as-primary, replicas-already-hosted, node ID) and picks
 // the lexicographic minimum among the nodes outside the primary's
-// rack. On a cluster without rack domains every standby is eligible and
+// rack. On a cluster without a layout every standby is eligible and
 // the policy degrades to pure load spreading.
 func (c *Cluster) placeReplicasAntiAffinity(sorted []topology.TaskID, standby []*Node) error {
 	// Current replica load per standby node, so that incremental
@@ -103,60 +103,35 @@ func (c *Cluster) placeReplicasAntiAffinity(sorted []topology.TaskID, standby []
 	}
 	for _, id := range sorted {
 		primary, placed := c.placement[id]
-		pRack, pZone := NoDomain, NoDomain
+		var pr *Rack
 		if placed {
-			pRack = c.RackOf(primary)
-			pZone = c.ZoneOf(primary)
+			pr = c.RackOf(primary)
 		}
-		best := NoDomainNode
+		best := NodeID(-1)
 		bestZone, bestLoad := 0, 0
 		for _, n := range standby {
-			if pRack != NoDomain && c.RackOf(n.ID) == pRack {
-				continue // hard constraint: never share the primary's rack
-			}
 			sameZone := 0
-			if pZone != NoDomain && c.ZoneOf(n.ID) == pZone {
-				sameZone = 1
+			if pr != nil {
+				r := c.RackOf(n.ID)
+				if r == pr {
+					continue // hard constraint: never share the primary's rack
+				}
+				if r.Zone == pr.Zone {
+					sameZone = 1
+				}
 			}
 			l := load[n.ID]
-			if best == NoDomainNode || sameZone < bestZone ||
+			if best < 0 || sameZone < bestZone ||
 				(sameZone == bestZone && l < bestLoad) {
 				best, bestZone, bestLoad = n.ID, sameZone, l
 			}
 		}
-		if best == NoDomainNode {
+		if best < 0 {
 			return fmt.Errorf("cluster: replica for task %d: %w (primary on node %d in rack %d, all %d standby nodes share that rack)",
-				id, ErrAntiAffinity, primary, pRack, len(standby))
+				id, ErrAntiAffinity, primary, pr.ID, len(standby))
 		}
-		c.replicaOn[id] = best
+		place(c.replicaOn, c.replicasOn, id, best)
 		load[best]++
 	}
 	return nil
-}
-
-// NoDomainNode marks "no node" in placement searches.
-const NoDomainNode = NodeID(-1)
-
-// RackOf returns the rack-kind failure domain containing the node: the
-// nearest ancestor (including the node's own attachment) of kind
-// "rack", or NoDomain when the node is not under any rack.
-func (c *Cluster) RackOf(id NodeID) DomainID { return c.ancestorOfKind(id, "rack") }
-
-// ZoneOf returns the zone-kind failure domain containing the node, or
-// NoDomain.
-func (c *Cluster) ZoneOf(id NodeID) DomainID { return c.ancestorOfKind(id, "zone") }
-
-func (c *Cluster) ancestorOfKind(id NodeID, kind string) DomainID {
-	dom := c.DomainOf(id)
-	for dom != NoDomain {
-		d := c.Domain(dom)
-		if d == nil {
-			return NoDomain
-		}
-		if d.Kind == kind {
-			return d.ID
-		}
-		dom = d.Parent
-	}
-	return NoDomain
 }

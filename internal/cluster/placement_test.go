@@ -8,48 +8,29 @@ import (
 	"repro/internal/topology"
 )
 
-// twoRackCluster builds 2 processing + nStandby standby nodes with two
-// racks in separate zones. Processing node 0 and 1 go to rack A and B;
-// standby nodes are attached by the caller.
-func twoRackCluster(t *testing.T, nStandby int) (c *Cluster, rackA, rackB DomainID) {
+// laidOut builds a cluster of processing and standby nodes laid out
+// as l.
+func laidOut(t *testing.T, processing, standby int, l Layout) *Cluster {
 	t.Helper()
-	c = New(2, nStandby)
-	zoneA, err := c.AddDomain(RootDomain, "zone", "zone-a")
-	if err != nil {
+	c := New(processing, standby)
+	if err := c.BuildDomains(l); err != nil {
 		t.Fatal(err)
 	}
-	zoneB, err := c.AddDomain(RootDomain, "zone", "zone-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rackA, err = c.AddDomain(zoneA, "rack", "rack-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rackB, err = c.AddDomain(zoneB, "rack", "rack-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	attach(t, c, 0, rackA)
-	attach(t, c, 1, rackB)
-	return c, rackA, rackB
+	return c
 }
 
-func attach(t *testing.T, c *Cluster, n NodeID, dom DomainID) {
-	t.Helper()
-	if err := c.AttachNode(n, dom); err != nil {
-		t.Fatal(err)
-	}
-}
+// twoZones lays out two zones of one rack each: processing node 0 in
+// rack A, node 1 in rack B, and the standby nodes alternately in A and
+// B, from node 2.
+var twoZones = Layout{Zones: 2, RacksPerZone: 1, SpreadStandby: true}
 
 // TestAntiAffinityRejectsSharedRack is the regression test for the
 // headline bug: when the only free standby shares the primary's rack,
 // placement must fail with the anti-affinity error instead of silently
 // co-locating replica and primary in one failure domain.
 func TestAntiAffinityRejectsSharedRack(t *testing.T) {
-	c, rackA, _ := twoRackCluster(t, 1)
-	attach(t, c, 2, rackA) // the single standby shares rack A
-	c.Place(7, 0)          // primary on node 0 in rack A
+	c := laidOut(t, 2, 1, twoZones) // the single standby shares rack A
+	c.Place(7, 0)                   // primary on node 0 in rack A
 
 	err := c.PlaceReplicas([]topology.TaskID{7}, PlacementAntiAffinity)
 	if !errors.Is(err, ErrAntiAffinity) {
@@ -64,7 +45,7 @@ func TestAntiAffinityRejectsSharedRack(t *testing.T) {
 	if err := c.PlaceReplicas([]topology.TaskID{7}, PlacementRoundRobin); err != nil {
 		t.Fatalf("round-robin: %v", err)
 	}
-	if n, _ := c.ReplicaNodeOf(7); c.RackOf(n) != rackA {
+	if n, _ := c.ReplicaNodeOf(7); c.RackOf(n) != c.RackOf(0) {
 		t.Error("round-robin placement expected to co-locate in this layout")
 	}
 }
@@ -72,17 +53,15 @@ func TestAntiAffinityRejectsSharedRack(t *testing.T) {
 // TestAntiAffinityPicksOtherDomain: with one standby in the primary's
 // rack and one outside, the replica must land outside.
 func TestAntiAffinityPicksOtherDomain(t *testing.T) {
-	c, rackA, rackB := twoRackCluster(t, 2)
-	attach(t, c, 2, rackA)
-	attach(t, c, 3, rackB)
-	c.Place(7, 0) // primary in rack A
+	c := laidOut(t, 2, 2, twoZones) // standby 2 in rack A, 3 in rack B
+	c.Place(7, 0)                   // primary in rack A
 
 	if err := c.PlaceReplicas([]topology.TaskID{7}, PlacementAntiAffinity); err != nil {
 		t.Fatal(err)
 	}
 	n, ok := c.ReplicaNodeOf(7)
-	if !ok || c.RackOf(n) != rackB {
-		t.Fatalf("replica on node %v (rack %v), want the rack-B standby", n, c.RackOf(n))
+	if !ok || n != 3 {
+		t.Fatalf("replica on node %v (rack %v), want the rack-B standby 3", n, c.RackOf(n))
 	}
 }
 
@@ -90,22 +69,16 @@ func TestAntiAffinityPicksOtherDomain(t *testing.T) {
 // primary's rack, one in the primary's zone and one in another zone —
 // the other zone wins even when it means a higher node ID.
 func TestAntiAffinityPrefersOtherZone(t *testing.T) {
-	c := New(1, 2)
-	zoneA, _ := c.AddDomain(RootDomain, "zone", "zone-a")
-	zoneB, _ := c.AddDomain(RootDomain, "zone", "zone-b")
-	rackA1, _ := c.AddDomain(zoneA, "rack", "rack-a1")
-	rackA2, _ := c.AddDomain(zoneA, "rack", "rack-a2")
-	rackB1, _ := c.AddDomain(zoneB, "rack", "rack-b1")
-	attach(t, c, 0, rackA1) // primary node
-	attach(t, c, 1, rackA2) // same zone, different rack
-	attach(t, c, 2, rackB1) // different zone
-	c.Place(3, 0)
+	// Racks A1, A2 in zone A and B1, B2 in zone B hold processing
+	// nodes 0-3 and then standby nodes 4 (A1), 5 (A2) and 6 (B1).
+	c := laidOut(t, 4, 3, DefaultLayout())
+	c.Place(3, 0) // primary in rack A1
 
 	if err := c.PlaceReplicas([]topology.TaskID{3}, PlacementAntiAffinity); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := c.ReplicaNodeOf(3); n != 2 {
-		t.Errorf("replica on node %d, want the other-zone standby 2", n)
+	if n, _ := c.ReplicaNodeOf(3); n != 6 {
+		t.Errorf("replica on node %d, want the other-zone standby 6", n)
 	}
 }
 
@@ -114,21 +87,9 @@ func TestAntiAffinityPrefersOtherZone(t *testing.T) {
 // placement must be deterministic across identically built clusters.
 func TestAntiAffinitySpreadsLoad(t *testing.T) {
 	build := func() *Cluster {
-		c := New(2, 3)
-		zoneA, _ := c.AddDomain(RootDomain, "zone", "zone-a")
-		zoneB, _ := c.AddDomain(RootDomain, "zone", "zone-b")
-		rackA, _ := c.AddDomain(zoneA, "rack", "rack-a")
-		rackB, _ := c.AddDomain(zoneB, "rack", "rack-b")
-		for _, n := range []NodeID{0, 1} {
-			if err := c.AttachNode(n, rackA); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, n := range []NodeID{2, 3, 4} {
-			if err := c.AttachNode(n, rackB); err != nil {
-				t.Fatal(err)
-			}
-		}
+		// Processing nodes 0 and 1 in one rack, standby nodes 2-4 in
+		// the standby rack.
+		c := laidOut(t, 2, 3, Layout{Zones: 1, RacksPerZone: 1})
 		c.Place(0, 0)
 		c.Place(1, 1)
 		c.Place(2, 0)
@@ -164,7 +125,7 @@ func TestAntiAffinitySpreadsLoad(t *testing.T) {
 	}
 }
 
-// TestAntiAffinityWithoutDomains: on a cluster with no rack domains the
+// TestAntiAffinityWithoutDomains: on a cluster without a layout the
 // policy degrades to load spreading and never errors.
 func TestAntiAffinityWithoutDomains(t *testing.T) {
 	c := New(2, 2)
@@ -224,5 +185,35 @@ func TestReversePlacementIndex(t *testing.T) {
 	c.Reset()
 	if got := c.FailNode(1); !reflect.DeepEqual(got, []topology.TaskID{1, 2}) {
 		t.Fatalf("after Reset, FailNode(1) = %v, want [1 2]", got)
+	}
+}
+
+// TestReplicaHostIndex pins the node→replicas index that failure
+// injection reads: it tracks replica placements and re-placements and
+// stays sorted.
+func TestReplicaHostIndex(t *testing.T) {
+	c := New(1, 2)
+	if err := c.PlaceReplicas([]topology.TaskID{4, 1, 3}, PlacementRoundRobin); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ReplicasOn(1); !reflect.DeepEqual(got, []topology.TaskID{1, 4}) {
+		t.Fatalf("ReplicasOn(1) = %v, want [1 4]", got)
+	}
+	if got := c.ReplicasOn(2); !reflect.DeepEqual(got, []topology.TaskID{3}) {
+		t.Fatalf("ReplicasOn(2) = %v, want [3]", got)
+	}
+	// Placing task 1's replica again moves it to node 2, the standby
+	// with the fewest replicas.
+	if err := c.PlaceReplicas([]topology.TaskID{1}, PlacementAntiAffinity); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ReplicasOn(1); !reflect.DeepEqual(got, []topology.TaskID{4}) {
+		t.Errorf("after the move, ReplicasOn(1) = %v, want [4]", got)
+	}
+	if got := c.ReplicasOn(2); !reflect.DeepEqual(got, []topology.TaskID{1, 3}) {
+		t.Errorf("after the move, ReplicasOn(2) = %v, want [1 3]", got)
+	}
+	if got := c.ReplicasOn(0); got != nil {
+		t.Errorf("processing node hosts replicas %v", got)
 	}
 }

@@ -102,17 +102,40 @@ type Engine struct {
 	snap    []byte
 	pend    []sim.Event
 
-	// Hot-path object pools, all single-threaded like the simulation:
+	// Object pools, all single-threaded like the simulation:
 	// staged-input tuple backings, batch-completion events, delivery
-	// events, checkpoint-trim notifications and amendment completions
-	// are recycled instead of allocated per event; Reset returns the
-	// events still pending to their pools.
-	tuples    tuplePool
-	procFree  []*procEvent
-	delivFree []*deliveryEvent
-	trimFree  []*trimEvent
-	amendFree []*amendEvent
+	// events, checkpoint-trim notifications, amendment completions and
+	// failure injections are recycled instead of allocated per event;
+	// Reset returns the events still pending to their pools. hit is the
+	// scratch list of the tasks a wave fails (injectNodeFailures).
+	tuples   tuplePool
+	procs    freeList[procEvent]
+	delivs   freeList[deliveryEvent]
+	trims    freeList[trimEvent]
+	amends   freeList[amendEvent]
+	failures freeList[failureEvent]
+	hit      []topology.TaskID
 }
+
+// freeList is a free list of recycled events of one type.
+type freeList[T any] []*T
+
+// get pops a recycled event, or returns a new one when the list is
+// empty. A recycled event holds what it held when put: the caller
+// overwrites every field it reads.
+func (l *freeList[T]) get() *T {
+	n := len(*l)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return x
+}
+
+// put recycles an event that will not fire again.
+func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
 
 // checkpointData is one stored checkpoint: computation state plus the
 // task's replayState (§II-B). taken is unset until the task's first
@@ -301,7 +324,7 @@ type deliveryEvent struct {
 func (de *deliveryEvent) Run() {
 	e, to, ui, batch, content, d := de.e, de.to, de.ui, de.batch, de.content, de.d
 	de.content = Batch{} // drop the tuple reference while pooled
-	e.delivFree = append(e.delivFree, de)
+	e.delivs.put(de)
 	if rt := e.tasks[to]; rt != nil {
 		rt.receive(ui, batch, content, d)
 	}
@@ -314,49 +337,9 @@ func (de *deliveryEvent) Run() {
 // the recipient in its slot after the network delay, on a pooled event
 // in the clock's lane of that delay.
 func (e *Engine) deliver(from topology.TaskID, to recipient, batch int, content Batch, d delivery) {
-	de := e.getDeliveryEvent()
+	de := e.delivs.get()
 	de.e, de.to, de.ui, de.batch, de.content, de.d = e, to.id, e.senderIdx[from][to.slot], batch, content, d
 	e.clock.AfterRun(netDelay, de)
-}
-
-func (e *Engine) getDeliveryEvent() *deliveryEvent {
-	if n := len(e.delivFree); n > 0 {
-		de := e.delivFree[n-1]
-		e.delivFree[n-1] = nil
-		e.delivFree = e.delivFree[:n-1]
-		return de
-	}
-	return &deliveryEvent{}
-}
-
-func (e *Engine) getProcEvent() *procEvent {
-	if n := len(e.procFree); n > 0 {
-		pe := e.procFree[n-1]
-		e.procFree[n-1] = nil
-		e.procFree = e.procFree[:n-1]
-		return pe
-	}
-	return &procEvent{}
-}
-
-func (e *Engine) putProcEvent(pe *procEvent) {
-	pe.rt = nil
-	e.procFree = append(e.procFree, pe)
-}
-
-func (e *Engine) getAmendEvent() *amendEvent {
-	if n := len(e.amendFree); n > 0 {
-		ae := e.amendFree[n-1]
-		e.amendFree[n-1] = nil
-		e.amendFree = e.amendFree[:n-1]
-		return ae
-	}
-	return &amendEvent{}
-}
-
-func (e *Engine) putAmendEvent(ae *amendEvent) {
-	ae.rt, ae.delta = nil, Batch{}
-	e.amendFree = append(e.amendFree, ae)
 }
 
 // scratchOp returns task id's scratch operator for amendments (see
@@ -524,7 +507,7 @@ type trimEvent struct {
 // Run implements sim.Runner.
 func (te *trimEvent) Run() {
 	e, up, down, ck := te.e, te.up, te.down, te.ck
-	e.trimFree = append(e.trimFree, te)
+	e.trims.put(te)
 	if u := e.tasks[up]; u != nil && !u.failed {
 		u.trimFor(down, ck)
 	}
@@ -534,38 +517,29 @@ func (te *trimEvent) Run() {
 }
 
 func (e *Engine) scheduleTrim(up, down topology.TaskID, ck int) {
-	te := e.getTrimEvent()
+	te := e.trims.get()
 	te.e, te.up, te.down, te.ck = e, up, down, ck
 	e.clock.AfterRun(netDelay, te)
 }
 
-func (e *Engine) getTrimEvent() *trimEvent {
-	if n := len(e.trimFree); n > 0 {
-		te := e.trimFree[n-1]
-		e.trimFree[n-1] = nil
-		e.trimFree = e.trimFree[:n-1]
-		return te
-	}
-	return &trimEvent{}
-}
-
 // ScheduleNodeFailures injects a simultaneous failure of a set of nodes
 // at the given virtual time — one correlated burst, such as a whole
-// failure domain (cluster.DomainNodes) or every processing node. Failing
-// a standby node kills the active replicas it hosts, so a burst that
-// spans both a primary and its replica forces the fallback to
-// checkpoint recovery.
+// rack (cluster.Rack.Nodes) or every processing node. Failing a standby
+// node kills the active replicas it hosts, so a burst that spans both a
+// primary and its replica forces the fallback to checkpoint recovery.
 func (e *Engine) ScheduleNodeFailures(nodes []cluster.NodeID, at sim.Time) {
-	set := append([]cluster.NodeID(nil), nodes...)
-	e.scheduleFailure(at, func() { e.injectNodeFailures(set) })
+	f := e.failures.get()
+	f.nodes, f.tasks = append(f.nodes[:0], nodes...), f.tasks[:0]
+	e.scheduleFailure(at, f)
 }
 
 // ScheduleTaskFailures fails a specific set of tasks at the given time
 // (independent of node placement), useful for targeted experiments.
 func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
-	sorted := append([]topology.TaskID(nil), ids...)
-	slices.Sort(sorted)
-	e.scheduleFailure(at, func() { e.failTasks(sorted) })
+	f := e.failures.get()
+	f.nodes, f.tasks = f.nodes[:0], append(f.tasks[:0], ids...)
+	slices.Sort(f.tasks)
+	e.scheduleFailure(at, f)
 }
 
 // scheduleFailure schedules one failure injection and records that a
@@ -573,53 +547,51 @@ func (e *Engine) ScheduleTaskFailures(ids []topology.TaskID, at sim.Time) {
 // compares no state before the latest injection has fired. The clock
 // fires a failure first among the events of its instant, however late
 // it was scheduled (sim.Clock.Inject).
-func (e *Engine) scheduleFailure(at sim.Time, inject func()) {
+func (e *Engine) scheduleFailure(at sim.Time, f *failureEvent) {
+	f.e = e
 	e.failing = true
 	e.lastFailure = max(e.lastFailure, at)
-	e.clock.Inject(at, inject)
+	e.clock.Inject(at, f)
 }
 
-// injectNodeFailures is the common burst handler: mark the nodes
-// failed, fail the primary tasks placed on them, fail the primaries
-// that are promoted replicas running on a failed standby node (the
-// placement map does not know those hosts), and kill the active
-// replicas hosted on failed standby nodes.
+// failureEvent is one pooled failure injection: a wave of nodes, or a
+// set of tasks in ascending order. It owns both lists, one of them
+// empty, and keeps their storage when recycled.
+type failureEvent struct {
+	e     *Engine
+	nodes []cluster.NodeID
+	tasks []topology.TaskID
+}
+
+// Run implements sim.Runner.
+func (f *failureEvent) Run() {
+	f.e.injectNodeFailures(f.nodes)
+	f.e.failTasks(f.tasks)
+	f.e.failures.put(f)
+}
+
+// injectNodeFailures fails a wave of nodes in one pass over them. On
+// each node it fails the primaries placed there, the live replicas it
+// hosts and the promoted replicas running there, which the placement
+// map does not know as primaries. A node that failed in an earlier wave
+// killed all of these then, and nothing is placed or promoted onto a
+// failed node, so no other node needs a look. The tasks fail in
+// ascending order.
 func (e *Engine) injectNodeFailures(nodes []cluster.NodeID) {
-	var ids []topology.TaskID
+	hit := e.hit[:0]
 	for _, n := range nodes {
-		ids = append(ids, e.clus.FailNode(n)...)
-	}
-	for id, rt := range e.tasks {
-		if rt == nil || rt.failed || !rt.promoted {
-			continue
-		}
-		if n, ok := e.clus.ReplicaNodeOf(topology.TaskID(id)); ok {
-			if nd := e.clus.Node(n); nd != nil && nd.Failed {
-				ids = append(ids, topology.TaskID(id))
+		hit = append(hit, e.clus.FailNode(n)...)
+		for _, id := range e.clus.ReplicasOn(n) {
+			if rep := e.replicas[id]; rep != nil {
+				rep.failed = true
+			} else if e.tasks[id].promoted {
+				hit = append(hit, id)
 			}
 		}
 	}
-	slices.Sort(ids)
-	e.failReplicasOnFailedNodes()
-	e.failTasks(ids)
-}
-
-// failReplicasOnFailedNodes marks the active replicas hosted on failed
-// standby nodes as failed themselves; recovery then falls back to the
-// passive (checkpoint) layer.
-func (e *Engine) failReplicasOnFailedNodes() {
-	for id, rep := range e.replicas {
-		if rep == nil || rep.failed {
-			continue
-		}
-		node, ok := e.clus.ReplicaNodeOf(topology.TaskID(id))
-		if !ok {
-			continue
-		}
-		if n := e.clus.Node(node); n != nil && n.Failed {
-			rep.failed = true
-		}
-	}
+	slices.Sort(hit)
+	e.failTasks(hit)
+	e.hit = hit
 }
 
 func (e *Engine) failTasks(ids []topology.TaskID) {

@@ -11,12 +11,11 @@ import (
 // domainChainEngine builds the chain topology on a domain-structured
 // cluster: tasks round-robin over 5 processing nodes, replicas on 5
 // standby nodes, all spread over 2 zones x 2 racks.
-func domainChainEngine(t *testing.T, cfg Config, strategies []Strategy) (*Engine, []cluster.DomainID) {
+func domainChainEngine(t *testing.T, cfg Config, strategies []Strategy) (*Engine, []cluster.Rack) {
 	t.Helper()
 	topo := chainTopo(1000)
 	clus := cluster.New(5, 5)
-	racks, err := clus.BuildDomains(cluster.Layout{Zones: 2, RacksPerZone: 2, SpreadStandby: true})
-	if err != nil {
+	if err := clus.BuildDomains(cluster.Layout{Zones: 2, RacksPerZone: 2, SpreadStandby: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := clus.PlaceRoundRobin(topo); err != nil {
@@ -40,18 +39,17 @@ func domainChainEngine(t *testing.T, cfg Config, strategies []Strategy) (*Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, racks
+	return e, clus.Racks()
 }
 
-// TestScheduleDomainFailure fails one rack (its DomainNodes, as one
-// burst) and checks that exactly the primaries of the rack's
+// TestScheduleDomainFailure fails one rack (its Nodes, as one burst) and checks that exactly the primaries of the rack's
 // processing nodes fail and recover.
 func TestScheduleDomainFailure(t *testing.T) {
 	cfg := Config{CheckpointInterval: 5}
 	e, racks := domainChainEngine(t, cfg, nil)
 	rack := racks[0]
 	var want []topology.TaskID
-	for _, n := range e.clus.DomainNodes(rack) {
+	for _, n := range rack.Nodes {
 		if nd := e.clus.Node(n); nd != nil && !nd.Standby {
 			for _, task := range e.topo.Tasks {
 				if e.clus.NodeOf(task.ID) == n {
@@ -63,7 +61,7 @@ func TestScheduleDomainFailure(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("rack hosts no primaries; layout changed?")
 	}
-	e.ScheduleNodeFailures(e.clus.DomainNodes(rack), 15.2)
+	e.ScheduleNodeFailures(rack.Nodes, 15.2)
 	e.Run(120)
 	stats := e.RecoveryStats()
 	if len(stats) != len(want) {

@@ -18,15 +18,7 @@ func TestSourceFailureCheckpointRecovery(t *testing.T) {
 	if len(stats) != 1 || !stats[0].Recovered {
 		t.Fatalf("source recovery failed: %+v", stats)
 	}
-	sink := e.topo.SinkTasks()[0]
-	srt := e.tasks[sink]
-	var total int64
-	for _, c := range srt.tupleProgress {
-		total += c
-	}
-	if want := int64(1000) * int64(srt.nextBatch); total != want {
-		t.Errorf("sink consumed %d tuples, want %d after source recovery", total, want)
-	}
+	sinkExact(t, e)
 }
 
 // TestRepeatedFailure: a task that fails again after recovering is

@@ -16,11 +16,10 @@ import (
 // the co-located replica too and recovery falls back to the slower
 // checkpoint replay.
 func TestReplicaSurvivesDomainBurst(t *testing.T) {
-	run := func(placement cluster.PlacementPolicy) (recovered bool, latency sim.Time, replicaRack, primaryRack cluster.DomainID) {
+	run := func(placement cluster.PlacementPolicy) (recovered bool, latency sim.Time, replicaRack, primaryRack int) {
 		topo := chainTopo(1000)
 		clus := cluster.New(5, 5)
-		_, err := clus.BuildDomains(cluster.Layout{Zones: 2, RacksPerZone: 2, SpreadStandby: true})
-		if err != nil {
+		if err := clus.BuildDomains(cluster.Layout{Zones: 2, RacksPerZone: 2, SpreadStandby: true}); err != nil {
 			t.Fatal(err)
 		}
 		if err := clus.PlaceRoundRobin(topo); err != nil {
@@ -43,13 +42,13 @@ func TestReplicaSurvivesDomainBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		primaryRack = clus.RackOf(clus.NodeOf(4))
+		rack := clus.RackOf(clus.NodeOf(4))
 		standby, ok := clus.ReplicaNodeOf(4)
 		if !ok {
 			t.Fatal("no replica placed for task 4")
 		}
-		replicaRack = clus.RackOf(standby)
-		e.ScheduleNodeFailures(e.clus.DomainNodes(primaryRack), 15.2)
+		primaryRack, replicaRack = rack.ID, clus.RackOf(standby).ID
+		e.ScheduleNodeFailures(rack.Nodes, 15.2)
 		e.Run(120)
 		for _, st := range e.RecoveryStats() {
 			if st.Task == 4 {
@@ -85,25 +84,16 @@ func TestReplicaSurvivesDomainBurst(t *testing.T) {
 func TestNewSurfacesAntiAffinityError(t *testing.T) {
 	topo := chainTopo(1000)
 	clus := cluster.New(5, 1)
-	zone, err := clus.AddDomain(cluster.RootDomain, "zone", "z")
-	if err != nil {
+	// One rack holds every node, the standby included.
+	if err := clus.BuildDomains(cluster.Layout{Zones: 1, RacksPerZone: 1, SpreadStandby: true}); err != nil {
 		t.Fatal(err)
-	}
-	rack, err := clus.AddDomain(zone, "rack", "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range clus.Nodes() {
-		if err := clus.AttachNode(n.ID, rack); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := clus.PlaceRoundRobin(topo); err != nil {
 		t.Fatal(err)
 	}
 	strategies := allStrategies(topo.NumTasks(), StrategyCheckpoint)
 	strategies[4] = StrategyActive
-	_, err = New(Setup{
+	_, err := New(Setup{
 		Topology: topo,
 		Cluster:  clus,
 		Sources:  map[int]SourceFactory{0: NewCountSourceFactory(1000)},

@@ -50,7 +50,7 @@ func TestEngineResetBitIdentical(t *testing.T) {
 	setup := func() Setup {
 		topo := chainTopo(1000)
 		c := cluster.New(5, 3)
-		if _, err := c.BuildDomains(cluster.Layout{Zones: 1, RacksPerZone: 2, SpreadStandby: true}); err != nil {
+		if err := c.BuildDomains(cluster.Layout{Zones: 1, RacksPerZone: 2, SpreadStandby: true}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.PlaceRoundRobin(topo); err != nil {

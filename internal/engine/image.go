@@ -141,15 +141,15 @@ func (e *Engine) Reset() {
 	for i := range evs {
 		switch r := evs[i].Run.(type) {
 		case *deliveryEvent:
-			de := e.getDeliveryEvent()
+			de := e.delivs.get()
 			*de = *r
 			evs[i].Run = de
 		case *procEvent:
-			pe := e.getProcEvent()
+			pe := e.procs.get()
 			*pe = *r
 			evs[i].Run = pe
 		case *trimEvent:
-			te := e.getTrimEvent()
+			te := e.trims.get()
 			*te = *r
 			evs[i].Run = te
 		case *batchTick:
@@ -185,13 +185,16 @@ func (e *Engine) recycle() {
 		switch r := ev.Run.(type) {
 		case *deliveryEvent:
 			r.content = Batch{}
-			e.delivFree = append(e.delivFree, r)
+			e.delivs.put(r)
 		case *procEvent:
-			e.putProcEvent(r)
+			e.procs.put(r)
 		case *trimEvent:
-			e.trimFree = append(e.trimFree, r)
+			e.trims.put(r)
 		case *amendEvent:
-			e.putAmendEvent(r)
+			r.delta = Batch{}
+			e.amends.put(r)
+		case *failureEvent:
+			e.failures.put(r)
 		}
 	}
 	clear(pend)

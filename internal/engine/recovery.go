@@ -42,10 +42,16 @@ type master struct {
 	fails   []failure
 	pending []topology.TaskID
 	done    []RecoveryStat
-	// installs holds each task's checkpoint install event, by task ID: a
-	// task has at most one install pending, since it gets no new
-	// incarnation, and so cannot fail again, before its install ends.
-	installs []installEvent
+	// The recovery steps' runners, by task ID: the end of a checkpoint
+	// restore, of a replica's activation and of a source-replay restart,
+	// and a promoted replica's catch-up check. A task has at most one of
+	// each pending: it gets no new incarnation, and so cannot fail
+	// again, before its restore, activation or restart ends, and only
+	// its one replica's promotion schedules a catch-up check.
+	installs    []installEvent
+	activations []activation
+	catchUps    []catchUpCheck
+	restarts    []restartEvent
 }
 
 type failure struct {
@@ -60,9 +66,20 @@ type failure struct {
 
 func newMaster(e *Engine) *master {
 	n := e.topo.NumTasks()
-	m := &master{eng: e, fails: make([]failure, n), installs: make([]installEvent, n)}
-	for id := range m.installs {
-		m.installs[id] = installEvent{m: m, id: topology.TaskID(id)}
+	m := &master{
+		eng:         e,
+		fails:       make([]failure, n),
+		installs:    make([]installEvent, n),
+		activations: make([]activation, n),
+		catchUps:    make([]catchUpCheck, n),
+		restarts:    make([]restartEvent, n),
+	}
+	for id := range n {
+		tid := topology.TaskID(id)
+		m.installs[id] = installEvent{m: m, id: tid}
+		m.activations[id] = activation{m: m, id: tid}
+		m.catchUps[id] = catchUpCheck{m: m}
+		m.restarts[id] = restartEvent{m: m, id: tid}
 	}
 	return m
 }
@@ -122,64 +139,92 @@ func (m *master) recover(id topology.TaskID) {
 	}
 }
 
-// recoverActive promotes the task's replica: outputs on, buffered output
-// resent to the downstream tasks (which deduplicate by batch), §V-B.
+// recoverActive activates the task's replica, which is promoted once
+// the activation ends (promote).
 func (m *master) recoverActive(id topology.TaskID) {
 	e := m.eng
-	rep := e.replicas[id]
-	if rep == nil || rep.failed {
+	if rep := e.replicas[id]; rep == nil || rep.failed {
 		// No usable replica (not planned, or standby failed): fall back
 		// to checkpoint recovery.
 		m.recoverCheckpoint(id)
 		return
 	}
-	e.clock.After(replicaActivateCost, func() {
-		if rep.failed {
-			// The standby failed during the activation: fall back to
-			// checkpoint recovery, as detection does.
-			m.recoverCheckpoint(id)
-			return
-		}
-		rep.isReplica = false
-		rep.recovering = true
-		rep.promoted = true
-		e.tasks[id] = rep
-		e.replicas[id] = nil
-		if rep.isSource && e.cfg.CheckpointInterval > 0 {
-			// A source replica is driven by no one: it holds no generated
-			// batches. Rewind to the oldest batch any downstream could
-			// still request on recovery — its last checkpoint (ckptBound,
-			// kept fresh by checkpoint trims), or batch 0 for a downstream
-			// that never checkpointed and would cold-restart — and
-			// regenerate. Without checkpointing there is nothing
-			// downstream could replay, so no regeneration is needed.
-			// Regeneration costs no virtual time: the promoted source is
-			// caught up immediately.
-			from := 0
-			for i, b := range rep.ckptBound {
-				if b == noCheckpoint {
-					from = 0
-					break
-				}
-				if i == 0 || b+1 < from {
-					from = b + 1
-				}
-			}
-			rep.rebase(from)
-			rep.catchUpSource(e.currentBatch)
-		}
-		// Resend the output the failed primary may not have delivered:
-		// everything since the last progress ack. Older buffered batches
-		// stay available for downstream checkpoint replay.
-		rep.resendSince(rep.ackBatch)
-		// The replica may already be caught up; check both now and when
-		// its resend work drains.
-		m.checkRecovered(rep)
-		if !m.isDone(id) {
-			e.clock.At(max(rep.busyUntil, e.clock.Now()), func() { m.checkRecovered(rep) })
-		}
-	})
+	e.clock.AfterRun(replicaActivateCost, &m.activations[id])
 }
+
+// activation ends the activation of a task's replica.
+type activation struct {
+	m  *master
+	id topology.TaskID
+}
+
+// Run implements sim.Runner.
+func (a *activation) Run() { a.m.promote(a.id) }
+
+// promote makes the task's activated replica its primary: outputs on,
+// buffered output resent to the downstream tasks (which deduplicate by
+// batch), §V-B. Nothing but the promotion takes the replica off
+// Engine.replicas, so it is the one recoverActive found.
+func (m *master) promote(id topology.TaskID) {
+	e := m.eng
+	rep := e.replicas[id]
+	if rep.failed {
+		// The standby failed during the activation: fall back to
+		// checkpoint recovery, as detection does.
+		m.recoverCheckpoint(id)
+		return
+	}
+	rep.isReplica = false
+	rep.recovering = true
+	rep.promoted = true
+	e.tasks[id] = rep
+	e.replicas[id] = nil
+	if rep.isSource && e.cfg.CheckpointInterval > 0 {
+		// A source replica is driven by no one: it holds no generated
+		// batches. Rewind to the oldest batch any downstream could
+		// still request on recovery — its last checkpoint (ckptBound,
+		// kept fresh by checkpoint trims), or batch 0 for a downstream
+		// that never checkpointed and would cold-restart — and
+		// regenerate. Without checkpointing there is nothing
+		// downstream could replay, so no regeneration is needed.
+		// Regeneration costs no virtual time: the promoted source is
+		// caught up immediately.
+		from := 0
+		for i, b := range rep.ckptBound {
+			if b == noCheckpoint {
+				from = 0
+				break
+			}
+			if i == 0 || b+1 < from {
+				from = b + 1
+			}
+		}
+		rep.rebase(from)
+		rep.catchUpSource(e.currentBatch)
+	}
+	// Resend the output the failed primary may not have delivered:
+	// everything since the last progress ack. Older buffered batches
+	// stay available for downstream checkpoint replay.
+	rep.resendSince(rep.ackBatch)
+	// The replica may already be caught up; check both now and when
+	// its resend work drains.
+	m.checkRecovered(rep)
+	if !m.isDone(id) {
+		c := &m.catchUps[id]
+		c.rt = rep
+		e.clock.AtRun(max(rep.busyUntil, e.clock.Now()), c)
+	}
+}
+
+// catchUpCheck checks whether a promoted replica has caught up once its
+// resend work has drained.
+type catchUpCheck struct {
+	m  *master
+	rt *taskRuntime
+}
+
+// Run implements sim.Runner.
+func (c *catchUpCheck) Run() { c.m.checkRecovered(c.rt) }
 
 // recoverCheckpoint restores the task from its latest checkpoint on a
 // standby node and replays the upstream output buffers (§V-B Passive
@@ -271,72 +316,80 @@ func (m *master) installCheckpoint(ie *installEvent) {
 
 // recoverSourceReplay implements Storm's technique: restart the failed
 // task with empty state and reprocess the source data of the unfinished
-// windows through the whole upstream topology (§VI-A). Live ancestor
-// tasks rewind and rebuild their states by reprocessing; their duplicate
-// outputs toward non-rewound tasks are dropped by batch deduplication.
+// windows through the whole upstream topology (§VI-A). The restart
+// ends after restartCost (replay).
 func (m *master) recoverSourceReplay(id topology.TaskID) {
 	e := m.eng
-	replayFrom := e.currentBatch - e.cfg.WindowBatches
-	if replayFrom < 0 {
-		replayFrom = 0
+	r := &m.restarts[id]
+	r.from = max(e.currentBatch-e.cfg.WindowBatches, 0)
+	e.clock.AfterRun(restartCost, r)
+}
+
+// restartEvent ends a task's source-replay restart, which replays from
+// batch from.
+type restartEvent struct {
+	m    *master
+	id   topology.TaskID
+	from int
+}
+
+// Run implements sim.Runner.
+func (r *restartEvent) Run() { r.m.replay(r.id, r.from) }
+
+// replay starts a new incarnation of the failed task at batch
+// replayFrom. Live ancestor tasks rewind and rebuild their states by
+// reprocessing; their duplicate outputs toward non-rewound tasks are
+// dropped by batch deduplication.
+func (m *master) replay(id topology.TaskID, replayFrom int) {
+	e := m.eng
+	anc := m.ancestors(id)
+	// Rewind live ancestors (deepest first is unnecessary: batch
+	// staging regulates order).
+	for _, a := range anc {
+		art := e.tasks[a]
+		if art == nil || art.failed || art.id == id {
+			continue
+		}
+		if art.isSource {
+			art.resetTo(min(replayFrom, art.nextBatch))
+		} else {
+			art.resetTo(replayFrom)
+		}
 	}
-	e.clock.After(restartCost, func() {
-		anc := m.ancestors(id)
-		// Rewind live ancestors (deepest first is unnecessary: batch
-		// staging regulates order).
-		for _, a := range anc {
-			art := e.tasks[a]
-			if art == nil || art.failed || art.id == id {
-				continue
-			}
-			if art.isSource {
-				art.resetTo(min(replayFrom, art.nextBatch))
-			} else {
-				art.resetTo(replayFrom)
-			}
+	// A new incarnation of the failed task.
+	rt := e.incarnation(id)
+	rt.recovering = true
+	rt.rebase(replayFrom)
+	if rt.isSource {
+		rt.rebase(0)
+	}
+	e.tasks[id] = rt
+	// Sources regenerate the replayed batches (and the failed task
+	// itself, if it is a source, regenerates everything it owes).
+	for _, a := range anc {
+		art := e.tasks[a]
+		if art != nil && !art.failed && art.isSource {
+			art.catchUpSource(e.currentBatch)
 		}
-		// A new incarnation of the failed task.
-		rt := e.incarnation(id)
-		rt.recovering = true
-		rt.rebase(replayFrom)
-		if rt.isSource {
-			rt.rebase(0)
-		}
-		e.tasks[id] = rt
-		// Sources regenerate the replayed batches (and the failed task
-		// itself, if it is a source, regenerates everything it owes).
-		for _, a := range anc {
-			art := e.tasks[a]
-			if art != nil && !art.failed && art.isSource {
-				art.catchUpSource(e.currentBatch)
-			}
-		}
-		if rt.isSource {
-			rt.catchUpSource(e.currentBatch)
-			m.checkRecovered(rt)
-		}
-	})
+	}
+	if rt.isSource {
+		rt.catchUpSource(e.currentBatch)
+		m.checkRecovered(rt)
+	}
 }
 
 // ancestors returns the failed task plus every task with a path to it,
 // sorted ascending.
 func (m *master) ancestors(id topology.TaskID) []topology.TaskID {
-	t := m.eng.topo
 	seen := map[topology.TaskID]bool{id: true}
-	stack := []topology.TaskID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range t.UpstreamTasks(cur) {
+	out := []topology.TaskID{id}
+	for i := 0; i < len(out); i++ {
+		for _, u := range m.eng.prim[out[i]].upstreams {
 			if !seen[u] {
 				seen[u] = true
-				stack = append(stack, u)
+				out = append(out, u)
 			}
 		}
-	}
-	out := make([]topology.TaskID, 0, len(seen))
-	for tid := range seen {
-		out = append(out, tid)
 	}
 	slices.Sort(out)
 	return out

@@ -37,7 +37,6 @@ var stateFields = map[string]struct {
 	"missIn":        {"marks closed batches: read only by late deliveries and restores", func(s *taskState) { s.missIn.add(s.nextBatch-1, ubits{1}) }},
 	"ckptBound":     {"read only by replica trims and a source replica's take-over", func(s *taskState) { s.ckptBound[0]++ }},
 	"ackBatch":      {"read only by a replica's take-over", func(s *taskState) { s.ackBatch++ }},
-	"tupleProgress": {"a counter no decision reads", func(s *taskState) { s.tupleProgress[0]++ }},
 	"procCPU":       {"a counter no decision reads", func(s *taskState) { s.procCPU++ }},
 	"ckptCPU":       {"a counter no decision reads", func(s *taskState) { s.ckptCPU++ }},
 }
@@ -78,11 +77,13 @@ var engineFields = map[string]string{
 	"enc":          "scratch",
 	"snap":         "scratch",
 	"pend":         "scratch",
+	"hit":          "scratch",
 	"tuples":       "pool",
-	"procFree":     "pool",
-	"delivFree":    "pool",
-	"trimFree":     "pool",
-	"amendFree":    "pool",
+	"procs":        "pool",
+	"delivs":       "pool",
+	"trims":        "pool",
+	"amends":       "pool",
+	"failures":     "pool",
 }
 
 // fieldNames lists the fields of a struct type, the fields of embedded

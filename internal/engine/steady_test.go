@@ -57,19 +57,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 // presets × checkpoint-only and greedy plans × the four burst models ×
 // tentative outputs off and on — runs 12 scenarios (seed 1) through
 // ScheduleNodeFailures, RunSpliced and Reset on an engine marked before
-// their earliest wave, once to warm up and once measured. Recovery
-// recycles its incarnations, operators, events and checkpoint objects,
-// and the master allocates nothing per heartbeat, tick or poll, so what
-// is left is per wave and per replica take-over: copying the wave's
-// node list and its failure closure, the nodes' task lists, and the
-// activation closures. Measured: 4.0–45.4 objects (0.1–1.5 KB) per
-// scenario, the most on the large greedy cascades; the bound is 60.
-// The same medium greedy cascades with their waves 2 s and 12 s apart,
-// so that recovery lasts longer, must allocate the same within 2
-// objects per scenario (measured: 31.9 at both). -short, and the race
-// detector, run the small preset only.
+// their earliest wave, once to warm up and once measured. Failures,
+// recovery steps and every other event are recycled runners, and
+// recovery recycles its incarnations, operators and checkpoint
+// objects, so a warm scenario allocates next to nothing: measured, at
+// most 0.4 objects per scenario; the bound is 1. The same medium
+// greedy cascades with their waves 2 s and 12 s apart, so that
+// recovery lasts longer, must allocate the same within 2 objects per
+// scenario. -short, and the race detector, run the small preset only.
 func TestScenarioAllocs(t *testing.T) {
-	const perCell, maxPerScenario, lagSlack = 12, 60, 2
+	const perCell, maxPerScenario, lagSlack = 12, 1, 2
 	presets := []string{campaign.TopoSmall, campaign.TopoMedium, campaign.TopoLarge}
 	if testing.Short() || raceEnabled {
 		presets = presets[:1]

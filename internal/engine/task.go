@@ -67,9 +67,8 @@ type taskRuntime struct {
 	src       SourceFunc
 	udf       OperatorFunc
 	// upstreams is sorted by task ID; an upstream's position in it is
-	// its compact index into upOps, the window's per-batch state and
-	// tupleProgress (see upIdx). upOps holds the upstream operator per
-	// compact index.
+	// its compact index into upOps and the window's per-batch state
+	// (see upIdx). upOps holds the upstream operator per compact index.
 	upstreams []topology.TaskID
 	upOps     []int
 	routes    []route
@@ -126,10 +125,6 @@ type taskState struct {
 	// last periodic ack (§V-B): the take-over resend covers only later
 	// batches.
 	ackBatch int
-	// tupleProgress counts processed tuples per compact upstream index
-	// (auxiliary fine-grained progress, used in tests). A source task
-	// has a single slot counting its own generated tuples.
-	tupleProgress []int64
 
 	procCPU sim.Time
 	ckptCPU sim.Time
@@ -143,13 +138,12 @@ type taskState struct {
 // without a window ring or a marks map gets one only when src holds a
 // live record or a mark.
 func (s *taskState) copyFrom(src *taskState, pool *tuplePool) {
-	win, rs, bound, progress := s.win, s.replayState, s.ckptBound, s.tupleProgress
+	win, rs, bound := s.win, s.replayState, s.ckptBound
 	*s = *src
 	s.win, s.replayState = win, rs
 	s.win.copyFrom(&src.win, pool)
 	s.replayState.copyFrom(&src.replayState)
 	s.ckptBound = append(bound[:0], src.ckptBound...)
-	s.tupleProgress = append(progress[:0], src.tupleProgress...)
 }
 
 // newTaskRuntime builds a runtime in its initial state: a live
@@ -211,10 +205,8 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	nrec := len(rt.downs)
 	rt.emitBuf = make([]Batch, nrec)
 	if rt.isSource {
-		rt.tupleProgress = make([]int64, 1)
 		rt.src = e.sources[rt.opIdx](rt.taskIndex)
 	} else {
-		rt.tupleProgress = make([]int64, len(rt.upstreams))
 		rt.udf = e.operators[rt.opIdx](rt.taskIndex)
 	}
 	rt.isReplica = isReplica
@@ -423,7 +415,7 @@ func (rt *taskRuntime) tryProcess() {
 	}
 	rt.busyUntil = start + cost
 	rt.procScheduled = true
-	pe := rt.eng.getProcEvent()
+	pe := rt.eng.procs.get()
 	pe.rt, pe.b, pe.cost, pe.epoch = rt, b, cost, rt.epoch
 	rt.eng.clock.AtRun(start+cost, pe)
 }
@@ -441,7 +433,7 @@ type procEvent struct {
 // Run implements sim.Runner.
 func (pe *procEvent) Run() {
 	rt, b, cost, epoch := pe.rt, pe.b, pe.cost, pe.epoch
-	rt.eng.putProcEvent(pe)
+	rt.eng.procs.put(pe)
 	if rt.failed || rt.epoch != epoch {
 		return
 	}
@@ -460,7 +452,6 @@ func (rt *taskRuntime) completeBatch(b int, cost sim.Time) {
 			in = r.staged[ui]
 		}
 		rt.udf.ProcessBatch(b, rt.upOps[ui], in, rt)
-		rt.tupleProgress[ui] += int64(in.Count)
 	}
 	rt.udf.OnBatchEnd(b, rt)
 	// A batch closed with any tentative or fabricated punctuation left
@@ -568,7 +559,7 @@ func (rt *taskRuntime) reprocessAmendment(ui int32, batch int, delta Batch) {
 	now := rt.eng.clock.Now()
 	start := max(rt.busyUntil, now)
 	rt.busyUntil = start + cost
-	ae := rt.eng.getAmendEvent()
+	ae := rt.eng.amends.get()
 	ae.rt, ae.b, ae.fromOp, ae.delta, ae.cost, ae.epoch = rt, batch, rt.upOps[ui], delta, cost, rt.epoch
 	rt.eng.clock.AtRun(start+cost, ae)
 }
@@ -590,7 +581,8 @@ type amendEvent struct {
 // Run implements sim.Runner.
 func (ae *amendEvent) Run() {
 	rt, b, fromOp, delta, cost, epoch := ae.rt, ae.b, ae.fromOp, ae.delta, ae.cost, ae.epoch
-	rt.eng.putAmendEvent(ae)
+	ae.delta = Batch{} // drop the tuple reference while pooled
+	rt.eng.amends.put(ae)
 	if rt.failed || rt.epoch != epoch {
 		return
 	}
@@ -643,7 +635,6 @@ func (rt *taskRuntime) emitSourceBatch(b int) {
 		rt.EmitCount(content.Count)
 	}
 	rt.finishEmit(b, false) // source data is always firm
-	rt.tupleProgress[0] += int64(content.Count)
 	rt.nextBatch = b + 1
 	if rt.recovering {
 		rt.eng.master.checkRecovered(rt)

@@ -214,22 +214,22 @@ func SplitUnits(t *topology.Topology, sub SubTopology, maxSegments int) ([]Unit,
 	return units, nil
 }
 
-// UnitsConnected reports whether two segments are connected: some task
-// of a has a substream to some task of b or vice versa.
+// SegmentsConnected reports whether two segments are connected: some
+// task of a has a substream to some task of b or vice versa. It reads
+// the topology's adjacency in place and looks tasks up in b's sorted
+// task list, so it allocates nothing.
 func SegmentsConnected(t *topology.Topology, a, b Tree) bool {
-	inB := make(map[topology.TaskID]bool, len(b.Tasks))
-	for _, id := range b.Tasks {
-		inB[id] = true
-	}
 	for _, id := range a.Tasks {
-		for _, d := range t.DownstreamTasks(id) {
-			if inB[d] {
+		for _, sub := range t.OutputsOf(id) {
+			if b.Contains(sub.To) {
 				return true
 			}
 		}
-		for _, u := range t.UpstreamTasks(id) {
-			if inB[u] {
-				return true
+		for _, in := range t.InputsOf(id) {
+			for _, sub := range in.Subs {
+				if b.Contains(sub.From) {
+					return true
+				}
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // Real correlated failures are narrower — a rack or zone burst kills the
 // tasks placed under one shared component — so a plan can trade a little
 // worst-case OF for much better expected OF under the failure
-// distribution the cluster's domain tree actually produces (cf. the
+// distribution the cluster's rack layout actually produces (cf. the
 // approximate fault-tolerance trade-off of Cheng et al.,
 // arXiv:1811.04570). A ScenarioSet carries that distribution as sampled
 // task-failure sets (typically produced by campaign.Env.CorrelationSet

@@ -8,7 +8,9 @@ package queries
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/topology"
@@ -206,14 +208,20 @@ func (o *topKOp) OnBatchEnd(batch int, emit engine.Emitter) {
 	}
 }
 
+// topKState is the serialisable state of topKOp, its maps as
+// key-sorted entries.
 type topKState struct {
-	Ring   []map[string]int
-	Totals map[string]int
+	Ring   [][]entry[int]
+	Totals []entry[int]
 }
 
 func (o *topKOp) Snapshot(buf []byte) ([]byte, int) {
+	st := topKState{Ring: make([][]entry[int], len(o.ring)), Totals: sortedEntries(o.totals)}
+	for i, m := range o.ring {
+		st.Ring[i] = sortedEntries(m)
+	}
 	w := bytes.NewBuffer(buf)
-	_ = gob.NewEncoder(w).Encode(topKState{Ring: o.ring, Totals: o.totals})
+	_ = gob.NewEncoder(w).Encode(st)
 	return w.Bytes(), 0
 }
 
@@ -227,8 +235,37 @@ func (o *topKOp) Restore(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	o.ring, o.totals = st.Ring, st.Totals
+	o.ring, o.totals = make([]map[string]int, len(st.Ring)), entryMap(st.Totals)
+	for i, es := range st.Ring {
+		o.ring[i] = entryMap(es)
+	}
 	return nil
+}
+
+// entry is one map entry of an operator snapshot.
+type entry[V any] struct {
+	K string
+	V V
+}
+
+// sortedEntries lists m's entries in key order, so that equal maps
+// snapshot to equal bytes.
+func sortedEntries[V any](m map[string]V) []entry[V] {
+	es := make([]entry[V], 0, len(m))
+	for k, v := range m {
+		es = append(es, entry[V]{k, v})
+	}
+	slices.SortFunc(es, func(a, b entry[V]) int { return strings.Compare(a.K, b.K) })
+	return es
+}
+
+// entryMap rebuilds the map sortedEntries listed.
+func entryMap[V any](es []entry[V]) map[string]V {
+	m := make(map[string]V, len(es))
+	for _, e := range es {
+		m[e.K] = e.V
+	}
+	return m
 }
 
 // LastBatchKeys extracts the key set emitted at the given sink batch; if

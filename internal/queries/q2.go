@@ -213,10 +213,11 @@ func (o *dedupOp) OnBatchEnd(batch int, emit engine.Emitter) {
 func (o *dedupOp) Snapshot([]byte) ([]byte, int) { return nil, 0 }
 func (o *dedupOp) Restore([]byte) error          { o.cur = nil; return nil }
 
-// joinState is the serialisable state of joinOp.
+// joinState is the serialisable state of joinOp, its maps as
+// key-sorted entries.
 type joinState struct {
-	Incidents map[string]incidentEntry
-	Emitted   map[string]bool
+	Incidents []entry[incidentEntry]
+	Emitted   []entry[bool]
 }
 
 type incidentEntry struct {
@@ -278,7 +279,7 @@ func (o *joinOp) OnBatchEnd(batch int, emit engine.Emitter) {
 
 func (o *joinOp) Snapshot(buf []byte) ([]byte, int) {
 	w := bytes.NewBuffer(buf)
-	_ = gob.NewEncoder(w).Encode(joinState{Incidents: o.incidents, Emitted: o.emitted})
+	_ = gob.NewEncoder(w).Encode(joinState{Incidents: sortedEntries(o.incidents), Emitted: sortedEntries(o.emitted)})
 	return w.Bytes(), 0
 }
 
@@ -292,7 +293,7 @@ func (o *joinOp) Restore(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	o.incidents, o.emitted = st.Incidents, st.Emitted
+	o.incidents, o.emitted = entryMap(st.Incidents), entryMap(st.Emitted)
 	return nil
 }
 

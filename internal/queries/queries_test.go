@@ -2,6 +2,8 @@ package queries
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -334,6 +336,62 @@ func TestJoinOpSnapshotRoundTrip(t *testing.T) {
 		o.OnBatchEnd(1, c)
 		if len(c.tuples) != 1 || c.tuples[0].Key != "inc-1" {
 			t.Errorf("op %d emitted %v, want one jam inc-1", i, c.tuples)
+		}
+	}
+}
+
+// TestOperatorSnapshotsDeterministic builds one Q1 top-k state and one
+// Q2 join state in two insertion orders, and requires every Snapshot
+// of either to give the same bytes and Restore to rebuild the state
+// exactly.
+func TestOperatorSnapshotsDeterministic(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	backwards := slices.Clone(keys)
+	slices.Reverse(backwards)
+	feed := func(op engine.OperatorFunc, batches int, tuples func(b int, k string) []engine.Tuple, order []string) engine.OperatorFunc {
+		for b := 0; b < batches; b++ {
+			var in engine.Batch
+			for _, k := range order {
+				in.Tuples = append(in.Tuples, tuples(b, k)...)
+			}
+			in.Count = len(in.Tuples)
+			op.ProcessBatch(b, 0, in, &capture{})
+			op.OnBatchEnd(b, &capture{})
+		}
+		return op
+	}
+	for _, c := range []struct {
+		name  string
+		fresh func() engine.OperatorFunc
+		build func(order []string) engine.OperatorFunc
+	}{
+		{"top-k", func() engine.OperatorFunc { return &topKOp{k: 3, window: 2} }, func(order []string) engine.OperatorFunc {
+			return feed(&topKOp{k: 3, window: 2}, 4, func(b int, k string) []engine.Tuple {
+				return []engine.Tuple{{Key: k, Value: int(k[0]) * (b + 1)}}
+			}, order)
+		}},
+		{"join", func() engine.OperatorFunc { return &joinOp{window: 5, threshold: 30} }, func(order []string) engine.OperatorFunc {
+			return feed(&joinOp{window: 5, threshold: 30}, 2, func(b int, k string) []engine.Tuple {
+				seg := fmt.Sprintf("seg-%s-%d", k, b)
+				return []engine.Tuple{{Key: seg, Value: "inc-" + seg}, {Key: seg, Value: speedObs{Speed: float64(k[0] % 40)}}}
+			}, order)
+		}},
+	} {
+		a, b := c.build(keys), c.build(backwards)
+		want, _ := a.Snapshot(nil)
+		for i := 0; i < 10; i++ {
+			for _, op := range []engine.OperatorFunc{a, b} {
+				if got, _ := op.Snapshot(nil); !bytes.Equal(got, want) {
+					t.Fatalf("%s: snapshots of one state differ", c.name)
+				}
+			}
+		}
+		restored := c.fresh()
+		if err := restored.Restore(want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(restored, a) {
+			t.Errorf("%s: restored %+v, want %+v", c.name, restored, a)
 		}
 	}
 }

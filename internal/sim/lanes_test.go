@@ -17,7 +17,7 @@ type scheduler interface {
 	At(t Time, fn func())
 	AtRun(t Time, r Runner)
 	AfterRun(d Time, r Runner)
-	Inject(t Time, fn func())
+	Inject(t Time, r Runner)
 	Step() bool
 	RunUntil(deadline Time)
 	Pending() int
@@ -49,9 +49,9 @@ func (r *refClock) AtRun(t Time, x Runner) {
 	r.evs = append(r.evs, Event{At: t, Seq: r.seq, Run: x})
 }
 
-func (r *refClock) Inject(t Time, fn func()) {
+func (r *refClock) Inject(t Time, x Runner) {
 	r.fails++
-	r.evs = append(r.evs, Event{At: t, Seq: r.fails, Run: runFunc(fn)})
+	r.evs = append(r.evs, Event{At: t, Seq: r.fails, Run: x})
 }
 
 func (r *refClock) RunUntil(deadline Time) {
@@ -134,7 +134,7 @@ func (p *probe) Run() {
 		w.clk.AfterRun(grid*Time(p.id%7), w.probe())
 	case 4:
 		if p.id%3 == 0 {
-			w.clk.Inject(w.clk.Now()+grid*Time(p.id%4), w.probe().Run)
+			w.clk.Inject(w.clk.Now()+grid*Time(p.id%4), w.probe())
 		}
 	}
 }
@@ -252,7 +252,7 @@ func TestLanesMatchReference(t *testing.T) {
 				}
 			case 10:
 				for _, w := range worlds {
-					w.clk.Inject(w.clk.Now()+grid*Time(k), w.probe().Run)
+					w.clk.Inject(w.clk.Now()+grid*Time(k), w.probe())
 				}
 			case 1:
 				d := grid * Time(rng.Intn(7)) // a lane delay or not

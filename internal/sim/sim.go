@@ -44,19 +44,12 @@ type Time float64
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 
 // Runner is an event callback carried as an interface instead of a
-// closure. Schedulers with a hot path (the engine's deliveries, batch
-// completions and timers) implement Run on a pooled or long-lived struct
-// and pass it to AtRun or AfterRun, avoiding the per-event closure
-// allocation of At and After.
+// closure: the engine implements Run on pooled or long-lived structs
+// (deliveries, batch completions, timers, failures and recovery steps),
+// so scheduling an event allocates nothing.
 type Runner interface {
 	Run()
 }
-
-// runFunc carries a closure as a Runner. A func value is one pointer,
-// so the conversion does not allocate.
-type runFunc func()
-
-func (f runFunc) Run() { f() }
 
 // event is one scheduled callback, stored by value in a lane or the
 // heap.
@@ -127,7 +120,7 @@ func (l *lane) clear() {
 // use: the whole simulation is single-threaded by design.
 type Clock struct {
 	now Time
-	// seq is the number of the latest event scheduled with At, AtRun or
+	// seq is the number of the latest event scheduled with AtRun or
 	// AfterRun, counting up from 1; fails is the number of the latest
 	// failure Inject scheduled, counting up from math.MinInt64. So a
 	// failure's number is negative, below every other event's.
@@ -181,27 +174,23 @@ func (c *Clock) lane(d Time) int {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past or
-// at a NaN time panics: it would make the simulation non-causal.
-func (c *Clock) At(t Time, fn func()) { c.AtRun(t, runFunc(fn)) }
-
 // AtRun schedules r.Run at absolute virtual time t on the heap.
-// Semantics match At; passing a pooled Runner avoids the closure
-// allocation.
+// Scheduling in the past or at a NaN time panics: it would make the
+// simulation non-causal.
 func (c *Clock) AtRun(t Time, r Runner) {
 	c.check(t)
 	c.seq++
 	c.push(event{at: t, seq: c.seq, run: r})
 }
 
-// Inject schedules the failure fn at absolute virtual time t on the
+// Inject schedules the failure r.Run at absolute virtual time t on the
 // heap. It fires ahead of every event of that instant that is not a
 // failure, whenever either was scheduled, and after the failures of
-// that instant injected before it. Semantics otherwise match At.
-func (c *Clock) Inject(t Time, fn func()) {
+// that instant injected before it. Semantics otherwise match AtRun.
+func (c *Clock) Inject(t Time, r Runner) {
 	c.check(t)
 	c.fails++
-	c.push(event{at: t, seq: c.fails, run: runFunc(fn)})
+	c.push(event{at: t, seq: c.fails, run: r})
 }
 
 // check panics on a time in the past or a NaN time: scheduling there
@@ -214,9 +203,6 @@ func (c *Clock) check(t Time) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, c.now))
 	}
 }
-
-// After schedules fn d seconds from now.
-func (c *Clock) After(d Time, fn func()) { c.AfterRun(d, runFunc(fn)) }
 
 // AfterRun schedules r.Run d seconds from now: on the lane of delay d if
 // the clock has one, else on the heap. Both fire in the order of

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// runFunc carries a closure as a Runner, so the tests can schedule
+// closures. A func value is one pointer, so the conversion does not
+// allocate.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+// At schedules fn at absolute virtual time t, as AtRun does.
+func (c *Clock) At(t Time, fn func()) { c.AtRun(t, runFunc(fn)) }
+
+// After schedules fn d seconds from now, as AfterRun does.
+func (c *Clock) After(d Time, fn func()) { c.AfterRun(d, runFunc(fn)) }
+
 func TestEventOrdering(t *testing.T) {
 	c := NewClock(1)
 	var order []int
@@ -113,7 +126,7 @@ func TestNaNTimesPanic(t *testing.T) {
 		{"After", func(c *Clock) { c.After(nan, noop) }},
 		{"AfterRun", func(c *Clock) { c.AfterRun(nan, &countRunner{}) }},
 		{"RunUntil", func(c *Clock) { c.RunUntil(nan) }},
-		{"Inject", func(c *Clock) { c.Inject(nan, noop) }},
+		{"Inject", func(c *Clock) { c.Inject(nan, runFunc(noop)) }},
 		{"Restore", func(c *Clock) { c.Restore(0, 1, []Event{{At: nan, Seq: 1, Run: &countRunner{}}}) }},
 	} {
 		c := NewClock(1)
@@ -274,14 +287,14 @@ func TestClockRestore(t *testing.T) {
 	prefix := func(c *Clock) {
 		c.At(5, hit("heap"))
 		c.At(2, func() { c.After(3, hit("lane")) })
-		c.Inject(5, hit("fail-early"))
+		c.Inject(5, runFunc(hit("fail-early")))
 	}
 	rest := func(c *Clock) {
 		c.At(5, hit("wave"))
 		c.After(3, hit("wave-hop"))
-		c.Inject(5, hit("fail-wave"))
+		c.Inject(5, runFunc(hit("fail-wave")))
 		c.At(2, func() {
-			c.Inject(5, hit("fail-late"))
+			c.Inject(5, runFunc(hit("fail-late")))
 			c.At(5, hit("late"))
 			c.After(3, hit("late-hop"))
 		})

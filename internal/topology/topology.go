@@ -244,26 +244,6 @@ func (t *Topology) IsSink(op int) bool {
 	return len(t.outEdges[op]) == 0
 }
 
-// UpstreamTasks returns the IDs of all tasks with a substream into id.
-func (t *Topology) UpstreamTasks(id TaskID) []TaskID {
-	var ups []TaskID
-	for _, in := range t.inputs[id] {
-		for _, sub := range in.Subs {
-			ups = append(ups, sub.From)
-		}
-	}
-	return ups
-}
-
-// DownstreamTasks returns the IDs of all tasks id has a substream to.
-func (t *Topology) DownstreamTasks(id TaskID) []TaskID {
-	var downs []TaskID
-	for _, sub := range t.outputs[id] {
-		downs = append(downs, sub.To)
-	}
-	return downs
-}
-
 // Weight returns the workload weight of task id (1 when the operator has
 // uniform weights).
 func (t *Topology) Weight(id TaskID) float64 {

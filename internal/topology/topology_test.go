@@ -346,14 +346,6 @@ func TestUpDownstreamQueries(t *testing.T) {
 	if _, ok := topo.EdgeBetween(2, 0); ok {
 		t.Error("EdgeBetween(2,0) unexpectedly found")
 	}
-	sink := topo.TasksOf(2)[0]
-	if got := topo.UpstreamTasks(sink); len(got) != 4 {
-		t.Errorf("UpstreamTasks(sink) = %v, want 4 tasks", got)
-	}
-	src := topo.TasksOf(0)[0]
-	if got := topo.DownstreamTasks(src); len(got) != 1 || got[0] != sink {
-		t.Errorf("DownstreamTasks(src) = %v, want [%d]", got, sink)
-	}
 }
 
 func TestPartitioningString(t *testing.T) {

@@ -19,9 +19,9 @@
 //     checkpointing, active replication, failure injection, recovery
 //     and tentative outputs;
 //   - Monte-Carlo failure campaigns: seeded correlated-failure
-//     scenarios over a failure-domain tree, run on a worker pool and
-//     summarised as recovery-latency, output-loss and answer-quality
-//     distributions.
+//     scenarios over the cluster's zones and racks, run on a worker
+//     pool and summarised as recovery-latency, output-loss and
+//     answer-quality distributions.
 //
 // The CLI tools under cmd/ use the internal packages directly for the
 // rest (distributed campaigns, variance engineering).
@@ -101,8 +101,9 @@ func PlanBudget(n int, frac float64) (int, error) { return plan.Budget(n, frac) 
 
 // --- Cluster ---
 
-// Cluster models processing and standby nodes with task placement and
-// a hierarchical failure-domain tree (node -> rack -> zone).
+// Cluster models processing and standby nodes with task and replica
+// placement and a failure-domain layout: zones of racks, each node in
+// one rack (BuildDomains, Racks, Zones, RackOf).
 type Cluster = cluster.Cluster
 
 // NodeID identifies a cluster node, as Engine.ScheduleNodeFailures
@@ -198,7 +199,7 @@ type FailureScenario = campaign.Scenario
 type ScenarioSpec = campaign.GenSpec
 
 // GenerateScenarios draws seeded failure scenarios against the
-// cluster's failure-domain tree.
+// cluster's racks and zones.
 func GenerateScenarios(c *Cluster, spec ScenarioSpec) ([]FailureScenario, error) {
 	return campaign.Generate(c, spec)
 }

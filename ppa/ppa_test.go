@@ -124,8 +124,8 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clus.DomainsOfKind("rack")) == 0 {
-		t.Fatal("campaign cluster has no rack domains")
+	if len(clus.Racks()) == 0 {
+		t.Fatal("campaign cluster has no racks")
 	}
 	scenarios, err := ppa.GenerateScenarios(clus, ppa.ScenarioSpec{
 		Seed:        3,
