@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/queries"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -54,6 +53,20 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	// The comparisons are written so that NaN fails them.
+	if *rate < 1 {
+		return fmt.Errorf("-rate %d: want a positive rate", *rate)
+	}
+	if *window < 1 {
+		return fmt.Errorf("-window %d: want a positive batch count", *window)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-ckpt", *ckpt}, {"-trim", *trim}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s %v: want a finite, positive interval", f.name, f.v)
+		}
+	}
 	if !(*horizon >= 0) || math.IsInf(*horizon, 1) {
 		return fmt.Errorf("-horizon %v: want a finite, non-negative time", *horizon)
 	}
@@ -85,15 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategySourceReplay, nil)
 	case "ppa":
 		cfg.CheckpointInterval = sim.Time(*ckpt)
-		want := int(*fraction*float64(len(f.SyntheticTasks)) + 0.5)
-		var active []topology.TaskID
-		for i := 0; i < len(f.SyntheticTasks) && len(active) < want; i += 2 {
-			active = append(active, f.SyntheticTasks[i])
-		}
-		for i := 1; i < len(f.SyntheticTasks) && len(active) < want; i += 2 {
-			active = append(active, f.SyntheticTasks[i])
-		}
-		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, active)
+		strategies = engine.Strategies(f.Topo.NumTasks(), engine.StrategyCheckpoint, f.Active(*fraction))
 	default:
 		return fmt.Errorf("-technique: unknown technique %q", *technique)
 	}

@@ -11,7 +11,10 @@ import (
 // infinite horizon would never stop, a negative failure time would
 // panic in the clock, a NaN one would report a recovery for a failure
 // that has no time, and a fraction outside [0, 1] would be clamped
-// silently.
+// silently. A zero rate, window or trim interval would be replaced by
+// its default, a zero checkpoint interval would run without
+// checkpoints, and a negative rate or a negative or NaN interval would
+// fail naming an internal setting instead of the flag.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -28,6 +31,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-technique", "ppa", "-fraction", "-1"}, "-fraction"},
 		{[]string{"-technique", "ppa", "-fraction", "2"}, "-fraction"},
 		{[]string{"-technique", "ppa", "-fraction", "NaN"}, "-fraction"},
+		{[]string{"-rate", "0"}, "-rate"},
+		{[]string{"-rate", "-5"}, "-rate"},
+		{[]string{"-window", "0"}, "-window"},
+		{[]string{"-window", "-1"}, "-window"},
+		{[]string{"-technique", "checkpoint", "-ckpt", "0"}, "-ckpt"},
+		{[]string{"-ckpt", "-1"}, "-ckpt"},
+		{[]string{"-ckpt", "NaN"}, "-ckpt"},
+		{[]string{"-ckpt", "Inf"}, "-ckpt"},
+		{[]string{"-trim", "0"}, "-trim"},
+		{[]string{"-trim", "-1"}, "-trim"},
+		{[]string{"-trim", "NaN"}, "-trim"},
+		{[]string{"-trim", "Inf"}, "-trim"},
 		{[]string{"-technique", "paxos"}, "-technique"},
 		{[]string{"-failure", "partition"}, "-failure"},
 	} {

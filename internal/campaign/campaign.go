@@ -34,7 +34,7 @@ type Config struct {
 	// operator factories must return equivalent fresh instances on
 	// every call, and operator Restore must reproduce a Snapshot and
 	// replace the whole state — engine reuse resets engines onto their
-	// image, and recovery reuses incarnations, through Restore.
+	// image, and recovery restarts runtimes, through Restore.
 	Setup func() (engine.Setup, error)
 	// Scenarios to execute, typically from Generate.
 	Scenarios []Scenario

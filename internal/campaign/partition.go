@@ -145,8 +145,10 @@ func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base 
 		cancelPool()
 		return false
 	})
-	stop := watchCancel(ctx, st)
-	defer stop()
+	// Cancelling ctx aborts the streamer, so workers blocked on the
+	// reorder window wake up and observe the cancellation instead of
+	// wedging.
+	defer context.AfterFunc(ctx, st.abort)()
 	err := par.EachErrCtx(poolCtx, r.Len(), cfg.Workers, func(j int) error {
 		sc := cfg.Scenarios[r.Lo+j]
 		res, err := runOne(pool, sc.Waves)
@@ -170,24 +172,6 @@ func runShards(ctx context.Context, cfg Config, r Range, pool *enginePool, base 
 		return nil, err
 	}
 	return aggs, nil
-}
-
-// watchCancel aborts the streamer when ctx is cancelled, so workers
-// blocked on the reorder window wake up and observe the cancellation
-// instead of wedging; the returned stop function ends the watch.
-func watchCancel(ctx context.Context, st *streamer) func() {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			st.abort()
-		case <-stop:
-		}
-	}()
-	return func() { close(stop) }
 }
 
 // ShardState is the serialisable reduction state of one shard: the

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -40,20 +39,15 @@ type Engine struct {
 	operators map[int]OperatorFactory
 	strategy  []Strategy
 
-	tasks    []*taskRuntime // current primary incarnation per task
+	tasks    []*taskRuntime // current primary per task
 	replicas []*taskRuntime // active replica per task (nil if none)
-	// prim and repl are the immortal runtime objects built at New:
-	// recovery may point tasks/replicas at new incarnations, but
-	// Reset always restores (and reuses) these originals.
+	// prim and repl are the runtimes New built, the only ones the
+	// engine ever runs: a promotion points tasks at the replica and
+	// takes it off replicas, a restore or restart re-initialises the
+	// task's current runtime in place (taskRuntime.restart), and Reset
+	// points tasks and replicas back at these.
 	prim []*taskRuntime
 	repl []*taskRuntime
-	// born lists the incarnations recovery started since the last
-	// Reset; Reset moves them to spare, by task ID, where the recoveries
-	// of later scenarios take their incarnations from (incarnation).
-	// No incarnation is reused within a scenario, so no stale event or
-	// closure can reach a recycled one.
-	born  []*taskRuntime
-	spare [][]*taskRuntime
 	// scratch holds, by task ID, the operator instance amendments are
 	// reprocessed on (nil until the task's first amendment); it is reset
 	// with Restore(nil) before every use.
@@ -66,7 +60,7 @@ type Engine struct {
 	// run or an earlier one.
 	store []checkpointData
 	// senderIdx[from][slot] is task from's compact upstream index at its
-	// recipient in that slot. Every incarnation of either task has the
+	// recipient in that slot. Both runtimes of either task have the
 	// same upstreams and slots, so New computes it once per edge.
 	senderIdx [][]int32
 
@@ -83,7 +77,7 @@ type Engine struct {
 	// img is the state the last Mark recorded (time zero, recorded by
 	// New, until Mark is called); Reset restores it. zero holds the
 	// primaries' time-zero images New records, which no Mark replaces:
-	// reinit restores them into recycled incarnations. failing is set
+	// a restart restores them into the restarted runtime. failing is set
 	// once a failure is scheduled, which bars Mark until the next Reset;
 	// lastFailure is the latest scheduled injection time.
 	img         image
@@ -227,7 +221,6 @@ func New(s Setup) (*Engine, error) {
 		copy(e.strategy, s.Strategies)
 	}
 	e.store = make([]checkpointData, n)
-	e.spare = make([][]*taskRuntime, n)
 	e.scratch = make([]OperatorFunc, n)
 	e.sinkAcct = make([][]sinkBatchAcct, n)
 	e.tasks = make([]*taskRuntime, n)
@@ -237,10 +230,10 @@ func New(s Setup) (*Engine, error) {
 	var replicated []topology.TaskID
 	for id := 0; id < n; id++ {
 		tid := topology.TaskID(id)
-		e.prim[id] = newTaskRuntime(e, tid, false)
+		e.prim[id] = newTaskRuntime(e, tid)
 		e.tasks[id] = e.prim[id]
 		if e.strategy[id] == StrategyActive {
-			e.repl[id] = newTaskRuntime(e, tid, true)
+			e.repl[id] = newTaskRuntime(e, tid)
 			e.replicas[id] = e.repl[id]
 			if _, ok := e.clus.ReplicaNodeOf(tid); !ok {
 				replicated = append(replicated, tid)
@@ -319,15 +312,13 @@ type deliveryEvent struct {
 }
 
 // Run implements sim.Runner: the delivery fires after the network
-// delay; the current primary incarnation and the replica of the
-// destination both receive it.
+// delay; the current primary and the replica of the destination both
+// receive it.
 func (de *deliveryEvent) Run() {
 	e, to, ui, batch, content, d := de.e, de.to, de.ui, de.batch, de.content, de.d
 	de.content = Batch{} // drop the tuple reference while pooled
 	e.delivs.put(de)
-	if rt := e.tasks[to]; rt != nil {
-		rt.receive(ui, batch, content, d)
-	}
+	e.tasks[to].receive(ui, batch, content, d)
 	if rep := e.replicas[to]; rep != nil {
 		rep.receive(ui, batch, content, d)
 	}
@@ -353,23 +344,6 @@ func (e *Engine) scratchOp(id topology.TaskID) OperatorFunc {
 	// Restore(nil) resets the operator to its initial state.
 	_ = op.Restore(nil)
 	return op
-}
-
-// incarnation returns a new primary incarnation of task id for
-// recovery: a spare one, re-initialised, or a new one when the task
-// has no spare left.
-func (e *Engine) incarnation(id topology.TaskID) *taskRuntime {
-	var rt *taskRuntime
-	if s := e.spare[id]; len(s) > 0 {
-		rt = s[len(s)-1]
-		s[len(s)-1] = nil
-		e.spare[id] = s[:len(s)-1]
-		rt.reinit()
-	} else {
-		rt = newTaskRuntime(e, id, false)
-	}
-	e.born = append(e.born, rt)
-	return rt
 }
 
 // Run advances the simulation to the given virtual time, driving source
@@ -401,8 +375,7 @@ func (t *batchTick) Run() {
 	e.currentBatch = b
 	for _, op := range e.topo.SourceOps() {
 		for _, id := range e.topo.TasksOf(op) {
-			rt := e.tasks[id]
-			if rt != nil && !rt.failed && rt.isSource {
+			if rt := e.tasks[id]; !rt.failed && rt.isSource {
 				rt.emitSourceBatch(b)
 			}
 		}
@@ -433,9 +406,9 @@ type checkpointTimer struct {
 // Run implements sim.Runner.
 func (t *checkpointTimer) Run() {
 	e, id := t.e, t.id
-	// A failed StrategyNone task never gets a new incarnation: stop the
-	// dead timer chain instead of re-arming it forever.
-	if rt := e.tasks[id]; rt != nil && rt.failed && e.strategy[id] == StrategyNone {
+	// A failed StrategyNone task never restarts: stop the dead timer
+	// chain instead of re-arming it forever.
+	if e.tasks[id].failed && e.strategy[id] == StrategyNone {
 		return
 	}
 	e.takeCheckpoint(id)
@@ -455,10 +428,10 @@ func (a *replicaAck) Run() {
 	// The replica is gone (promoted) or its standby node failed: acking a
 	// dead replica is wrong and the timer chain can never become useful
 	// again, so it stops here.
-	if rep == nil || rep.failed || !rep.isReplica {
+	if rep == nil || rep.failed {
 		return
 	}
-	if prim := e.tasks[id]; prim != nil && !prim.failed {
+	if prim := e.tasks[id]; !prim.failed {
 		rep.ackAndTrim(prim.nextBatch-1, e.cfg.CheckpointInterval > 0)
 	}
 	e.clock.AfterRun(e.cfg.ReplicaTrimInterval, a)
@@ -471,7 +444,7 @@ func (a *replicaAck) Run() {
 // in place: once replaced a checkpoint can never be restored again.
 func (e *Engine) takeCheckpoint(id topology.TaskID) {
 	rt := e.tasks[id]
-	if rt == nil || rt.failed {
+	if rt.failed {
 		return
 	}
 	ck := &e.store[id]
@@ -508,7 +481,7 @@ type trimEvent struct {
 func (te *trimEvent) Run() {
 	e, up, down, ck := te.e, te.up, te.down, te.ck
 	e.trims.put(te)
-	if u := e.tasks[up]; u != nil && !u.failed {
+	if u := e.tasks[up]; !u.failed {
 		u.trimFor(down, ck)
 	}
 	if rep := e.replicas[up]; rep != nil && !rep.failed {
@@ -597,7 +570,7 @@ func (e *Engine) injectNodeFailures(nodes []cluster.NodeID) {
 func (e *Engine) failTasks(ids []topology.TaskID) {
 	for _, id := range ids {
 		rt := e.tasks[id]
-		if rt == nil || rt.failed {
+		if rt.failed {
 			continue
 		}
 		rt.failed = true
@@ -770,26 +743,19 @@ type CPUStat struct {
 // RunSpliced stopped early it covers the simulated prefix only: float
 // CPU sums cannot be spliced bit-exactly.
 func (e *Engine) CPUStats() []CPUStat {
-	out := make([]CPUStat, 0, len(e.tasks))
+	out := make([]CPUStat, len(e.tasks))
 	for id, rt := range e.tasks {
-		if rt == nil {
-			continue
-		}
-		out = append(out, CPUStat{Task: topology.TaskID(id), ProcCPU: rt.procCPU, CkptCPU: rt.ckptCPU})
+		out[id] = CPUStat{Task: topology.TaskID(id), ProcCPU: rt.procCPU, CkptCPU: rt.ckptCPU}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
 	return out
 }
 
 // TaskProgress returns the last fully processed batch of the task's
-// current incarnation; after RunSpliced stopped early, the one it has
-// at the trajectory's horizon.
+// current primary; after RunSpliced stopped early, the one it has at
+// the trajectory's horizon.
 func (e *Engine) TaskProgress(id topology.TaskID) int {
 	if e.spliced != nil {
 		return e.spliced.progress[id]
 	}
-	if rt := e.tasks[id]; rt != nil {
-		return rt.nextBatch - 1
-	}
-	return -1
+	return e.tasks[id].nextBatch - 1
 }

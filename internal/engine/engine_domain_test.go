@@ -199,7 +199,7 @@ func TestSourceReplicaRegeneratesForUncheckpointedDownstream(t *testing.T) {
 // TestPromotedReplicaDiesWithStandbyNode covers the multi-wave case:
 // wave 1 fails a primary and its replica is promoted (now running on a
 // standby node); wave 2 fails that standby node. The promoted
-// incarnation must fail with its host — the placement map does not
+// replica must fail with its host — the placement map does not
 // know it — and recover again via checkpoint fallback.
 func TestPromotedReplicaDiesWithStandbyNode(t *testing.T) {
 	topo := chainTopo(1000)
@@ -263,8 +263,8 @@ func TestStandbyDiesDuringActivation(t *testing.T) {
 		t.Fatalf("task 4 recovery stats %+v, want one failure detected at 20 and recovered", stats)
 	}
 	rt := e.tasks[4]
-	if rt.failed || rt.promoted || rt == e.repl[4] {
-		t.Errorf("task 4 runs on the replica that died (failed=%v promoted=%v), want a checkpoint-restored incarnation", rt.failed, rt.promoted)
+	if rt.failed || rt.promoted || rt != e.prim[4] {
+		t.Errorf("task 4 runs on the replica that died (failed=%v promoted=%v), want its primary restored from a checkpoint", rt.failed, rt.promoted)
 	}
 	// Restoring costs at least restoreFixed after the activation window.
 	if lat, min := stats[0].Latency(), replicaActivateCost+restoreFixed; lat < min {

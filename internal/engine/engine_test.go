@@ -146,6 +146,43 @@ func TestCheckpointRecoverySingleFailure(t *testing.T) {
 	sinkExact(t, e)
 }
 
+// TestRestartFencesStaleCompletion fails a task while a batch
+// completion of it is pending, and has the checkpoint restore restart
+// the task before that completion fires: the completion belongs to the
+// failed life, so it must not advance the restarted task past the
+// checkpoint it restored.
+func TestRestartFencesStaleCompletion(t *testing.T) {
+	// Heartbeats at 20.1, 25.125, ...; a batch takes about 0.83 s.
+	e := newChainEngine(t, Config{CheckpointInterval: 5, HeartbeatInterval: 5.025, ProcRate: 1200}, nil)
+	const id = topology.TaskID(2) // the first A task
+	e.Run(20.07)
+	evs, _ := e.clock.AppendPending(nil)
+	completes := sim.Time(-1) // when task id's pending completion fires
+	for _, ev := range evs {
+		if pe, ok := ev.Run.(*procEvent); ok && pe.rt.id == id {
+			completes = ev.At
+		}
+	}
+	ck := e.checkpoint(id)
+	if completes < 20.8 || ck == nil {
+		t.Fatalf("at 20.07: a completion pending until %v, checkpoint %v; want one after 20.8 and one (test misconfigured)", completes, ck != nil)
+	}
+	ckBatch := ck.batch
+	// The heartbeat at 20.1 detects the failure and the restore restarts
+	// the task at about 20.62; the failed life's completion fires at
+	// about 20.885, before the restarted task completes a batch.
+	e.ScheduleTaskFailures([]topology.TaskID{id}, 20.07)
+	e.Run(20.9)
+	if got := e.TaskProgress(id); got != ckBatch {
+		t.Fatalf("progress %d right after the restart, want the checkpoint's batch %d", got, ckBatch)
+	}
+	e.Run(90)
+	if stats := e.RecoveryStats(); len(stats) != 1 || !stats[0].Recovered {
+		t.Fatalf("recovery stats %+v, want one recovery", stats)
+	}
+	sinkExact(t, e)
+}
+
 func TestCheckpointIntervalShape(t *testing.T) {
 	latency := func(interval sim.Time) sim.Time {
 		e := newChainEngine(t, Config{CheckpointInterval: interval}, nil)

@@ -6,21 +6,35 @@ import (
 	"reflect"
 )
 
-// CheckSpares re-initialises every spare incarnation of the engine, as
-// recovery does when it takes one, requires it to share no storage with
+// CheckRestart restarts every runtime of the engine, primary and
+// replica, as a checkpoint restore or source-replay restart does,
+// requires its epoch to move on and its state to share no storage with
 // the time-zero image it copied, and compares it field by field with a
-// runtime newTaskRuntime builds for the same task (see sameState and
-// sameValue). A field that reinit leaves as the last scenario left it
-// fails the check. CheckSpares returns the number of spares it checked.
-func CheckSpares(e *Engine) (int, error) {
+// runtime newTaskRuntime builds for the same task, epoch aside (see
+// sameState and sameValue). A field that restart leaves as the run
+// left it fails the check. CheckRestart returns the number of runtimes
+// the run had restarted or rewound (a non-zero epoch); the engine must
+// be Reset after it.
+func CheckRestart(e *Engine) (int, error) {
 	n := 0
-	for id, spares := range e.spare {
-		for _, rt := range spares {
-			rt.reinit()
-			if p, ok := shared(reflect.ValueOf(rt.taskState), reflect.ValueOf(e.zero[id].taskState)); ok {
-				return n, fmt.Errorf("task %d: a recycled incarnation and the time-zero image share the storage of taskState%s", id, p)
+	for id := range e.tasks {
+		for _, rt := range []*taskRuntime{e.prim[id], e.repl[id]} {
+			if rt == nil {
+				continue
 			}
-			fresh := newTaskRuntime(e, rt.id, false)
+			epoch := rt.epoch
+			if epoch != 0 {
+				n++
+			}
+			rt.restart()
+			if rt.epoch != epoch+1 {
+				return n, fmt.Errorf("task %d: epoch %d after a restart at epoch %d, want %d", id, rt.epoch, epoch, epoch+1)
+			}
+			if p, ok := shared(reflect.ValueOf(rt.taskState), reflect.ValueOf(e.zero[id].taskState)); ok {
+				return n, fmt.Errorf("task %d: a restarted runtime and the time-zero image share the storage of taskState%s", id, p)
+			}
+			fresh := newTaskRuntime(e, rt.id)
+			fresh.epoch = rt.epoch
 			a, b := reflect.ValueOf(rt).Elem(), reflect.ValueOf(fresh).Elem()
 			for i := 0; i < a.NumField(); i++ {
 				var err error
@@ -30,10 +44,9 @@ func CheckSpares(e *Engine) (int, error) {
 					err = sameValue(a.Field(i), b.Field(i), name)
 				}
 				if err != nil {
-					return n, fmt.Errorf("task %d: recycled incarnation differs from a new one: %v", id, err)
+					return n, fmt.Errorf("task %d: a restarted runtime differs from a new one: %v", id, err)
 				}
 			}
-			n++
 		}
 	}
 	return n, nil
@@ -62,10 +75,10 @@ func CheckImage(e *Engine) error {
 				im = &img.repl[id]
 			}
 			if err := sameState(&rt.taskState, &im.taskState); err != nil {
-				return fmt.Errorf("task %d (replica %v): %v", id, rt.isReplica, err)
+				return fmt.Errorf("task %d (replica %v): %v", id, i == 1, err)
 			}
 			if p, ok := shared(reflect.ValueOf(rt.taskState), reflect.ValueOf(im.taskState)); ok {
-				return fmt.Errorf("task %d (replica %v): the runtime and its image share the storage of taskState%s", id, rt.isReplica, p)
+				return fmt.Errorf("task %d (replica %v): the runtime and its image share the storage of taskState%s", id, i == 1, p)
 			}
 			if !rt.isSource {
 				// A snapshot may encode a map in any order, so the
@@ -75,11 +88,11 @@ func CheckImage(e *Engine) error {
 					return fmt.Errorf("task %d: %v", id, err)
 				}
 				if err := sameValue(reflect.ValueOf(rt.udf), reflect.ValueOf(op), "udf"); err != nil {
-					return fmt.Errorf("task %d (replica %v): %v", id, rt.isReplica, err)
+					return fmt.Errorf("task %d (replica %v): %v", id, i == 1, err)
 				}
 			}
 			if err := emptyScratch(rt); err != nil {
-				return fmt.Errorf("task %d (replica %v): %v", id, rt.isReplica, err)
+				return fmt.Errorf("task %d (replica %v): %v", id, i == 1, err)
 			}
 		}
 		ck, want := &e.store[id], &img.store[id]

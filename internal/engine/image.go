@@ -13,15 +13,15 @@ import (
 // that marks its engines just before the earliest failure wave runs the
 // shared failure-free prefix once per engine instead of once per
 // scenario. New keeps its primaries' time-zero images for good
-// (Engine.zero): reinit restores them into recycled incarnations.
+// (Engine.zero): a restart restores them into the restarted runtime.
 //
 // A runtime's image is its taskState, copied by taskState.copyFrom —
-// the one copy that recording, restoring and re-initialising share, so
+// the one copy that recording, restoring and restarting share, so
 // a field added to taskState is recorded and restored with no further
 // code — and its operator state, through Snapshot and Restore.
 //
-// An image only ever holds failure-free state: every runtime is the
-// immortal primary or replica built by New, the master tracks no
+// An image only ever holds failure-free state: every task's primary and
+// replica are the ones New built in their roles, the master tracks no
 // failure, and the pending events are the timers — the heartbeat,
 // checkpoint and replica-ack timers are immutable, so they are kept by
 // reference, and the batch tick carries its batch number, so it is kept
@@ -125,13 +125,13 @@ func (e *Engine) mark() {
 // source is kept as it is, since its batches are a function of the
 // batch number. Failures, recoveries and sink output since the mark
 // are dropped, and the cluster's failure flags are cleared (placement
-// is kept). The incarnations recovery started since the last Reset
-// become spares for later recoveries, and the pooled events still
-// pending go back to their pools. A reset engine runs bit-identically
-// to a freshly constructed one driven to the marked instant, so
-// Monte-Carlo campaigns reuse one engine per worker instead of
-// rebuilding the environment per scenario. Reset relies on Restore
-// replacing an operator's whole state (see OperatorFunc), as
+// is kept). The pooled events still pending go back to their pools,
+// and every task's primary and replica are again the runtimes New
+// built, whatever recovery promoted or restarted. A reset engine runs
+// bit-identically to a freshly constructed one driven to the marked
+// instant, so Monte-Carlo campaigns reuse one engine per worker
+// instead of rebuilding the environment per scenario. Reset relies on
+// Restore replacing an operator's whole state (see OperatorFunc), as
 // checkpoint recovery does.
 func (e *Engine) Reset() {
 	img := &e.img
@@ -176,9 +176,8 @@ func (e *Engine) Reset() {
 	e.failing, e.lastFailure, e.spliced = false, 0, nil
 }
 
-// recycle keeps what the run since the last Reset leaves behind for
-// reuse: the pooled events still pending on the clock go back to their
-// pools, and the incarnations recovery started become spares.
+// recycle returns the pooled events still pending on the clock to their
+// pools.
 func (e *Engine) recycle() {
 	pend, _ := e.clock.AppendPending(e.pend[:0])
 	for _, ev := range pend {
@@ -199,11 +198,6 @@ func (e *Engine) recycle() {
 	}
 	clear(pend)
 	e.pend = pend[:0]
-	for _, rt := range e.born {
-		e.spare[rt.id] = append(e.spare[rt.id], rt)
-	}
-	clear(e.born)
-	e.born = e.born[:0]
 }
 
 // mark records the runtime's state.

@@ -3,5 +3,5 @@
 package engine_test
 
 // raceEnabled reports that the race detector is on; the recycled
-// incarnation grid then runs its -short subset.
+// engine grid then runs its -short subset.
 const raceEnabled = false

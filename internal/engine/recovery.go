@@ -45,9 +45,9 @@ type master struct {
 	// The recovery steps' runners, by task ID: the end of a checkpoint
 	// restore, of a replica's activation and of a source-replay restart,
 	// and a promoted replica's catch-up check. A task has at most one of
-	// each pending: it gets no new incarnation, and so cannot fail
-	// again, before its restore, activation or restart ends, and only
-	// its one replica's promotion schedules a catch-up check.
+	// each pending: it stays failed, and so cannot fail again, until its
+	// restore, activation or restart ends, and only its one replica's
+	// promotion schedules a catch-up check.
 	installs    []installEvent
 	activations []activation
 	catchUps    []catchUpCheck
@@ -78,7 +78,7 @@ func newMaster(e *Engine) *master {
 		tid := topology.TaskID(id)
 		m.installs[id] = installEvent{m: m, id: tid}
 		m.activations[id] = activation{m: m, id: tid}
-		m.catchUps[id] = catchUpCheck{m: m}
+		m.catchUps[id] = catchUpCheck{m: m, id: tid}
 		m.restarts[id] = restartEvent{m: m, id: tid}
 	}
 	return m
@@ -174,7 +174,6 @@ func (m *master) promote(id topology.TaskID) {
 		m.recoverCheckpoint(id)
 		return
 	}
-	rep.isReplica = false
 	rep.recovering = true
 	rep.promoted = true
 	e.tasks[id] = rep
@@ -210,21 +209,19 @@ func (m *master) promote(id topology.TaskID) {
 	// its resend work drains.
 	m.checkRecovered(rep)
 	if !m.isDone(id) {
-		c := &m.catchUps[id]
-		c.rt = rep
-		e.clock.AtRun(max(rep.busyUntil, e.clock.Now()), c)
+		e.clock.AtRun(max(rep.busyUntil, e.clock.Now()), &m.catchUps[id])
 	}
 }
 
-// catchUpCheck checks whether a promoted replica has caught up once its
-// resend work has drained.
+// catchUpCheck checks whether a task's promoted replica has caught up
+// once its resend work has drained.
 type catchUpCheck struct {
 	m  *master
-	rt *taskRuntime
+	id topology.TaskID
 }
 
 // Run implements sim.Runner.
-func (c *catchUpCheck) Run() { c.m.checkRecovered(c.rt) }
+func (c *catchUpCheck) Run() { c.m.checkRecovered(c.m.eng.tasks[c.id]) }
 
 // recoverCheckpoint restores the task from its latest checkpoint on a
 // standby node and replays the upstream output buffers (§V-B Passive
@@ -268,8 +265,7 @@ func (m *master) installCheckpoint(ie *installEvent) {
 	e := m.eng
 	id, ck := ie.id, ie.ck
 	for _, u := range e.prim[id].upstreams {
-		urt := e.tasks[u]
-		if urt == nil || urt.failed || urt.recovering {
+		if urt := e.tasks[u]; urt.failed || urt.recovering {
 			// An upstream peer is still failed or catching up: poll
 			// until it has recovered (the §V-B synchronisation).
 			e.clock.AfterRun(e.cfg.recoveryPoll(), ie)
@@ -277,7 +273,8 @@ func (m *master) installCheckpoint(ie *installEvent) {
 		}
 	}
 
-	rt := e.incarnation(id)
+	rt := e.tasks[id]
+	rt.restart()
 	rt.recovering = true
 	if ck != nil {
 		if rt.isSource {
@@ -295,14 +292,13 @@ func (m *master) installCheckpoint(ie *installEvent) {
 		rt.rebase(rt.nextBatch)
 		rt.replayState.copyFrom(&ck.replayState)
 	}
-	e.tasks[id] = rt
 	rt.busyUntil = e.clock.Now()
 	// Replay: the restored task resends its (restored) buffered output
 	// downstream, and every live upstream resends its buffer to it.
 	// Receivers deduplicate already-processed batches.
 	rt.resendAll()
 	for _, u := range rt.upstreams {
-		if up := e.tasks[u]; up != nil && !up.failed {
+		if up := e.tasks[u]; !up.failed {
 			up.resendAll()
 		}
 	}
@@ -310,8 +306,6 @@ func (m *master) installCheckpoint(ie *installEvent) {
 		rt.catchUpSource(e.currentBatch)
 		m.checkRecovered(rt)
 	}
-	// The task's original checkpoint timer chain keeps running; it
-	// resolves the current incarnation at fire time.
 }
 
 // recoverSourceReplay implements Storm's technique: restart the failed
@@ -336,10 +330,10 @@ type restartEvent struct {
 // Run implements sim.Runner.
 func (r *restartEvent) Run() { r.m.replay(r.id, r.from) }
 
-// replay starts a new incarnation of the failed task at batch
-// replayFrom. Live ancestor tasks rewind and rebuild their states by
-// reprocessing; their duplicate outputs toward non-rewound tasks are
-// dropped by batch deduplication.
+// replay restarts the failed task at batch replayFrom. Live ancestor
+// tasks rewind and rebuild their states by reprocessing; their
+// duplicate outputs toward non-rewound tasks are dropped by batch
+// deduplication.
 func (m *master) replay(id topology.TaskID, replayFrom int) {
 	e := m.eng
 	anc := m.ancestors(id)
@@ -347,8 +341,8 @@ func (m *master) replay(id topology.TaskID, replayFrom int) {
 	// staging regulates order).
 	for _, a := range anc {
 		art := e.tasks[a]
-		if art == nil || art.failed || art.id == id {
-			continue
+		if art.failed {
+			continue // the failed task itself among them
 		}
 		if art.isSource {
 			art.resetTo(min(replayFrom, art.nextBatch))
@@ -356,19 +350,17 @@ func (m *master) replay(id topology.TaskID, replayFrom int) {
 			art.resetTo(replayFrom)
 		}
 	}
-	// A new incarnation of the failed task.
-	rt := e.incarnation(id)
+	rt := e.tasks[id]
+	rt.restart()
 	rt.recovering = true
 	rt.rebase(replayFrom)
 	if rt.isSource {
 		rt.rebase(0)
 	}
-	e.tasks[id] = rt
 	// Sources regenerate the replayed batches (and the failed task
 	// itself, if it is a source, regenerates everything it owes).
 	for _, a := range anc {
-		art := e.tasks[a]
-		if art != nil && !art.failed && art.isSource {
+		if art := e.tasks[a]; !art.failed && art.isSource {
 			art.catchUpSource(e.currentBatch)
 		}
 	}
@@ -395,8 +387,8 @@ func (m *master) ancestors(id topology.TaskID) []topology.TaskID {
 	return out
 }
 
-// checkRecovered marks the task recovered once its current incarnation
-// has reached the pre-failure progress.
+// checkRecovered marks the task recovered once its current primary has
+// reached the pre-failure progress.
 func (m *master) checkRecovered(rt *taskRuntime) {
 	f := &m.fails[rt.id]
 	if !f.tracked || !f.detected {

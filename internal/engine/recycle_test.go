@@ -108,16 +108,15 @@ func run(e *engine.Engine, tr *engine.Trajectory, sc campaign.Scenario) sim.Time
 
 // check runs the sequence on one engine and requires every scenario to
 // report exactly what it reports on a freshly built and marked engine,
-// the engine to hold exactly its image after every Mark and Reset, and
-// the spare incarnations to re-initialise to new ones after every
-// scenario, while the ones it used still hold what it left.
+// every runtime to restart to a new one after every scenario, and the
+// engine to hold exactly its image after every Mark and Reset.
 func (r *rig) check(t *testing.T) {
 	t.Helper()
 	e, tr := r.recording(t)
 	if err := engine.CheckImage(e); err != nil {
 		t.Fatalf("%s: after recording the trajectory: %v", r.name, err)
 	}
-	spares := 0
+	restarted := 0
 	for i, sc := range r.scs {
 		got := reportOf(e, run(e, tr, sc))
 		fresh := r.marked(t)
@@ -125,18 +124,18 @@ func (r *rig) check(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: scenario %d (%s): the recycling engine reports\n%+v\na fresh engine\n%+v", r.name, i, sc.Label, got, want)
 		}
+		n, err := engine.CheckRestart(e)
+		if err != nil {
+			t.Fatalf("%s: after scenario %d (%s): %v", r.name, i, sc.Label, err)
+		}
+		restarted = max(restarted, n)
 		e.Reset()
 		if err := engine.CheckImage(e); err != nil {
 			t.Fatalf("%s: reset after scenario %d (%s): %v", r.name, i, sc.Label, err)
 		}
-		n, err := engine.CheckSpares(e)
-		if err != nil {
-			t.Fatalf("%s: after scenario %d (%s): %v", r.name, i, sc.Label, err)
-		}
-		spares = max(spares, n)
 	}
-	if spares == 0 {
-		t.Fatalf("%s: no spare incarnation to check; test misconfigured", r.name)
+	if restarted == 0 {
+		t.Fatalf("%s: no scenario restarted a runtime; test misconfigured", r.name)
 	}
 }
 
@@ -263,9 +262,9 @@ func q1Rig(t *testing.T) *rig {
 	return &rig{name: "Q1", setup: setup, scs: scs, horizon: 40}
 }
 
-// TestRecycledIncarnationsMatchFresh pins that recycling is invisible:
-// a scenario run on an engine whose recovery reuses the incarnations,
-// operators, events and checkpoint objects of earlier scenarios reports
+// TestRecycledEngineMatchesFresh pins that recycling is invisible: a
+// scenario run on an engine that earlier scenarios ran on, reusing
+// their runtimes, operators, events and checkpoint objects, reports
 // exactly what it reports on a freshly built and marked engine — where
 // RunSpliced stops, the sink volume and records, AccuracyStats,
 // RecoveryStats, every task's progress and CPUStats. Each engine runs
@@ -273,14 +272,14 @@ func q1Rig(t *testing.T) *rig {
 // small scenarios. The grid is the small, medium and large presets ×
 // checkpoint-only and greedy plans × tentative outputs off and on, five
 // scenarios of each burst model per cell; then the medium preset under
-// source-replay recovery, and a Q1 query engine. Right after every
-// Mark and Reset the engine must equal its image field by field and
-// share no storage with it (CheckImage), so a field that the image
-// copy or Reset forgets fails here; after every scenario each spare
-// incarnation must re-initialise to exactly what newTaskRuntime builds
-// (CheckSpares). -short, and the race detector, run the small preset
-// only.
-func TestRecycledIncarnationsMatchFresh(t *testing.T) {
+// source-replay recovery, and a Q1 query engine. After every scenario
+// each runtime must restart to exactly what newTaskRuntime builds,
+// epoch aside (CheckRestart), so a field that a restart forgets fails
+// here; right after every Mark and Reset the engine must equal its
+// image field by field and share no storage with it (CheckImage), so a
+// field that the image copy or Reset forgets fails here too. -short,
+// and the race detector, run the small preset only.
+func TestRecycledEngineMatchesFresh(t *testing.T) {
 	presets := []string{campaign.TopoSmall, campaign.TopoMedium, campaign.TopoLarge}
 	if testing.Short() || raceEnabled {
 		presets = presets[:1]

@@ -30,7 +30,6 @@ var stateFields = map[string]struct {
 	"outBuf":        {compared, func(s *taskState) { s.outBuf[0].put(s.nextBatch+1000, Batch{Count: 1}) }},
 	"failed":        {converged, func(s *taskState) { s.failed = true }},
 	"recovering":    {converged, func(s *taskState) { s.recovering = true }},
-	"isReplica":     {"false on every primary", func(s *taskState) { s.isReplica = true }},
 	"promoted":      {"read only when a later failure picks the failed nodes' tasks", func(s *taskState) { s.promoted = !s.promoted }},
 	"epoch":         {"fences stale completions, which encodeEvents leaves out", func(s *taskState) { s.epoch++ }},
 	"tentOut":       {"marks closed batches: read only by replays and amendments", func(s *taskState) { s.tentOut[s.nextBatch-1] = true }},
@@ -70,8 +69,6 @@ var engineFields = map[string]string{
 	"failing":      "reset",
 	"lastFailure":  "reset",
 	"spliced":      "reset",
-	"born":         "recycled",
-	"spare":        "recycled",
 	"scratch":      "recycled",
 	"witness":      "scratch",
 	"enc":          "scratch",

@@ -338,8 +338,8 @@ const (
 // task to buf, in firing order, without their sequence numbers: the
 // order is what decides same-instant ties, and events scheduled later
 // are numbered after all of them in any run. Replica acks, and the
-// completions of replicas and of stale incarnations, act on no primary
-// and are left out. ok is false when a one-off event (a failure, an
+// completions of replicas and of failed or rewound lives, act on no
+// primary and are left out. ok is false when a one-off event (a failure, an
 // activation, a checkpoint install or its poll, an amendment) is
 // pending or a delivery carries materialised tuples.
 func (e *Engine) encodeEvents(buf []byte) ([]byte, bool) {

@@ -59,7 +59,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // ScheduleNodeFailures, RunSpliced and Reset on an engine marked before
 // their earliest wave, once to warm up and once measured. Failures,
 // recovery steps and every other event are recycled runners, and
-// recovery recycles its incarnations, operators and checkpoint
+// recovery restarts the runtimes New built and recycles the checkpoint
 // objects, so a warm scenario allocates next to nothing: measured, at
 // most 0.4 objects per scenario; the bound is 1. The same medium
 // greedy cascades with their waves 2 s and 12 s apart, so that

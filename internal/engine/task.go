@@ -48,15 +48,15 @@ type delivery struct {
 	amend bool
 }
 
-// taskRuntime is one incarnation of a task (primary or active replica).
-// A task that fails and recovers gets a new incarnation; stale events
-// of the old incarnation are fenced by the failed flag and the epoch
-// counter. The incarnations recovery starts are recycled: Reset keeps
-// them as spares, and a later scenario's recovery re-initialises one
-// (reinit) instead of building it (Engine.incarnation).
+// taskRuntime is one runtime of a task: its primary, or its active
+// replica. New builds every runtime the engine runs. A task that fails
+// and recovers restarts on its current runtime (restart), whose epoch
+// then fences the pending completions of the failed life. A runtime is
+// the replica while Engine.replicas holds it; a promotion takes it off
+// and makes it the task's primary.
 //
-// A runtime has three parts: the wiring every incarnation of the task
-// shares, its taskState, and the emit scratch, which is empty between
+// A runtime has three parts: the wiring both runtimes of the task
+// share, its taskState, and the emit scratch, which is empty between
 // events.
 type taskRuntime struct {
 	eng       *Engine
@@ -93,17 +93,19 @@ type taskRuntime struct {
 // splice digests part of it (encodeTask, and the table in
 // schema_test.go that classifies every field).
 type taskState struct {
-	isReplica bool
-	failed    bool
-	// recovering is set while the incarnation works to reach the failed
-	// predecessor's progress.
+	failed bool
+	// recovering is set while the restarted or promoted runtime works to
+	// reach the progress the task had when it failed.
 	recovering bool
-	// promoted marks a primary incarnation that started life as an
-	// active replica: it runs on the standby node of the cluster's
-	// replica placement, not on the task's primary placement, so node
-	// failures must check that host instead.
+	// promoted marks a primary that started life as an active replica:
+	// it runs on the standby node of the cluster's replica placement,
+	// not on the task's primary placement, so node failures must check
+	// that host instead.
 	promoted bool
-	epoch    int
+	// epoch counts the runtime's restarts and rewinds: a batch
+	// completion or amendment carries the epoch it was scheduled in and
+	// is dropped when it no longer matches.
+	epoch int
 
 	// win holds the per-open-batch input state (staged input and
 	// punctuation/taint/miss flags per upstream) as a dense ring of
@@ -146,12 +148,11 @@ func (s *taskState) copyFrom(src *taskState, pool *tuplePool) {
 	s.ckptBound = append(bound[:0], src.ckptBound...)
 }
 
-// newTaskRuntime builds a runtime in its initial state: a live
-// incarnation at batch 0 with no staged input, buffered output, owed
-// input or tentative mark, and a new operator or source instance. The
-// initial state is written here alone: reinit copies the image New
-// records of it.
-func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime {
+// newTaskRuntime builds a runtime in its initial state: live at batch 0
+// with no staged input, buffered output, owed input or tentative mark,
+// and a new operator or source instance. The initial state is written
+// here alone: restart copies the image New records of it.
+func newTaskRuntime(e *Engine, id topology.TaskID) *taskRuntime {
 	t := e.topo
 	task := t.Tasks[id]
 	rt := &taskRuntime{
@@ -209,7 +210,6 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	} else {
 		rt.udf = e.operators[rt.opIdx](rt.taskIndex)
 	}
-	rt.isReplica = isReplica
 	rt.win.init(len(rt.upstreams))
 	rt.outBuf = make([]replayQueue, nrec)
 	rt.tentOut = make(map[int]bool)
@@ -222,13 +222,18 @@ func newTaskRuntime(e *Engine, id topology.TaskID, isReplica bool) *taskRuntime 
 	return rt
 }
 
-// reinit re-initialises a recycled incarnation as a new primary one: it
-// restores the task's time-zero primary image (Engine.zero), which
-// holds the state newTaskRuntime builds, into the runtime's own
-// storage and operator. It keeps what every incarnation of the task
-// shares or can reuse: the routing, the grown batch window, the
+// restart re-initialises the runtime for a new life of its task, the
+// start of a checkpoint restore or a source-replay restart: it restores
+// the task's time-zero primary image (Engine.zero), which holds the
+// state newTaskRuntime builds, into the runtime's own storage and
+// operator, and bumps the epoch past the failed life's. It keeps what
+// a runtime can reuse: the routing, the grown batch window, the
 // buffers' backing arrays and the operator or source instance.
-func (rt *taskRuntime) reinit() { rt.restore(&rt.eng.zero[rt.id]) }
+func (rt *taskRuntime) restart() {
+	epoch := rt.epoch
+	rt.restore(&rt.eng.zero[rt.id])
+	rt.epoch = epoch + 1
+}
 
 // upIdx returns the compact index of an upstream task, and false when
 // the task is no upstream of this one.
@@ -322,7 +327,7 @@ func (rt *taskRuntime) receive(ui int32, batch int, content Batch, d delivery) {
 	rt.tryProcess()
 }
 
-// receiveLate handles messages for batches this incarnation already
+// receiveLate handles messages for batches this runtime already
 // closed: amendment deltas from upstream corrections, and the late real
 // data of batches that were closed on fabricated punctuations. Both are
 // reprocessed as amendments, which is how a correction propagates hop
@@ -345,7 +350,7 @@ func (rt *taskRuntime) receiveLate(ui int32, batch int, content Batch, d deliver
 }
 
 // settleOwed clears the owed-input record of (batch, upstream ui) on
-// the live incarnation AND in the stored checkpoint: once the late data
+// the live runtime AND in the stored checkpoint: once the late data
 // has been absorbed or amended, a restore from a pre-correction
 // snapshot must not repeat the amendment (the upstream resends the same
 // batch on every recovery, and a duplicate amendment would overcount at
@@ -421,8 +426,9 @@ func (rt *taskRuntime) tryProcess() {
 }
 
 // procEvent is the pooled completion event of one scheduled batch. It
-// recycles itself on fire; it is never cancelled (stale incarnations
-// are fenced by the epoch check), so the pool discipline is safe.
+// recycles itself on fire; it is never cancelled (the completions of a
+// failed or rewound life are fenced by the epoch check), so the pool
+// discipline is safe.
 type procEvent struct {
 	rt    *taskRuntime
 	b     int
@@ -474,7 +480,7 @@ func (rt *taskRuntime) completeBatch(b int, cost sim.Time) {
 	}
 	rt.win.release(b, &rt.eng.tuples)
 	rt.nextBatch = b + 1
-	if rt.eng.topo.IsSink(rt.opIdx) && !rt.isReplica {
+	if rt.eng.topo.IsSink(rt.opIdx) && rt.eng.replicas[rt.id] != rt {
 		rt.eng.recordSinkBatch(rt.id, b, rt.sinkOut, rt.sinkCount, tentative)
 	}
 	rt.sinkOut = rt.sinkOut[:0]
@@ -532,6 +538,7 @@ func (rt *taskRuntime) EmitCount(n int) {
 // Emit-buffer slots hand their tuple backing off to the output buffer
 // and restart empty, so a slot is never aliased across batches.
 func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
+	primary := rt.eng.replicas[rt.id] != rt
 	for i := range rt.routes {
 		r := &rt.routes[i]
 		for j, rec := range r.recipients {
@@ -539,7 +546,7 @@ func (rt *taskRuntime) finishEmit(batch int, tentative bool) {
 			content := rt.emitBuf[s]
 			rt.emitBuf[s] = Batch{}
 			rt.outBuf[s].put(batch, content)
-			if !rt.isReplica {
+			if primary {
 				rt.eng.deliver(rt.id, recipient{id: rec, slot: s}, batch, content, delivery{punct: true, tent: tentative})
 			}
 		}
@@ -599,7 +606,8 @@ func (ae *amendEvent) Run() {
 // are not buffered for replay (a later restore replays the original
 // tentative output, a documented approximation).
 func (rt *taskRuntime) finishAmend(batch int) {
-	if rt.eng.topo.IsSink(rt.opIdx) && !rt.isReplica {
+	primary := rt.eng.replicas[rt.id] != rt
+	if rt.eng.topo.IsSink(rt.opIdx) && primary {
 		rt.eng.recordSinkAmendment(rt.id, batch, rt.sinkOut, rt.sinkCount)
 	}
 	rt.sinkOut = rt.sinkOut[:0]
@@ -610,7 +618,7 @@ func (rt *taskRuntime) finishAmend(batch int) {
 			s := r.recIdx[j]
 			content := rt.emitBuf[s]
 			rt.emitBuf[s] = Batch{}
-			if !rt.isReplica {
+			if primary {
 				rt.eng.deliver(rt.id, recipient{id: rec, slot: s}, batch, content, delivery{amend: true})
 			}
 		}

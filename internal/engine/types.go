@@ -114,8 +114,8 @@ const (
 	// StrategyNone never recovers the task. It models the tentative
 	// window of a worst-case correlated failure, where passive recovery
 	// is far slower than the horizon of interest: the master detects the
-	// failure and fabricates punctuations (§V-B) but no new incarnation
-	// is started.
+	// failure and fabricates punctuations (§V-B) but never restarts the
+	// task.
 	StrategyNone
 )
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,10 +70,7 @@ func TestRunRecoveryCell(t *testing.T) {
 		if len(stats) != 1 {
 			t.Fatalf("%s: %d stats", tech.name, len(stats))
 		}
-		for _, l := range stats {
-			return float64(l)
-		}
-		return 0
+		return stats[0]
 	}
 	active := lat(figTechniques[0]) // Active-5s
 	ckpt5 := lat(figTechniques[2])  // Checkpoint-5s
@@ -102,27 +100,23 @@ func TestRunRecoveryCorrelated(t *testing.T) {
 	if len(statsA) != 15 || len(statsC) != 15 {
 		t.Fatalf("stats = %d / %d, want 15 tasks each", len(statsA), len(statsC))
 	}
-	var worstA, worstC float64
-	for _, l := range statsA {
-		if float64(l) > worstA {
-			worstA = float64(l)
-		}
-	}
-	for _, l := range statsC {
-		if float64(l) > worstC {
-			worstC = float64(l)
-		}
-	}
-	if worstA >= worstC {
+	if worstA, worstC := slices.Max(statsA), slices.Max(statsC); worstA >= worstC {
 		t.Errorf("correlated: active %v should beat checkpoint %v", worstA, worstC)
 	}
 }
 
+// TestFig9Shape pins Fig. 9, the checkpointing CPU per unit of
+// processing CPU, and checks that it falls with the checkpoint
+// interval.
 func TestFig9Shape(t *testing.T) {
 	r, err := Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, r, []pinnedSeries{
+		{"1000_tuples/s", []float64{0.7573979150531057, 0.15601337143569363, 0.055724104918499634, 0.03049924905687243}},
+		{"2000_tuples/s", []float64{0.7231130464059242, 0.14930914719500346, 0.053477203846403816, 0.029378800834926975}},
+	})
 	for _, rate := range []string{"1000_tuples/s", "2000_tuples/s"} {
 		r1 := point(t, r, rate, "1s")
 		r30 := point(t, r, rate, "30s")
@@ -139,11 +133,29 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+// TestFig10Shape pins Fig. 10 at both source rates and checks the
+// paper's ordering at rate 1000.
 func TestFig10Shape(t *testing.T) {
+	r2000, err := Fig10(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r2000, []pinnedSeries{
+		{"PPA-1.0", []float64{0.7520000000000024, 0.7520000000000024, 0.7520000000000024}},
+		{"PPA-0.5-active", []float64{0.7520000000000024, 0.7520000000000024, 0.7520000000000024}},
+		{"PPA-0.5", []float64{5.784425600000006, 13.981676000000036, 31.768463999999867}},
+		{"PPA-0", []float64{9.500025600000008, 23.766025599999935, 48.66607679999994}},
+	})
 	r, err := Fig10(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, r, []pinnedSeries{
+		{"PPA-1.0", []float64{0.402000000000001, 0.402000000000001, 0.402000000000001}},
+		{"PPA-0.5-active", []float64{0.402000000000001, 0.402000000000001, 0.402000000000001}},
+		{"PPA-0.5", []float64{3.6236767999999984, 6.688825600000037, 16.11521360000002}},
+		{"PPA-0", []float64{5.404025600000004, 12.632076800000021, 24.41602559999994}},
+	})
 	for _, x := range []string{"5s", "15s", "30s"} {
 		full := point(t, r, "PPA-1.0", x)
 		halfActive := point(t, r, "PPA-0.5-active", x)
@@ -274,6 +286,25 @@ func TestFig14aShape(t *testing.T) {
 	if saBig <= saZ {
 		t.Errorf("SA OF should grow with budget: %v at 0.2 vs %v at 0.8", saZ, saBig)
 	}
+}
+
+// TestFig7Pinned pins Fig. 7, single-node failures one operator level
+// at a time: active replication recovers fastest, and checkpoint
+// recovery slows as the interval grows.
+func TestFig7Pinned(t *testing.T) {
+	t.Parallel()
+	r, err := Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, r, []pinnedSeries{
+		{"Active-5s", []float64{0.302500000000002, 0.5640000000000018, 0.302500000000002, 0.5640000000000018}},
+		{"Active-30s", []float64{0.3525000000000009, 0.6640000000000015, 0.3525000000000009, 0.6640000000000015}},
+		{"Checkpoint-5s", []float64{1.2462144000000048, 2.0929144000000015, 1.342238400000003, 2.3955512000000034}},
+		{"Checkpoint-15s", []float64{2.523814400000015, 4.543619200000016, 2.619038400000015, 4.799651200000014}},
+		{"Checkpoint-30s", []float64{2.721409600000019, 4.889714400000017, 2.7822248000000176, 5.073737600000019}},
+		{"Storm", []float64{2.9520000000000106, 4.513500000000009, 7.9920000000000595, 14.553500000000053}},
+	})
 }
 
 // TestFig8Pinned pins Fig. 8, the correlated failure of all 15

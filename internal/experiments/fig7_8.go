@@ -2,30 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/queries"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
-
-// sortedLatencies flattens a per-task latency map in task-ID order.
-// The latencies feed a floating-point mean; iterating the map directly
-// would make the sum — and the emitted figure — depend on Go's
-// randomised map iteration order.
-func sortedLatencies(stats map[topology.TaskID]sim.Time) []float64 {
-	ids := make([]topology.TaskID, 0, len(stats))
-	for id := range stats {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, float64(stats[id]))
-	}
-	return out
-}
 
 // technique is one fault-tolerance configuration compared in Figs. 7-8.
 type technique struct {
@@ -73,8 +55,9 @@ const (
 )
 
 // runRecovery executes one (technique, config, failure) cell and returns
-// the recovery latencies of the failed tasks, keyed by task.
-func runRecovery(tech technique, cfg recoveryConfig, mode failureMode, failNodeIdx int) (map[topology.TaskID]sim.Time, error) {
+// the recovery latencies of the failed tasks in task order, so a figure
+// that folds them into a floating-point sum folds them in one order.
+func runRecovery(tech technique, cfg recoveryConfig, mode failureMode, failNodeIdx int) ([]float64, error) {
 	f, err := queries.NewFig6(queries.Fig6Params{
 		RatePerTask:   cfg.rate,
 		WindowBatches: cfg.windowBatches,
@@ -107,12 +90,12 @@ func runRecovery(tech technique, cfg recoveryConfig, mode failureMode, failNodeI
 		e.ScheduleNodeFailures(f.SyntheticNodes, failAt)
 	}
 	e.Run(runHorizon)
-	out := make(map[topology.TaskID]sim.Time)
+	var out []float64
 	for _, st := range e.RecoveryStats() {
 		if !st.Recovered {
 			return nil, fmt.Errorf("experiments: task %d (%s) not recovered by %v", st.Task, tech.name, runHorizon)
 		}
-		out[st.Task] = st.Latency()
+		out = append(out, float64(st.Latency()))
 	}
 	return out, nil
 }
@@ -140,7 +123,7 @@ func Fig7() (Result, error) {
 				if err != nil {
 					return Result{}, err
 				}
-				ls = append(ls, sortedLatencies(stats)...)
+				ls = append(ls, stats...)
 			}
 			s.Points = append(s.Points, Point{X: cfg.label(), Y: mean(ls)})
 		}
@@ -166,13 +149,7 @@ func Fig8() (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			var worst float64
-			for _, l := range stats {
-				if float64(l) > worst {
-					worst = float64(l)
-				}
-			}
-			s.Points = append(s.Points, Point{X: cfg.label(), Y: worst})
+			s.Points = append(s.Points, Point{X: cfg.label(), Y: slices.Max(stats)})
 		}
 		res.Series = append(res.Series, s)
 	}

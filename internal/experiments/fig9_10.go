@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/queries"
@@ -89,22 +90,7 @@ func Fig10(rate int) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			// Every other synthetic task gets an active replica until
-			// the fraction is reached.
-			var active []topology.TaskID
-			want := int(frac*float64(len(f.SyntheticTasks)) + 0.5)
-			for i := 0; i < len(f.SyntheticTasks) && len(active) < want; i += 1 {
-				if frac == 1.0 || i%2 == 0 {
-					active = append(active, f.SyntheticTasks[i])
-				}
-			}
-			for i := 1; i < len(f.SyntheticTasks) && len(active) < want; i += 2 {
-				active = append(active, f.SyntheticTasks[i])
-			}
-			activeSet := map[topology.TaskID]bool{}
-			for _, id := range active {
-				activeSet[id] = true
-			}
+			active := f.Active(frac)
 			e, err := engine.New(f.Setup(engine.Config{
 				WindowBatches:      30,
 				CheckpointInterval: interval,
@@ -123,7 +109,7 @@ func Fig10(rate int) (Result, error) {
 				if l > worstAll {
 					worstAll = l
 				}
-				if activeSet[st.Task] && l > worstActive {
+				if slices.Contains(active, st.Task) && l > worstActive {
 					worstActive = l
 				}
 			}

@@ -85,6 +85,21 @@ func NewFig6(p Fig6Params) (*Fig6, error) {
 	return f, nil
 }
 
+// Active returns the synthetic tasks a PPA plan replicates actively at
+// the given fraction, round(fraction × 15) of them: every other
+// synthetic task first, then the rest, so a half plan protects every
+// level of the chain.
+func (f *Fig6) Active(fraction float64) []topology.TaskID {
+	want := int(fraction*float64(len(f.SyntheticTasks)) + 0.5)
+	var active []topology.TaskID
+	for first := range 2 {
+		for i := first; i < len(f.SyntheticTasks) && len(active) < want; i += 2 {
+			active = append(active, f.SyntheticTasks[i])
+		}
+	}
+	return active
+}
+
 // Setup assembles the engine setup for the experiment with the given
 // engine config and per-task strategies.
 func (f *Fig6) Setup(cfg engine.Config, strategies []engine.Strategy) engine.Setup {

@@ -198,13 +198,6 @@ func pickPartitioning(rng *rand.Rand, full bool, up, down int) topology.Partitio
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // WithoutJoins returns a copy of the topology where every
 // correlated-input operator is downgraded to independent input,
 // preserving structure, parallelism, weights and rates. It enables the

@@ -24,8 +24,8 @@
 // all events gives.
 //
 // Nothing is ever cancelled: a scheduled event fires, or is dropped by
-// Restore. Stale engine events (of a failed task incarnation) fence
-// themselves when they fire. So events are plain values without handles,
+// Restore. Stale engine events (of a failed or restarted task's earlier
+// life) fence themselves when they fire. So events are plain values without handles,
 // the queues keep no index into themselves, and a fired event's slot is
 // cleared, retaining nothing. AppendPending records the pending events
 // and Restore puts exactly those back: since the numbers alone order
@@ -253,24 +253,6 @@ func (c *Clock) LanePending(d Time) int {
 		return c.lanes[i].n
 	}
 	return -1
-}
-
-// Step fires the next event, advancing the clock, and reports whether
-// an event was fired. The event's slot is cleared before the callback
-// runs, so a fired event retains nothing.
-func (c *Clock) Step() bool { return c.fire(Time(math.Inf(1))) }
-
-// Run fires events until none remain. maxEvents guards against runaway
-// simulations; Run panics when it is exceeded.
-func (c *Clock) Run(maxEvents int) {
-	for i := 0; ; i++ {
-		if i >= maxEvents {
-			panic(fmt.Sprintf("sim: exceeded %d events; runaway simulation?", maxEvents))
-		}
-		if !c.Step() {
-			return
-		}
-	}
 }
 
 // RunUntil fires events with timestamps <= deadline, then sets the clock

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -18,6 +19,24 @@ func (c *Clock) At(t Time, fn func()) { c.AtRun(t, runFunc(fn)) }
 
 // After schedules fn d seconds from now, as AfterRun does.
 func (c *Clock) After(d Time, fn func()) { c.AfterRun(d, runFunc(fn)) }
+
+// Step fires the next event, advancing the clock, and reports whether
+// an event was fired. The event's slot is cleared before the callback
+// runs, so a fired event retains nothing.
+func (c *Clock) Step() bool { return c.fire(Time(math.Inf(1))) }
+
+// Run fires events until none remain. maxEvents guards against runaway
+// simulations; Run panics when it is exceeded.
+func (c *Clock) Run(maxEvents int) {
+	for i := 0; ; i++ {
+		if i >= maxEvents {
+			panic(fmt.Sprintf("sim: exceeded %d events; runaway simulation?", maxEvents))
+		}
+		if !c.Step() {
+			return
+		}
+	}
+}
 
 func TestEventOrdering(t *testing.T) {
 	c := NewClock(1)
