@@ -10,19 +10,40 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/experiments"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "ppabench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, regenerates the selected figures and prints their
+// tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ppabench", flag.ContinueOnError)
 	var (
-		figure = flag.String("figure", "all", "figure to regenerate: 7, 8, 9, 10, 12, 13, 14a, 14b, 14c, 14d, all")
-		n      = flag.Int("n", 100, "random topologies per Fig. 14 variant")
+		figure = fs.String("figure", "all", "figure to regenerate: 7, 8, 9, 10, 12, 13, 14a, 14b, 14c, 14d, all")
+		n      = fs.Int("n", 100, "random topologies per Fig. 14 variant, positive")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *n <= 0 {
+		return fmt.Errorf("-n: need a positive topology count, got %d", *n)
+	}
 
 	type job struct {
 		id  string
@@ -77,23 +98,20 @@ func main() {
 		{"14d", one(func() (experiments.Result, error) { return experiments.Fig14d(*n) })},
 	}
 
-	ran := false
+	if *figure != "all" && !slices.ContainsFunc(jobs, func(j job) bool { return j.id == *figure }) {
+		return fmt.Errorf("-figure: unknown figure %q", *figure)
+	}
 	for _, j := range jobs {
 		if *figure != "all" && *figure != j.id {
 			continue
 		}
-		ran = true
 		results, err := j.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppabench: figure %s: %v\n", j.id, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %s: %w", j.id, err)
 		}
 		for _, r := range results {
-			fmt.Println(r.String())
+			fmt.Fprintln(stdout, r.String())
 		}
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "ppabench: unknown figure %q\n", *figure)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -383,7 +383,7 @@ func startPool(o *options, stderr io.Writer) (_ *coord.Pool, err error) {
 			return nil, err
 		}
 		for i := 0; i < o.workersProc; i++ {
-			if _, err := pool.AddProcess(exec.Command(exe, "-role", "worker")); err != nil {
+			if err := pool.AddProcess(exec.Command(exe, "-role", "worker")); err != nil {
 				return nil, err
 			}
 		}

@@ -82,6 +82,37 @@ func addFakeWorker(t testing.TB, p *Pool, version int, behave func(c *conn, m *m
 	p.AddConn(a)
 }
 
+// addRangeWorker adds a scripted worker that builds each job's
+// campaign from its spec and hands every assign frame, with that
+// campaign, to assign, which replies on the conn.
+func addRangeWorker(t testing.TB, p *Pool, assign func(c *conn, m *message, cfg campaign.Config)) {
+	t.Helper()
+	var cfg campaign.Config
+	addFakeWorker(t, p, ProtoVersion, func(c *conn, m *message) bool {
+		switch m.Type {
+		case msgJob:
+			jc, err := m.Spec.Config()
+			if err != nil {
+				t.Errorf("building config: %v", err)
+				return false
+			}
+			cfg = jc
+		case msgAssign:
+			assign(c, m, cfg)
+		}
+		return true
+	})
+}
+
+// runRange runs an assigned range and returns its result frame.
+func runRange(t testing.TB, m *message, cfg campaign.Config) *message {
+	states, err := campaign.RunRange(cfg, *m.Range)
+	if err != nil {
+		t.Errorf("running range %v: %v", m.Range, err)
+	}
+	return &message{Type: msgResult, Job: m.Job, Range: m.Range, States: states}
+}
+
 func waitReady(t testing.TB, p *Pool, n int) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -177,6 +208,75 @@ func TestWorkerErrorFailsFast(t *testing.T) {
 	_, err := p.RunJob(context.Background(), spec)
 	if err == nil || !strings.Contains(err.Error(), "injected scenario failure") {
 		t.Fatalf("err = %v, want the worker's injected failure", err)
+	}
+}
+
+// TestDuplicateResultDropped: a result frame counts only for the range
+// its worker is running. The worker sends every result twice; the copy
+// arrives once the worker runs its next range (or none) and is dropped
+// instead of completing that range with the states of the last one.
+func TestDuplicateResultDropped(t *testing.T) {
+	spec := testSpec(t, 48)
+	want := localRun(t, spec)
+
+	p := NewPool(PoolOptions{RangesPerWorker: 4})
+	defer p.Close()
+	addRangeWorker(t, p, func(c *conn, m *message, cfg campaign.Config) {
+		res := runRange(t, m, cfg)
+		_ = c.send(res)
+		_ = c.send(res)
+	})
+	waitReady(t, p, 1)
+
+	rep, err := p.RunJob(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Summary != want.Summary {
+		t.Fatalf("summary differs with duplicated results:\n%+v\n%+v", rep.Summary, want.Summary)
+	}
+}
+
+// TestConnectOverTCP: workers that dial the coordinator (Connect) and
+// are accepted from a listener (AcceptWorkers) run a job to the
+// single-process summary, and each returns nil once the pool closes.
+func TestConnectOverTCP(t *testing.T) {
+	spec := testSpec(t, 24)
+	want := localRun(t, spec)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p := NewPool(PoolOptions{})
+	defer p.Close()
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { done <- Connect(context.Background(), ln.Addr().String(), WorkerOptions{}) }()
+	}
+	if err := p.AcceptWorkers(ln, 2); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, p, 2)
+
+	rep, err := p.RunJob(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Summary != want.Summary {
+		t.Fatalf("summary over TCP differs from single-process:\n%+v\n%+v", rep.Summary, want.Summary)
+	}
+	p.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("Connect = %v after Pool.Close, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a worker did not return after Pool.Close")
+		}
 	}
 }
 

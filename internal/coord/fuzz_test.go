@@ -18,7 +18,7 @@ func FuzzCoordDecodeFrame(f *testing.F) {
 		{Type: msgHello, Version: ProtoVersion},
 		{Type: msgJob, Job: 1},
 		{Type: msgAssign, Job: 1},
-		{Type: msgHeartbeat, Job: 1, Done: 42},
+		{Type: msgHeartbeat},
 		{Type: msgResult, Job: 1},
 		{Type: msgError, Job: 1, Error: "boom"},
 		{Type: msgCancel, Job: 1},

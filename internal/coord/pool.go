@@ -21,19 +21,16 @@ type PoolOptions struct {
 	// assigned (default 15s). Lost workers are disconnected and their
 	// in-flight range is reassigned to a surviving worker.
 	HeartbeatTimeout time.Duration
-	// RangeRetries bounds how many times one range may be reassigned
-	// after worker losses before the job fails (default 3).
-	RangeRetries int
 	// RangesPerWorker controls partition granularity: a job is cut into
 	// about RangesPerWorker ranges per worker (default 4), so a lost
 	// worker forfeits only a fraction of its progress and fast workers
 	// steal work from slow ones.
 	RangesPerWorker int
-	// OnProgress, when set, receives the total number of scenarios
-	// completed so far after every heartbeat and range completion. It
-	// must be safe for concurrent calls.
-	OnProgress func(done int)
 }
+
+// rangeRetries bounds how many times one range may be reassigned after
+// worker losses before the job fails.
+const rangeRetries = 3
 
 // Pool is a coordinator's set of worker connections. Add workers with
 // AddProcess (local child processes over stdin/stdout) or AddConn
@@ -50,7 +47,11 @@ type Pool struct {
 
 // poolWorker is one worker connection. The reader goroutine owns recv
 // and forwards frames to msgs (closed when the connection dies); ready
-// and dead are guarded by the pool mutex.
+// and dead are guarded by the pool mutex. The msgs buffer takes a
+// worker's frames while the job loop is blocked writing to that
+// worker: a worker that reads and writes on one goroutine, as the
+// net.Pipe test workers do, would otherwise deadlock against the loop.
+// 16 frames is ample, since a worker runs one range at a time.
 type poolWorker struct {
 	id    int
 	c     *conn
@@ -64,9 +65,6 @@ type poolWorker struct {
 func NewPool(opts PoolOptions) *Pool {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 15 * time.Second
-	}
-	if opts.RangeRetries <= 0 {
-		opts.RangeRetries = 3
 	}
 	if opts.RangesPerWorker <= 0 {
 		opts.RangesPerWorker = 4
@@ -83,22 +81,21 @@ func (p *Pool) AddConn(rwc io.ReadWriteCloser) {
 
 // AddProcess starts cmd as a local worker child with the protocol on
 // its stdin/stdout (stderr is inherited unless already set) and adds
-// it to the pool. The returned process handle lets callers kill the
-// worker — the reassignment tests do exactly that.
-func (p *Pool) AddProcess(cmd *exec.Cmd) (*os.Process, error) {
+// it to the pool.
+func (p *Pool) AddProcess(cmd *exec.Cmd) error {
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cmd.Stderr == nil {
 		cmd.Stderr = os.Stderr
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("coord: starting worker process: %w", err)
+		return fmt.Errorf("coord: starting worker process: %w", err)
 	}
 	p.add(newConn(stdout, stdin), func() {
 		stdin.Close()
@@ -106,7 +103,7 @@ func (p *Pool) AddProcess(cmd *exec.Cmd) (*os.Process, error) {
 		//ppalint:allow ctxspawn reaper returns as soon as the just-killed process is collected
 		go cmd.Wait()
 	})
-	return cmd.Process, nil
+	return nil
 }
 
 // AcceptWorkers accepts n worker connections from the listener and
@@ -207,13 +204,18 @@ func (p *Pool) Close() {
 // its report (Summary plus baseline; per-scenario results never cross
 // the process boundary). The coordinator resolves the baseline volume
 // locally unless the spec carries one, partitions the scenario space
-// into shard-aligned ranges, schedules ranges onto workers as they
-// free up, reassigns the in-flight range of any worker that dies or
-// goes silent (bounded by RangeRetries), and merges the returned shard
-// states in shard order — bit-identical to the single-process
-// campaign.RunContext for the same (seed, Shards). A worker-reported
-// scenario error or ctx cancellation fails the job fast; remaining
-// workers get a cancel for the in-flight job.
+// into shard-aligned ranges, hands ranges to workers as they free up,
+// reassigns the in-flight range of any worker that dies or goes silent
+// (at most rangeRetries times per range), and merges the returned
+// shard states in shard order — bit-identical to the single-process
+// campaign.RunContext for the same (seed, Shards), stopped early at the
+// same shard when the spec sets a stop tolerance. A worker-reported
+// scenario error or ctx cancellation fails the job fast; workers still
+// running a range of the job get a cancel.
+//
+// One goroutine, the caller's, owns the job's state: every member's
+// frames reach its loop on one channel, so a result counts only for
+// the range its worker is running.
 func (p *Pool) RunJob(ctx context.Context, spec campaign.WireSpec) (*campaign.Report, error) {
 	// Build the campaign locally too: the coordinator needs the
 	// scenario count for partitioning and the baseline for the workers.
@@ -230,367 +232,266 @@ func (p *Pool) RunJob(ctx context.Context, spec campaign.WireSpec) (*campaign.Re
 		cfg.Baseline = base
 	}
 
+	j := &job{p: p, spec: &spec, mon: campaign.NewStopMonitor(cfg)}
 	p.mu.Lock()
 	p.nextJob++
-	jobID := p.nextJob
-	var workers []*poolWorker
+	j.id = p.nextJob
 	for _, w := range p.workers {
 		if w.ready && !w.dead {
-			workers = append(workers, w)
+			j.members = append(j.members, &member{w: w})
 		}
 	}
 	p.mu.Unlock()
-	if len(workers) == 0 {
+	j.live = len(j.members)
+	if j.live == 0 {
 		return nil, errors.New("coord: no live workers")
 	}
-
-	ranges, err := partitionJob(cfg, p.opts.RangesPerWorker*len(workers))
+	ranges, err := partitionJob(cfg, p.opts.RangesPerWorker*j.live)
 	if err != nil {
 		return nil, err
 	}
-	sched := newScheduler(ranges, p.opts.RangeRetries, campaign.NewStopMonitor(cfg))
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *poolWorker) {
-			defer wg.Done()
-			p.runWorker(ctx, w, jobID, &spec, sched)
-		}(w)
+	for _, r := range ranges {
+		j.ranges = append(j.ranges, &rangeTask{r: r})
 	}
-	wg.Wait()
-	if err := sched.err(); err != nil {
+	j.pending = append([]*rangeTask(nil), j.ranges...)
+	j.left = len(ranges)
+
+	jctx, cancel := context.WithCancel(ctx)
+	in := make(chan frame)
+	var relays sync.WaitGroup
+	for _, m := range j.members {
+		relays.Add(1)
+		go func() {
+			defer relays.Done()
+			m.relay(jctx, in)
+		}()
+	}
+	err = j.run(ctx, in)
+	// A relay still running could take the next job's frames.
+	cancel()
+	relays.Wait()
+	if err != nil {
 		return nil, err
 	}
-	states, scenarios, stopped := sched.outcome(len(cfg.Scenarios))
+
+	scenarios, stopShard := len(cfg.Scenarios), -1
+	if j.mon.Fired() {
+		scenarios, stopShard = j.mon.PrefixScenarios(), j.mon.StopShard()
+	}
+	var states []campaign.ShardState
+	for _, t := range j.ranges {
+		for _, st := range t.states {
+			if stopShard < 0 || st.Shard <= stopShard {
+				states = append(states, st)
+			}
+		}
+	}
 	rep, err := mergeJob(states, scenarios, spec.Baseline)
 	if err != nil {
 		return nil, err
 	}
-	rep.Stopped = stopped
+	rep.Stopped = j.mon.Fired()
 	return rep, nil
 }
 
-// runWorker drives one worker through one job: send the job spec, then
-// loop taking ranges from the scheduler, assigning them, and awaiting
-// results under a heartbeat-refreshed deadline. Any connection or
-// liveness failure requeues the in-flight range and retires the
-// worker; a worker-reported error fails the whole job.
-func (p *Pool) runWorker(ctx context.Context, w *poolWorker, jobID int, spec *campaign.WireSpec, sched *scheduler) {
-	lost := func(t *rangeTask) {
-		p.markDead(w)
-		if t != nil {
-			sched.requeue(w.id, *t, fmt.Errorf("coord: worker %d lost with range %s in flight", w.id, t.r))
-		}
-		sched.workerGone(p.Live())
-	}
-	if err := w.c.send(&message{Type: msgJob, Job: jobID, Spec: spec}); err != nil {
-		lost(nil)
-		return
-	}
-	for {
-		t, ok := sched.take()
-		if !ok {
-			// Job finished or failed: stop anything still in flight on
-			// this worker before leaving.
-			_ = w.c.send(&message{Type: msgCancel, Job: jobID})
-			return
-		}
-		if err := w.c.send(&message{Type: msgAssign, Job: jobID, Range: &t.r}); err != nil {
-			lost(&t)
-			return
-		}
-		timer := time.NewTimer(p.opts.HeartbeatTimeout)
-		completed := false
-		for !completed {
-			select {
-			case m, open := <-w.msgs:
-				if !open {
-					timer.Stop()
-					lost(&t)
-					return
-				}
-				// Any frame proves liveness; refresh the deadline.
-				if !timer.Stop() {
-					<-timer.C
-				}
-				timer.Reset(p.opts.HeartbeatTimeout)
-				if m.Job != jobID {
-					continue // stale frame from a superseded job
-				}
-				switch m.Type {
-				case msgHeartbeat:
-					sched.reportProgress(w.id, m.Done, p.opts.OnProgress)
-				case msgResult:
-					sched.complete(t, m.States, p.opts.OnProgress)
-					completed = true
-				case msgError:
-					timer.Stop()
-					sched.fail(fmt.Errorf("coord: worker %d: %s", w.id, m.Error))
-					_ = w.c.send(&message{Type: msgCancel, Job: jobID})
-					return
-				default:
-					// A frame kind the coordinator never expects on a
-					// job stream (job, assign, cancel, shutdown echoed
-					// back, or a newer protocol's kind): the worker is
-					// confused, treat it as lost so its range is
-					// reassigned instead of silently dropping frames.
-					timer.Stop()
-					lost(&t)
-					return
-				}
-			case <-timer.C:
-				lost(&t) // silent worker: heartbeats stopped
-				return
-			case <-sched.done:
-				// Finished or failed elsewhere.
-				timer.Stop()
-				_ = w.c.send(&message{Type: msgCancel, Job: jobID})
-				return
-			case <-ctx.Done():
-				timer.Stop()
-				sched.fail(ctx.Err())
-				_ = w.c.send(&message{Type: msgCancel, Job: jobID})
-				return
-			}
-		}
-		timer.Stop()
-	}
-}
-
-// rangeTask is one schedulable range with its reassignment count.
-type rangeTask struct {
-	r       campaign.Range
-	retries int
-}
-
-// scheduler is the job's shared state: a pending-range queue workers
-// pull from, the collected shard states, and the finished/failed
-// flag. All methods are safe for concurrent use.
+// job is one RunJob call's state, read and written only by the
+// goroutine running it.
 //
-// Early stopping: with a non-nil StopMonitor the scheduler feeds it
-// each range's shard states as the contiguous completed-range frontier
-// advances — the same shard-order prefix walk the single-process
-// runner does, over the same serialised bytes, so both fire at the
-// same checkpoint. When the rule fires the pending queue is dropped
-// (a stopped campaign schedules zero further ranges), in-flight
-// assignments are cancelled via the done channel, and only the shard
-// states of the stopped prefix survive into the merge.
-type scheduler struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pending   []rangeTask
-	remaining int // ranges not yet completed
-	retries   int
-	failure   error
-	finished  bool
-	done      chan struct{} // closed when finished or failed
-
-	states    []campaign.ShardState
-	perWorker map[int]int // worker id -> scenarios done per its last heartbeat
-
-	mon        *campaign.StopMonitor
-	order      []campaign.Range              // ranges in Lo order (the monitor's feed order)
-	rangeState map[int][]campaign.ShardState // r.Lo -> completed range's states
-	frontier   int                           // index into order: next range the monitor needs
-	stopped    bool
-	monErr     error
+// Early stopping: with a stop monitor, each completed range at the
+// front of the scenario order feeds its shard states to the monitor —
+// the same shard-order prefix walk the single-process runner does,
+// over the same serialised bytes, so both fire at the same checkpoint.
+// The job then ends at once: it cancels the ranges in flight and
+// merges only the prefix, so whatever started, failed or was cancelled
+// past it is discarded, as in campaign.RunContext.
+type job struct {
+	p       *Pool
+	id      int
+	spec    *campaign.WireSpec
+	members []*member
+	live    int          // members not lost
+	ranges  []*rangeTask // in scenario order
+	pending []*rangeTask // not yet assigned, in assignment order
+	left    int          // ranges not yet completed
+	mon     *campaign.StopMonitor
+	fed     int // ranges fed to mon
 }
 
-func newScheduler(ranges []campaign.Range, retries int, mon *campaign.StopMonitor) *scheduler {
-	s := &scheduler{
-		pending:   make([]rangeTask, len(ranges)),
-		remaining: len(ranges),
-		retries:   retries,
-		done:      make(chan struct{}),
-		perWorker: make(map[int]int),
-		mon:       mon,
-	}
-	for i, r := range ranges {
-		s.pending[i] = rangeTask{r: r}
-	}
-	if mon != nil {
-		// Partition emits ranges in ascending Lo order; keep a copy as
-		// the monitor's feed order and buffer out-of-order completions.
-		s.order = append([]campaign.Range(nil), ranges...)
-		s.rangeState = make(map[int][]campaign.ShardState, len(ranges))
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+// member is one worker of a job.
+type member struct {
+	w        *poolWorker
+	task     *rangeTask // the range it runs; nil when idle
+	deadline time.Time  // when it is lost unless a frame arrives first
+	lost     bool
 }
 
-// take pops the next pending range, blocking while none is pending but
-// the job is still running (a requeue may arrive); false means the job
-// is finished or failed and the worker should stop.
-func (s *scheduler) take() (rangeTask, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.pending) == 0 && !s.finished {
-		s.cond.Wait()
-	}
-	if s.finished {
-		return rangeTask{}, false
-	}
-	t := s.pending[0]
-	s.pending = s.pending[1:]
-	return t, true
+// rangeTask is one range of a job.
+type rangeTask struct {
+	r      campaign.Range
+	losses int // workers lost with it in flight
+	done   bool
+	states []campaign.ShardState
 }
 
-// complete records a range's shard states; finishing the last range
-// finishes the job. With a stop monitor, completing the range at the
-// contiguous frontier feeds the monitor — which may stop the job.
-func (s *scheduler) complete(t rangeTask, states []campaign.ShardState, onProgress func(int)) {
-	s.mu.Lock()
-	s.states = append(s.states, states...)
-	s.remaining--
-	if s.mon != nil && !s.stopped {
-		s.rangeState[t.r.Lo] = states
-		s.advanceMonitorLocked()
-	}
-	done := s.progressLocked()
-	if s.remaining == 0 {
-		s.finishLocked(nil)
-	}
-	s.mu.Unlock()
-	if onProgress != nil {
-		onProgress(done)
-	}
+// frame is one message from a member; a nil msg says its connection
+// closed.
+type frame struct {
+	m   *member
+	msg *message
 }
 
-// advanceMonitorLocked feeds the monitor every completed range at the
-// contiguous frontier, in Lo order. If the stop rule fires, the
-// pending queue is dropped — every incomplete range lies past the
-// stopped prefix (the frontier only reaches a shard once all earlier
-// ranges completed, and ranges own disjoint ascending shard blocks) —
-// and the job finishes as soon as the bookkeeping above observes
-// remaining == 0, or right here when only dropped ranges were left.
-func (s *scheduler) advanceMonitorLocked() {
-	for s.frontier < len(s.order) {
-		states, ok := s.rangeState[s.order[s.frontier].Lo]
-		if !ok {
+// relay forwards the member's frames to the job loop until ctx ends.
+func (m *member) relay(ctx context.Context, in chan<- frame) {
+	for {
+		var msg *message
+		select {
+		case msg = <-m.w.msgs:
+		case <-ctx.Done():
 			return
 		}
-		for _, st := range states {
-			if err := s.mon.Observe(st); err != nil {
-				s.monErr = err
-				s.finishLocked(err)
-				return
+		select {
+		case in <- frame{m, msg}:
+		case <-ctx.Done():
+			return
+		}
+		if msg == nil {
+			return
+		}
+	}
+}
+
+// run is the job loop. It sends the job to every member, hands
+// pending ranges to idle members, and handles their frames until every
+// range completed or the stop rule fired; it cancels the ranges still
+// in flight when it returns.
+func (j *job) run(ctx context.Context, in <-chan frame) error {
+	defer func() {
+		for _, m := range j.members {
+			if m.task != nil {
+				_ = m.w.c.send(&message{Type: msgCancel, Job: j.id})
 			}
-			if s.mon.Fired() {
-				s.stopped = true
-				s.remaining -= len(s.pending)
-				s.pending = nil
-				if s.remaining == 0 {
-					s.finishLocked(nil)
+		}
+	}()
+	for _, m := range j.members {
+		if err := m.w.c.send(&message{Type: msgJob, Job: j.id, Spec: j.spec}); err != nil {
+			_ = j.lose(m) // it holds no range yet, so this cannot fail the job
+		}
+	}
+	timeout := j.p.opts.HeartbeatTimeout
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		if j.left == 0 || j.mon.Fired() {
+			return nil
+		}
+		if err := j.dispatch(); err != nil {
+			return err
+		}
+		if j.live == 0 {
+			return errors.New("coord: all workers lost with ranges outstanding")
+		}
+		select {
+		case f := <-in:
+			if err := j.handle(f); err != nil {
+				return err
+			}
+		case now := <-timer.C:
+			// The timer fires no later than the earliest deadline:
+			// every deadline is set a full timeout ahead and only
+			// moves later.
+			next := now.Add(timeout)
+			for _, m := range j.members {
+				if m.task == nil {
+					continue
 				}
-				return
+				if !m.deadline.After(now) {
+					if err := j.lose(m); err != nil {
+						return err
+					}
+				} else if m.deadline.Before(next) {
+					next = m.deadline
+				}
+			}
+			timer.Reset(next.Sub(now))
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// dispatch hands pending ranges to idle members.
+func (j *job) dispatch() error {
+	for _, m := range j.members {
+		for !m.lost && m.task == nil && len(j.pending) > 0 {
+			m.task, j.pending = j.pending[0], j.pending[1:]
+			m.deadline = time.Now().Add(j.p.opts.HeartbeatTimeout)
+			if err := m.w.c.send(&message{Type: msgAssign, Job: j.id, Range: &m.task.r}); err != nil {
+				if err := j.lose(m); err != nil {
+					return err
+				}
 			}
 		}
-		s.frontier++
 	}
+	return nil
 }
 
-// requeue puts a lost worker's range back on the queue, failing the
-// job once the range exhausted its retries. After the stop rule fired
-// the range is dropped instead — it lies past the stopped prefix, and
-// a stopped campaign schedules zero further ranges.
-func (s *scheduler) requeue(workerID int, t rangeTask, cause error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.perWorker, workerID) // its scenarios will be recounted by the re-runner
-	if s.stopped {
-		s.remaining--
-		if s.remaining == 0 {
-			s.finishLocked(nil)
+// handle applies one member frame to the job.
+func (j *job) handle(f frame) error {
+	m, msg := f.m, f.msg
+	switch {
+	case m.lost:
+		return nil // frames still buffered from a worker given up on
+	case msg == nil:
+		return j.lose(m)
+	}
+	m.deadline = time.Now().Add(j.p.opts.HeartbeatTimeout) // any frame proves liveness
+	switch msg.Type {
+	case msgHeartbeat:
+		// Liveness only: the deadline moved above.
+	case msgResult:
+		t := m.task
+		if msg.Job != j.id || t == nil || msg.Range == nil || *msg.Range != t.r {
+			return nil // a superseded job's result, or a copy of one credited already
 		}
-		return
-	}
-	t.retries++
-	if t.retries > s.retries {
-		s.finishLocked(fmt.Errorf("coord: range %s failed %d times: %w", t.r, t.retries, cause))
-		return
-	}
-	s.pending = append(s.pending, t)
-	s.cond.Broadcast()
-}
-
-// workerGone fails the job when no live workers remain with work
-// outstanding — nobody is left to take the queue.
-func (s *scheduler) workerGone(live int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if live == 0 && !s.finished && s.remaining > 0 {
-		s.finishLocked(errors.New("coord: all workers lost with ranges outstanding"))
-	}
-}
-
-func (s *scheduler) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finishLocked(err)
-}
-
-// finishLocked marks the job done (first failure wins), wakes blocked
-// take calls and closes the done channel.
-func (s *scheduler) finishLocked(err error) {
-	if s.finished {
-		return
-	}
-	s.finished = true
-	s.failure = err
-	close(s.done)
-	s.cond.Broadcast()
-}
-
-func (s *scheduler) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failure
-}
-
-func (s *scheduler) collected() []campaign.ShardState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.states
-}
-
-// outcome returns the shard states to merge, the scenario count the
-// merged summary must cover, and whether the job stopped early. On an
-// early stop only the stopped prefix's shards survive: ranges that
-// were already in flight past the boundary may have completed, but
-// their states never reach the merge — exactly what the single-process
-// stopped run produces.
-func (s *scheduler) outcome(total int) ([]campaign.ShardState, int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.stopped {
-		return s.states, total, false
-	}
-	stopShard := s.mon.StopShard()
-	var states []campaign.ShardState
-	for _, st := range s.states {
-		if st.Shard <= stopShard {
-			states = append(states, st)
+		m.task = nil
+		t.done, t.states = true, msg.States
+		j.left--
+		for ; j.mon != nil && j.fed < len(j.ranges) && j.ranges[j.fed].done; j.fed++ {
+			for _, st := range j.ranges[j.fed].states {
+				if err := j.mon.Observe(st); err != nil || j.mon.Fired() {
+					return err
+				}
+			}
 		}
+	case msgError:
+		if msg.Job == j.id {
+			return fmt.Errorf("coord: worker %d: %s", m.w.id, msg.Error)
+		}
+	default:
+		// A frame kind the coordinator never expects on a job stream
+		// (job, assign, cancel, shutdown echoed back, or a newer
+		// protocol's kind): the worker is confused, treat it as lost so
+		// its range is reassigned instead of silently dropping frames.
+		return j.lose(m)
 	}
-	return states, s.mon.PrefixScenarios(), true
+	return nil
 }
 
-// reportProgress records a worker's heartbeat progress (its cumulative
-// scenario count for the current job) and reports the pool-wide total.
-func (s *scheduler) reportProgress(workerID, done int, onProgress func(int)) {
-	s.mu.Lock()
-	s.perWorker[workerID] = done
-	total := s.progressLocked()
-	s.mu.Unlock()
-	if onProgress != nil {
-		onProgress(total)
+// lose gives up on a member: its connection is closed and its range,
+// if any, goes back on the queue, failing the job once the range was
+// lost more than rangeRetries times.
+func (j *job) lose(m *member) error {
+	m.lost = true
+	j.live--
+	j.p.markDead(m.w)
+	t := m.task
+	if t == nil {
+		return nil
 	}
-}
-
-func (s *scheduler) progressLocked() int {
-	t := 0
-	for _, d := range s.perWorker {
-		t += d
+	m.task = nil
+	if t.losses++; t.losses > rangeRetries {
+		return fmt.Errorf("coord: range %s failed %d times: worker %d lost with it in flight", t.r, t.losses, m.w.id)
 	}
-	return t
+	j.pending = append(j.pending, t)
+	return nil
 }

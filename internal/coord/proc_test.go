@@ -1,11 +1,13 @@
 package coord
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,12 +17,20 @@ import (
 // workerProcEnv re-executes the test binary as a protocol worker on
 // its stdio: TestMain intercepts the variable before any test runs, so
 // AddProcess(os.Executable()) spawns real worker processes without a
-// separate binary.
+// separate binary. Set to "doomed", the worker exits at its fourth
+// assign frame, with that range in flight, as a worker killed in the
+// middle of a sweep would.
 const workerProcEnv = "PPA_COORD_WORKER_PROC"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(workerProcEnv) == "1" {
-		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, WorkerOptions{}); err != nil {
+	if role := os.Getenv(workerProcEnv); role != "" {
+		in := io.Reader(os.Stdin)
+		if role == "doomed" {
+			pr, pw := io.Pipe()
+			go exitAtFourthAssign(os.Stdin, pw)
+			in = pr
+		}
+		if err := ServeWorker(context.Background(), in, os.Stdout, WorkerOptions{}); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -29,19 +39,42 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// spawnWorkers adds n re-exec'd worker processes to the pool and waits
-// for their handshakes.
-func spawnWorkers(t testing.TB, p *Pool, n int) []*os.Process {
+// exitAtFourthAssign copies the coordinator's frames to w and exits
+// the process when the fourth assign frame arrives.
+func exitAtFourthAssign(r io.Reader, w *io.PipeWriter) {
+	br := bufio.NewReader(r)
+	assigns := 0
+	for {
+		frame, err := br.ReadBytes('\n')
+		if bytes.HasPrefix(frame, []byte(`{"type":"assign"`)) {
+			if assigns++; assigns == 4 {
+				os.Exit(3)
+			}
+		}
+		if _, werr := w.Write(frame); werr != nil || err != nil {
+			w.CloseWithError(err)
+			return
+		}
+	}
+}
+
+// spawnWorkers adds n re-executed worker processes to the pool, the
+// first of them doomed when doomed is set, and waits for their
+// handshakes.
+func spawnWorkers(t testing.TB, p *Pool, n int, doomed bool) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := make([]*os.Process, n)
-	for i := range procs {
+	for i := 0; i < n; i++ {
+		role := "1"
+		if doomed && i == 0 {
+			role = "doomed"
+		}
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), workerProcEnv+"=1")
-		if procs[i], err = p.AddProcess(cmd); err != nil {
+		cmd.Env = append(os.Environ(), workerProcEnv+"="+role)
+		if err := p.AddProcess(cmd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,32 +83,7 @@ func spawnWorkers(t testing.TB, p *Pool, n int) []*os.Process {
 	if err := p.WaitReady(ctx, n); err != nil {
 		t.Fatal(err)
 	}
-	return procs
 }
-
-// killAt kills one worker process mid-sweep: on the fourth progress
-// report (each range completion reports, and a job has 8 ranges per
-// worker), so the kill lands inside the sweep however fast the
-// scenarios run. The callback blocks until the pool has seen the
-// worker die, so the job cannot finish around the kill.
-type killAt struct {
-	pool    *Pool
-	proc    *os.Process
-	reports atomic.Int32
-}
-
-// progress is a PoolOptions.OnProgress callback.
-func (k *killAt) progress(int) {
-	if k.reports.Add(1) != 4 {
-		return
-	}
-	_ = k.proc.Kill()
-	for deadline := time.Now().Add(30 * time.Second); k.pool.Live() > 1 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (k *killAt) fired() bool { return k.reports.Load() >= 4 }
 
 // TestDistributedGolden is the tentpole acceptance test: the same
 // campaign run through a coordinator and N real local worker processes
@@ -93,7 +101,7 @@ func TestDistributedGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			p := NewPool(PoolOptions{})
 			defer p.Close()
-			spawnWorkers(t, p, n)
+			spawnWorkers(t, p, n, false)
 			rep, err := p.RunJob(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
@@ -111,32 +119,30 @@ func TestDistributedGolden(t *testing.T) {
 	}
 }
 
-// TestDistributedWorkerKill: killing one of two worker processes
-// mid-sweep reassigns its ranges to the survivor and the campaign
-// still completes with the bit-identical summary.
+// TestDistributedWorkerKill: one of two worker processes dies
+// mid-sweep, at its fourth of about 8 ranges; its in-flight range is
+// reassigned to the survivor and the campaign still completes with the
+// bit-identical summary.
 func TestDistributedWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	spec := testSpec(t, 400)
+	spec.Shards = 16 // one range per shard block: 16 ranges
 	want := localRun(t, spec)
 
-	var kill killAt
-	p := NewPool(PoolOptions{RangesPerWorker: 8, OnProgress: kill.progress})
+	p := NewPool(PoolOptions{RangesPerWorker: 8})
 	defer p.Close()
-	kill.pool, kill.proc = p, spawnWorkers(t, p, 2)[0]
+	spawnWorkers(t, p, 2, true)
 	rep, err := p.RunJob(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kill.fired() {
-		t.Fatal("the worker was never killed")
+	if live := p.Live(); live != 1 {
+		t.Fatalf("Live() = %d after the job, want 1: the doomed worker did not die", live)
 	}
 	if rep.Summary != want.Summary {
 		t.Fatalf("summary differs after worker kill:\n%+v\n%+v", rep.Summary, want.Summary)
-	}
-	if live := p.Live(); live != 1 {
-		t.Fatalf("Live() = %d after the kill, want 1", live)
 	}
 }
 
@@ -144,12 +150,13 @@ func TestDistributedWorkerKill(t *testing.T) {
 // PPA_DIST_SMOKE=1, minutes-long): a 10k-scenario campaign through a
 // coordinator and 2 local worker processes must match the
 // single-process summary digest exactly — once undisturbed, and once
-// with one worker killed mid-sweep.
+// with one worker exiting mid-sweep at its fourth assignment.
 func TestDistributedSmoke10k(t *testing.T) {
 	if os.Getenv("PPA_DIST_SMOKE") == "" {
 		t.Skip("set PPA_DIST_SMOKE=1 to run the multi-process smoke")
 	}
 	spec := testSpec(t, 10_000)
+	spec.Shards = 16 // one range per shard block: 16 ranges
 	start := time.Now()
 	want := localRun(t, spec)
 	wantHash := campaign.SummaryDigest(want.Summary)
@@ -157,21 +164,16 @@ func TestDistributedSmoke10k(t *testing.T) {
 
 	run := func(name string, kill bool) {
 		t.Run(name, func(t *testing.T) {
-			opts := PoolOptions{RangesPerWorker: 8}
-			var k killAt
-			if kill {
-				opts.OnProgress = k.progress
-			}
-			p := NewPool(opts)
+			p := NewPool(PoolOptions{RangesPerWorker: 8})
 			defer p.Close()
-			k.pool, k.proc = p, spawnWorkers(t, p, 2)[0]
+			spawnWorkers(t, p, 2, kill)
 			start := time.Now()
 			rep, err := p.RunJob(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kill && !k.fired() {
-				t.Fatal("the worker was never killed")
+			if kill && p.Live() != 1 {
+				t.Fatal("the doomed worker did not die")
 			}
 			got := campaign.SummaryDigest(rep.Summary)
 			t.Logf("distributed: %v, digest %s", time.Since(start), got)

@@ -8,10 +8,14 @@
 // Shards) whatever the worker count or range assignment.
 //
 // The system that simulates failure recovery survives its own workers
-// dying: workers heartbeat while computing, a silent or disconnected
-// worker is declared lost and its in-flight range is reassigned to a
-// surviving worker (bounded retries), and a scenario error anywhere
-// fails the whole campaign fast across the process boundary.
+// dying: workers heartbeat to prove they are alive, a silent or
+// disconnected worker is declared lost and its in-flight range is
+// reassigned to a surviving worker (bounded retries), and a scenario
+// error anywhere fails the whole campaign fast across the process
+// boundary. One goroutine owns a job's state: RunJob's loop receives
+// every worker's frames on one channel, credits a result only to the
+// range its worker is running, and ends the job as soon as the stop
+// rule fires, cancelling the ranges in flight past the stopped prefix.
 package coord
 
 import (
@@ -33,9 +37,9 @@ const ProtoVersion = 1
 
 // Message types. Coordinator to worker: job (the campaign WireSpec),
 // assign (one scenario range), cancel, shutdown. Worker to
-// coordinator: hello (version handshake), heartbeat (liveness +
-// progress), result (serialised shard states of a completed range),
-// error (fail-fast propagation).
+// coordinator: hello (version handshake), heartbeat (liveness only),
+// result (the range and the serialised shard states of a completed
+// range), error (fail-fast propagation).
 const (
 	msgHello     = "hello"
 	msgJob       = "job"
@@ -58,7 +62,6 @@ type message struct {
 	Spec    *campaign.WireSpec    `json:"spec,omitempty"`
 	Range   *campaign.Range       `json:"range,omitempty"`
 	States  []campaign.ShardState `json:"states,omitempty"`
-	Done    int                   `json:"done,omitempty"`
 	Error   string                `json:"error,omitempty"`
 }
 

@@ -2,9 +2,9 @@ package coord
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 )
@@ -57,9 +57,9 @@ func TestEarlyStopMatchesSingleProcess(t *testing.T) {
 }
 
 // TestStoppedCellSchedulesNoFurtherRanges is the regression test for
-// the scheduler's stop path: once the stop rule fires, the pending
-// queue is dropped and the coordinator assigns zero further ranges.
-// A single scripted worker executes ranges synchronously in take
+// the job loop's stop path: once the stop rule fires, the pending
+// ranges are dropped and the coordinator assigns zero further ranges.
+// A single scripted worker executes ranges synchronously in assignment
 // order, so the assign count is deterministic: exactly the ranges of
 // the stopped prefix.
 func TestStoppedCellSchedulesNoFurtherRanges(t *testing.T) {
@@ -68,39 +68,12 @@ func TestStoppedCellSchedulesNoFurtherRanges(t *testing.T) {
 	// eligible checkpoint is shard 4 (75 scenarios ≥ the 64-sample
 	// guard with a bounded p95 interval), so exactly 5 ranges may ever
 	// be assigned.
-	var (
-		mu  sync.Mutex
-		cfg campaign.Config
-	)
 	var assigns atomic.Int32
 	p := NewPool(PoolOptions{RangesPerWorker: 8})
 	defer p.Close()
-	addFakeWorker(t, p, ProtoVersion, func(c *conn, m *message) bool {
-		switch m.Type {
-		case msgJob:
-			jc, err := m.Spec.Config()
-			if err != nil {
-				t.Errorf("building config: %v", err)
-				return false
-			}
-			mu.Lock()
-			cfg = jc
-			mu.Unlock()
-		case msgAssign:
-			assigns.Add(1)
-			mu.Lock()
-			jc := cfg
-			mu.Unlock()
-			states, err := campaign.RunRange(jc, *m.Range)
-			if err != nil {
-				t.Errorf("running range %v: %v", m.Range, err)
-				return false
-			}
-			_ = c.send(&message{Type: msgResult, Job: m.Job, Range: m.Range, States: states})
-		case msgShutdown:
-			return false
-		}
-		return true
+	addRangeWorker(t, p, func(c *conn, m *message, cfg campaign.Config) {
+		assigns.Add(1)
+		_ = c.send(runRange(t, m, cfg))
 	})
 	waitReady(t, p, 1)
 
@@ -116,6 +89,45 @@ func TestStoppedCellSchedulesNoFurtherRanges(t *testing.T) {
 	}
 	if got := assigns.Load(); got != 5 {
 		t.Fatalf("%d ranges assigned, want exactly 5 (none after the stop fired)", got)
+	}
+}
+
+// TestStopIgnoresFailuresPastPrefix: once the stop rule fires the job
+// ends with the stopped prefix, as campaign.RunContext does: a range
+// past the prefix that fails afterwards does not fail the job. Two
+// scripted workers run the ranges of the prefix (scenarios below 75)
+// and answer every later range with an error 200 ms after the whole
+// prefix was answered.
+func TestStopIgnoresFailuresPastPrefix(t *testing.T) {
+	spec := stopSpec(t, 120, 10) // 8 blocks of 15; the rule fires after block 4
+	want := localRun(t, spec)
+
+	var answered atomic.Int32
+	prefixDone := make(chan struct{})
+	p := NewPool(PoolOptions{})
+	defer p.Close()
+	for i := 0; i < 2; i++ {
+		addRangeWorker(t, p, func(c *conn, m *message, cfg campaign.Config) {
+			if m.Range.Lo >= 75 {
+				<-prefixDone
+				time.Sleep(200 * time.Millisecond)
+				_ = c.send(&message{Type: msgError, Job: m.Job, Error: "injected failure past the stopped prefix"})
+				return
+			}
+			_ = c.send(runRange(t, m, cfg))
+			if answered.Add(1) == 5 {
+				close(prefixDone)
+			}
+		})
+	}
+	waitReady(t, p, 2)
+
+	rep, err := p.RunJob(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Stopped || rep.Summary != want.Summary {
+		t.Fatalf("stopped=%v summary:\n%+v\nwant the single-process stopped summary:\n%+v", rep.Stopped, rep.Summary, want.Summary)
 	}
 }
 

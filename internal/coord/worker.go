@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -24,11 +23,11 @@ type WorkerOptions struct {
 // ServeWorker runs the worker half of the campaign protocol over the
 // byte streams r and w until EOF, a shutdown message, or ctx
 // cancellation. It opens with a version hello, heartbeats on a ticker
-// (carrying the number of scenarios completed in the current job), and
-// for each assigned range runs campaign.RunRangeContext and sends the
-// serialised shard states back. A range error is reported with an
-// error message — the coordinator fails the whole campaign fast — and
-// a cancel message aborts the in-flight range via its context.
+// to prove it is alive, and for each assigned range runs
+// campaign.RunRangeContext and sends the serialised shard states back.
+// A range error is reported with an error message — the coordinator
+// fails the whole campaign fast — and a cancel message aborts the
+// in-flight range via its context.
 func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptions) error {
 	hb := opts.HeartbeatInterval
 	if hb <= 0 {
@@ -39,12 +38,8 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 		return fmt.Errorf("coord: worker hello: %w", err)
 	}
 
-	var (
-		curJob atomic.Int64 // job the heartbeats report on
-		done   atomic.Int64 // scenarios completed in the current job
-	)
-	stopHB := make(chan struct{})
-	defer close(stopHB)
+	hctx, stopHB := context.WithCancel(ctx)
+	defer stopHB()
 	go func() {
 		t := time.NewTicker(hb)
 		defer t.Stop()
@@ -53,17 +48,16 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 			case <-t.C:
 				// A send error means the connection is going down; the
 				// main recv loop observes it and exits.
-				_ = c.send(&message{Type: msgHeartbeat, Job: int(curJob.Load()), Done: int(done.Load())})
-			case <-stopHB:
-				return
-			case <-ctx.Done():
+				_ = c.send(&message{Type: msgHeartbeat})
+			case <-hctx.Done():
 				return
 			}
 		}
 	}()
 
+	// The job and the in-flight range's cancel belong to this loop; a
+	// range goroutine gets copies.
 	var (
-		mu        sync.Mutex
 		jobID     int
 		cfg       campaign.Config
 		cfgOK     bool
@@ -72,11 +66,9 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 	)
 	defer runs.Wait()
 	defer func() {
-		mu.Lock()
 		if cancelRun != nil {
 			cancelRun()
 		}
-		mu.Unlock()
 	}()
 
 	errMsg := func(job int, text string) *message {
@@ -95,11 +87,7 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 		}
 		switch m.Type {
 		case msgJob:
-			mu.Lock()
 			jobID, cfgOK = m.Job, false
-			curJob.Store(int64(m.Job))
-			done.Store(0)
-			mu.Unlock()
 			if m.Spec == nil {
 				_ = c.send(errMsg(m.Job, "job without a spec"))
 				continue
@@ -109,23 +97,15 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 				_ = c.send(errMsg(m.Job, "building campaign from wire spec: "+err.Error()))
 				continue
 			}
-			// Count completed scenarios for the heartbeat's progress
-			// field (the coordinator aggregates it across workers).
-			jc.OnResult = func(campaign.ScenarioResult) { done.Add(1) }
-			mu.Lock()
 			cfg, cfgOK = jc, true
-			mu.Unlock()
 		case msgAssign:
-			mu.Lock()
 			if m.Job != jobID || !cfgOK || m.Range == nil {
-				mu.Unlock()
 				_ = c.send(errMsg(m.Job, fmt.Sprintf("assign for unknown or failed job %d", m.Job)))
 				continue
 			}
 			rctx, cancel := context.WithCancel(ctx)
 			cancelRun = cancel
 			rc, id, rng := cfg, m.Job, *m.Range
-			mu.Unlock()
 			runs.Add(1)
 			go func() {
 				defer runs.Done()
@@ -141,11 +121,9 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 				_ = c.send(&message{Type: msgResult, Job: id, Range: &rng, States: states})
 			}()
 		case msgCancel:
-			mu.Lock()
 			if cancelRun != nil && m.Job == jobID {
 				cancelRun()
 			}
-			mu.Unlock()
 		case msgShutdown:
 			return nil
 		default:

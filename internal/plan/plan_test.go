@@ -2,9 +2,11 @@ package plan
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/randtopo"
 	"repro/internal/topology"
 )
 
@@ -289,6 +291,57 @@ func TestStructureAwareSmallBudget(t *testing.T) {
 	}
 	if p.Size() != 0 {
 		t.Errorf("StructureAware below operator count should return empty plan, got %v", p.Tasks())
+	}
+}
+
+// TestSAKeepsZeroOFPlan pins a known defect of SA. On BenchmarkPlanners'
+// small topology (randtopo.DefaultSpec(4242) with 4 operators of
+// parallelism 1–3) at budget 3, SA replicates tasks 0, 5 and 6, which
+// complete no MC-tree (OF 0), while dp and structured replicate 0, 2
+// and 3 (OF 0.1016). O1 (tasks 0–1) merges into O2 (task 2), which
+// splits to O3 (tasks 3–4) and O4 (tasks 5–7), so the structured
+// sub-topologies are {O1, O2, O3} and {O4}. SA seeds the deeper {O4}
+// first with [5]. The {O1, O2, O3} step, allowed 2 tasks, stops its
+// search because the next segment ({2, 3}) would exceed that, yet
+// still proposes the bare seed [0], which raises no scoped OF. Every
+// later whole-topology gain is 0, so the tie-break on the
+// sub-topology's own OF adds [6]. (The paper's Alg. 5 bound, a budget
+// below the operator count, would return the empty plan here.) Fixing
+// this changes SA's plans, and this test, on purpose.
+func TestSAKeepsZeroOFPlan(t *testing.T) {
+	spec := randtopo.DefaultSpec(4242)
+	spec.MinOps, spec.MaxOps, spec.MinPar, spec.MaxPar = 4, 4, 1, 3
+	topo, err := randtopo.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewContext(topo)
+	for _, tc := range []struct {
+		planner string
+		tasks   []topology.TaskID
+		of      float64
+	}{
+		{"sa", []topology.TaskID{0, 5, 6}, 0},
+		{"dp", []topology.TaskID{0, 2, 3}, 0.10163806516816665},
+		{"structured", []topology.TaskID{0, 2, 3}, 0.10163806516816665},
+	} {
+		pl, _ := Lookup(tc.planner)
+		p, err := pl.Plan(c, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Tasks(); !reflect.DeepEqual(got, tc.tasks) || c.OF(p) != tc.of {
+			t.Errorf("%s plans %v with OF %v, want %v with OF %v", tc.planner, got, c.OF(p), tc.tasks, tc.of)
+		}
+	}
+	up, err := newStructuredState(c, []int{0, 1, 2}, MetricOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := New(topo.NumTasks())
+	seeded.Add(5)
+	if got := up.step(c, seeded, 2); !reflect.DeepEqual(got, []topology.TaskID{0}) {
+		t.Errorf("{O1, O2, O3} step after the seed [5] at max cost 2 = %v, want the bare seed [0]", got)
 	}
 }
 

@@ -68,7 +68,7 @@ func (s *Spec) validate() error {
 	if s.MinPar < 1 || s.MaxPar < s.MinPar {
 		return fmt.Errorf("randtopo: invalid parallelism bounds [%d,%d]", s.MinPar, s.MaxPar)
 	}
-	if s.JoinFraction < 0 || s.JoinFraction > 1 {
+	if !(s.JoinFraction >= 0 && s.JoinFraction <= 1) {
 		return fmt.Errorf("randtopo: join fraction %v out of [0,1]", s.JoinFraction)
 	}
 	if s.Sources == 0 {

@@ -147,6 +147,7 @@ func TestSpecValidation(t *testing.T) {
 		{MinOps: 5, MaxOps: 6, MinPar: 0, MaxPar: 2},
 		{MinOps: 5, MaxOps: 6, MinPar: 3, MaxPar: 2},
 		{MinOps: 5, MaxOps: 6, MinPar: 1, MaxPar: 2, JoinFraction: 1.5},
+		{MinOps: 5, MaxOps: 6, MinPar: 1, MaxPar: 2, JoinFraction: math.NaN()},
 	}
 	for i, spec := range bad {
 		if _, err := Generate(spec); err == nil {
